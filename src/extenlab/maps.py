@@ -16,11 +16,14 @@ import numpy as np
 from .errors import (DiameterTooLarge, DomainMismatch, EpsilonTooLarge,
                      ExtensionFailure, GluingMismatch, InvalidArgument,
                      LoopTooCoarse)
-from .metric import (Modulus, Net, check_modulus, euclidean_rows,
-                     measured_modulus, measured_modulus_multi, sup_distance)
+from .metric import (EuclideanMetric, Modulus, Net, check_modulus,
+                     euclidean_rows, measured_modulus, measured_modulus_multi,
+                     pair_blocks, sup_distance)
 from .spaces import AnnotatedSpace, Retraction, SpacePair, spiked_base_pair
 
-_CHUNK = 2048
+# Rows per weighted-average product in _dugundji_values: BLAS rounding of
+# `w @ values` depends on the row count, so this grouping fixes output bits.
+_AVERAGE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -46,29 +49,26 @@ class MapSample:
     def codomain_name(self) -> str:
         return self.codomain.key
 
+    def _distinct_values(self) -> np.ndarray:
+        """np.unique(values, axis=0), in O(n) when the map is constant."""
+        if np.all(self.values == self.values[0]):
+            return self.values[:1]
+        return np.unique(self.values, axis=0)
+
     def value_diameter(self) -> float:
-        vals = np.unique(self.values, axis=0)
+        """Largest Euclidean distance between two values (exact maximum)."""
+        vals = self._distinct_values()
+        cross = EuclideanMetric().cross
         best = 0.0
-        for lo in range(0, len(vals), _CHUNK):
-            block = vals[lo:lo + _CHUNK]
-            for lo2 in range(0, len(vals), _CHUNK):
-                other = vals[lo2:lo2 + _CHUNK]
-                if block.shape[1] == 1:
-                    d = np.abs(block[:, 0][:, None] - other[:, 0][None, :])
-                elif block.shape[1] == 2:
-                    d = np.hypot(block[:, 0][:, None] - other[:, 0][None, :],
-                                 block[:, 1][:, None] - other[:, 1][None, :])
-                else:
-                    diff = block[:, None, :] - other[None, :, :]
-                    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-                best = max(best, float(d.max()))
+        for rows, cols in pair_blocks(len(vals), len(vals), upper=True):
+            best = max(best, float(cross(vals[rows], vals[cols]).max()))
         return best
 
     def validity_report(self, slack: float | None = None) -> list[str]:
         """Empty list if valid: values near the codomain net, modulus holds."""
         problems = []
         eps = self.codomain.resolution
-        uniq = np.unique(self.values, axis=0)
+        uniq = self._distinct_values()
         _, dist = self.codomain.net.nearest(uniq)
         worst = float(dist.max())
         if worst > eps + 1e-9:
@@ -164,8 +164,8 @@ def _dugundji_values(pair: SpacePair, f: MapSample, retraction: Retraction):
     in_z = np.zeros(n, dtype=bool)
     in_z[z] = True
     rows = np.nonzero(~in_z)[0]
-    for lo in range(0, len(rows), _CHUNK):
-        idx = rows[lo:lo + _CHUNK]
+    for lo in range(0, len(rows), _AVERAGE_ROWS):
+        idx = rows[lo:lo + _AVERAGE_ROWS]
         d = net.dist_idx(idx, z)
         d_z = d.min(axis=1)
         w = np.maximum(0.0, 2.0 * d_z[:, None] - d)

@@ -7,6 +7,7 @@ frozen after construction so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,7 +19,9 @@ from scipy.spatial import cKDTree
 
 from .errors import DomainMismatch, InvalidArgument
 
-_CHUNK = 2048
+# Bytes of one float64 block of pair values: a kernel's handful of block
+# temporaries stay near a core's L2 cache, whatever the net size.
+_BLOCK_BYTES = 1 << 20
 
 
 def _frozen(a) -> np.ndarray:
@@ -53,7 +56,46 @@ def _euclidean_cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-class EuclideanMetric:
+def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
+    """Tile the n_rows x n_cols pair grid into (rows, cols) slice blocks.
+
+    A block is as many whole grid rows as fit in _BLOCK_BYTES of float64,
+    and at least one.  Blocks come in row order, so results gathered in
+    block order stay in lexicographic (i, j) order.  upper=True (square
+    grids) starts each block's columns at its first row: every unordered
+    pair is visited with j >= i (pairs with j < i only in a block's
+    diagonal corner).  Use it only where d(i, j) == d(j, i) bit for bit,
+    as the backends' `symmetric` attribute states.
+    """
+    cells = _BLOCK_BYTES // 8
+    r0 = 0
+    while r0 < n_rows:
+        c0 = r0 if upper else 0
+        r1 = min(n_rows, r0 + max(1, cells // (n_cols - c0)))
+        yield slice(r0, r1), slice(c0, n_cols)
+        r0 = r1
+
+
+class _CoordinateMetric:
+    """Backend given by cross(p, q); symmetric bit for bit, since a - b is
+    exactly -(b - a) and hypot, abs, max, min and + are commutative."""
+
+    symmetric = True
+
+    def block(self, points: np.ndarray, rows, cols) -> np.ndarray:
+        return self.cross(points[rows], points[cols])
+
+    def nearest(self, points: np.ndarray, coords: np.ndarray):
+        idx = np.empty(len(coords), dtype=int)
+        dist = np.empty(len(coords))
+        for rows, cols in pair_blocks(len(coords), len(points)):
+            d = self.cross(coords[rows], points[cols])
+            idx[rows] = d.argmin(axis=1)
+            dist[rows] = d.min(axis=1)
+        return idx, dist
+
+
+class EuclideanMetric(_CoordinateMetric):
     """Ambient Euclidean metric on the stored coordinates."""
 
     kind = "ambient-euclidean"
@@ -61,27 +103,41 @@ class EuclideanMetric:
     def cross(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return _euclidean_cross(p, q)
 
-    def rows(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return euclidean_rows(p, q)
+    def nearest(self, points: np.ndarray, coords: np.ndarray):
+        d, idx = cKDTree(points).query(coords)
+        return np.atleast_1d(idx), np.atleast_1d(d)
 
 
 class MatrixMetric:
     """Explicit distance matrix over net indices.
 
-    Coordinate-based queries fall back to exact index resolution, so maps
-    into matrix-metric spaces must take values on net points.
+    Coordinate queries resolve by exact index lookup, so maps into
+    matrix-metric spaces must take values on net points.  Symmetric only
+    if the matrix equals its transpose; file-supplied matrices may not.
     """
 
     kind = "explicit-matrix"
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = _frozen(matrix)
+        self.symmetric = bool(np.array_equal(self.matrix, self.matrix.T))
 
-    def cross_idx(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return self.matrix[np.ix_(i, j)]
+    def block(self, points: np.ndarray, rows, cols) -> np.ndarray:
+        return self.matrix[rows, cols] if isinstance(rows, slice) \
+            else self.matrix[np.ix_(rows, cols)]
+
+    def nearest(self, points: np.ndarray, coords: np.ndarray):
+        first: dict = {}
+        for i, p in enumerate(map(tuple, points.tolist())):
+            first.setdefault(p, i)
+        idx = [first.get(c) for c in map(tuple, coords.tolist())]
+        if None in idx:
+            raise InvalidArgument("an explicit-matrix net resolves only the "
+                                  "coordinates of its own points")
+        return np.asarray(idx, dtype=int), np.zeros(len(idx))
 
 
-class MaxProductMetric:
+class MaxProductMetric(_CoordinateMetric):
     """max(d_first, d_rest): first coordinate block vs. the remainder.
 
     Used for cylinders N x Y and [0,1] x Y; the factor metrics are both
@@ -99,13 +155,8 @@ class MaxProductMetric:
         b = _euclidean_cross(p[:, s:], q[:, s:])
         return np.maximum(a, b)
 
-    def rows(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        s = self.split
-        return np.maximum(euclidean_rows(p[:, :s], q[:, :s]),
-                          euclidean_rows(p[:, s:], q[:, s:]))
 
-
-class ConeMetric:
+class ConeMetric(_CoordinateMetric):
     """Quotient metric of (base x [0,1]) / (base x {1} -> apex).
 
     Last coordinate is the level; distance is the max metric, except
@@ -122,11 +173,6 @@ class ConeMetric:
         direct = np.maximum(base, np.abs(s - t))
         via_apex = (1.0 - s) + (1.0 - t)
         return np.minimum(direct, via_apex)
-
-    def rows(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        base = euclidean_rows(p[:, :-1], q[:, :-1])
-        s, t = p[:, -1], q[:, -1]
-        return np.minimum(np.maximum(base, np.abs(s - t)), (1 - s) + (1 - t))
 
 
 @dataclass(frozen=True)
@@ -160,31 +206,20 @@ class Net:
     def metric_kind(self) -> str:
         return self.metric.kind
 
-    def dist_idx(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Cross-distance matrix between two index sets."""
-        i = np.atleast_1d(np.asarray(i, dtype=int))
-        j = np.atleast_1d(np.asarray(j, dtype=int))
-        if isinstance(self.metric, MatrixMetric):
-            return self.metric.cross_idx(i, j)
-        return self.metric.cross(self.points[i], self.points[j])
+    def dist_idx(self, i, j) -> np.ndarray:
+        """Cross-distances between two index sets, or two slices (no copy)."""
+        if not isinstance(i, slice):
+            i = np.atleast_1d(np.asarray(i, dtype=int))
+            j = np.atleast_1d(np.asarray(j, dtype=int))
+        return self.metric.block(self.points, i, j)
 
     def pair_dist(self, i: int, j: int) -> float:
         return float(self.dist_idx([i], [j])[0, 0])
 
     def nearest(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and distances of the nearest net points (Euclidean nets)."""
+        """Indices and distances of the nearest net points."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        if isinstance(self.metric, EuclideanMetric):
-            d, idx = cKDTree(self.points).query(coords)
-            return np.atleast_1d(idx), np.atleast_1d(d)
-        best_idx = np.empty(len(coords), dtype=int)
-        best_d = np.empty(len(coords))
-        for lo in range(0, len(coords), _CHUNK):
-            block = coords[lo:lo + _CHUNK]
-            d = self.metric.cross(block, self.points)
-            best_idx[lo:lo + _CHUNK] = d.argmin(axis=1)
-            best_d[lo:lo + _CHUNK] = d.min(axis=1)
-        return best_idx, best_d
+        return self.metric.nearest(self.points, coords)
 
     def subnet(self, indices: Sequence[int]) -> "Net":
         idx = np.asarray(indices, dtype=int)
@@ -218,23 +253,21 @@ class EpsilonGraph:
 
 
 def build_epsilon_graph(net: Net, scale: float) -> EpsilonGraph:
-    """All unordered pairs at distance <= scale."""
+    """All unordered pairs at distance <= scale (reads d(i, j), i < j)."""
     if not scale > 0:
         raise InvalidArgument("scale must be positive")
     if isinstance(net.metric, EuclideanMetric):
         pairs = cKDTree(net.points).query_pairs(scale, output_type="ndarray")
         edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         return EpsilonGraph(net, scale, edges)
-    rows = []
-    n = len(net)
-    for lo in range(0, n, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, n))
-        d = net.dist_idx(idx, np.arange(n))
-        ii, jj = np.nonzero(d <= scale)
-        keep = idx[ii] < jj
-        rows.append(np.column_stack([idx[ii][keep], jj[keep]]))
-    edges = np.vstack(rows) if rows else np.empty((0, 2), dtype=int)
-    return EpsilonGraph(net, scale, edges)
+    found = []
+    for rows, cols in pair_blocks(len(net), len(net), upper=True):
+        ii, jj = np.nonzero(net.dist_idx(rows, cols) <= scale)
+        ii += rows.start
+        jj += cols.start
+        keep = ii < jj
+        found.append(np.column_stack([ii[keep], jj[keep]]))
+    return EpsilonGraph(net, scale, np.vstack(found))
 
 
 def spot_check_triangle(net: Net, samples: int = 200, seed: int = 0) -> float:
@@ -363,24 +396,28 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24) -> Modulu
     Used to declare moduli for constructed extensions (and homotopy
     slices) whose analytic modulus has no convenient closed form;
     check_modulus then re-verifies the declaration independently.
+
+    Two passes over pair_blocks (diameter, then bucket peaks) keep a few
+    _BLOCK_BYTES blocks alive and visit each unordered pair once on a
+    symmetric metric; per block one max over all maps feeds one per-bucket
+    max.  Maxima ignore visiting order and distances keep np.hypot, so the
+    table is bit for bit that of a full n x n pass.
     """
     n = len(net)
+    blocks = list(pair_blocks(n, n, upper=net.metric.symmetric))
     dmax = 0.0
-    for lo in range(0, n, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, n))
-        dmax = max(dmax, float(net.dist_idx(idx, np.arange(n)).max()))
+    for rows, cols in blocks:
+        dmax = max(dmax, float(net.dist_idx(rows, cols).max()))
     if dmax == 0.0:
         return Modulus.step([(0.0, 0.0)])
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
     peaks = np.zeros(len(radii))
-    for lo in range(0, n, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, n))
-        dd = net.dist_idx(idx, np.arange(n))
-        pos = np.clip(np.searchsorted(radii, dd, side="left"),
-                      0, len(radii) - 1).ravel()
-        for values in values_list:
-            dv = _euclidean_cross(values[idx], values)
-            np.maximum.at(peaks, pos, dv.ravel())
+    for rows, cols in blocks:
+        pos = np.clip(np.searchsorted(radii, net.dist_idx(rows, cols),
+                                      side="left"), 0, len(radii) - 1)
+        dv = functools.reduce(np.maximum, (_euclidean_cross(v[rows], v[cols])
+                                           for v in values_list))
+        np.maximum.at(peaks, pos.ravel(), dv.ravel())
     bounds = np.maximum.accumulate(peaks)
     return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
 
@@ -416,18 +453,21 @@ def sup_distance_interval(f, g) -> tuple[float, float]:
 
 
 def check_modulus(f, slack: float) -> bool:
-    """Does f satisfy its declared modulus up to additive slack on all pairs?"""
+    """Does f satisfy its declared modulus up to additive slack on all pairs?
+
+    One pass over pair_blocks, stopping at the first violating block; each
+    unordered pair is tested once on a symmetric metric, with the per-pair
+    test of a full n x n pass, so the answer is the same.
+    """
     if slack < 0:
         raise InvalidArgument("slack must be >= 0")
     net = f.domain
     values = f.values
-    if len(np.unique(values, axis=0)) == 1:
+    if np.all(values == values[0]):
         return True  # constant maps satisfy every modulus
     n = len(net)
-    for lo in range(0, n, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, n))
-        dd = net.dist_idx(idx, np.arange(n))
-        dv = _euclidean_cross(values[idx], values)
-        if np.any(dv > f.modulus(dd) + slack + 1e-12):
+    for rows, cols in pair_blocks(n, n, upper=net.metric.symmetric):
+        dv = _euclidean_cross(values[rows], values[cols])
+        if np.any(dv > f.modulus(net.dist_idx(rows, cols)) + slack + 1e-12):
             return False
     return True

@@ -1,9 +1,9 @@
 """Shared fixtures and independent test oracles.
 
 The oracles here deliberately avoid the library's own shortest-path /
-component machinery: union-find over explicit edge lists, exhaustive
-path enumeration for maximin values, and plain BFS over a dense distance
-matrix for reachability.
+component machinery (scipy's csgraph included): union-find over explicit
+edge lists, exhaustive path enumeration for maximin values, and plain BFS
+over a dense distance matrix for reachability.
 """
 
 from __future__ import annotations
@@ -35,6 +35,32 @@ class UnionFind:
 
 
 def components_by_unionfind(n: int, edges) -> np.ndarray:
+    """Component labels (smallest member index) by vectorised union-find.
+
+    Each round hooks the larger root of every edge whose endpoints have
+    different roots under the smaller one, then jumps pointers until every
+    node points at its root.  Parents only ever decrease and stay in the
+    component, so each component's smallest member ends up its one root.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    a, b = edges[:, 0], edges[:, 1]
+    parent = np.arange(n)
+    while True:
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            return parent
+        np.minimum.at(parent, np.maximum(ra[split], rb[split]),
+                      np.minimum(ra[split], rb[split]))
+
+
+def components_by_unionfind_loop(n: int, edges) -> np.ndarray:
+    """Pure-Python union-find; the reference for the vectorised oracle."""
     uf = UnionFind(n)
     for a, b in edges:
         uf.union(int(a), int(b))

@@ -1,7 +1,9 @@
 import json
 
 import jsonschema
+import numpy as np
 
+import extenlab as xl
 from extenlab import serialization as ser
 from extenlab.cli import main
 
@@ -209,3 +211,29 @@ def test_positive_emitted_for_extendible_limits(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "certify", str(certs / "problem.json"),
                            str(certs / "certificate.json"))
     assert code == 0
+
+
+def test_certify_matrix_metric_codomain(tmp_path, capsys):
+    # an explicit codomain whose net carries a distance matrix: images
+    # resolve to its points by exact lookup instead of crashing
+    eps = 2.0 ** -4
+    fam = xl.example_family("sine-eopen", eps)
+    phi = fam.member(1)
+    cod = phi.codomain
+    every = np.arange(len(cod.net))
+    cod_ref = {"kind": "explicit", "name": "sine-matrix",
+               "net": {"dimension": 2, "points": cod.net.points.tolist(),
+                       "resolution": eps,
+                       "metric": {"matrix":
+                                  cod.net.dist_idx(every, every).tolist()}},
+               "path_components": cod.labels.tolist(),
+               "component_names": list(cod.label_names),
+               "clopen_atoms": [every.tolist()]}
+    problem = tmp_path / "problem.json"
+    problem.write_text(ser.dumps({"pair": ser.pair_to_ref(fam.pair),
+                                  "map": ser.map_to_json(phi, cod_ref)}))
+    certificate = tmp_path / "certificate.json"
+    cert = xl.build_negative_certificate("sine-eopen", 1, eps)
+    certificate.write_text(ser.dumps(ser.certificate_to_json(cert, eps)))
+    code, out, _ = run_cli(capsys, "certify", str(problem), str(certificate))
+    assert code == 0 and json.loads(out)["status"] == "verified"

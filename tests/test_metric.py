@@ -303,3 +303,198 @@ def test_family_sup_strictly_decreasing_to_zero():
         assert all(a > b for a, b in zip(sups, sups[1:]))
         assert sups[-1] < sups[0]
         assert sups[-1] <= 2.0 / (len(sups))
+
+
+# ---------------------------------------------------------------------------
+# the block-pair engine against the full-row reference
+
+_REFERENCE_ROWS = 2048
+
+
+def _reference_cross(p, q):
+    if p.shape[1] == 1:
+        return np.abs(p[:, 0][:, None] - q[:, 0][None, :])
+    if p.shape[1] == 2:
+        return np.hypot(p[:, 0][:, None] - q[:, 0][None, :],
+                        p[:, 1][:, None] - q[:, 1][None, :])
+    diff = p[:, None, :] - q[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def reference_measured_modulus_multi(net, values_list, n_buckets=24):
+    """The row-chunked loop the engine replaced, kept as the oracle."""
+    n = len(net)
+    dmax = 0.0
+    for lo in range(0, n, _REFERENCE_ROWS):
+        idx = np.arange(lo, min(lo + _REFERENCE_ROWS, n))
+        dmax = max(dmax, float(net.dist_idx(idx, np.arange(n)).max()))
+    if dmax == 0.0:
+        return Modulus.step([(0.0, 0.0)])
+    radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
+    peaks = np.zeros(len(radii))
+    for lo in range(0, n, _REFERENCE_ROWS):
+        idx = np.arange(lo, min(lo + _REFERENCE_ROWS, n))
+        dd = net.dist_idx(idx, np.arange(n))
+        pos = np.clip(np.searchsorted(radii, dd, side="left"),
+                      0, len(radii) - 1).ravel()
+        for values in values_list:
+            dv = _reference_cross(values[idx], values)
+            np.maximum.at(peaks, pos, dv.ravel())
+    bounds = np.maximum.accumulate(peaks)
+    return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
+
+
+def reference_check_modulus(f, slack):
+    net = f.domain
+    values = f.values
+    if len(np.unique(values, axis=0)) == 1:
+        return True
+    n = len(net)
+    for lo in range(0, n, _REFERENCE_ROWS):
+        idx = np.arange(lo, min(lo + _REFERENCE_ROWS, n))
+        dd = net.dist_idx(idx, np.arange(n))
+        dv = _reference_cross(values[idx], values)
+        if np.any(dv > f.modulus(dd) + slack + 1e-12):
+            return False
+    return True
+
+
+def _random_nets(rng, n):
+    from extenlab.metric import ConeMetric, MatrixMetric, MaxProductMetric
+    pts = np.round(rng.random((n, 3)), 3)       # ties and repeated distances
+    sym = rng.random((n, n))
+    sym = sym + sym.T
+    np.fill_diagonal(sym, 0.0)
+    asym = sym.copy()
+    asym[rng.integers(0, n, 5), rng.integers(0, n, 5)] += 0.25
+    nets = {"euclidean-1d": Net(pts[:, :1], 0.1),
+            "euclidean-2d": Net(pts[:, :2], 0.1),
+            "euclidean-3d": Net(pts, 0.1),
+            "max-product": Net(pts, 0.1, MaxProductMetric(1)),
+            "cone": Net(pts, 0.1, ConeMetric()),
+            "matrix": Net(pts[:, :1], 0.1, MatrixMetric(sym)),
+            "matrix-asymmetric": Net(pts[:, :1], 0.1, MatrixMetric(asym))}
+    assert nets["matrix"].metric.symmetric
+    assert not nets["matrix-asymmetric"].metric.symmetric
+    return nets
+
+
+# 1 MiB is the shipped budget; the small ones force many row blocks and,
+# at 40 cells, blocks of one row wider than the budget
+BUDGETS = [1 << 20, 8 * 900, 8 * 40]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_pair_blocks_cover_the_grid_within_budget(monkeypatch, budget):
+    from extenlab import metric
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", budget)
+    n = 97
+    for upper in (False, True):
+        seen = np.zeros((n, n), dtype=int)
+        order = []
+        for rows, cols in metric.pair_blocks(n, n, upper):
+            assert cols.stop == n
+            assert (rows.stop - rows.start) * (n - cols.start) * 8 <= budget \
+                or rows.stop - rows.start == 1
+            seen[rows, cols] += 1
+            order.append((rows.start, cols.start))
+        assert order == sorted(order)
+        assert seen.max() == 1
+        covered = seen + seen.T if upper else seen
+        assert covered.min() >= 1
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_engine_matches_reference_on_all_metric_kinds(monkeypatch, rng, budget):
+    from extenlab import metric
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", budget)
+    n = 120
+    for kind, net in _random_nets(rng, n).items():
+        values_list = [rng.random((n, 2)), np.round(rng.random((n, 1)), 2),
+                       rng.random((n, 3))]
+        for vl in (values_list[:1], values_list[:2], values_list[1:]):
+            want = reference_measured_modulus_multi(net, vl).table()
+            assert metric.measured_modulus_multi(net, vl).table() == want, kind
+        for values in values_list:
+            for modulus in (Modulus.lip(1.0), Modulus.lip(20.0),
+                            reference_measured_modulus_multi(net, [values])):
+                f = MapSample(net, None, values, modulus)
+                for slack in (0.0, 0.05):
+                    assert check_modulus(f, slack) == \
+                        reference_check_modulus(f, slack), kind
+
+
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_check_modulus_finds_the_one_pair_across_a_block_boundary(
+        monkeypatch, rng, asymmetric):
+    from extenlab import metric
+    n = 60
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * 7 * n)   # 7-row blocks
+    mat = np.full((n, n), 10.0)
+    np.fill_diagonal(mat, 0.0)
+    i, j = 6, 7                       # last row of block 0, first of block 1
+    mat[j, i] = 0.01
+    if not asymmetric:
+        mat[i, j] = 0.01
+    values = rng.random((n, 1))
+    values[i], values[j] = 0.0, 0.5
+    net = Net(np.zeros((n, 1)), 1.0, metric.MatrixMetric(mat.copy()))
+    assert net.metric.symmetric is not asymmetric
+    f = MapSample(net, None, values, Modulus.lip(1.0))
+    assert reference_check_modulus(f, 0.0) is False
+    assert check_modulus(f, 0.0) is False
+    mat[j, i] = mat[i, j] = 10.0
+    healed = MapSample(Net(np.zeros((n, 1)), 1.0, metric.MatrixMetric(mat)),
+                       None, values, Modulus.lip(1.0))
+    assert check_modulus(healed, 0.0) is reference_check_modulus(healed, 0.0) \
+        is True
+
+
+def test_constant_map_tests_agree_on_signed_zero_and_nan():
+    net = line_net(np.arange(6.0))
+    mixed = np.array([[0.0, 1.0], [-0.0, 1.0]] * 3)
+    nan = np.full((6, 2), np.nan)
+    for values in (mixed, nan, np.zeros((6, 1)), -np.zeros((6, 1))):
+        f = MapSample(net, None, values, Modulus.lip(0.0))
+        assert check_modulus(f, 0.0) is reference_check_modulus(f, 0.0) is True
+        assert len(f._distinct_values()) == len(np.unique(values, axis=0))
+    for values in (mixed, np.zeros((6, 1))):
+        assert measured_modulus(net, values).table() == \
+            reference_measured_modulus_multi(net, [values]).table()
+        assert MapSample(net, None, values, Modulus.lip(0.0)) \
+            .value_diameter() == 0.0
+
+
+def test_matrix_net_resolves_only_its_own_points():
+    from extenlab.metric import MatrixMetric
+    pts = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [-0.0, 5.0]])
+    net = Net(pts, 1.0, MatrixMetric(np.ones((4, 4)) - np.eye(4)))
+    idx, dist = net.nearest([[2.0, 3.0], [0.0, 1.0], [0.0, 5.0]])
+    assert idx.tolist() == [1, 0, 3] and dist.tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(InvalidArgument):
+        net.nearest([[2.0, 3.0000001]])
+
+
+def test_check_modulus_peak_memory_is_bounded():
+    import tracemalloc
+    ext = xl.explicit_extension("sine-eopen", None, EPS8)
+    assert len(ext.domain) == 6268
+    tracemalloc.start()
+    try:
+        assert check_modulus(ext, 2 * EPS8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20        # full-row chunks allocate ~500 MB
+
+
+def test_vectorised_unionfind_matches_the_loop(rng):
+    from conftest import components_by_unionfind_loop
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 2 * n))
+        edges = rng.integers(0, n, size=(m, 2))
+        want = components_by_unionfind_loop(n, edges)
+        assert np.array_equal(components_by_unionfind(n, edges), want)
+    chain = np.column_stack([np.arange(999, 0, -1), np.arange(998, -1, -1)])
+    assert components_by_unionfind(1000, chain).tolist() == [0] * 1000
