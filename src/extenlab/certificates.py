@@ -203,7 +203,7 @@ def _check_path_component(pair, phi, cert, v: Verdict):
         v.status = INVALID
         return
     if len(witness) > 1:
-        steps = np.diagonal(y.net.dist_idx(witness[:-1], witness[1:]))
+        steps = y.net.dist_pairs(witness[:-1], witness[1:])
         max_step = float(steps.max())
     else:
         max_step = 0.0

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (DiameterTooLarge, DomainMismatch, EpsilonTooLarge,
                      ExtensionFailure, GluingMismatch, InvalidArgument,
                      LoopTooCoarse)
-from .metric import (EuclideanMetric, Modulus, Net, check_modulus,
+from .metric import (EuclideanMetric, Modulus, Net, _frozen, check_modulus,
                      euclidean_rows, measured_modulus, measured_modulus_multi,
                      pair_blocks, sup_distance)
 from .spaces import AnnotatedSpace, Retraction, SpacePair, spiked_base_pair
@@ -28,7 +28,12 @@ _AVERAGE_ROWS = 2048
 
 @dataclass(frozen=True)
 class MapSample:
-    """Map values on a domain net into an annotated codomain."""
+    """Map values on a domain net into an annotated codomain.
+
+    values are frozen and ownership passes (see metric._frozen): an array
+    that owns its data is frozen in place, a view of a writeable array is
+    copied.
+    """
 
     domain: Net
     codomain: AnnotatedSpace
@@ -37,12 +42,11 @@ class MapSample:
     name: str = ""
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        v = _frozen(self.values)
         if v.ndim == 1:
             v = v[:, None]
         if len(v) != len(self.domain):
             raise InvalidArgument("one value per domain net point required")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -102,7 +106,10 @@ class MapFamily:
 
 @dataclass(frozen=True)
 class Homotopy:
-    """Family of slices over a time grid; a sampled map on [0,1] x base."""
+    """Family of slices over a time grid; a sampled map on [0,1] x base.
+
+    times and values are frozen and ownership passes, as for MapSample.
+    """
 
     base: Net
     codomain: AnnotatedSpace
@@ -112,10 +119,8 @@ class Homotopy:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        t.setflags(write=False)
-        v.setflags(write=False)
+        t = _frozen(self.times)
+        v = _frozen(self.values)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         if v.shape[0] != len(t) or v.shape[1] != len(self.base):

@@ -2,7 +2,8 @@
 
 A Net is a finite point set standing in for a compact metric space at a
 stated resolution.  Everything here is pure and immutable; arrays are
-frozen after construction so instances are safe to share across threads.
+frozen after construction so instances are safe to share across threads,
+and the data a Net derives from them on first use never changes.
 """
 
 from __future__ import annotations
@@ -23,37 +24,60 @@ from .errors import DomainMismatch, InvalidArgument
 # temporaries stay near a core's L2 cache, whatever the net size.
 _BLOCK_BYTES = 1 << 20
 
+# Largest pair-code table a Net stores, in bytes (one uint8 per visited
+# pair, so n(n+1)/2 and a little on a symmetric metric: n up to about
+# 11,500).  Larger nets recompute their codes block by block per call.
+_TABLE_BYTES = 64 << 20
+
+# A net's codes place each distance d among [0] and the dyadic radii
+# dmax * 2^-253 ... dmax, so one table serves every bucket count up to
+# _RADII; searchsorted over these 255 edges gives codes 0..255.
+_RADII = 254
+
 
 def _frozen(a) -> np.ndarray:
+    """a as a read-only, C-contiguous float64 array.
+
+    Ownership passes: an array that owns its data is frozen in place, and
+    the caller must not write to it again.  A view is kept only if its
+    root array owns its data and is read-only; any other view is copied,
+    so no write through another name reaches what the result holds.
+    """
     out = np.ascontiguousarray(np.asarray(a, dtype=float))
+    root = out
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if out.base is not None and (root.base is not None
+                                 or root.flags.writeable):
+        out = out.copy()
     out.setflags(write=False)
     return out
 
 
-def euclidean_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean distance, exact on axis-aligned 2-d pairs.
+def _euclidean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distance of p and q broadcast against each other, with
+    coordinates on the last axis; exact on axis-aligned 2-d pairs.
 
     np.hypot keeps distances like |(1/k,1) - (0,1)| equal to 1/k to the
-    last bit, which the catalog's closed-form sup values rely on.
+    last bit, which the catalog's closed-form sup values rely on.  Each
+    output element takes the same operations whatever the broadcast, so
+    paired rows are bit for bit the diagonal of the cross matrix.
     """
-    d = p - q
-    if d.ndim == 1:
-        d = d[None, :]
-    if d.shape[1] == 1:
-        return np.abs(d[:, 0])
-    if d.shape[1] == 2:
-        return np.hypot(d[:, 0], d[:, 1])
-    return np.sqrt(np.einsum("ij,ij->i", d, d))
+    if p.shape[-1] == 1:
+        return np.abs(p[..., 0] - q[..., 0])
+    if p.shape[-1] == 2:
+        return np.hypot(p[..., 0] - q[..., 0], p[..., 1] - q[..., 1])
+    diff = p - q
+    return np.sqrt(np.einsum("...k,...k->...", diff, diff))
+
+
+def euclidean_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distance (a single point broadcasts)."""
+    return _euclidean(np.atleast_2d(p), np.atleast_2d(q))
 
 
 def _euclidean_cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    if p.shape[1] == 1:
-        return np.abs(p[:, 0][:, None] - q[:, 0][None, :])
-    if p.shape[1] == 2:
-        return np.hypot(p[:, 0][:, None] - q[:, 0][None, :],
-                        p[:, 1][:, None] - q[:, 1][None, :])
-    diff = p[:, None, :] - q[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return _euclidean(p[:, None, :], q[None, :, :])
 
 
 def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
@@ -77,13 +101,28 @@ def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
 
 
 class _CoordinateMetric:
-    """Backend given by cross(p, q); symmetric bit for bit, since a - b is
-    exactly -(b - a) and hypot, abs, max, min and + are commutative."""
+    """Backend given by dist(p, q) on broadcast coordinate arrays;
+    symmetric bit for bit, since a - b is exactly -(b - a) and hypot,
+    abs, max, min and + are commutative.
+
+    The protocol all backends share: `symmetric`, `block` (a rows x cols
+    grid of distances), `pairs` (aligned index arrays), `index` (the
+    query structure `nearest` reads, built once per net) and `nearest`.
+    """
 
     symmetric = True
 
+    def cross(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return self.dist(p[:, None, :], q[None, :, :])
+
     def block(self, points: np.ndarray, rows, cols) -> np.ndarray:
         return self.cross(points[rows], points[cols])
+
+    def pairs(self, points: np.ndarray, i, j) -> np.ndarray:
+        return self.dist(points[i], points[j])
+
+    def index(self, points: np.ndarray):
+        return points           # no query structure: nearest scans blocks
 
     def nearest(self, points: np.ndarray, coords: np.ndarray):
         idx = np.empty(len(coords), dtype=int)
@@ -100,11 +139,14 @@ class EuclideanMetric(_CoordinateMetric):
 
     kind = "ambient-euclidean"
 
-    def cross(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return _euclidean_cross(p, q)
+    def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return _euclidean(p, q)
 
-    def nearest(self, points: np.ndarray, coords: np.ndarray):
-        d, idx = cKDTree(points).query(coords)
+    def index(self, points: np.ndarray):
+        return cKDTree(points)
+
+    def nearest(self, index, coords: np.ndarray):
+        d, idx = index.query(coords)
         return np.atleast_1d(idx), np.atleast_1d(d)
 
 
@@ -114,6 +156,7 @@ class MatrixMetric:
     Coordinate queries resolve by exact index lookup, so maps into
     matrix-metric spaces must take values on net points.  Symmetric only
     if the matrix equals its transpose; file-supplied matrices may not.
+    The matrix is frozen; ownership passes (see _frozen).
     """
 
     kind = "explicit-matrix"
@@ -126,11 +169,17 @@ class MatrixMetric:
         return self.matrix[rows, cols] if isinstance(rows, slice) \
             else self.matrix[np.ix_(rows, cols)]
 
-    def nearest(self, points: np.ndarray, coords: np.ndarray):
+    def pairs(self, points: np.ndarray, i, j) -> np.ndarray:
+        return self.matrix[i, j]
+
+    def index(self, points: np.ndarray) -> dict:
         first: dict = {}
         for i, p in enumerate(map(tuple, points.tolist())):
             first.setdefault(p, i)
-        idx = [first.get(c) for c in map(tuple, coords.tolist())]
+        return first
+
+    def nearest(self, index: dict, coords: np.ndarray):
+        idx = [index.get(c) for c in map(tuple, coords.tolist())]
         if None in idx:
             raise InvalidArgument("an explicit-matrix net resolves only the "
                                   "coordinates of its own points")
@@ -149,10 +198,10 @@ class MaxProductMetric(_CoordinateMetric):
     def __init__(self, split: int):
         self.split = split
 
-    def cross(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         s = self.split
-        a = _euclidean_cross(p[:, :s], q[:, :s])
-        b = _euclidean_cross(p[:, s:], q[:, s:])
+        a = _euclidean(p[..., :s], q[..., :s])
+        b = _euclidean(p[..., s:], q[..., s:])
         return np.maximum(a, b)
 
 
@@ -166,10 +215,10 @@ class ConeMetric(_CoordinateMetric):
 
     kind = "cone"
 
-    def cross(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        base = _euclidean_cross(p[:, :-1], q[:, :-1])
-        s = p[:, -1][:, None]
-        t = q[:, -1][None, :]
+    def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        base = _euclidean(p[..., :-1], q[..., :-1])
+        s = p[..., -1]
+        t = q[..., -1]
         direct = np.maximum(base, np.abs(s - t))
         via_apex = (1.0 - s) + (1.0 - t)
         return np.minimum(direct, via_apex)
@@ -179,9 +228,21 @@ class ConeMetric(_CoordinateMetric):
 class Net:
     """Finite eps-net of a compact metric space.
 
-    points     -- (n, d) ambient coordinates
+    points     -- (n, d) ambient coordinates; frozen, ownership passes
+                  (see _frozen: a view of a writeable array is copied)
     resolution -- eps > 0; every intended point is within eps of the net
     metric     -- one of the metric backends above
+
+    Derived data, computed on first use from the points and the metric
+    alone (never from a map or a modulus), kept on the instance and
+    freed with it:
+      _pair_table  dmax, the largest distance over the visited pairs of
+                   pair_blocks(upper=metric.symmetric), and each visited
+                   pair's code, the position of its distance among
+                   [0] + dmax * 2^-253 ... dmax: one uint8 per pair in
+                   pair_blocks layout (about n^2/2 bytes), stored only up
+                   to _TABLE_BYTES, else None and computed per call;
+      _index       the backend's nearest-point query structure.
     """
 
     points: np.ndarray
@@ -213,13 +274,20 @@ class Net:
             j = np.atleast_1d(np.asarray(j, dtype=int))
         return self.metric.block(self.points, i, j)
 
+    def dist_pairs(self, i, j) -> np.ndarray:
+        """d(i[k], j[k]) for aligned index arrays: bit for bit the diagonal
+        of dist_idx(i, j), in memory linear in len(i)."""
+        i = np.atleast_1d(np.asarray(i, dtype=int))
+        j = np.atleast_1d(np.asarray(j, dtype=int))
+        return self.metric.pairs(self.points, i, j)
+
     def pair_dist(self, i: int, j: int) -> float:
-        return float(self.dist_idx([i], [j])[0, 0])
+        return float(self.dist_pairs(i, j)[0])
 
     def nearest(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the nearest net points."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        return self.metric.nearest(self.points, coords)
+        return self.metric.nearest(self._index, coords)
 
     def subnet(self, indices: Sequence[int]) -> "Net":
         idx = np.asarray(indices, dtype=int)
@@ -228,6 +296,62 @@ class Net:
         else:
             metric = self.metric
         return Net(self.points[idx], self.resolution, metric)
+
+    # -- derived data (functools.cached_property writes the instance
+    #    __dict__ directly, which the frozen dataclass allows)
+
+    @functools.cached_property
+    def _index(self):
+        return self.metric.index(self.points)
+
+    def _blocks(self):
+        return pair_blocks(len(self), len(self), upper=self.metric.symmetric)
+
+    @functools.cached_property
+    def _pair_table(self):
+        """(dmax, stored (rows, cols, codes) blocks or None)."""
+        blocks = list(self._blocks())
+        cells = sum((r.stop - r.start) * (c.stop - c.start) for r, c in blocks)
+        dmax = 0.0
+        if cells > _TABLE_BYTES:
+            for rows, cols in blocks:
+                dmax = max(dmax, float(self.dist_idx(rows, cols).max()))
+            return dmax, None
+        # One pass codes each block against the running maximum, which is
+        # dmax from the block holding the diameter on; only blocks coded
+        # before it are evaluated again.
+        coded = []
+        for rows, cols in blocks:
+            d = self.dist_idx(rows, cols)
+            dmax = max(dmax, float(d.max()))
+            coded.append((rows, cols, dmax, _codes(d, dmax)))
+        stored = [(rows, cols, codes if scale == dmax else
+                   _codes(self.dist_idx(rows, cols), dmax))
+                  for rows, cols, scale, codes in coded]
+        for _, _, codes in stored:
+            codes.setflags(write=False)
+        return dmax, stored
+
+    @property
+    def _dmax(self) -> float:
+        """Largest distance over the visited pairs, folded block by block
+        with max() in pair_blocks order."""
+        return self._pair_table[0]
+
+    def _pair_codes(self):
+        """(rows, cols, codes) over the visited pairs; the stored table if
+        the net has one, else codes computed block by block."""
+        dmax, stored = self._pair_table
+        if stored is not None:
+            return iter(stored)
+        return ((rows, cols, _codes(self.dist_idx(rows, cols), dmax))
+                for rows, cols in self._blocks())
+
+
+def _codes(d: np.ndarray, dmax: float) -> np.ndarray:
+    """Position of each distance among [0] + dmax * 2^-253 ... dmax."""
+    edges = np.r_[0.0, dmax * 2.0 ** np.arange(1 - _RADII, 1.0)]
+    return np.searchsorted(edges, d, side="left").astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -257,7 +381,7 @@ def build_epsilon_graph(net: Net, scale: float) -> EpsilonGraph:
     if not scale > 0:
         raise InvalidArgument("scale must be positive")
     if isinstance(net.metric, EuclideanMetric):
-        pairs = cKDTree(net.points).query_pairs(scale, output_type="ndarray")
+        pairs = net._index.query_pairs(scale, output_type="ndarray")
         edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         return EpsilonGraph(net, scale, edges)
     found = []
@@ -390,6 +514,13 @@ class Modulus:
         return list(zip(self.radii.tolist(), self.bounds.tolist()))
 
 
+def _bucket_of_code(n_buckets: int) -> np.ndarray:
+    """Bucket among the top n_buckets dyadic radii of a net, per code:
+    searchsorted(radii, d, "left") clipped to [0, n_buckets - 1]."""
+    return np.clip(np.arange(_RADII + 2) - 1 - (_RADII - n_buckets),
+                   0, n_buckets - 1)
+
+
 def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24) -> Modulus:
     """Tightest dyadic-bucket step modulus all the sampled maps obey.
 
@@ -397,27 +528,28 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24) -> Modulu
     slices) whose analytic modulus has no convenient closed form;
     check_modulus then re-verifies the declaration independently.
 
-    Two passes over pair_blocks (diameter, then bucket peaks) keep a few
-    _BLOCK_BYTES blocks alive and visit each unordered pair once on a
-    symmetric metric; per block one max over all maps feeds one per-bucket
-    max.  Maxima ignore visiting order and distances keep np.hypot, so the
-    table is bit for bit that of a full n x n pass.
+    The radii are dmax * 2^-(n_buckets-1) ... dmax, n_buckets <= 254.
+    Distances come from the net's derived pair data (see Net): its
+    diameter and each visited pair's code, from which a pair's bucket is
+    a table lookup.  A net with a stored code table computes no pair
+    distance here; a larger one computes its codes block by block in the
+    same loop.  Per block one max of the value distances over all maps
+    feeds one per-bucket max.  Maxima ignore visiting order and
+    distances keep np.hypot, so the table is bit for bit that of a full
+    n x n pass.
     """
-    n = len(net)
-    blocks = list(pair_blocks(n, n, upper=net.metric.symmetric))
-    dmax = 0.0
-    for rows, cols in blocks:
-        dmax = max(dmax, float(net.dist_idx(rows, cols).max()))
+    if not 1 <= n_buckets <= _RADII:
+        raise InvalidArgument(f"n_buckets must be in 1..{_RADII}")
+    dmax = net._dmax
     if dmax == 0.0:
         return Modulus.step([(0.0, 0.0)])
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
+    bucket = _bucket_of_code(n_buckets)
     peaks = np.zeros(len(radii))
-    for rows, cols in blocks:
-        pos = np.clip(np.searchsorted(radii, net.dist_idx(rows, cols),
-                                      side="left"), 0, len(radii) - 1)
+    for rows, cols, codes in net._pair_codes():
         dv = functools.reduce(np.maximum, (_euclidean_cross(v[rows], v[cols])
                                            for v in values_list))
-        np.maximum.at(peaks, pos.ravel(), dv.ravel())
+        np.maximum.at(peaks, bucket[codes].ravel(), dv.ravel())
     bounds = np.maximum.accumulate(peaks)
     return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
 
@@ -452,22 +584,57 @@ def sup_distance_interval(f, g) -> tuple[float, float]:
     return value, value + slack
 
 
+def _own_bucket_count(net: Net, modulus: Modulus) -> int:
+    """K if modulus is a step table over [0] and the net's own top K
+    dyadic radii, bit for bit; else 0.  Only a table that is dyadic in
+    itself asks the net for its diameter."""
+    if modulus.kind != "step":
+        return 0
+    radii, k = modulus.radii, len(modulus.radii) - 1
+    if not (1 <= k <= _RADII and len(modulus.bounds) == k + 1
+            and radii[0] == 0.0 and radii[-1] > 0.0
+            and np.array_equal(radii[1:],
+                               radii[-1] * 2.0 ** np.arange(1 - k, 1.0))):
+        return 0
+    return k if radii[-1] == net._dmax else 0
+
+
+def _allowed_blocks(f, slack: float):
+    """(rows, cols, omega(d) + slack + 1e-12) over the pair blocks of f's
+    domain.  On a step table over the net's own radii omega(d) is a
+    lookup by pair code into bounds + slack + 1e-12, entry for entry the
+    same float operations as evaluating the modulus; any other modulus
+    is evaluated on the pair distances."""
+    net, modulus = f.domain, f.modulus
+    k = _own_bucket_count(net, modulus)
+    if k:
+        step = np.r_[0, 1 + _bucket_of_code(k)[1:]]
+        allowed = (modulus.bounds + slack + 1e-12)[step]
+        return ((rows, cols, allowed[codes])
+                for rows, cols, codes in net._pair_codes())
+    return ((rows, cols, modulus(net.dist_idx(rows, cols)) + slack + 1e-12)
+            for rows, cols in net._blocks())
+
+
 def check_modulus(f, slack: float) -> bool:
     """Does f satisfy its declared modulus up to additive slack on all pairs?
 
-    One pass over pair_blocks, stopping at the first violating block; each
-    unordered pair is tested once on a symmetric metric, with the per-pair
-    test of a full n x n pass, so the answer is the same.
+    One pass over the visited pairs, stopping at the first violating
+    block; each unordered pair is tested once on a symmetric metric, with
+    the per-pair test of a full n x n pass, so the answer is the same.
+    Every pair's value distance is compared with omega; only the pair
+    distances may come from the domain's derived data (see Net), which
+    never depends on a map or a modulus.  A step table over the domain
+    net's own dyadic radii (as measured_modulus_multi declares) is read
+    through the net's pair codes; Lipschitz moduli and other tables are
+    evaluated on freshly computed distances.
     """
     if slack < 0:
         raise InvalidArgument("slack must be >= 0")
-    net = f.domain
     values = f.values
     if np.all(values == values[0]):
         return True  # constant maps satisfy every modulus
-    n = len(net)
-    for rows, cols in pair_blocks(n, n, upper=net.metric.symmetric):
-        dv = _euclidean_cross(values[rows], values[cols])
-        if np.any(dv > f.modulus(net.dist_idx(rows, cols)) + slack + 1e-12):
+    for rows, cols, allowed in _allowed_blocks(f, slack):
+        if np.any(_euclidean_cross(values[rows], values[cols]) > allowed):
             return False
     return True

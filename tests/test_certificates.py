@@ -234,6 +234,30 @@ def test_path_component_torn_witness_refuted():
                for c in v.checks)
 
 
+def test_path_component_long_witness_checked_in_linear_memory():
+    import math
+    import tracemalloc
+    fam = xl.example_family("sine-eopen", EPS8)
+    phi = fam.member(2)
+    cert = build_negative_certificate("sine-eopen", 2, EPS8)
+    w = cert.witness_path
+    # walk the witness back and forth: every step a step of the witness
+    reps = math.ceil((4000 - len(w)) / (2 * (len(w) - 1)))
+    long = PathComponentObstruction(
+        z1=cert.z1, z2=cert.z2, witness_path=np.concatenate(
+            [w] + [w[-2::-1], w[1:]] * reps), x_labels=cert.x_labels)
+    assert len(long.witness_path) >= 4000
+    short = check_certificate(fam.pair, phi, cert)
+    tracemalloc.start()
+    try:
+        v = check_certificate(fam.pair, phi, long)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20    # a (k-1) x (k-1) step matrix takes 128 MB
+    assert v.as_dict() == short.as_dict()
+
+
 # ---------------------------------------------------------------------------
 # clopen
 

@@ -362,9 +362,12 @@ def reference_check_modulus(f, slack):
 def _random_nets(rng, n):
     from extenlab.metric import ConeMetric, MatrixMetric, MaxProductMetric
     pts = np.round(rng.random((n, 3)), 3)       # ties and repeated distances
+    pts[-4:] = pts[:4]                          # duplicate points: d == 0
     sym = rng.random((n, n))
     sym = sym + sym.T
     np.fill_diagonal(sym, 0.0)
+    dup = np.arange(4)
+    sym[dup, n - 4 + dup] = sym[n - 4 + dup, dup] = 0.0
     asym = sym.copy()
     asym[rng.integers(0, n, 5), rng.integers(0, n, 5)] += 0.25
     nets = {"euclidean-1d": Net(pts[:, :1], 0.1),
@@ -498,3 +501,215 @@ def test_vectorised_unionfind_matches_the_loop(rng):
         assert np.array_equal(components_by_unionfind(n, edges), want)
     chain = np.column_stack([np.arange(999, 0, -1), np.arange(998, -1, -1)])
     assert components_by_unionfind(1000, chain).tolist() == [0] * 1000
+
+
+# ---------------------------------------------------------------------------
+# derived pair data: diameter, pair codes, nearest-point index
+
+
+def _check_moduli(net, values, other):
+    """(modulus, read through the pair codes?) covering both check paths."""
+    own = [measured_modulus(net, v, k) for v in (values, other)
+           for k in (1, 24, 254)]
+    table = own[1].table()
+    halved = Modulus.step([(r, b / 2) for r, b in table])
+    # within and beyond the 1e-12 the test adds to every bound
+    nudged = [Modulus.step([(r, b * (1 - cut)) for r, b in table])
+              for cut in (1e-13, 1e-11)]
+    wider = Modulus.step([(2 * r, b) for r, b in table])      # another top
+    uneven = Modulus.step([(0.0, 0.0)] + [
+        (r * (1 + 1e-3 * i), b) for i, (r, b) in enumerate(table[1:])])
+    return ([(m, True) for m in own + [halved] + nudged]
+            + [(m, False) for m in (wider, uneven, Modulus.lip(1.0),
+                                    Modulus.lip(20.0))])
+
+
+# (_BLOCK_BYTES while the table is stored, afterwards, _TABLE_BYTES)
+CACHE_CASES = [(1 << 20, 8 * 40, None), (8 * 40, 1 << 20, None),
+               (1 << 20, 8 * 40, 0)]
+
+
+@pytest.mark.parametrize("before, after, table_bytes", CACHE_CASES)
+def test_pair_codes_match_reference_cold_and_warm(monkeypatch, rng, before,
+                                                  after, table_bytes):
+    from extenlab import metric
+    if table_bytes is not None:
+        monkeypatch.setattr(metric, "_TABLE_BYTES", table_bytes)
+    n = 90
+    outcomes = set()
+    for kind, net in _random_nets(rng, n).items():
+        values_list = [rng.random((n, 2)), np.round(rng.random((n, 1)), 2)]
+        for values in values_list:
+            values[-4:] = values[:4]          # maps agree on duplicates
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", before)
+        cold = {k: metric.measured_modulus_multi(net, values_list, k).table()
+                for k in (1, 24, 254)}
+        assert (net._pair_table[1] is None) == (table_bytes == 0), kind
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", after)
+        for k in (1, 24, 254):
+            want = reference_measured_modulus_multi(net, values_list, k)
+            assert cold[k] == want.table(), kind
+            for vl in (values_list, values_list[1:]):
+                assert metric.measured_modulus_multi(net, vl, k).table() == \
+                    reference_measured_modulus_multi(net, vl, k).table(), kind
+        values, other = values_list
+        for modulus, coded in _check_moduli(net, values, other):
+            assert (metric._own_bucket_count(net, modulus) > 0) is coded, kind
+            f = MapSample(net, None, values, modulus)
+            for slack in (0.0, 0.05):
+                got = check_modulus(f, slack)
+                assert got == reference_check_modulus(f, slack), kind
+                outcomes.add((coded, got))
+    assert outcomes == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
+def test_code_edges_hold_the_radii_of_every_bucket_count():
+    from extenlab.metric import _RADII
+    for dmax in (1.0, np.sqrt(2.0), 0.3, 7.5e10, 1e-300):
+        edges = dmax * 2.0 ** np.arange(1 - _RADII, 1.0)
+        for k in range(1, _RADII + 1):
+            radii = dmax * 2.0 ** np.arange(-(k - 1), 1.0)
+            assert edges[-k:].tobytes() == radii.tobytes()
+
+
+def test_measured_modulus_bucket_count_range():
+    net = line_net([0.0, 1.0, 3.0])
+    values = np.array([[0.0], [1.0], [2.0]])
+    for k in (0, 255):
+        with pytest.raises(InvalidArgument):
+            measured_modulus(net, values, k)
+
+
+@pytest.mark.parametrize("far, table_bytes", [(0, None), (-2, None),
+                                              (0, 0)])
+def test_pair_grid_is_evaluated_once_per_net(monkeypatch, rng, far,
+                                             table_bytes):
+    from extenlab import metric
+    if table_bytes is not None:
+        monkeypatch.setattr(metric, "_TABLE_BYTES", table_bytes)
+    n = 300
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * 10 * n)   # ~10 rows
+    cells = []
+    dist_idx = Net.dist_idx
+
+    def counting(self, i, j):
+        d = dist_idx(self, i, j)
+        cells.append(d.size)
+        return d
+
+    monkeypatch.setattr(Net, "dist_idx", counting)
+    pts = rng.random((n, 2))
+    pts[far], pts[far + 1] = (-1.0, -1.0), (2.0, 2.0)   # the diameter pair
+    net = Net(pts, 0.1)
+    blocks = list(metric.pair_blocks(n, n, upper=True))
+    sizes = [(r.stop - r.start) * (c.stop - c.start) for r, c in blocks]
+    grid = sum(sizes)
+    values = rng.random((n, 1))
+    declared = measured_modulus(net, values)
+    metric.measured_modulus_multi(net, [values, rng.random((n, 2))])
+    assert check_modulus(MapSample(net, None, values, declared), 0.0)
+    if table_bytes == 0:
+        # nothing stored: the diameter once, then the codes in each call
+        assert sum(cells) == 4 * grid
+    elif far == 0:
+        assert sum(cells) == grid
+    else:
+        # blocks coded before the one holding the diameter, coded again
+        assert sum(cells) == grid + sum(sizes[:-1])
+
+
+def test_one_kd_tree_per_net(monkeypatch, rng):
+    from scipy.spatial import cKDTree
+    from extenlab import metric
+    built = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "cKDTree", CountingTree)
+    pts = rng.random((400, 2))
+    net = Net(pts, 0.05)
+    queries = rng.random((50, 2))
+    for _ in range(3):
+        idx, dist = net.nearest(queries)
+        edges = build_epsilon_graph(net, 0.08).edges
+    assert len(built) == 1
+    want_dist, want_idx = cKDTree(pts).query(queries)
+    assert idx.tolist() == want_idx.tolist()
+    assert dist.tobytes() == want_dist.tobytes()
+    pairs = cKDTree(pts).query_pairs(0.08, output_type="ndarray")
+    assert edges.tolist() == sorted(pairs.tolist())
+    Net(pts.copy(), 0.05).nearest(queries)
+    assert len(built) == 2                      # a tree per net, not shared
+
+
+def test_matrix_net_builds_its_lookup_once(monkeypatch):
+    from extenlab.metric import MatrixMetric
+    calls = []
+    index = MatrixMetric.index
+    monkeypatch.setattr(MatrixMetric, "index",
+                        lambda self, p: calls.append(1) or index(self, p))
+    net = Net(np.array([[0.0], [2.0]]), 1.0, MatrixMetric(np.eye(2)))
+    for _ in range(3):
+        assert net.nearest([[2.0], [0.0]])[0].tolist() == [1, 0]
+    assert len(calls) == 1
+
+
+def test_dist_pairs_is_the_diagonal_bit_for_bit(rng):
+    n = 150
+    nets = _random_nets(rng, n)
+    nets["euclidean-5d"] = Net(rng.random((n, 5)), 0.1)
+    i, j = rng.integers(0, n, 400), rng.integers(0, n, 400)
+    for kind, net in nets.items():
+        want = np.diagonal(net.dist_idx(i, j))
+        assert net.dist_pairs(i, j).tobytes() == want.tobytes(), kind
+        assert net.pair_dist(int(i[0]), int(j[0])) == want[0]
+
+
+def test_writes_through_a_base_array_reach_no_net_or_map(rng):
+    from extenlab.maps import Homotopy
+    from extenlab.metric import MatrixMetric
+    n = 100
+    base = rng.random((2 * n, 2))
+    net = Net(base[:n], 0.1)                  # views of writeable arrays
+    raw = rng.random((3 * n, 1))
+    f = MapSample(net, None, raw[n:2 * n, 0], Modulus.lip(1.0))
+    mats = rng.random((2, n, n))
+    mnet = Net(np.zeros((n, 1)), 0.1, MatrixMetric(mats[0]))
+    steps = rng.random((3, n, 1))
+    h = Homotopy(net, None, np.linspace(0.0, 1.0, 3), steps[:, :, :],
+                 Modulus.lip(1.0))
+    points, values, matrix = base[:n].copy(), raw[n:2 * n].copy(), \
+        mats[0].copy()
+    declared = measured_modulus(net, values)
+    answers = (check_modulus(f, 0.0), net.nearest(points[:7])[0].tolist(),
+               measured_modulus(mnet, values).table())
+    base[:] = 0.0
+    raw[:] = 5.0
+    mats[:] = 0.0
+    steps[:] = 0.0
+    assert net.points.tobytes() == points.tobytes()
+    assert f.values.tobytes() == values.tobytes()
+    assert mnet.metric.matrix.tobytes() == matrix.tobytes()
+    assert np.all(h.values != 0.0)
+    fresh = Net(points.copy(), 0.1)
+    assert measured_modulus(net, f.values).table() == declared.table() == \
+        measured_modulus(fresh, values).table()
+    assert (check_modulus(f, 0.0), net.nearest(points[:7])[0].tolist(),
+            measured_modulus(mnet, values).table()) == answers
+
+
+def test_owned_arrays_are_frozen_in_place_and_frozen_views_kept(rng):
+    from extenlab.maps import Homotopy
+    pts = rng.random((20, 2))
+    net = Net(pts, 0.1)
+    assert net.points is pts and not pts.flags.writeable
+    slices = rng.random((4, 20, 1))
+    h = Homotopy(net, None, np.linspace(0.0, 1.0, 4), slices,
+                 Modulus.lip(1.0))
+    assert h.values is slices and not slices.flags.writeable
+    # a slice is a view of frozen values: kept, not copied
+    assert np.shares_memory(h.slice(1.0).values, h.values)
