@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse, \
     NotCoveredRefusal, UnknownName
 from .maps import MapSample, collapse_retraction, winding_number
-from .metric import build_epsilon_graph, euclidean_rows, reachable
+from .metric import euclidean_rows, reachable
 from .spaces import AnnotatedSpace, SpacePair, make_pair, make_space
 
 VERIFIED = "verified"
@@ -120,16 +120,6 @@ def region_mask(points: np.ndarray, region: dict) -> np.ndarray:
     if op == "abs_le":
         return np.abs(coord) <= value
     raise InvalidArgument(f"unknown region op {op!r}")
-
-
-_GRAPH_CACHE: dict = {}
-
-
-def _codomain_adjacency(space: AnnotatedSpace, scale: float):
-    key = (space.key, scale)
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = build_epsilon_graph(space.net, scale).adjacency()
-    return _GRAPH_CACHE[key]
 
 
 def check_certificate(pair: SpacePair, phi: MapSample,
@@ -269,7 +259,7 @@ def _check_mandatory_crossing(pair, phi, cert, v: Verdict):
                  f"{cert.separation:.6g} > {4 * eps:.6g}"):
         _fail(v)
 
-    adj = _codomain_adjacency(cod, 2 * eps)
+    adj = cod.net.adjacency(2 * eps)
     da_prev = db_prev = math.inf
     z0_pt = pair.z_net.points[cert.z0]
     prev_a = None

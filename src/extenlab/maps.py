@@ -354,7 +354,7 @@ def cone_contraction(v_space: AnnotatedSpace, p_index: int,
     Built by the small-diameter extension over the spiked-base pair of
     the cone on V; the ambient ANR is V's parent space.
     """
-    ambient = v_space.meta.get("base")
+    ambient = (v_space.recipe or {}).get("base")
     if ambient is None:
         raise InvalidArgument("cone_contraction needs a subspace of an ANR")
     pair = spiked_base_pair(v_space, p_index)

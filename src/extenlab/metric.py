@@ -242,7 +242,8 @@ class Net:
                    [0] + dmax * 2^-253 ... dmax: one uint8 per pair in
                    pair_blocks layout (about n^2/2 bytes), stored only up
                    to _TABLE_BYTES, else None and computed per call;
-      _index       the backend's nearest-point query structure.
+      _index       the backend's nearest-point query structure;
+      _graphs      scale -> adjacency of build_epsilon_graph(net, scale).
     """
 
     points: np.ndarray
@@ -289,6 +290,13 @@ class Net:
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         return self.metric.nearest(self._index, coords)
 
+    def adjacency(self, scale: float) -> csr_matrix:
+        """Adjacency of build_epsilon_graph(self, scale), built on first
+        use and kept with the net."""
+        if scale not in self._graphs:
+            self._graphs[scale] = build_epsilon_graph(self, scale).adjacency()
+        return self._graphs[scale]
+
     def subnet(self, indices: Sequence[int]) -> "Net":
         idx = np.asarray(indices, dtype=int)
         if isinstance(self.metric, MatrixMetric):
@@ -303,6 +311,10 @@ class Net:
     @functools.cached_property
     def _index(self):
         return self.metric.index(self.points)
+
+    @functools.cached_property
+    def _graphs(self) -> dict:
+        return {}
 
     def _blocks(self):
         return pair_blocks(len(self), len(self), upper=self.metric.symmetric)

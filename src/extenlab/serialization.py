@@ -14,8 +14,9 @@ import numpy as np
 from .errors import InvalidArgument, UnknownName
 from .metric import MatrixMetric, Modulus, Net
 from .spaces import (AnnotatedSpace, BlockOracle, SpacePair, cone, make_pair,
-                     make_space, opc_disjoint_union, product_with, subspace)
-from .maps import MapSample
+                     make_space, opc_disjoint_union, pair_names,
+                     product_with, subspace)
+from .maps import Homotopy, MapSample
 from . import certificates as certs
 
 
@@ -47,33 +48,10 @@ def net_from_json(data: dict) -> Net:
 
 
 def space_to_ref(space: AnnotatedSpace) -> dict:
-    """Reference form: catalog lookup, construction recipe, or explicit."""
-    from .spaces import catalog_names
-    if space.name in catalog_names():
-        return {"kind": "catalog", "name": space.name,
-                "parameters": {k: (list(v) if isinstance(v, (tuple, np.ndarray)) else v)
-                               for k, v in space.params},
-                "resolution": space.resolution}
-    if space.name.startswith("cone(") and "base" in space.meta:
-        return {"kind": "construct", "op": "cone",
-                "base": space_to_ref(space.meta["base"])}
-    if space.name.startswith("product(") and "base" in space.meta:
-        out = {"kind": "construct", "op": "product",
-               "factor": space.meta["factor_kind"],
-               "base": space_to_ref(space.meta["base"])}
-        if space.meta["factor_kind"] == "interval":
-            fv = space.meta["factor_values"]
-            out["step"] = float(fv[1] - fv[0])
-        return out
-    if space.name == "opc":
-        return {"kind": "construct", "op": "opc",
-                "blocks": [space_to_ref(b["source"])
-                           for b in space.meta["blocks"]]}
-    if "base" in space.meta and "base_indices" in space.meta:
-        return {"kind": "construct", "op": "subspace",
-                "base": space_to_ref(space.meta["base"]),
-                "indices": [int(i) for i in space.meta["base_indices"]],
-                "name": space.name}
+    """Reference form: the recipe the space was built by, with each base
+    space replaced by its reference, or else the explicit form."""
+    if space.recipe is not None:
+        return _with_refs(space.recipe)
     return {"kind": "explicit", "name": space.name,
             "net": net_to_json(space.net),
             "path_components": space.labels.tolist(),
@@ -81,6 +59,16 @@ def space_to_ref(space: AnnotatedSpace) -> dict:
             "clopen_atoms": [sorted(int(i) for i in a)
                              for a in space.clopen.atoms()],
             "resolution": space.resolution}
+
+
+def _with_refs(value):
+    if isinstance(value, AnnotatedSpace):
+        return space_to_ref(value)
+    if isinstance(value, dict):
+        return {k: _with_refs(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_with_refs(v) for v in value]
+    return value
 
 
 def space_from_ref(data: dict) -> AnnotatedSpace:
@@ -117,7 +105,6 @@ def space_from_ref(data: dict) -> AnnotatedSpace:
 
 
 def pair_to_ref(pair: SpacePair) -> dict:
-    from .spaces import pair_names
     if pair.name in pair_names():
         return {"kind": "catalog", "name": pair.name,
                 "resolution": pair.resolution}
@@ -171,7 +158,6 @@ def homotopy_to_json(h) -> dict:
 
 
 def homotopy_from_json(data: dict, base: Net):
-    from .maps import Homotopy
     times = np.asarray(data["times"], dtype=float)
     flat = np.asarray(data["values"], dtype=float)
     values = flat.reshape(len(times), len(base), -1)

@@ -22,6 +22,8 @@ Truncation policy (documented per space, deterministic):
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -235,7 +237,11 @@ def _disk_retraction(key, center, radius):
 
 @dataclass(frozen=True)
 class AnnotatedSpace:
-    """A compact metric space at one resolution, with exact annotations."""
+    """A compact metric space at one resolution, with exact annotations.
+
+    recipe: how a constructor built it, as serialization.space_to_ref
+    writes it but with base spaces for their references; else None.
+    """
 
     name: str
     params: tuple
@@ -248,6 +254,7 @@ class AnnotatedSpace:
     chain_edges: np.ndarray
     meta: dict = field(default_factory=dict)
     contains_fn: object = None
+    recipe: dict | None = None
 
     def __post_init__(self):
         lab = np.asarray(self.labels, dtype=int)
@@ -696,7 +703,8 @@ _BUILDERS = {
     "hawaii": _build_hawaii,
 }
 
-_SPACE_CACHE: dict = {}
+# The parameters each builder reads; make_space refuses any other.
+_PARAMETERS = {"disk": ("center", "radius")}
 
 
 def catalog_names() -> list[str]:
@@ -704,16 +712,28 @@ def catalog_names() -> list[str]:
 
 
 def make_space(name: str, resolution: float, **params) -> AnnotatedSpace:
-    """Catalog space at a dyadic resolution (instances are cached)."""
+    """Catalog space at a dyadic resolution (memoised until clear_caches)."""
     if name not in _BUILDERS:
         raise UnknownName(f"unknown catalog space {name!r}")
     if not dyadic.is_dyadic(resolution):
         raise InvalidArgument(f"resolution {resolution!r} is not dyadic")
-    key = (name, resolution, tuple(sorted(params.items())))
-    if key not in _SPACE_CACHE:
-        _SPACE_CACHE[key] = _BUILDERS[name](resolution,
-                                            tuple(sorted(params.items())))
-    return _SPACE_CACHE[key]
+    if unread := sorted(set(params) - set(_PARAMETERS.get(name, ()))):
+        raise InvalidArgument(f"{name} reads no parameter {unread}")
+    return _catalog_space(name, resolution, tuple(sorted(params.items())))
+
+
+@functools.cache
+def _catalog_space(name: str, resolution: float, params: tuple):
+    recipe = {"kind": "catalog", "name": name, "parameters": dict(params),
+              "resolution": resolution}
+    return dataclasses.replace(_BUILDERS[name](resolution, params),
+                               recipe=recipe)
+
+
+def clear_caches():
+    """Forget every memoised catalog space and named pair."""
+    _catalog_space.cache_clear()
+    _named_pair.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -729,14 +749,14 @@ def product_with(space: AnnotatedSpace, factor: str,
     """
     eps = space.resolution
     if factor == "interval":
-        step = grid_step if grid_step is not None else eps
+        step = float(grid_step if grid_step is not None else eps)
         if not dyadic.is_dyadic(step) or step > eps + 1e-15:
             raise InvalidArgument("grid step must be dyadic and <= resolution")
         fvals = dyadic.grid(step)
-        fkind = "interval"
+        grid = (("step", step),)
     elif factor == "ndagger":
         fvals = _ndagger_values(eps)
-        fkind = "ndagger"
+        grid = ()
     else:
         raise InvalidArgument(f"unknown product factor {factor!r}")
     if not isinstance(space.net.metric, EuclideanMetric):
@@ -748,32 +768,35 @@ def product_with(space: AnnotatedSpace, factor: str,
     pts = np.column_stack([rep, tiled])
     net = Net(pts, eps, MaxProductMetric(split=1))
 
-    base_labels = space.labels
-    base_names = space.label_names
-    if fkind == "interval":
-        labels = np.tile(base_labels, nF)
-        names = base_names
+    if factor == "interval":
+        labels = np.tile(space.labels, nF)
+        names = space.label_names
     else:
-        labels = np.concatenate([base_labels + i * len(base_names)
+        labels = np.concatenate([space.labels + i * len(space.label_names)
                                  for i in range(nF)])
-        names = tuple(f"f{i}|{bn}" for i in range(nF) for bn in base_names)
-
-    edges = []
-    for i in range(nF):
-        edges.append(space.chain_edges + i * nA)
-    if fkind == "interval":
-        for i in range(nF - 1):
-            sl = np.arange(nA)
-            edges.append(np.column_stack([sl + i * nA, sl + (i + 1) * nA]))
+        names = tuple(f"f{i}|{bn}" for i in range(nF)
+                      for bn in space.label_names)
+    edges = _layer_edges(space, nF, linked=factor == "interval")
     slices = [i * nA + np.arange(nA) for i in range(nF)]
-    oracle = ProductOracle(fkind, space.clopen, slices)
+    oracle = ProductOracle(factor, space.clopen, slices)
     return AnnotatedSpace(
         f"product({factor},{space.name})",
-        (("factor", fkind), ("base", space.key)),
-        net, labels, names, oracle, {}, {},
-        np.vstack(edges) if edges else np.empty((0, 2)),
-        meta={"factor_values": fvals, "base_size": nA, "base": space,
-              "factor_kind": fkind})
+        (("factor", factor), *grid, ("base", space.key)),
+        net, labels, names, oracle, {}, {}, np.vstack(edges),
+        meta={"factor_values": fvals, "base_size": nA},
+        recipe={"kind": "construct", "op": "product", "factor": factor,
+                "base": space, **dict(grid)})
+
+
+def _layer_edges(space: AnnotatedSpace, layers: int, linked: bool) -> list:
+    """Chain edges on stacked copies of the net (linked: to the next copy)."""
+    n = len(space.net)
+    edges = [space.chain_edges + i * n for i in range(layers)]
+    if linked:
+        edges += [np.column_stack([np.arange(n) + i * n,
+                                   np.arange(n) + (i + 1) * n])
+                  for i in range(layers - 1)]
+    return edges
 
 
 def cone(space: AnnotatedSpace) -> AnnotatedSpace:
@@ -790,12 +813,7 @@ def cone(space: AnnotatedSpace) -> AnnotatedSpace:
     pts = np.vstack([pts, apex[None, :]])
     net = Net(pts, eps, ConeMetric())
     n = len(pts)
-    edges = []
-    for i in range(nL):
-        edges.append(space.chain_edges + i * nA)
-    for i in range(nL - 1):
-        sl = np.arange(nA)
-        edges.append(np.column_stack([sl + i * nA, sl + (i + 1) * nA]))
+    edges = _layer_edges(space, nL, linked=True)
     edges.append(np.column_stack([(nL - 1) * nA + np.arange(nA),
                                   np.full(nA, n - 1)]))
     return AnnotatedSpace(
@@ -803,8 +821,8 @@ def cone(space: AnnotatedSpace) -> AnnotatedSpace:
         net, np.zeros(n, dtype=int), ("cone",),
         ConnectedOracle(n), {}, {"apex": n - 1},
         np.vstack(edges),
-        meta={"levels": levels, "base_size": nA, "base": space,
-              "apex_index": n - 1})
+        meta={"levels": levels, "base_size": nA, "apex_index": n - 1},
+        recipe={"kind": "construct", "op": "cone", "base": space})
 
 
 def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
@@ -836,11 +854,9 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
         shifted[:, :p.shape[1]] = (p - lo) * scale
         shifted[:, 0] += 0.75 * 2.0 ** (-n)
         pts.append(shifted)
-        idx = offset + np.arange(len(p))
-        block_sets.append(frozenset(int(i) for i in idx))
+        block_sets.append(frozenset(range(offset, offset + len(p))))
         meta_blocks.append({"n": n, "start": offset, "size": len(p),
-                            "scale": scale, "shift": 0.75 * 2.0 ** (-n),
-                            "source": b})
+                            "scale": scale, "shift": 0.75 * 2.0 ** (-n)})
         labels.append(b.labels + len(names))
         names.extend(f"block{n}:{ln}" for ln in b.label_names)
         edges.append(b.chain_edges + offset)
@@ -850,9 +866,8 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
     return AnnotatedSpace(
         "opc", tuple((f"block{i + 1}", b.key) for i, b in enumerate(blocks)),
         net, np.concatenate(labels), tuple(names), oracle, {},
-        {"infinity": 0},
-        np.vstack(edges) if edges else np.empty((0, 2)),
-        meta={"blocks": meta_blocks})
+        {"infinity": 0}, np.vstack(edges), meta={"blocks": meta_blocks},
+        recipe={"kind": "construct", "op": "opc", "blocks": list(blocks)})
 
 
 def subspace(space: AnnotatedSpace, indices, name: str) -> AnnotatedSpace:
@@ -870,8 +885,9 @@ def subspace(space: AnnotatedSpace, indices, name: str) -> AnnotatedSpace:
         name, (("base", space.key),), net, np.zeros(n, dtype=int),
         (space.label_names[labs[0]],), ConnectedOracle(n), {}, {},
         np.asarray(kept, dtype=int).reshape(-1, 2),
-        meta={"base": space, "base_indices": idx},
-        contains_fn=space.contains_fn)
+        contains_fn=space.contains_fn,
+        recipe={"kind": "construct", "op": "subspace", "base": space,
+                "indices": [int(i) for i in idx], "name": name})
 
 
 def spiked_base_pair(v_space: AnnotatedSpace, p_index: int) -> SpacePair:
@@ -916,49 +932,47 @@ def urysohn(space: AnnotatedSpace, z_indices, v_indices):
 # pair catalog
 
 
-_PAIR_CACHE: dict = {}
-
-
 def pair_names() -> list[str]:
     return ["interval-N", "interval-ends", "sine-zeros", "disk-earring",
             "opc-intervals"]
 
 
 def make_pair(name: str, resolution: float) -> SpacePair:
-    """Named (Y, Z) pairs used by the example reproductions."""
-    key = (name, resolution)
-    if key in _PAIR_CACHE:
-        return _PAIR_CACHE[key]
+    """Named (Y, Z) pairs used by the example reproductions (memoised
+    until clear_caches)."""
     if not dyadic.is_dyadic(resolution):
         raise InvalidArgument(f"resolution {resolution!r} is not dyadic")
-    eps = resolution
+    return _named_pair(name, resolution)
+
+
+@functools.cache
+def _named_pair(name: str, eps: float) -> SpacePair:
     if name == "interval-N":
         members = _ndagger_values(eps)
         y = _build_interval(eps, (("with", "N"),), extra=members)
-        vals = y.meta["values"]
-        z = np.searchsorted(vals, members)
+        z = np.searchsorted(y.meta["values"], members)
         member_ids = np.array([0] + list(range(round(1 / eps), 0, -1)))
-        pair = SpacePair.build(name, y, z,
+        return SpacePair.build(name, y, z,
                                meta={"z_members": member_ids,
                                      "index_cutoff": index_cutoff(eps)})
-    elif name == "interval-ends":
+    if name == "interval-ends":
         y = make_space("interval", eps)
-        pair = SpacePair.build(name, y, [y.basepoint("left"), y.basepoint("right")])
-    elif name == "sine-zeros":
+        return SpacePair.build(name, y, [y.basepoint("left"), y.basepoint("right")])
+    if name == "sine-zeros":
         y = make_space("sine", eps)
         zp = y.meta["zero_index"]
         ms = sorted(zp)  # 1..tail_max
         z = np.asarray([zp[m] for m in ms] + [y.basepoint("origin")])
-        pair = SpacePair.build(name, y, z,
+        return SpacePair.build(name, y, z,
                                meta={"z_members": np.asarray(ms + [0]),
                                      "osc_cutoff": y.meta["osc_cutoff"]})
-    elif name == "disk-earring":
+    if name == "disk-earring":
         ear = make_space("hawaii", eps)
-        y = _build_disk(eps, (("center", (1.0, 0.0)), ("radius", 1.0)),
-                        extra=ear.net.points)
+        y = _build_disk(eps, (("center", (1.0, 0.0)), ("radius", 1.0),
+                              ("with", "earring")), extra=ear.net.points)
         z = y.meta["injected_indices"]
-        pair = SpacePair.build(name, y, z, meta={"z_space": ear})
-    elif name == "opc-intervals":
+        return SpacePair.build(name, y, z, meta={"z_space": ear})
+    if name == "opc-intervals":
         block = make_space("interval", eps)
         y = opc_disjoint_union([block] * 8)
         z = [0]
@@ -967,9 +981,6 @@ def make_pair(name: str, resolution: float) -> SpacePair:
             start, size = b["start"], b["size"]
             ends.append((start, start + size - 1))
             z.extend([start, start + size - 1])
-        pair = SpacePair.build(name, y, np.asarray(z),
+        return SpacePair.build(name, y, np.asarray(z),
                                meta={"block_ends": ends})
-    else:
-        raise UnknownName(f"unknown pair {name!r}")
-    _PAIR_CACHE[key] = pair
-    return pair
+    raise UnknownName(f"unknown pair {name!r}")

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 import extenlab as xl
-from extenlab import certificates as certs_mod
 from extenlab import serialization as ser
 from extenlab import spaces as spaces_mod
 from extenlab.certificates import build_negative_certificate, \
@@ -28,9 +27,7 @@ EPS8 = 2.0 ** -8
 
 
 def _cold_caches():
-    spaces_mod._SPACE_CACHE.clear()
-    spaces_mod._PAIR_CACHE.clear()
-    certs_mod._GRAPH_CACHE.clear()
+    spaces_mod.clear_caches()
 
 
 def _announce(number, elapsed, budget, detail):
@@ -229,7 +226,7 @@ def test_acceptance_7_metric_and_invariant_suites(rng):
         assert nd.clopen.trace_extends(np.arange(4), frozenset({1}))
         sine = xl.make_space("sine", eps)
         assert not sine.clopen.trace_extends(np.arange(4), frozenset({1}))
-        spaces_mod._SPACE_CACHE.clear()   # keep the fine nets from piling up
+        spaces_mod.clear_caches()   # keep the fine nets from piling up
 
     # certificate serialization round-trips bit for bit
     eps = 2.0 ** -6

@@ -139,12 +139,11 @@ def test_sine_crossing_fewer_brackets_at_coarser_resolution():
 def test_crossing_blocked_by_the_region_not_by_accident():
     # bracket images chain to each other until the region is deleted, and
     # the first bracket beyond the builder's cutoff genuinely sneaks
-    from extenlab.certificates import _codomain_adjacency
     eps = EPS8
     fam = xl.example_family("comb", eps)
     cert = build_negative_certificate("comb", None, eps)
     cod = fam.codomain
-    adj = _codomain_adjacency(cod, 2 * eps)
+    adj = cod.net.adjacency(2 * eps)
     mask = region_mask(cod.net.points, cert.region)
     for a, b in cert.brackets:
         ia, _ = cod.net.nearest(fam.limit.values[[a]])

@@ -99,6 +99,32 @@ def test_construct_cone_reloadable(tmp_path, capsys):
     assert space.component_count() == 1
 
 
+# `construct` output for a disk base at 2^-3 with two opc blocks
+CONSTRUCT_DISK = {
+    "cone": '{"base":{"kind":"catalog","name":"disk","parameters":{},'
+            '"resolution":0.125},"kind":"construct","op":"cone"}',
+    "product-interval": '{"base":{"kind":"catalog","name":"disk",'
+                        '"parameters":{},"resolution":0.125},'
+                        '"factor":"interval","kind":"construct",'
+                        '"op":"product","step":0.125}',
+    "product-ndagger": '{"base":{"kind":"catalog","name":"disk",'
+                       '"parameters":{},"resolution":0.125},'
+                       '"factor":"ndagger","kind":"construct","op":"product"}',
+    "opc": '{"blocks":[{"kind":"catalog","name":"disk","parameters":{},'
+           '"resolution":0.125},{"kind":"catalog","name":"disk",'
+           '"parameters":{},"resolution":0.125}],"kind":"construct",'
+           '"op":"opc"}',
+}
+
+
+def test_construct_output_bytes(capsys):
+    for op, expected in CONSTRUCT_DISK.items():
+        code, out, _ = run_cli(capsys, "construct", op, "disk",
+                               "--epsilon", "2^-3", "--blocks", "2")
+        assert code == 0
+        assert out == expected + "\n", op
+
+
 def test_unknown_flags_rejected(capsys):
     code, _, _ = run_cli(capsys, "example", "run", "comb", "--bogus")
     assert code == 3
@@ -211,6 +237,23 @@ def test_positive_emitted_for_extendible_limits(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "certify", str(certs / "problem.json"),
                            str(certs / "certificate.json"))
     assert code == 0
+
+
+def test_certify_rejects_a_parameter_no_builder_reads(tmp_path, capsys):
+    eps = 2.0 ** -4
+    fam = xl.example_family("sine-eopen", eps)
+    cod_ref = {"kind": "catalog", "name": "interval",
+               "parameters": {"with": "N"}, "resolution": eps}
+    problem = tmp_path / "problem.json"
+    problem.write_text(ser.dumps({"pair": ser.pair_to_ref(fam.pair),
+                                  "map": ser.map_to_json(fam.member(1),
+                                                         cod_ref)}))
+    certificate = tmp_path / "certificate.json"
+    cert = xl.build_negative_certificate("sine-eopen", 1, eps)
+    certificate.write_text(ser.dumps(ser.certificate_to_json(cert, eps)))
+    code, _, err = run_cli(capsys, "certify", str(problem), str(certificate))
+    assert code == 3
+    assert "with" in err
 
 
 def test_certify_matrix_metric_codomain(tmp_path, capsys):

@@ -57,6 +57,27 @@ def test_comb_isolated_teeth_connect_only_through_base():
     assert len(set(tip.values())) == 4
 
 
+def test_net_adjacency_is_its_own_graph_built_once_per_scale():
+    # two products that differ only in grid step, and two explicit spaces
+    # with one name: each net reads a graph of its own size
+    from extenlab.spaces import AnnotatedSpace, ConnectedOracle
+    eps = 2.0 ** -4
+    base = xl.make_space("interval", eps)
+    nets = [xl.product_with(base, "interval").net,
+            xl.product_with(base, "interval", grid_step=2.0 ** -6).net]
+    for pts in (np.array([[0.0], [0.5]]), np.array([[0.0], [0.25], [0.5]])):
+        nets.append(AnnotatedSpace(
+            "user", (), Net(pts, 0.25), np.zeros(len(pts), dtype=int),
+            ("user",), ConnectedOracle(len(pts)), {}, {},
+            np.empty((0, 2))).net)
+    for net in nets:
+        adj = net.adjacency(2 * eps)
+        assert adj.shape == (len(net), len(net))
+        assert net.adjacency(2 * eps) is adj
+        assert (adj != build_epsilon_graph(net, 2 * eps).adjacency()).nnz == 0
+    assert [len(n) for n in nets] == [289, 1105, 2, 3]
+
+
 def test_graph_components_two_points_apart():
     g = build_epsilon_graph(line_net([0.0, 1.0]), 0.5)
     assert graph_components(g).tolist() == [0, 1]

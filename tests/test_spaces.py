@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import extenlab as xl
-from extenlab.errors import DegenerateSeparation, InvalidArgument, UnknownName
-from extenlab.metric import check_modulus, euclidean_rows
+from extenlab import spaces as spaces_mod
+from extenlab.errors import (DegenerateSeparation, DomainMismatch,
+                             InvalidArgument, UnknownName)
+from extenlab.maps import MapSample
+from extenlab.metric import Modulus, check_modulus, euclidean_rows, \
+    sup_distance
 from extenlab.spaces import index_cutoff, osc_cutoff
 
 from conftest import components_by_unionfind
@@ -191,6 +195,21 @@ def test_product_rejects_coarse_grid():
                         grid_step=2.0 ** -4)
 
 
+def test_product_key_names_its_grid_step():
+    # same base and factor, different grid steps: different codomains
+    eps = 2.0 ** -4
+    base = xl.make_space("interval", eps)
+    coarse = xl.product_with(base, "interval")
+    fine = xl.product_with(base, "interval", grid_step=2.0 ** -6)
+    assert (len(coarse.net), len(fine.net)) == (289, 1105)
+    assert coarse.key != fine.key
+    point = xl.make_space("point", eps).net
+    f = MapSample(point, coarse, coarse.net.points[:1], Modulus.lip(1.0))
+    g = MapSample(point, fine, fine.net.points[:1], Modulus.lip(1.0))
+    with pytest.raises(DomainMismatch):
+        sup_distance(f, g)
+
+
 def test_cone_point_is_interval():
     cp = xl.cone(xl.make_space("point", 2.0 ** -4))
     iv = xl.make_space("interval", 2.0 ** -4)
@@ -370,3 +389,35 @@ def test_disk_earring_pair_z_is_the_earring():
     assert np.array_equal(pair.z_net.points, ear.net.points)
     inside = pair.space.contains(ear.net.points)
     assert bool(np.all(inside))
+    # the injected earring points make it another space than the catalog disk
+    disk = xl.make_space("disk", EPS6, center=(1.0, 0.0), radius=1.0)
+    assert pair.space.key != disk.key
+
+
+# ---------------------------------------------------------------------------
+# memo
+
+
+def test_make_space_rejects_parameters_its_builder_does_not_read():
+    eps = 2.0 ** -5
+    with pytest.raises(InvalidArgument):
+        xl.make_space("interval", eps, bogus=3)
+    with pytest.raises(InvalidArgument):
+        xl.make_space("disk", eps, center=(0.0, 0.0), colour="red")
+    disk = xl.make_space("disk", eps, center=(0.5, 0.5), radius=0.25)
+    assert disk.key == "disk[center=(0.5, 0.5),radius=0.25]@2^-5"
+
+
+def test_clear_caches_builds_fresh_instances():
+    eps = 2.0 ** -5
+    space = xl.make_space("interval", eps)
+    pair = xl.make_pair("interval-ends", eps)
+    assert xl.make_space("interval", eps) is space
+    assert xl.make_pair("interval-ends", eps) is pair
+    spaces_mod.clear_caches()
+    fresh_space = xl.make_space("interval", eps)
+    fresh_pair = xl.make_pair("interval-ends", eps)
+    assert fresh_space is not space and fresh_pair is not pair
+    assert np.array_equal(fresh_space.net.points, space.net.points)
+    assert xl.make_space("interval", eps) is fresh_space
+    assert xl.make_pair("interval-ends", eps) is fresh_pair
