@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial import cKDTree
 
 from .errors import DomainMismatch, InvalidArgument
@@ -33,6 +33,19 @@ _TABLE_BYTES = 64 << 20
 # dmax * 2^-253 ... dmax, so one table serves every bucket count up to
 # _RADII; searchsorted over these 255 edges gives codes 0..255.
 _RADII = 254
+
+# The modulus kernels screen pairs by squared norms (see _square_limit and
+# measured_modulus_multi).  With u = 2^-53, fl(sum of k squares) is within
+# a relative k*u of the exact sum of the squared (computed) differences,
+# np.hypot within 1 ulp of the exact norm and sqrt(einsum) within
+# (k/2 + 1)*u; a screen shrinks every bound by _SCREEN_MARGIN, far more
+# than any of these for fewer than 2^20 coordinates, so it skips only
+# pairs the exact expression decides the same way.
+_SCREEN_MARGIN = 2.0 ** -30
+# Squares are trusted from _SCREEN_FLOOR up to the largest finite float:
+# there an underflowed term (absolute error 2^-1075 at most) is far below
+# the margin.  A bound outside that range proves nothing.
+_SCREEN_FLOOR = 2.0 ** -900
 
 
 def _frozen(a) -> np.ndarray:
@@ -78,6 +91,74 @@ def euclidean_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _euclidean_cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _euclidean(p[:, None, :], q[None, :, :])
+
+
+def _columns(a: np.ndarray) -> list[np.ndarray]:
+    """Each coordinate of an (n, d) array as its own contiguous column."""
+    return [np.ascontiguousarray(a[:, k]) for k in range(a.shape[1])]
+
+
+class _Scratch:
+    """Float64 storage reused by the blocks of one kernel call, grown to
+    the largest block: a fresh 1 MiB array per block costs more page
+    faults than the arithmetic it holds."""
+
+    def __init__(self):
+        self.buf = np.empty(0)
+
+    def block(self, rows: slice, cols: slice) -> np.ndarray:
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        if self.buf.size < shape[0] * shape[1]:
+            self.buf = np.empty(shape[0] * shape[1])
+        return self.buf[:shape[0] * shape[1]].reshape(shape)
+
+
+def _square_sums(columns, rows, cols, out, tmp) -> np.ndarray:
+    """fl(sum over coordinates k of (c_k[i] - c_k[j])^2) over a block, in
+    out's storage; each difference is the one _euclidean forms."""
+    acc, d = out.block(rows, cols), tmp.block(rows, cols)
+    with np.errstate(over="ignore"):        # an overflow proves nothing
+        for k, c in enumerate(columns):
+            term = d if k else acc
+            np.subtract.outer(c[rows], c[cols], out=term)
+            np.multiply(term, term, out=term)
+            if k:
+                np.add(acc, term, out=acc)
+    return acc
+
+
+def _exact_block(a, columns, rows, cols, out, tmp) -> np.ndarray:
+    """_euclidean_cross(a[rows], a[cols]) bit for bit: from the columns
+    (same differences, same abs or hypot) when a has one or two
+    coordinates, in out's storage; else the expression itself."""
+    if len(columns) > 2:
+        return _euclidean_cross(a[rows], a[cols])
+    acc = out.block(rows, cols)
+    np.subtract.outer(columns[0][rows], columns[0][cols], out=acc)
+    if len(columns) == 1:
+        return np.abs(acc, out=acc)
+    d = tmp.block(rows, cols)
+    np.subtract.outer(columns[1][rows], columns[1][cols], out=d)
+    return np.hypot(acc, d, out=acc)
+
+
+def _square_limit(allowed: np.ndarray) -> np.ndarray:
+    """A bound lim per entry such that a pair whose squares sum to
+    s <= lim has exact distance (as _euclidean computes it) below
+    allowed: lim = allowed^2 (1 - _SCREEN_MARGIN), or -1, which no s
+    meets, where that is not a finite number >= _SCREEN_FLOOR.
+
+    Proof: the exact sum D of the squared differences is at most
+    s (1 + k u) plus the underflow 2^-1075 k, so D < allowed^2 (1 - 2^-31)
+    for lim >= _SCREEN_FLOOR; the computed distance is within (k/2 + 1) u
+    of sqrt(D), hence below allowed.  A NaN s fails s <= lim, so it is
+    never proven.  allowed must be positive, as omega + slack + 1e-12 is.
+    """
+    with np.errstate(over="ignore"):
+        lim = allowed * allowed
+    lim *= 1.0 - _SCREEN_MARGIN
+    lim[~((lim >= _SCREEN_FLOOR) & (lim < np.inf))] = -1.0
+    return lim
 
 
 def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
@@ -429,27 +510,17 @@ def graph_components(graph: EpsilonGraph) -> np.ndarray:
 
 
 def reachable(adj: csr_matrix, allowed: np.ndarray, src: int, dst: int) -> bool:
-    """BFS from src to dst through allowed nodes only."""
+    """Is dst reachable from src through allowed nodes only?  One C-level
+    breadth-first search over the edges into allowed nodes."""
     if not (allowed[src] and allowed[dst]):
         return False
-    if src == dst:
-        return True
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[src] = True
-    frontier = np.array([src])
-    indptr, indices = adj.indptr, adj.indices
-    while len(frontier):
-        nbrs = np.unique(np.concatenate(
-            [indices[indptr[u]:indptr[u + 1]] for u in frontier]))
-        nbrs = nbrs[allowed[nbrs] & ~seen[nbrs]]
-        if len(nbrs) == 0:
-            return False
-        if seen[dst] or dst in nbrs:
-            return True
-        seen[nbrs] = True
-        frontier = nbrs
-    return False
+    keep = allowed[adj.indices]
+    indptr = np.r_[0, np.cumsum(keep)][adj.indptr]
+    inward = csr_matrix((np.ones(int(indptr[-1]), dtype=np.int8),
+                         adj.indices[keep], indptr), shape=adj.shape)
+    order = breadth_first_order(inward, src, directed=True,
+                                return_predecessors=False)
+    return bool(np.any(order == dst))
 
 
 def widest_path_value(graph: EpsilonGraph, src: int, dst: int,
@@ -499,14 +570,16 @@ class Modulus:
 
     @staticmethod
     def lip(constant: float) -> "Modulus":
-        if constant < 0:
-            raise InvalidArgument("Lipschitz constant must be >= 0")
+        if not (math.isfinite(constant) and constant >= 0):
+            raise InvalidArgument("Lipschitz constant must be finite and >= 0")
         return Modulus("lipschitz", lipschitz=float(constant))
 
     @staticmethod
     def step(table: Sequence[tuple[float, float]]) -> "Modulus":
         radii = np.asarray([r for r, _ in table], dtype=float)
         bounds = np.asarray([b for _, b in table], dtype=float)
+        if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(bounds))):
+            raise InvalidArgument("step table entries must be finite")
         if len(radii) == 0 or radii[0] != 0.0 or bounds[0] != 0.0:
             raise InvalidArgument("step table must start at (0, 0)")
         if np.any(np.diff(radii) <= 0) or np.any(np.diff(bounds) < 0):
@@ -545,25 +618,62 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24) -> Modulu
     diameter and each visited pair's code, from which a pair's bucket is
     a table lookup.  A net with a stored code table computes no pair
     distance here; a larger one computes its codes block by block in the
-    same loop.  Per block one max of the value distances over all maps
-    feeds one per-bucket max.  Maxima ignore visiting order and
-    distances keep np.hypot, so the table is bit for bit that of a full
-    n x n pass.
+    same loop.  Maxima are taken per code, then folded into buckets, and
+    ignore visiting order; every maximum is of np.hypot value distances,
+    so the table is bit for bit that of a full n x n pass.
+
+    One map: every pair's value distance.  Several maps (homotopy
+    slices): a pair's s is the largest over the maps of its sum of
+    squared value differences, and each bucket keeps S, the running
+    maximum of s over the blocks seen so far, this one included.  Only
+    pairs with s >= S (1 - _SCREEN_MARGIN) get their exact distances;
+    where S is not a finite number >= _SCREEN_FLOOR, all pairs of the
+    bucket do.  The pair that raised S to its value was evaluated in its
+    block, and by the error bounds stated at _SCREEN_MARGIN a skipped
+    pair's exact distances all lie below that pair's largest one, so no
+    skipped pair can raise a bucket maximum.
     """
+    radii, bounds = _measured_bounds(net, values_list, n_buckets)
+    return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
+
+
+def _measured_bounds(net: Net, values_list, n_buckets: int):
+    """The radii and bounds of measured_modulus_multi's table, empty on a
+    net of diameter 0; a bound is NaN or infinite where a value is, which
+    Modulus.step then rejects."""
     if not 1 <= n_buckets <= _RADII:
         raise InvalidArgument(f"n_buckets must be in 1..{_RADII}")
     dmax = net._dmax
     if dmax == 0.0:
-        return Modulus.step([(0.0, 0.0)])
+        return np.empty(0), np.empty(0)
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
     bucket = _bucket_of_code(n_buckets)
-    peaks = np.zeros(len(radii))
-    for rows, cols, codes in net._pair_codes():
-        dv = functools.reduce(np.maximum, (_euclidean_cross(v[rows], v[cols])
-                                           for v in values_list))
-        np.maximum.at(peaks, bucket[codes].ravel(), dv.ravel())
-    bounds = np.maximum.accumulate(peaks)
-    return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
+    columns = [_columns(v) for v in values_list]
+    out, tmp, acc = _Scratch(), _Scratch(), _Scratch()
+    peaks = np.zeros(_RADII + 2)                # per code
+    if len(values_list) == 1:
+        for rows, cols, codes in net._pair_codes():
+            dv = _exact_block(values_list[0], columns[0], rows, cols, out, tmp)
+            np.maximum.at(peaks, codes.ravel(), dv.ravel())
+    else:
+        top = np.zeros(n_buckets)               # S per bucket
+        for rows, cols, codes in net._pair_codes():
+            s = _square_sums(columns[0], rows, cols, acc, tmp)
+            for c in columns[1:]:
+                np.maximum(s, _square_sums(c, rows, cols, out, tmp), out=s)
+            top_of_code = np.zeros(_RADII + 2)
+            np.maximum.at(top_of_code, codes.ravel(), s.ravel())
+            np.maximum.at(top, bucket, top_of_code)
+            floor = top * (1.0 - _SCREEN_MARGIN)
+            floor[~((top >= _SCREEN_FLOOR) & (top < np.inf))] = -1.0
+            ii, jj = np.nonzero(~(s < floor[bucket][codes]))
+            i, j = ii + rows.start, jj + cols.start
+            dv = functools.reduce(np.maximum, (_euclidean(v[i], v[j])
+                                               for v in values_list))
+            np.maximum.at(peaks, codes[ii, jj], dv)
+    per_bucket = np.zeros(n_buckets)
+    np.maximum.at(per_bucket, bucket, peaks)
+    return radii, np.maximum.accumulate(per_bucket)
 
 
 def measured_modulus(net: Net, values: np.ndarray, n_buckets: int = 24) -> Modulus:
@@ -612,20 +722,47 @@ def _own_bucket_count(net: Net, modulus: Modulus) -> int:
 
 
 def _allowed_blocks(f, slack: float):
-    """(rows, cols, omega(d) + slack + 1e-12) over the pair blocks of f's
-    domain.  On a step table over the net's own radii omega(d) is a
-    lookup by pair code into bounds + slack + 1e-12, entry for entry the
-    same float operations as evaluating the modulus; any other modulus
-    is evaluated on the pair distances."""
+    """(rows, cols, lim, exact) over the pair blocks of f's domain, where
+    allowed = omega(d) + slack + 1e-12 per pair: lim is _square_limit of
+    allowed or of a lower bound on it, and exact(ii, jj) is allowed
+    itself for the block's pairs (ii, jj).
+
+    On a step table over the net's own radii omega(d) is a lookup by pair
+    code into bounds + slack + 1e-12, entry for entry the same float
+    operations as evaluating the modulus.  On a 2-d Euclidean net, a
+    pair's distance is bounded below by sqrt(s) (1 - _SCREEN_MARGIN) from
+    its squared coordinate differences s (0 where s is not a finite
+    number >= _SCREEN_FLOOR), which omega, + slack and + 1e-12 keep below
+    allowed since each is monotone and rounds monotonically; exact
+    evaluates the modulus on np.hypot distances.  Any other net evaluates
+    allowed on the pair distances of each block.
+    """
     net, modulus = f.domain, f.modulus
     k = _own_bucket_count(net, modulus)
     if k:
         step = np.r_[0, 1 + _bucket_of_code(k)[1:]]
         allowed = (modulus.bounds + slack + 1e-12)[step]
-        return ((rows, cols, allowed[codes])
-                for rows, cols, codes in net._pair_codes())
-    return ((rows, cols, modulus(net.dist_idx(rows, cols)) + slack + 1e-12)
-            for rows, cols in net._blocks())
+        lim = _square_limit(allowed)
+        for rows, cols, codes in net._pair_codes():
+            yield rows, cols, lim[codes], \
+                lambda ii, jj, codes=codes: allowed[codes[ii, jj]]
+    elif isinstance(net.metric, EuclideanMetric) and net.dimension == 2:
+        columns = _columns(net.points)
+        out, tmp = _Scratch(), _Scratch()
+        for rows, cols in net._blocks():
+            s = _square_sums(columns, rows, cols, out, tmp)
+            trusted = (s >= _SCREEN_FLOOR) & (s < np.inf)
+            low = np.sqrt(s, out=s)
+            low *= 1.0 - _SCREEN_MARGIN
+            low[~trusted] = 0.0
+            yield rows, cols, _square_limit(modulus(low) + slack + 1e-12), \
+                lambda ii, jj, r=rows.start, c=cols.start: \
+                modulus(net.dist_pairs(ii + r, jj + c)) + slack + 1e-12
+    else:
+        for rows, cols in net._blocks():
+            allowed = modulus(net.dist_idx(rows, cols)) + slack + 1e-12
+            yield rows, cols, _square_limit(allowed), \
+                lambda ii, jj, allowed=allowed: allowed[ii, jj]
 
 
 def check_modulus(f, slack: float) -> bool:
@@ -640,13 +777,23 @@ def check_modulus(f, slack: float) -> bool:
     net's own dyadic radii (as measured_modulus_multi declares) is read
     through the net's pair codes; Lipschitz moduli and other tables are
     evaluated on freshly computed distances.
+
+    The test is screened (see _allowed_blocks): a pair whose squared
+    value differences sum to s <= lim is proven to pass; every other pair,
+    NaN and infinite values included, gets the exact test
+    np.hypot(...) > omega(d) + slack + 1e-12 of the unscreened pass.
     """
     if slack < 0:
         raise InvalidArgument("slack must be >= 0")
     values = f.values
     if np.all(values == values[0]):
         return True  # constant maps satisfy every modulus
-    for rows, cols, allowed in _allowed_blocks(f, slack):
-        if np.any(_euclidean_cross(values[rows], values[cols]) > allowed):
+    columns = _columns(values)
+    out, tmp = _Scratch(), _Scratch()
+    for rows, cols, lim, exact in _allowed_blocks(f, slack):
+        s = _square_sums(columns, rows, cols, out, tmp)
+        ii, jj = np.nonzero(~(s <= lim))
+        i, j = ii + rows.start, jj + cols.start
+        if np.any(_euclidean(values[i], values[j]) > exact(ii, jj)):
             return False
     return True

@@ -14,8 +14,7 @@ import numpy as np
 from .errors import InvalidArgument, UnknownName
 from .metric import MatrixMetric, Modulus, Net
 from .spaces import (AnnotatedSpace, BlockOracle, SpacePair, cone, make_pair,
-                     make_space, opc_disjoint_union, pair_names,
-                     product_with, subspace)
+                     make_space, opc_disjoint_union, product_with, subspace)
 from .maps import Homotopy, MapSample
 from . import certificates as certs
 
@@ -105,9 +104,10 @@ def space_from_ref(data: dict) -> AnnotatedSpace:
 
 
 def pair_to_ref(pair: SpacePair) -> dict:
-    if pair.name in pair_names():
-        return {"kind": "catalog", "name": pair.name,
-                "resolution": pair.resolution}
+    """Reference form: the catalog recipe the pair was built by, or else
+    the explicit form."""
+    if pair.recipe is not None:
+        return dict(pair.recipe)
     return {"kind": "explicit", "space": space_to_ref(pair.space),
             "z_indices": pair.z_indices.tolist(), "name": pair.name}
 

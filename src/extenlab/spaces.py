@@ -292,13 +292,18 @@ class AnnotatedSpace:
 
 @dataclass(frozen=True)
 class SpacePair:
-    """Space Y with a distinguished closed subspace Z at the same resolution."""
+    """Space Y with a distinguished closed subspace Z at the same resolution.
+
+    recipe: the catalog recipe make_pair built it by, as
+    serialization.pair_to_ref writes it; else None.
+    """
 
     name: str
     space: AnnotatedSpace
     z_indices: np.ndarray
     z_net: Net
     meta: dict = field(default_factory=dict)
+    recipe: dict | None = None
 
     def __post_init__(self):
         z = np.asarray(self.z_indices, dtype=int)
@@ -415,16 +420,15 @@ def _build_disk(eps, params, extra=None):
     idx2d = np.full(mask.shape, -1, dtype=int)
     idx2d[mask] = np.arange(n_grid)
 
-    def lattice_index(p) -> int:
-        # exact hit on a kept grid point, else -1 (dyadic divisions are
+    def lattice_index(arr) -> np.ndarray:
+        # exact hits on kept grid points, else -1 (dyadic divisions are
         # exact, so genuine duplicates compare equal bit for bit)
-        fx = (p[0] - xs[0]) / eps
-        fy = (p[1] - ys[0]) / eps
-        ix, iy = round(fx), round(fy)
-        if fx == ix and fy == iy \
-                and 0 <= ix < idx2d.shape[0] and 0 <= iy < idx2d.shape[1]:
-            return int(idx2d[ix, iy])
-        return -1
+        f = (arr - (xs[0], ys[0])) / eps
+        hit = np.all((f == np.round(f)) & (f >= 0) & (f < idx2d.shape), axis=1)
+        ix, iy = f[hit].astype(int).T
+        out = np.full(len(arr), -1, dtype=int)
+        out[hit] = idx2d[ix, iy]
+        return out
 
     rows = [grid_pts]
     seen: dict = {}
@@ -433,16 +437,14 @@ def _build_disk(eps, params, extra=None):
     def add_rows(arr):
         nonlocal next_index
         arr = np.asarray(arr, dtype=float)
-        out = np.empty(len(arr), dtype=int)
+        out = lattice_index(arr)
         fresh = []
-        for i, p in enumerate(arr):
-            j = lattice_index(p)
+        for i in np.flatnonzero(out < 0).tolist():
+            p = (float(arr[i, 0]), float(arr[i, 1]))
+            j = seen.get(p, -1)
             if j < 0:
-                j = seen.get((p[0], p[1]), -1)
-            if j < 0:
-                j = next_index
-                seen[(p[0], p[1])] = j
-                fresh.append(p)
+                j = seen[p] = next_index
+                fresh.append(arr[i])
                 next_index += 1
             out[i] = j
         if fresh:
@@ -470,18 +472,18 @@ def _build_disk(eps, params, extra=None):
         if r:
             edges.append(np.column_stack([ring_idx[r], ring_idx[r - 1]]))
     # innermost ring into the grid: one inside corner of the containing cell
-    bridge = []
-    for k in range(count):
-        p = pts_all[ring_idx[2][k]]
-        bx = int(math.floor((p[0] - xs[0]) / eps))
-        by = int(math.floor((p[1] - ys[0]) / eps))
-        for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            ix, iy = bx + dx, by + dy
-            if 0 <= ix < idx2d.shape[0] and 0 <= iy < idx2d.shape[1] \
-                    and idx2d[ix, iy] >= 0:
-                bridge.append((ring_idx[2][k], idx2d[ix, iy]))
-                break
-    edges.append(np.asarray(bridge, dtype=int).reshape(-1, 2))
+    inner = ring_idx[2]
+    base = np.floor((pts_all[inner] - (xs[0], ys[0])) / eps).astype(int)
+    corner = np.full(len(inner), -1, dtype=int)
+    for step in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        ix, iy = (base + step).T
+        ok = (ix >= 0) & (ix < idx2d.shape[0]) & (iy >= 0) & (iy < idx2d.shape[1])
+        first = corner < 0
+        first[ok] &= idx2d[ix[ok], iy[ok]] >= 0
+        first &= ok
+        corner[first] = idx2d[ix[first], iy[first]]
+    found = corner >= 0
+    edges.append(np.column_stack([inner[found], corner[found]]))
 
     net = Net(pts_all, eps)
     key = f"disk[{cx},{cy},{radius}]@{dyadic.format_epsilon(eps)}"
@@ -947,6 +949,12 @@ def make_pair(name: str, resolution: float) -> SpacePair:
 
 @functools.cache
 def _named_pair(name: str, eps: float) -> SpacePair:
+    return dataclasses.replace(
+        _build_named_pair(name, eps),
+        recipe={"kind": "catalog", "name": name, "resolution": eps})
+
+
+def _build_named_pair(name: str, eps: float) -> SpacePair:
     if name == "interval-N":
         members = _ndagger_values(eps)
         y = _build_interval(eps, (("with", "N"),), extra=members)

@@ -256,6 +256,25 @@ def test_certify_rejects_a_parameter_no_builder_reads(tmp_path, capsys):
     assert "with" in err
 
 
+def test_certify_rejects_a_non_finite_modulus(tmp_path, capsys):
+    # a NaN or infinite constant would make every modulus check pass
+    eps = 2.0 ** -4
+    fam = xl.example_family("sine-eopen", eps)
+    cert = xl.build_negative_certificate("sine-eopen", 1, eps)
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text(ser.dumps(ser.certificate_to_json(cert, eps)))
+    for constant in (float("nan"), float("inf")):
+        phi = ser.map_to_json(fam.member(1))
+        phi["modulus"] = {"lipschitz": constant}
+        problem = tmp_path / "problem.json"
+        problem.write_text(ser.dumps({"pair": ser.pair_to_ref(fam.pair),
+                                      "map": phi}))
+        code, _, err = run_cli(capsys, "certify", str(problem),
+                               str(certificate))
+        assert code == 3
+        assert "finite" in err
+
+
 def test_certify_matrix_metric_codomain(tmp_path, capsys):
     # an explicit codomain whose net carries a distance matrix: images
     # resolve to its points by exact lookup instead of crashing

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,8 @@ import extenlab as xl
 from extenlab.errors import DomainMismatch, InvalidArgument
 from extenlab.metric import (Modulus, Net, build_epsilon_graph,
                              check_modulus, graph_components,
-                             measured_modulus, sup_distance,
+                             measured_modulus, measured_modulus_multi,
+                             sup_distance,
                              sup_distance_interval, widest_path_value)
 from extenlab.maps import MapSample
 
@@ -190,6 +193,46 @@ def test_widest_path_symmetric_and_monotone_in_scale(rng):
         prev = v1
 
 
+def reachable_loop(adj, allowed, src, dst):
+    """Frontier BFS over CSR slices, as reachable ran before it became
+    one csgraph search; the reference it must agree with."""
+    if not (allowed[src] and allowed[dst]):
+        return False
+    if src == dst:
+        return True
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[src] = True
+    frontier = np.array([src])
+    indptr, indices = adj.indptr, adj.indices
+    while len(frontier):
+        nbrs = np.unique(np.concatenate(
+            [indices[indptr[u]:indptr[u + 1]] for u in frontier]))
+        nbrs = nbrs[allowed[nbrs] & ~seen[nbrs]]
+        if len(nbrs) == 0:
+            return False
+        if seen[dst] or dst in nbrs:
+            return True
+        seen[nbrs] = True
+        frontier = nbrs
+    return False
+
+
+def test_reachable_matches_the_frontier_loop(rng):
+    from extenlab.metric import reachable
+    answers = set()
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        g = build_epsilon_graph(Net(rng.random((n, 2)), 0.3),
+                                float(rng.uniform(0.05, 0.4)))
+        adj = g.adjacency()
+        allowed = rng.random(n) < rng.uniform(0.3, 1.0)
+        for src, dst in rng.integers(0, n, size=(5, 2)):
+            got = reachable(adj, allowed, int(src), int(dst))
+            assert got is reachable_loop(adj, allowed, int(src), int(dst))
+            answers.add(got)
+    assert answers == {True, False}
+
+
 def test_widest_path_matches_exhaustive_search(rng):
     # sparse instances keep the exponential oracle honest and fast
     for trial in range(100):
@@ -224,6 +267,19 @@ def test_modulus_lipschitz_and_step_evaluate():
 def test_modulus_step_table_must_start_at_zero():
     with pytest.raises(InvalidArgument):
         Modulus.step([(0.1, 0.2)])
+
+
+def test_modulus_rejects_non_finite_entries():
+    # a NaN or infinite constant or table entry would make every modulus
+    # check pass, e.g. for clip(sin 40x) on the interval against L = NaN
+    nan, inf = float("nan"), float("inf")
+    for constant in (nan, inf, -1.0):
+        with pytest.raises(InvalidArgument):
+            Modulus.lip(constant)
+    for table in ([(0.0, 0.0), (nan, 1.0)], [(0.0, 0.0), (0.5, nan)],
+                  [(0.0, 0.0), (inf, 1.0)], [(0.0, 0.0), (0.5, inf)]):
+        with pytest.raises(InvalidArgument):
+            Modulus.step(table)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=20))
@@ -734,3 +790,239 @@ def test_owned_arrays_are_frozen_in_place_and_frozen_views_kept(rng):
     assert h.values is slices and not slices.flags.writeable
     # a slice is a view of frozen values: kept, not copied
     assert np.shares_memory(h.slice(1.0).values, h.values)
+
+
+# ---------------------------------------------------------------------------
+# screened kernels against the unscreened per-block kernels they replaced
+
+
+def unscreened_bounds(net, values_list, n_buckets=24):
+    """measured_modulus_multi's radii and bounds from every pair's
+    np.hypot, as the per-block kernel computed them before the screen."""
+    from extenlab import metric
+    dmax = net._dmax
+    if dmax == 0.0:
+        return np.empty(0), np.empty(0)
+    radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
+    bucket = metric._bucket_of_code(n_buckets)
+    peaks = np.zeros(len(radii))
+    for rows, cols, codes in net._pair_codes():
+        dv = functools.reduce(np.maximum,
+                              (metric._euclidean_cross(v[rows], v[cols])
+                               for v in values_list))
+        np.maximum.at(peaks, bucket[codes].ravel(), dv.ravel())
+    return radii, np.maximum.accumulate(peaks)
+
+
+def unscreened_check_modulus(f, slack):
+    """check_modulus before the screen: every pair's np.hypot against
+    omega(d) + slack + 1e-12."""
+    from extenlab import metric
+    net, modulus, values = f.domain, f.modulus, f.values
+    if np.all(values == values[0]):
+        return True
+    k = metric._own_bucket_count(net, modulus)
+    if k:
+        step = np.r_[0, 1 + metric._bucket_of_code(k)[1:]]
+        table = (modulus.bounds + slack + 1e-12)[step]
+        blocks = ((rows, cols, table[codes])
+                  for rows, cols, codes in net._pair_codes())
+    else:
+        blocks = ((rows, cols, modulus(net.dist_idx(rows, cols)) + slack
+                   + 1e-12) for rows, cols in net._blocks())
+    for rows, cols, allowed in blocks:
+        if np.any(metric._euclidean_cross(values[rows], values[cols])
+                  > allowed):
+            return False
+    return True
+
+
+SPECIAL_VALUES = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                  "huge": 1e300, "-huge": -1e300, "tiny": 1e-170,
+                  "-zero": -0.0}
+
+
+def _screen_value_sets(rng, net, dim):
+    """Value arrays that stress the screens, by name."""
+    n = len(net)
+    ties = np.round(rng.random((n, dim)), 1)
+    sets = {"ties": ties,
+            # a few ulps apart from the ties: near-ties in every bucket
+            "near-ties": ties * (1 + rng.integers(-2, 3, (n, dim))
+                                 * 2.0 ** -52),
+            # squares around the least subnormal, 2^-1074
+            "tiny": rng.random((n, dim)) * 3e-162,
+            "huge": (rng.random((n, dim)) - 0.5) * 1e300}
+    if net.metric_kind == "ambient-euclidean" and net.dimension == dim:
+        sets["identity"] = net.points.copy()      # value distance == d
+    for name, special in SPECIAL_VALUES.items():
+        values = rng.random((n, dim))
+        values[rng.integers(0, n, 3), rng.integers(0, dim, 3)] = special
+        sets[name] = values
+    if dim > 1:                   # np.hypot(inf, nan) is inf, the sum nan
+        sets["inf-nan"] = rng.random((n, dim))
+        sets["inf-nan"][rng.integers(0, n), :2] = (np.inf, np.nan)
+    for values in sets.values():
+        values[-4:] = values[:4]      # maps agree on the duplicate points
+    return sets
+
+
+def _assert_bounds_equal(net, values_list, n_buckets):
+    from extenlab import metric
+    got = metric._measured_bounds(net, values_list, n_buckets)
+    want = unscreened_bounds(net, values_list, n_buckets)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_screened_kernels_match_the_unscreened_ones(monkeypatch, rng,
+                                                   budget):
+    from extenlab import metric
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", budget)
+    n = 48
+    outcomes = set()
+    for kind, net in _random_nets(rng, n).items():
+        for dim in (1, 2, 3):
+            sets = _screen_value_sets(rng, net, dim)
+            ties, near = sets["ties"], sets["near-ties"]
+            one_ulp = ties.copy()                 # a bucket max 1 ulp up
+            one_ulp[rng.integers(0, n)] = np.nextafter(one_ulp[0], np.inf)
+            for k in (1, 24):
+                _assert_bounds_equal(net, [ties, near, one_ulp], k)
+            own = measured_modulus(net, ties)
+            wider = Modulus.step([(2 * r, b) for r, b in own.table()])
+            for name, values in sets.items():
+                for values_list in ([values], [values, ties],
+                                    [values, np.roll(values, 1, axis=0)],
+                                    [near, values, one_ulp]):
+                    _assert_bounds_equal(net, values_list, 24)
+                # 1e160 squared overflows: a bound the screen cannot use
+                for modulus in (own, wider, Modulus.lip(1.0),
+                                Modulus.lip(20.0), Modulus.lip(1e160)):
+                    f = MapSample(net, None, values, modulus)
+                    for slack in (0.0, 0.05):
+                        got = check_modulus(f, slack)
+                        assert got == unscreened_check_modulus(f, slack), \
+                            (kind, dim, name)
+                        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def _one_moved_point(net, modulus, slack, dim, ulps):
+    """Values equal but at one point j, moved by the least allowance of
+    j's pairs shifted by ulps: only ulps > 0 violates the modulus."""
+    n = len(net)
+    j = n // 2
+    others = np.delete(np.arange(n), j)
+    d = np.r_[net.dist_idx([j], others)[0], net.dist_idx(others, [j])[:, 0]]
+    a = float((modulus(d) + slack + 1e-12).min())
+    for _ in range(abs(ulps)):
+        a = np.nextafter(a, np.inf if ulps > 0 else 0.0)
+    values = np.full((n, dim), 0.75)
+    values[:, 0] = 0.0
+    values[j, 0] = a                  # every distance to j is exactly a
+    return values
+
+
+@pytest.mark.parametrize("budget", BUDGETS[:2])
+def test_check_modulus_decides_pairs_within_an_ulp_of_allowed(monkeypatch,
+                                                              rng, budget):
+    from extenlab import metric
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", budget)
+    n = 48
+    for kind, net in _random_nets(rng, n).items():
+        own = measured_modulus(net, rng.random((n, 2)))
+        moduli = [own, Modulus.step([(2 * r, b) for r, b in own.table()]),
+                  Modulus.lip(1.0), Modulus.lip(3.0)]
+        for modulus in moduli:
+            for dim in (1, 2, 3):
+                for slack in (0.0, 0.05):
+                    for ulps in (-1, 0, 1):
+                        f = MapSample(net, None, _one_moved_point(
+                            net, modulus, slack, dim, ulps), modulus)
+                        assert check_modulus(f, slack) is (ulps <= 0) \
+                            is unscreened_check_modulus(f, slack), \
+                            (kind, dim, slack, ulps)
+
+
+def test_check_screen_margin_covers_the_rounding_of_squares(rng):
+    # offsets whose fl(x^2 + y^2) is at most fl(a^2) for a one ulp below
+    # np.hypot(x, y): without a margin the screen would pass them
+    xy = 1e6 * (1.0 + rng.random((20000, 2)))
+    x, y = xy.T
+    h = np.hypot(x, y)
+    below = np.nextafter(h, 0.0)
+    fooled = np.flatnonzero(x * x + y * y <= below * below)
+    assert len(fooled) > 20
+    for net in (line_net([0.0, 1.0]), Net(np.array([[0.0, 0.0],
+                                                    [1.0, 0.0]]), 0.5)):
+        for k in fooled[:20]:
+            values = np.array([[0.0, 0.0], xy[k]])
+            # 1e-12 is below half an ulp of these constants: allowed == L
+            for constant, holds in ((below[k], False), (h[k], True)):
+                f = MapSample(net, None, values, Modulus.lip(constant))
+                assert check_modulus(f, 0.0) is holds \
+                    is unscreened_check_modulus(f, 0.0)
+
+
+def test_planar_net_screen_keeps_a_distance_at_a_step_radius(rng):
+    # on a 2-d Euclidean net the screen bounds d from below by
+    # sqrt(s) (1 - margin); sqrt(s) itself can exceed np.hypot's d by an
+    # ulp, or by far when the squares are subnormal, and a step table
+    # with a radius at d would then jump to its next bound
+    xy = rng.random((2000, 2))
+    x, y = xy.T
+    over = np.flatnonzero(np.sqrt(x * x + y * y) > np.hypot(x, y))
+    assert len(over)
+    for dx, dy in [tuple(xy[k]) for k in over[:10]] + [(1.8e-162, 0.0)]:
+        d = float(np.hypot(dx, dy))
+        assert np.sqrt(dx * dx + dy * dy) > d
+        net = Net(np.array([[0.0, 0.0], [dx, dy]]), 1.0)
+        modulus = Modulus.step([(0.0, 0.0), (d, 0.5), (3 * d, 4.0)])
+        for slack in (0.0, 0.05):
+            allowed = 0.5 + slack + 1e-12
+            for a, holds in ((allowed, True),
+                             (np.nextafter(allowed, 1.0), False)):
+                f = MapSample(net, None, np.array([[0.0, 0.75], [a, 0.75]]),
+                              modulus)
+                assert check_modulus(f, slack) is holds \
+                    is unscreened_check_modulus(f, slack)
+
+
+@pytest.mark.parametrize("p, q", [
+    # rounding: fl(x^2 + y^2) and np.hypot order these two differently
+    ((0.5071617982701625, 0.8442094826243638),
+     (0.924700775453757, 0.33886754942416897)),
+    # underflow: q's squares round to 0, p's to the least subnormal
+    ((1.6e-162, 0.0), (1.5e-162, 1.5e-162))])
+def test_multi_map_screen_keeps_a_pair_whose_squares_order_lower(p, q):
+    # q's squares sum below p's, yet np.hypot puts q above p: q must be
+    # evaluated although s(q) < S, the bucket's largest sum of squares
+    assert sum(c * c for c in q) < sum(c * c for c in p)
+    assert np.hypot(*q) > np.hypot(*p)
+    net = line_net([0.0, 1.0, 1.05])      # d = 1 and 1.05: one bucket
+    values = np.array([(0.0, 0.0), p, q])
+    for values_list in ([values, np.zeros((3, 2))],
+                        [np.zeros((3, 2)), values]):
+        _assert_bounds_equal(net, values_list, 24)
+        assert measured_modulus_multi(net, values_list).table()[-1] == \
+            (1.05, float(np.hypot(*q)))
+
+
+def test_screen_constants_leave_room_for_the_rounding():
+    from extenlab import metric
+    u = 2.0 ** -53
+    # three-coordinate sums, hypot's ulp and sqrt's rounding together
+    assert 16 * u < metric._SCREEN_MARGIN < 2.0 ** -20
+    # squares at the floor are normal floats, far above an underflow
+    assert metric._SCREEN_FLOOR > 2.0 ** -1022 * 2.0 ** 100
+    lim = metric._square_limit(np.array([1.0, 2.0 ** -460, 2.0 ** -440,
+                                         1e200, np.inf, np.nan]))
+    assert lim[0] == 1.0 - metric._SCREEN_MARGIN
+    assert lim[1] == lim[3] == lim[4] == lim[5] == -1.0
+    assert lim[2] > 0.0

@@ -150,6 +150,27 @@ def test_explicit_pair_round_trip():
     assert np.array_equal(back.z_indices, pair.z_indices)
 
 
+def test_pair_with_a_catalog_name_but_no_recipe_reloads_its_own_z():
+    # only make_pair records the catalog recipe, so a pair built by hand
+    # keeps its Z even under a catalog pair's name
+    iv = xl.make_space("interval", 2.0 ** -5)
+    from extenlab.spaces import SpacePair
+    pair = SpacePair.build("interval-ends", iv, [0, 5])
+    assert pair.recipe is None
+    ref = json.loads(ser.dumps(ser.pair_to_ref(pair)))
+    _validate("pair", ref)
+    assert ref["kind"] == "explicit"
+    back = ser.pair_from_ref(ref)
+    assert back.name == "interval-ends"
+    assert back.z_indices.tolist() == [0, 5]
+    assert np.array_equal(back.space.net.points, iv.net.points)
+    catalog = xl.make_pair("interval-ends", 2.0 ** -5)
+    assert ser.pair_to_ref(catalog) == {"kind": "catalog",
+                                        "name": "interval-ends",
+                                        "resolution": 2.0 ** -5}
+    assert catalog.z_indices.tolist() == [0, 32]
+
+
 # ---------------------------------------------------------------------------
 # maps and moduli
 
