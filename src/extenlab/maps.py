@@ -134,9 +134,6 @@ class Homotopy:
         return MapSample(self.base, self.codomain, self.values[i],
                          self.modulus, name=f"slice@{self.times[i]:g}")
 
-    def slice_count(self) -> int:
-        return len(self.times)
-
 
 def restrict(f: MapSample, pair: SpacePair) -> MapSample:
     """Values copied on the Z indices, modulus inherited."""
@@ -321,13 +318,9 @@ def homotopy_between(f: MapSample, g: MapSample, mode: str,
     values[0] = f.values
     values[-1] = g.values
     values[:, equal_rows, :] = f.values[equal_rows]  # fixed rows stay put
-    modulus = _merged_modulus(f.domain, values)
+    modulus = measured_modulus_multi(f.domain, list(values))
     return Homotopy(f.domain, f.codomain, times, values, modulus,
                     meta={"mode": mode})
-
-
-def _merged_modulus(net: Net, slice_values: np.ndarray) -> Modulus:
-    return measured_modulus_multi(net, list(slice_values))
 
 
 def equiconnect_homotopy(phi0: MapSample, phi1: MapSample,
@@ -434,4 +427,4 @@ def collapse_retraction(earring: AnnotatedSpace, k: int) -> Retraction:
         out[keep] = p[keep]
         return out
 
-    return Retraction(f"collapse-{k}", earring.key, contains, apply)
+    return Retraction(f"collapse-{k}", contains, apply)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidArgument, UnknownName
 from .metric import MatrixMetric, Modulus, Net
-from .spaces import (AnnotatedSpace, BlockOracle, SpacePair, cone, make_pair,
+from .spaces import (AnnotatedSpace, ClopenAtoms, SpacePair, cone, make_pair,
                      make_space, opc_disjoint_union, product_with, subspace)
 from .maps import Homotopy, MapSample
 from . import certificates as certs
@@ -96,11 +96,26 @@ def space_from_ref(data: dict) -> AnnotatedSpace:
         names = tuple(data.get("component_names",
                                [f"component-{i}" for i in
                                 range(labels.max() + 1)]))
-        atoms = [frozenset(a) for a in data["clopen_atoms"]]
-        oracle = BlockOracle(atoms, infinity=-1)
-        return AnnotatedSpace(data.get("name", "explicit"), (), net, labels,
-                              names, oracle, {}, {}, np.empty((0, 2)))
+        # the parameter keeps the key apart from every catalog key
+        return AnnotatedSpace(data.get("name", "explicit"),
+                              (("kind", "explicit"),), net, labels, names,
+                              _clopen_atoms(data["clopen_atoms"], len(net)),
+                              {}, {}, np.empty((0, 2)))
     raise InvalidArgument("space reference needs a known 'kind'")
+
+
+def _clopen_atoms(atoms, size: int) -> ClopenAtoms:
+    """Atom ids from a file's disjoint, nonempty lists of net indices."""
+    ids = np.full(size, -1)
+    for j, atom in enumerate(atoms):
+        idx = np.asarray(atom)
+        if idx.ndim != 1 or idx.dtype.kind != "i" or not len(idx) \
+                or idx.min() < 0 or idx.max() >= size:
+            raise InvalidArgument(f"clopen atom {j} must list net indices")
+        ids[idx] = j
+    if np.count_nonzero(ids >= 0) != sum(len(a) for a in atoms):
+        raise InvalidArgument("clopen atoms overlap")
+    return ClopenAtoms(ids)
 
 
 def pair_to_ref(pair: SpacePair) -> dict:

@@ -2,7 +2,7 @@
 
 Every catalog space is built at a dyadic resolution eps and carries exact
 structural annotations next to its net: a total path-component labeling,
-a clopen oracle, retraction data for the ANRs, and named basepoints.
+its clopen atoms, retraction data for the ANRs, and named basepoints.
 
 Truncation policy (documented per space, deterministic):
 
@@ -52,130 +52,53 @@ def osc_cutoff(eps: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# clopen oracles
+# clopen structure
 
 
-class ConnectedOracle:
-    """Connected space: the only clopen subsets are empty and everything."""
+class ClopenAtoms:
+    """Clopen structure of a net: one atom id per point, -1 for no atom.
 
-    kind = "connected"
-
-    def __init__(self, size: int):
-        self.size = size
-
-    def atoms(self):
-        return [frozenset(range(self.size))]
-
-    def extends(self, subset: frozenset) -> bool:
-        return len(subset) in (0, self.size)
-
-    def trace_extends(self, z_indices, trace: frozenset) -> bool:
-        return len(trace) in (0, len(z_indices))
-
-
-class DiscreteOracle:
-    """Totally disconnected catalog space: every net subset is a trace.
-
-    For the one-point compactification of the naturals, any finite set of
-    isolated points is clopen, and any set containing the limit extends
-    to a cofinite clopen set that misses the finitely many represented
-    points outside it.
+    A net subset extends to a clopen set of the modelled space exactly
+    when it is a union of atoms, and a trace on Z exactly when it is a
+    union of pieces atom & Z.  Each point of the compactified naturals
+    is an atom (a set holding the limit extends to a cofinite clopen
+    set); so is the point at infinity of a one-point compactification.
     """
 
-    kind = "discrete"
+    def __init__(self, ids):
+        self.ids = np.asarray(ids)
+        self.count = int(self.ids.max(initial=-1)) + 1
 
-    def __init__(self, size: int):
-        self.size = size
+    @classmethod
+    def connected(cls, size: int) -> ClopenAtoms:
+        """One atom; the broadcast ids store nothing per point."""
+        return cls(np.broadcast_to(0, (size,)))
 
-    def atoms(self):
-        return [frozenset([i]) for i in range(self.size)]
-
-    def extends(self, subset: frozenset) -> bool:
-        return True
-
-    def trace_extends(self, z_indices, trace: frozenset) -> bool:
-        return True
-
-
-class BlockOracle:
-    """Disjoint clopen blocks (one-point compactification of a union).
-
-    A subset extends to a clopen set of the modeled space iff, ignoring
-    the point at infinity, it is a union of whole blocks; the infinity
-    point may be added freely because unrepresented tail blocks absorb
-    the openness requirement.
-    """
-
-    kind = "blocks"
-
-    def __init__(self, blocks: list[frozenset], infinity: int):
-        self.blocks = [frozenset(b) for b in blocks]
-        self.infinity = infinity
-
-    def atoms(self):
-        return self.blocks + [frozenset([self.infinity])]
+    def atoms(self) -> list[frozenset]:
+        order = np.argsort(self.ids, kind="stable")
+        cuts = np.searchsorted(self.ids[order], np.arange(self.count + 1))
+        return [frozenset(order[a:b].tolist())
+                for a, b in zip(cuts[:-1], cuts[1:])]
 
     def extends(self, subset: frozenset) -> bool:
-        rest = set(subset) - {self.infinity}
-        for block in self.blocks:
-            hit = rest & block
-            if hit and hit != block:
-                return False
-            rest -= block
-        return not rest
+        part = np.unique(np.fromiter(subset, dtype=np.int64))
+        if len(part) and (part[0] < 0 or part[-1] >= len(self.ids)):
+            return False
+        return self._covers(part, slice(None))
 
     def trace_extends(self, z_indices, trace: frozenset) -> bool:
-        zset = set(int(i) for i in np.atleast_1d(z_indices))
-        rest = set(trace) - {self.infinity}
-        if not rest <= zset:
+        z = np.unique(np.asarray(z_indices, dtype=np.int64))
+        part = np.unique(np.fromiter(trace, dtype=np.int64))
+        return bool(np.isin(part, z).all()) and self._covers(part, z)
+
+    def _covers(self, part, pool) -> bool:
+        """Whether part lies in atoms and holds their pool points."""
+        pool_ids = self.ids[pool]
+        hit, counts = np.unique(self.ids[part], return_counts=True)
+        if len(hit) and hit[0] < 0:
             return False
-        for block in self.blocks:
-            hit = rest & block
-            zhit = zset & block
-            if hit and hit != zhit:
-                return False
-            rest -= block
-        return not rest
-
-
-class ProductOracle:
-    """Clopens of factor x A, checked slice by slice over the factor."""
-
-    def __init__(self, kind: str, base_oracle, slices: list[np.ndarray]):
-        # kind "ndagger": slices are independent; kind "interval": all
-        # slices must carry the same base clopen.
-        self.kind = kind
-        self.base = base_oracle
-        self.slices = [np.asarray(s) for s in slices]
-        self._pos = [{int(g): j for j, g in enumerate(s)} for s in self.slices]
-
-    def atoms(self):
-        if self.kind == "interval":
-            return [frozenset(int(s[j]) for s in self.slices for j in atom)
-                    for atom in self.base.atoms()]
-        return [frozenset(int(s[j]) for j in atom)
-                for s in self.slices for atom in self.base.atoms()]
-
-    def _parts(self, subset: frozenset):
-        parts, matched = [], 0
-        for pos in self._pos:
-            part = frozenset(pos[int(i)] for i in subset if int(i) in pos)
-            matched += len(part)
-            parts.append(part)
-        return parts if matched == len(subset) else None
-
-    def extends(self, subset: frozenset) -> bool:
-        parts = self._parts(subset)
-        if parts is None:
-            return False
-        if any(not self.base.extends(p) for p in parts):
-            return False
-        if self.kind == "interval":
-            return len(set(parts)) == 1
-        return True
-
-    def trace_extends(self, z_indices, trace: frozenset) -> bool:
-        raise InvalidArgument("product spaces are not used as pair bases")
+        sizes = np.bincount(pool_ids[pool_ids >= 0], minlength=self.count)
+        return bool(np.array_equal(counts, sizes[hit]))
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +108,8 @@ class ProductOracle:
 class Retraction:
     """Named retraction r: U -> X from an ambient neighborhood U."""
 
-    def __init__(self, name, space_key, contains, apply):
+    def __init__(self, name, contains, apply):
         self.name = name
-        self.space_key = space_key
         self._contains = contains
         self._apply = apply
 
@@ -198,14 +120,12 @@ class Retraction:
         return self._apply(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
-def _interval_retraction(key):
-    return Retraction(
-        "clamp", key,
-        lambda p: (p[:, 0] >= -0.5) & (p[:, 0] <= 1.5),
-        lambda p: np.clip(p, 0.0, 1.0))
+def _interval_retraction():
+    return Retraction("clamp", lambda p: (p[:, 0] >= -0.5) & (p[:, 0] <= 1.5),
+                      lambda p: np.clip(p, 0.0, 1.0))
 
 
-def _circle_retraction(key):
+def _circle_retraction():
     def contains(p):
         r = np.hypot(p[:, 0], p[:, 1])
         return (r > 0.5) & (r < 1.5)
@@ -214,10 +134,10 @@ def _circle_retraction(key):
         r = np.maximum(np.hypot(p[:, 0], p[:, 1]), 1e-300)
         return p / r[:, None]
 
-    return Retraction("radial", key, contains, apply)
+    return Retraction("radial", contains, apply)
 
 
-def _disk_retraction(key, center, radius):
+def _disk_retraction(center, radius):
     c = np.asarray(center, dtype=float)
 
     def contains(p):
@@ -228,7 +148,7 @@ def _disk_retraction(key, center, radius):
         scale = np.minimum(1.0, radius / np.maximum(d, 1e-300))
         return c + (p - c) * scale[:, None]
 
-    return Retraction("radial-clamp", key, contains, apply)
+    return Retraction("radial-clamp", contains, apply)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +168,7 @@ class AnnotatedSpace:
     net: Net
     labels: np.ndarray
     label_names: tuple
-    clopen: object
+    clopen: ClopenAtoms
     retractions: dict
     basepoints: dict
     chain_edges: np.ndarray
@@ -341,7 +261,7 @@ def _build_point(eps, params):
     net = Net(np.array([[0.0]]), eps)
     return AnnotatedSpace(
         "point", params, net, np.zeros(1, dtype=int), ("point",),
-        ConnectedOracle(1), {}, {"origin": 0}, np.empty((0, 2)),
+        ClopenAtoms.connected(1), {}, {"origin": 0}, np.empty((0, 2)),
         meta={}, contains_fn=lambda p: euclidean_rows(p, np.zeros_like(p)) <= 1e-12)
 
 
@@ -351,10 +271,9 @@ def _build_interval(eps, params, extra=()):
         pts = np.unique(np.concatenate([pts, np.asarray(extra, dtype=float)]))
     net = Net(pts[:, None], eps)
     n = len(pts)
-    key = f"interval@{dyadic.format_epsilon(eps)}"
     return AnnotatedSpace(
         "interval", params, net, np.zeros(n, dtype=int), ("interval",),
-        ConnectedOracle(n), {"clamp": _interval_retraction(key)},
+        ClopenAtoms.connected(n), {"clamp": _interval_retraction()},
         {"left": 0, "right": n - 1},
         _consecutive(np.arange(n)),
         meta={"values": pts},
@@ -377,7 +296,7 @@ def _build_ndagger(eps, params):
     members = np.array([0] + list(range(round(1.0 / eps), 0, -1)))
     index_of = {int(m): i for i, m in enumerate(members)}
     return AnnotatedSpace(
-        "ndagger", params, net, labels, names, DiscreteOracle(n), {},
+        "ndagger", params, net, labels, names, ClopenAtoms(labels), {},
         {"zero": 0, "one": n - 1},
         np.empty((0, 2)),
         meta={"members": members, "index_of_member": index_of,
@@ -394,11 +313,10 @@ def _build_circle(eps, params):
                      (count // 2, (-1, 0)), (3 * count // 4, (0, -1))):
         pts[j] = exact
     net = Net(pts, eps)
-    key = f"circle@{dyadic.format_epsilon(eps)}"
     edges = np.vstack([_consecutive(np.arange(count)), [[count - 1, 0]]])
     return AnnotatedSpace(
         "circle", params, net, np.zeros(count, dtype=int), ("circle",),
-        ConnectedOracle(count), {"radial": _circle_retraction(key)},
+        ClopenAtoms.connected(count), {"radial": _circle_retraction()},
         {"angle0": 0},
         edges,
         meta={"count": count, "angles": ang},
@@ -486,15 +404,14 @@ def _build_disk(eps, params, extra=None):
     edges.append(np.column_stack([inner[found], corner[found]]))
 
     net = Net(pts_all, eps)
-    key = f"disk[{cx},{cy},{radius}]@{dyadic.format_epsilon(eps)}"
 
     def member(p):
         return euclidean_rows(p, np.broadcast_to(center, p.shape)) <= radius + 1e-9
 
     return AnnotatedSpace(
         "disk", params, net, np.zeros(n, dtype=int), ("disk",),
-        ConnectedOracle(n),
-        {"radial-clamp": _disk_retraction(key, center, radius)},
+        ClopenAtoms.connected(n),
+        {"radial-clamp": _disk_retraction(center, radius)},
         {"center": _nearest_row(grid_pts, center)},
         np.vstack(edges),
         meta={"center": center, "radius": radius,
@@ -581,7 +498,7 @@ def _build_sine(eps, params):
 
     return AnnotatedSpace(
         "sine", params, net, labels, ("curve", "segment"),
-        ConnectedOracle(n), {}, {"origin": origin, "corner": 0},
+        ClopenAtoms.connected(n), {}, {"origin": origin, "corner": 0},
         edges,
         meta={"zero_index": zero_pos, "osc_cutoff": k_osc,
               "tail_max": m_tail, "n_curve": n_curve,
@@ -641,7 +558,7 @@ def _build_comb(eps, params):
     cut = index_cutoff(eps)
     return AnnotatedSpace(
         "comb", params, net, np.zeros(n, dtype=int), ("comb",),
-        ConnectedOracle(n), {},
+        ClopenAtoms.connected(n), {},
         {"limit-tip": tip_of[0.0], "origin": base_pos[0.0]},
         np.vstack(edges),
         meta={"teeth": teeth, "index_cutoff": cut, "tip_index": tip_of,
@@ -670,7 +587,6 @@ def _build_hawaii(eps, params):
     net_pts = np.vstack(pts)
     n = len(net_pts)
     net = Net(net_pts, eps)
-    key = f"hawaii@{dyadic.format_epsilon(eps)}"
 
     def member(p):
         x, y = p[:, 0], p[:, 1]
@@ -687,7 +603,7 @@ def _build_hawaii(eps, params):
 
     return AnnotatedSpace(
         "hawaii", params, net, np.zeros(n, dtype=int), ("earring",),
-        ConnectedOracle(n), {}, {"origin": 0},
+        ClopenAtoms.connected(n), {}, {"origin": 0},
         np.vstack(edges),
         meta={"circles": circle_indices, "circle_max": k_max,
               "family_bound": min(index_cutoff(eps), k_max - 1)},
@@ -770,21 +686,24 @@ def product_with(space: AnnotatedSpace, factor: str,
     pts = np.column_stack([rep, tiled])
     net = Net(pts, eps, MaxProductMetric(split=1))
 
+    base = space.clopen
     if factor == "interval":
         labels = np.tile(space.labels, nF)
         names = space.label_names
+        atom_ids = np.tile(base.ids, nF)
     else:
         labels = np.concatenate([space.labels + i * len(space.label_names)
                                  for i in range(nF)])
         names = tuple(f"f{i}|{bn}" for i in range(nF)
                       for bn in space.label_names)
+        atom_ids = np.concatenate([np.where(base.ids < 0, -1,
+                                            base.ids + i * base.count)
+                                   for i in range(nF)])
     edges = _layer_edges(space, nF, linked=factor == "interval")
-    slices = [i * nA + np.arange(nA) for i in range(nF)]
-    oracle = ProductOracle(factor, space.clopen, slices)
     return AnnotatedSpace(
         f"product({factor},{space.name})",
         (("factor", factor), *grid, ("base", space.key)),
-        net, labels, names, oracle, {}, {}, np.vstack(edges),
+        net, labels, names, ClopenAtoms(atom_ids), {}, {}, np.vstack(edges),
         meta={"factor_values": fvals, "base_size": nA},
         recipe={"kind": "construct", "op": "product", "factor": factor,
                 "base": space, **dict(grid)})
@@ -821,7 +740,7 @@ def cone(space: AnnotatedSpace) -> AnnotatedSpace:
     return AnnotatedSpace(
         f"cone({space.name})", (("base", space.key),),
         net, np.zeros(n, dtype=int), ("cone",),
-        ConnectedOracle(n), {}, {"apex": n - 1},
+        ClopenAtoms.connected(n), {}, {"apex": n - 1},
         np.vstack(edges),
         meta={"levels": levels, "base_size": nA, "apex_index": n - 1},
         recipe={"kind": "construct", "op": "cone", "base": space})
@@ -844,7 +763,7 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
     labels = [np.array([0])]
     names = ["infinity"]
     edges = []
-    block_sets = []
+    atom_ids = [np.array([len(blocks)])]    # infinity after the blocks
     for n, b in enumerate(blocks, start=1):
         if b.resolution != eps:
             raise InvalidArgument("opc blocks must share one resolution")
@@ -856,7 +775,7 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
         shifted[:, :p.shape[1]] = (p - lo) * scale
         shifted[:, 0] += 0.75 * 2.0 ** (-n)
         pts.append(shifted)
-        block_sets.append(frozenset(range(offset, offset + len(p))))
+        atom_ids.append(np.full(len(p), n - 1))
         meta_blocks.append({"n": n, "start": offset, "size": len(p),
                             "scale": scale, "shift": 0.75 * 2.0 ** (-n)})
         labels.append(b.labels + len(names))
@@ -864,10 +783,10 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
         edges.append(b.chain_edges + offset)
         offset += len(p)
     net = Net(np.vstack(pts), eps)
-    oracle = BlockOracle(block_sets, infinity=0)
     return AnnotatedSpace(
         "opc", tuple((f"block{i + 1}", b.key) for i, b in enumerate(blocks)),
-        net, np.concatenate(labels), tuple(names), oracle, {},
+        net, np.concatenate(labels), tuple(names),
+        ClopenAtoms(np.concatenate(atom_ids)), {},
         {"infinity": 0}, np.vstack(edges), meta={"blocks": meta_blocks},
         recipe={"kind": "construct", "op": "opc", "blocks": list(blocks)})
 
@@ -885,7 +804,7 @@ def subspace(space: AnnotatedSpace, indices, name: str) -> AnnotatedSpace:
             if int(a) in pos and int(b) in pos]
     return AnnotatedSpace(
         name, (("base", space.key),), net, np.zeros(n, dtype=int),
-        (space.label_names[labs[0]],), ConnectedOracle(n), {}, {},
+        (space.label_names[labs[0]],), ClopenAtoms.connected(n), {}, {},
         np.asarray(kept, dtype=int).reshape(-1, 2),
         contains_fn=space.contains_fn,
         recipe={"kind": "construct", "op": "subspace", "base": space,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import jsonschema
@@ -299,3 +300,29 @@ def test_certify_matrix_metric_codomain(tmp_path, capsys):
     certificate.write_text(ser.dumps(ser.certificate_to_json(cert, eps)))
     code, out, _ = run_cli(capsys, "certify", str(problem), str(certificate))
     assert code == 0 and json.loads(out)["status"] == "verified"
+
+
+def test_certify_rejects_malformed_clopen_atoms(tmp_path, capsys):
+    # an explicit Y whose clopen atoms overlap, leave the net or are empty
+    # is malformed input (exit 3), not a space with odd clopen sets
+    eps = 2.0 ** -4
+    fam = xl.example_family("ndagger-eopen", eps)
+    pair = ser.pair_to_ref(dataclasses.replace(fam.pair, recipe=None))
+    n = len(fam.pair.space.net)
+    certificate = tmp_path / "certificate.json"
+    cert = xl.build_negative_certificate("ndagger-eopen", 1, eps)
+    certificate.write_text(ser.dumps(ser.certificate_to_json(cert, eps)))
+    problem = tmp_path / "problem.json"
+    for atoms, code_wanted in (([list(range(n))], 0),
+                               ([list(range(n)), [0]], 3),
+                               ([[0, 0], list(range(1, n))], 3),
+                               ([list(range(n + 1))], 3),
+                               ([[-1], list(range(n))], 3),
+                               ([[], list(range(n))], 3)):
+        pair["space"]["clopen_atoms"] = atoms
+        problem.write_text(ser.dumps({"pair": pair,
+                                      "map": ser.map_to_json(fam.member(1))}))
+        code, _, err = run_cli(capsys, "certify", str(problem),
+                               str(certificate))
+        assert code == code_wanted, atoms
+        assert code == 0 or "clopen atom" in err

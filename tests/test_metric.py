@@ -63,7 +63,7 @@ def test_comb_isolated_teeth_connect_only_through_base():
 def test_net_adjacency_is_its_own_graph_built_once_per_scale():
     # two products that differ only in grid step, and two explicit spaces
     # with one name: each net reads a graph of its own size
-    from extenlab.spaces import AnnotatedSpace, ConnectedOracle
+    from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     eps = 2.0 ** -4
     base = xl.make_space("interval", eps)
     nets = [xl.product_with(base, "interval").net,
@@ -71,7 +71,7 @@ def test_net_adjacency_is_its_own_graph_built_once_per_scale():
     for pts in (np.array([[0.0], [0.5]]), np.array([[0.0], [0.25], [0.5]])):
         nets.append(AnnotatedSpace(
             "user", (), Net(pts, 0.25), np.zeros(len(pts), dtype=int),
-            ("user",), ConnectedOracle(len(pts)), {}, {},
+            ("user",), ClopenAtoms.connected(len(pts)), {}, {},
             np.empty((0, 2))).net)
     for net in nets:
         adj = net.adjacency(2 * eps)

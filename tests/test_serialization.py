@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import jsonschema
@@ -9,8 +10,9 @@ from extenlab import serialization as ser
 from extenlab.certificates import (PositiveCertificate,
                                    build_negative_certificate,
                                    check_certificate)
-from extenlab.errors import InvalidArgument
-from extenlab.metric import MatrixMetric, Modulus, Net
+from extenlab.errors import DomainMismatch, InvalidArgument
+from extenlab.maps import MapSample
+from extenlab.metric import MatrixMetric, Modulus, Net, sup_distance
 
 EPS6 = 2.0 ** -6
 
@@ -81,10 +83,10 @@ def test_construct_space_ref_round_trip():
 
 
 def test_explicit_space_round_trip():
-    from extenlab.spaces import AnnotatedSpace, ConnectedOracle
+    from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     net = Net(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5)
     sp = AnnotatedSpace("user", (), net, np.zeros(2, dtype=int), ("user",),
-                        ConnectedOracle(2), {}, {}, np.empty((0, 2)))
+                        ClopenAtoms.connected(2), {}, {}, np.empty((0, 2)))
     ref = json.loads(ser.dumps(ser.space_to_ref(sp)))
     _validate("space", ref)
     back = ser.space_from_ref(ref)
@@ -109,10 +111,10 @@ def test_pair_spaces_reload_with_their_points():
 
 
 def test_explicit_space_with_a_catalog_name_stays_explicit():
-    from extenlab.spaces import AnnotatedSpace, ConnectedOracle
+    from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     net = Net(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), 0.5)
     sp = AnnotatedSpace("circle", (), net, np.zeros(3, dtype=int),
-                        ("circle",), ConnectedOracle(3), {}, {},
+                        ("circle",), ClopenAtoms.connected(3), {}, {},
                         np.empty((0, 2)))
     ref = json.loads(ser.dumps(ser.space_to_ref(sp)))
     assert ref["kind"] == "explicit"
@@ -256,3 +258,34 @@ def test_report_json_validates():
     r = xl.run_example("ndagger-eclosed", epsilon=EPS6)
     data = json.loads(ser.dumps(r.as_dict()))
     _validate("report", data)
+
+
+def test_explicit_space_rewrites_the_reference_it_was_read_from():
+    # no phantom atom is appended on the way back out
+    eps = 2.0 ** -5
+    spaces = [xl.make_pair(name, eps).space
+              for name in ("interval-N", "disk-earring")]
+    spaces.append(dataclasses.replace(xl.make_space("ndagger", eps),
+                                      recipe=None))
+    for space in spaces:
+        text = ser.dumps(ser.space_to_ref(space))
+        ref = json.loads(text)
+        assert ref["kind"] == "explicit"
+        assert ser.space_to_ref(ser.space_from_ref(ref)) == ref
+        assert ser.dumps(ser.space_to_ref(ser.space_from_ref(ref))) == text
+
+
+def test_explicit_reload_keys_apart_from_the_catalog_space():
+    # the reloaded interval-N Y shares name and resolution with the
+    # catalog interval, but not its points
+    eps = 2.0 ** -5
+    catalog = xl.make_space("interval", eps)
+    back = ser.space_from_ref(
+        ser.space_to_ref(xl.make_pair("interval-N", eps).space))
+    assert back.name == catalog.name and back.key != catalog.key
+    domain = xl.make_space("point", eps).net
+    f = MapSample(domain, catalog, [[0.5]], Modulus.lip(1.0))
+    g = MapSample(domain, back, [[0.5]], Modulus.lip(1.0))
+    with pytest.raises(DomainMismatch):
+        sup_distance(f, g)
+    assert sup_distance(g, ser.map_from_json(ser.map_to_json(g), domain)) == 0

@@ -220,11 +220,11 @@ def test_cone_point_is_interval():
 
 
 def test_cone_two_points_single_component():
-    from extenlab.spaces import AnnotatedSpace, ConnectedOracle
+    from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     from extenlab.metric import Net
     two = AnnotatedSpace(
         "two-points", (), Net(np.array([[0.0], [1.0]]), 2.0 ** -4),
-        np.array([0, 1]), ("a", "b"), ConnectedOracle(2), {}, {},
+        np.array([0, 1]), ("a", "b"), ClopenAtoms.connected(2), {}, {},
         np.empty((0, 2)))
     c = xl.cone(two)
     assert c.component_count() == 1
@@ -348,11 +348,11 @@ def test_urysohn_values_and_modulus():
 
 def test_urysohn_degenerate_separation():
     # a duplicated coordinate puts the complement at distance zero from Z
-    from extenlab.spaces import AnnotatedSpace, ConnectedOracle
+    from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     from extenlab.metric import Net
     net = Net(np.array([[0.0], [0.0], [1.0]]), 1.0)
     sp = AnnotatedSpace("dup", (), net, np.zeros(3, dtype=int), ("dup",),
-                        ConnectedOracle(3), {}, {}, np.empty((0, 2)))
+                        ClopenAtoms.connected(3), {}, {}, np.empty((0, 2)))
     with pytest.raises(DegenerateSeparation):
         xl.urysohn(sp, [0], [0, 2])
 
