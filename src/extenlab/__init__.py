@@ -26,8 +26,8 @@ from .families import FAMILY_NAMES, example_family, explicit_extension
 from .certificates import (ClopenObstruction, MandatoryCrossingObstruction,
                            PathComponentObstruction, PositiveCertificate,
                            Verdict, WindingObstruction,
-                           build_negative_certificate, check_certificate,
-                           disjointify)
+                           build_negative_certificate, certificate_for,
+                           check_certificate, disjointify)
 from .runs import Report, list_examples, run_example
 
 __version__ = "0.1.0"

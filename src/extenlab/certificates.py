@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse, \
     NotCoveredRefusal, UnknownName
+from .families import explicit_extension
 from .maps import MapSample, collapse_retraction, winding_number
 from .metric import euclidean_rows, reachable
 from .spaces import AnnotatedSpace, SpacePair, make_pair, make_space
@@ -475,6 +476,18 @@ def build_negative_certificate(name: str, n: int | None,
     if name == "ndagger-eclosed":
         raise NotCoveredRefusal("every member and the limit extend here")
     raise UnknownName(f"unknown example family {name!r}")
+
+
+def certificate_for(name: str, n: int | None,
+                    resolution: float) -> Certificate:
+    """The catalog's certificate for member n of a family (None: the
+    limit): its obstruction where it does not extend, else its explicit
+    extension.  The two builders refuse exactly each other's instances."""
+    try:
+        return build_negative_certificate(name, n, resolution)
+    except NotCoveredRefusal:
+        return PositiveCertificate(explicit_extension(name, n, resolution),
+                                   tolerance=0.0)
 
 
 def disjointify(space: AnnotatedSpace, sets) -> list[frozenset]:

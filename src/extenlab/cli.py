@@ -19,11 +19,13 @@ import sys
 from pathlib import Path
 
 from . import dyadic
-from .certificates import check_certificate
+from .certificates import certificate_for, check_certificate
 from .errors import ExtenlabError, InvalidArgument, UnknownName
+from .families import example_family
 from .runs import list_examples, run_example
-from .serialization import (certificate_from_json, dumps, map_from_json,
-                            pair_from_ref, space_to_ref)
+from .serialization import (certificate_from_json, certificate_to_json,
+                            dumps, map_from_json, map_to_json, pair_from_ref,
+                            pair_to_ref, space_to_ref)
 from .spaces import catalog_names, cone, make_space, opc_disjoint_union, \
     product_with
 
@@ -67,26 +69,16 @@ def _cmd_example_run(args) -> int:
 
 def _write_run_artifacts(report, args):
     """Problem and certificate files for the family runs, for re-checking."""
-    from .families import FAMILY_NAMES, example_family, explicit_extension
-    from .certificates import PositiveCertificate, build_negative_certificate
-    from .serialization import certificate_to_json, map_to_json, pair_to_ref
+    if report.family is None:
+        raise InvalidArgument(f"{report.name} does not emit certificate files")
     target = Path(args.emit_certificates)
     target.mkdir(parents=True, exist_ok=True)
-    name = {"sine-not-eclosed": "sine-eclosed",
-            "sine-not-eopen": "sine-eopen",
-            "ndagger-not-eopen": "ndagger-eopen"}.get(report.name, report.name)
-    if name not in FAMILY_NAMES:
-        raise InvalidArgument(f"{report.name} does not emit certificate files")
-    fam = example_family(name, report.epsilon)
+    fam = example_family(report.family, report.epsilon)
     problem = {"pair": pair_to_ref(fam.pair),
                "map": map_to_json(fam.limit)}
     (target / "problem.json").write_text(dumps(problem) + "\n",
                                          encoding="utf-8")
-    try:
-        cert = build_negative_certificate(name, None, report.epsilon)
-    except ExtenlabError:
-        cert = PositiveCertificate(explicit_extension(name, None,
-                                                      report.epsilon), 0.0)
+    cert = certificate_for(report.family, None, report.epsilon)
     (target / "certificate.json").write_text(
         dumps(certificate_to_json(cert, report.epsilon)) + "\n",
         encoding="utf-8")

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import dyadic
 from .certificates import (REFUTED, VERIFIED, PositiveCertificate, Verdict,
-                           build_negative_certificate, check_certificate,
-                           disjointify)
+                           certificate_for, check_certificate, disjointify)
 from .errors import EpsilonTooLarge, ExtenlabError, InvalidArgument, \
     UnknownName
 from .families import example_family, explicit_extension
@@ -45,6 +44,7 @@ class Report:
     first_success: int | None = None
     ok: bool = True
     timing_seconds: float = 0.0
+    family: str | None = None         # the catalog family tabulated, if any
 
     def add_row(self, label, sup, kind, verdict, margin):
         self.rows.append({"label": str(label),
@@ -102,21 +102,27 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _family_run(report: Report, family_name: str, positive_members: bool,
-                positive_limit, closed_form):
+def _family_run(report: Report, family: str, closed_form, conclusion: str):
     """Shared driver for the counterexample families.
 
-    positive_members: members get explicit extensions (else obstructions);
-    positive_limit: a callable producing the limit extension, or None for
-    an obstruction; closed_form: expected sup_distance(phi_n, phi).
+    Tabulates each member against closed_form(n), its expected
+    sup_distance to the limit, then the limit itself; every row is
+    re-checked with the certificate the catalog gives it.
     """
     eps = report.epsilon
-    fam = example_family(family_name, eps)
+    fam = example_family(family, eps)
     if report.n_max > fam.n_bound:
         raise InvalidArgument(
             f"n_max {report.n_max} beyond the truncation bound {fam.n_bound} "
             f"at {dyadic.format_epsilon(eps)}")
-    pair = fam.pair
+    report.family = family
+
+    def add_row(n, phi, sup):
+        cert = certificate_for(family, n, eps)
+        verdict = check_certificate(fam.pair, phi, cert)
+        report.add_row("limit" if n is None else n, sup, cert.kind, verdict,
+                       _row_margin(verdict))
+
     prev = math.inf
     for n in range(1, report.n_max + 1):
         member = fam.member(n)
@@ -126,23 +132,9 @@ def _family_run(report: Report, family_name: str, positive_members: bool,
                       f"n={n}: sup {sup!r} != closed form {expected!r}")
         report.expect(sup < prev, f"n={n}: sup column not strictly decreasing")
         prev = sup
-        if positive_members:
-            ext = explicit_extension(family_name, n, eps)
-            cert = PositiveCertificate(ext, tolerance=0.0)
-            kind = "positive"
-        else:
-            cert = build_negative_certificate(family_name, n, eps)
-            kind = cert.kind
-        verdict = check_certificate(pair, member, cert)
-        margin = _row_margin(verdict)
-        report.add_row(n, sup, kind, verdict, margin)
-    if positive_limit is not None:
-        ext = positive_limit()
-        cert = PositiveCertificate(ext, tolerance=0.0)
-    else:
-        cert = build_negative_certificate(family_name, None, eps)
-    verdict = check_certificate(pair, fam.limit, cert)
-    report.add_row("limit", 0.0, cert.kind, verdict, _row_margin(verdict))
+        add_row(n, member, sup)
+    add_row(None, fam.limit, 0.0)
+    report.conclusion = conclusion
     return fam
 
 
@@ -154,107 +146,23 @@ def _row_margin(verdict) -> float:
     return 0.0
 
 
-def _run_comb(report: Report):
-    _family_run(report, "comb", positive_members=True, positive_limit=None,
-                closed_form=lambda n: 1.0 / (n + 1))
-    report.conclusion = ("every member extends over the interval; the limit "
-                         "is blocked by a mandatory crossing of the base")
-
-
-def _run_sine_not_eclosed(report: Report):
-    _family_run(report, "sine-eclosed", positive_members=True,
-                positive_limit=None, closed_form=lambda n: 1.0 / n)
-    report.conclusion = ("maps into the curve component extend along it; "
-                         "the limit reaches the segment and is blocked by "
-                         "the oscillation peaks")
-
-
-def _run_pathcomp(report: Report):
-    _family_run(report, "pathcomp", positive_members=True,
-                positive_limit=None, closed_form=lambda n: 1.0 / n)
-    report.conclusion = ("a non-closed path component: members extend, the "
-                         "limit lands in a different component")
-
-
-def _run_sine_not_eopen(report: Report):
-    eps = report.epsilon
-
-    def identity_extension():
-        return explicit_extension("sine-eopen", None, eps)
-
-    _family_run(report, "sine-eopen", positive_members=False,
-                positive_limit=identity_extension,
-                closed_form=lambda n: 1.0 / (n + 1))
-    report.conclusion = ("no member extends (image splits across path "
-                         "components); the inclusion limit extends via the "
-                         "identity")
-
-
-def _run_ndagger_not_eopen(report: Report):
-    eps = report.epsilon
-
-    def constant_extension():
-        return explicit_extension("ndagger-eopen", None, eps)
-
-    _family_run(report, "ndagger-eopen", positive_members=False,
-                positive_limit=constant_extension,
-                closed_form=lambda n: 1.0 / (n + 1))
-    report.conclusion = ("no member has the clopen intersection property "
-                         "over the interval; the constant limit extends")
-
-
 def _run_ndagger_eclosed(report: Report):
-    eps = report.epsilon
-    fam = example_family("ndagger-eclosed", eps)
-    pair = fam.pair
-    if report.n_max > fam.n_bound:
-        raise InvalidArgument(f"n_max beyond {fam.n_bound} blocks")
-    prev = math.inf
-    for j in range(1, report.n_max + 1):
-        member = fam.member(j)
-        sup = sup_distance(member, fam.limit)
-        report.expect(sup == 1.0 / (j + 1), f"j={j}: sup {sup!r} off")
-        report.expect(sup < prev, f"j={j}: sup not strictly decreasing")
-        prev = sup
-        ext = explicit_extension("ndagger-eclosed", j, eps)
-        verdict = check_certificate(pair, member,
-                                    PositiveCertificate(ext, tolerance=0.0))
-        report.add_row(j, sup, "positive", verdict, _row_margin(verdict))
-
+    fam = _family_run(report, "ndagger-eclosed", lambda j: 1.0 / (j + 1),
+                      "extendible members converge to a limit whose "
+                      "extension is assembled from disjoint clopen blocks")
     # the limit's extension assembled from clopen blocks, disjointified
-    blocks = pair.space.meta["blocks"]
+    space = fam.pair.space
     v_sets = [frozenset(range(b["start"], b["start"] + b["size"]))
-              for b in blocks]
-    u_sets = disjointify(pair.space, v_sets)
+              for b in space.meta["blocks"]]
+    u_sets = disjointify(space, v_sets)
     report.expect(u_sets == v_sets,
                   "block witnesses were already disjoint but changed")
-    vals = np.zeros((len(pair.space.net), 1))
+    vals = np.zeros((len(space.net), 1))
     for k, u in enumerate(u_sets, start=1):
         vals[sorted(u)] = 1.0 / k
-    ext = MapSample(pair.space.net, fam.codomain, vals,
-                    measured_modulus(pair.space.net, vals),
-                    name="ndagger-eclosed-limit-ext")
-    direct = explicit_extension("ndagger-eclosed", None, eps)
-    report.expect(bool(np.array_equal(ext.values, direct.values)),
+    direct = explicit_extension("ndagger-eclosed", None, report.epsilon)
+    report.expect(bool(np.array_equal(vals, direct.values)),
                   "block-assembled extension differs from the direct one")
-    verdict = check_certificate(pair, fam.limit,
-                                PositiveCertificate(ext, tolerance=0.0))
-    report.add_row("limit", 0.0, "positive", verdict, _row_margin(verdict))
-    report.conclusion = ("extendible members converge to a limit whose "
-                         "extension is assembled from disjoint clopen blocks")
-
-
-def _run_hawaii(report: Report):
-    eps = report.epsilon
-
-    def constant_extension():
-        return explicit_extension("hawaii", None, eps)
-
-    _family_run(report, "hawaii", positive_members=False,
-                positive_limit=constant_extension,
-                closed_form=lambda n: 2.0 / (n + 1))
-    report.conclusion = ("members wind once around a collapsed circle, so "
-                         "none extends over the disk; the constant limit does")
 
 
 def _run_anr_eopen(report: Report):
@@ -614,30 +522,49 @@ def _run_equiconnected(report: Report):
 
 
 _EXAMPLES = {
-    "pathcomp": dict(runner=_run_pathcomp, eps=2.0 ** -8, n_max=15,
-                     claim="a non-closed path component makes a uniform "
-                           "limit of extendible maps non-extendible"),
-    "sine-not-eclosed": dict(runner=_run_sine_not_eclosed, eps=2.0 ** -8,
-                             n_max=15,
-                             claim="the topologist's sine curve is not "
-                                   "e-closed"),
-    "sine-not-eopen": dict(runner=_run_sine_not_eopen, eps=2.0 ** -8,
-                           n_max=15,
-                           claim="the topologist's sine curve is not e-open"),
-    "comb": dict(runner=_run_comb, eps=2.0 ** -8, n_max=20,
-                 claim="the infinite comb is path-connected but not "
-                       "e-closed"),
-    "ndagger-not-eopen": dict(runner=_run_ndagger_not_eopen, eps=2.0 ** -8,
-                              n_max=20,
-                              claim="the compactified naturals are not "
-                                    "e-open"),
+    "pathcomp": dict(
+        family="pathcomp", closed_form=lambda n: 1.0 / n,
+        eps=2.0 ** -8, n_max=15,
+        claim="a non-closed path component makes a uniform limit of "
+              "extendible maps non-extendible",
+        conclusion="a non-closed path component: members extend, the limit "
+                   "lands in a different component"),
+    "sine-not-eclosed": dict(
+        family="sine-eclosed", closed_form=lambda n: 1.0 / n,
+        eps=2.0 ** -8, n_max=15,
+        claim="the topologist's sine curve is not e-closed",
+        conclusion="maps into the curve component extend along it; the "
+                   "limit reaches the segment and is blocked by the "
+                   "oscillation peaks"),
+    "sine-not-eopen": dict(
+        family="sine-eopen", closed_form=lambda n: 1.0 / (n + 1),
+        eps=2.0 ** -8, n_max=15,
+        claim="the topologist's sine curve is not e-open",
+        conclusion="no member extends (image splits across path components); "
+                   "the inclusion limit extends via the identity"),
+    "comb": dict(
+        family="comb", closed_form=lambda n: 1.0 / (n + 1),
+        eps=2.0 ** -8, n_max=20,
+        claim="the infinite comb is path-connected but not e-closed",
+        conclusion="every member extends over the interval; the limit is "
+                   "blocked by a mandatory crossing of the base"),
+    "ndagger-not-eopen": dict(
+        family="ndagger-eopen", closed_form=lambda n: 1.0 / (n + 1),
+        eps=2.0 ** -8, n_max=20,
+        claim="the compactified naturals are not e-open",
+        conclusion="no member has the clopen intersection property over the "
+                   "interval; the constant limit extends"),
     "ndagger-eclosed": dict(runner=_run_ndagger_eclosed, eps=2.0 ** -6,
                             n_max=7,
                             claim="the compactified naturals are e-closed "
                                   "via the clopen intersection property"),
-    "hawaii": dict(runner=_run_hawaii, eps=2.0 ** -8, n_max=10,
-                   claim="the Hawaiian earring is path-connected and "
-                         "locally path-connected but not e-open"),
+    "hawaii": dict(
+        family="hawaii", closed_form=lambda n: 2.0 / (n + 1),
+        eps=2.0 ** -8, n_max=10,
+        claim="the Hawaiian earring is path-connected and locally "
+              "path-connected but not e-open",
+        conclusion="members wind once around a collapsed circle, so none "
+                   "extends over the disk; the constant limit does"),
     "anr-eopen": dict(runner=_run_anr_eopen, eps=2.0 ** -6, n_max=6,
                       claim="near an extendible limit into a compact ANR, "
                             "members become extendible"),
@@ -684,6 +611,10 @@ def run_example(name: str, epsilon: float | None = None,
         raise InvalidArgument("n_max must be at least 1")
     report = Report(name=name, epsilon=eps, n_max=count)
     started = time.perf_counter()
-    entry["runner"](report)
+    if "runner" in entry:
+        entry["runner"](report)
+    else:
+        _family_run(report, entry["family"], entry["closed_form"],
+                    entry["conclusion"])
     report.timing_seconds = time.perf_counter() - started
     return report

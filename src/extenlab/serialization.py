@@ -6,6 +6,7 @@ so identical objects always serialize to identical bytes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from importlib import resources
 
@@ -93,12 +94,20 @@ def space_from_ref(data: dict) -> AnnotatedSpace:
     if kind == "explicit":
         net = net_from_json(data["net"])
         labels = np.asarray(data["path_components"], dtype=int)
+        if labels.shape != (len(net),) or not len(labels):
+            raise InvalidArgument("path_components needs one label per point")
         names = tuple(data.get("component_names",
                                [f"component-{i}" for i in
                                 range(labels.max() + 1)]))
-        # the parameter keeps the key apart from every catalog key
+        if labels.min() < 0 or labels.max() >= len(names):
+            raise InvalidArgument("path_components must index component_names")
+        # the parameters keep the key apart from every catalog key and
+        # from explicit spaces on other points (+ 0.0 folds -0.0 into 0.0)
+        digest = hashlib.sha256(repr(net.points.shape).encode()
+                                + (net.points + 0.0).tobytes()).hexdigest()
         return AnnotatedSpace(data.get("name", "explicit"),
-                              (("kind", "explicit"),), net, labels, names,
+                              (("kind", "explicit"), ("points", digest[:16])),
+                              net, labels, names,
                               _clopen_atoms(data["clopen_atoms"], len(net)),
                               {}, {}, np.empty((0, 2)))
     raise InvalidArgument("space reference needs a known 'kind'")

@@ -240,6 +240,28 @@ def test_positive_emitted_for_extendible_limits(tmp_path, capsys):
     assert code == 0
 
 
+def test_positive_emitted_for_the_sine_inclusion_limit(tmp_path, capsys):
+    certs = tmp_path / "pos"
+    code, _, _ = run_cli(capsys, "example", "run", "sine-not-eopen",
+                         "--epsilon", "2^-6", "--n-max", "2",
+                         "--emit-certificates", str(certs))
+    assert code == 0
+    cert = json.loads((certs / "certificate.json").read_text())
+    assert cert["kind"] == "positive"
+    code, out, _ = run_cli(capsys, "certify", str(certs / "problem.json"),
+                           str(certs / "certificate.json"))
+    assert code == 0 and json.loads(out)["status"] == "verified"
+
+
+def test_emit_certificates_refused_for_a_run_without_a_family(tmp_path,
+                                                              capsys):
+    code, _, err = run_cli(capsys, "example", "run", "eop-homotopy",
+                           "--epsilon", "2^-6", "--n-max", "2",
+                           "--emit-certificates", str(tmp_path / "none"))
+    assert code == 3
+    assert "does not emit certificate files" in err
+
+
 def test_certify_rejects_a_parameter_no_builder_reads(tmp_path, capsys):
     eps = 2.0 ** -4
     fam = xl.example_family("sine-eopen", eps)
@@ -326,3 +348,26 @@ def test_certify_rejects_malformed_clopen_atoms(tmp_path, capsys):
                                str(certificate))
         assert code == code_wanted, atoms
         assert code == 0 or "clopen atom" in err
+
+
+def test_certify_rejects_malformed_path_components(tmp_path, capsys):
+    # an explicit Y needs one label per net point, each naming a component
+    eps = 2.0 ** -4
+    fam = xl.example_family("ndagger-eopen", eps)
+    pair = ser.pair_to_ref(dataclasses.replace(fam.pair, recipe=None))
+    n = len(fam.pair.space.net)
+    assert pair["space"]["component_names"] == ["interval"]
+    certificate = tmp_path / "certificate.json"
+    cert = xl.build_negative_certificate("ndagger-eopen", 1, eps)
+    certificate.write_text(ser.dumps(ser.certificate_to_json(cert, eps)))
+    problem = tmp_path / "problem.json"
+    for labels, code_wanted in (([0] * n, 0), ([0], 3), ([0] * (n + 1), 3),
+                                ([5] * n, 3), ([-1] + [0] * (n - 1), 3),
+                                ([], 3)):
+        pair["space"]["path_components"] = labels
+        problem.write_text(ser.dumps({"pair": pair,
+                                      "map": ser.map_to_json(fam.member(1))}))
+        code, _, err = run_cli(capsys, "certify", str(problem),
+                               str(certificate))
+        assert code == code_wanted, labels
+        assert code == 0 or "path_components" in err

@@ -3,9 +3,13 @@ import pytest
 
 import extenlab as xl
 from extenlab.errors import InvalidArgument, NotCoveredRefusal, UnknownName
+from extenlab.certificates import (PositiveCertificate,
+                                   build_negative_certificate,
+                                   certificate_for)
 from extenlab.families import FAMILY_NAMES, example_family, explicit_extension
 from extenlab.maps import restrict
 from extenlab.metric import check_modulus
+from extenlab.serialization import certificate_to_json, dumps
 
 EPS8 = 2.0 ** -8
 EPS6 = 2.0 ** -6
@@ -144,9 +148,30 @@ def test_refusals_for_nonextendible_instances(name, n):
 
 
 def test_refusals_for_unprovable_obstructions():
-    from extenlab.certificates import build_negative_certificate
     for name, n in [("comb", 3), ("sine-eopen", None),
                     ("ndagger-eopen", None), ("hawaii", None),
                     ("ndagger-eclosed", 2), ("pathcomp", 5)]:
         with pytest.raises(NotCoveredRefusal):
             build_negative_certificate(name, n, EPS8 if name != "ndagger-eclosed" else EPS6)
+
+
+def _built_or_refused(build, name, n):
+    try:
+        return build(name, n, EPS6)
+    except NotCoveredRefusal:
+        return None
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_builders_partition_every_instance(name):
+    # exactly one of the two builders covers each member and the limit,
+    # the other refuses it, and certificate_for takes the covered side
+    fam = example_family(name, EPS6)
+    for n in [*range(1, fam.n_bound + 1), None]:
+        neg = _built_or_refused(build_negative_certificate, name, n)
+        ext = _built_or_refused(explicit_extension, name, n)
+        assert (neg is None) != (ext is None), (name, n)
+        expected = neg or PositiveCertificate(ext, tolerance=0.0)
+        assert dumps(certificate_to_json(certificate_for(name, n, EPS6),
+                                         EPS6)) \
+            == dumps(certificate_to_json(expected, EPS6)), (name, n)

@@ -289,3 +289,34 @@ def test_explicit_reload_keys_apart_from_the_catalog_space():
     with pytest.raises(DomainMismatch):
         sup_distance(f, g)
     assert sup_distance(g, ser.map_from_json(ser.map_to_json(g), domain)) == 0
+
+
+def _explicit_ref(name, points, eps):
+    return {"kind": "explicit", "name": name,
+            "net": {"dimension": 1, "points": [[p] for p in points],
+                    "resolution": eps, "metric": "euclidean"},
+            "path_components": [0] * len(points),
+            "component_names": ["only"],
+            "clopen_atoms": [list(range(len(points)))]}
+
+
+def test_explicit_spaces_on_other_points_key_apart():
+    # same name and resolution; the key follows the points
+    eps = 2.0 ** -1
+    a = ser.space_from_ref(_explicit_ref("user", [0.0, 1.0], eps))
+    b = ser.space_from_ref(_explicit_ref("user", [5.0, 7.0, 9.0], eps))
+    assert a.key != b.key
+    domain = xl.make_space("point", eps).net
+    f = MapSample(domain, a, [[1.0]], Modulus.lip(1.0))
+    g = MapSample(domain, b, [[8.0]], Modulus.lip(1.0))
+    with pytest.raises(DomainMismatch):
+        sup_distance(f, g)
+
+
+def test_explicit_spaces_on_equal_points_share_a_key():
+    eps = 2.0 ** -1
+    a = ser.space_from_ref(_explicit_ref("user", [0.0, 1.0], eps))
+    b = ser.space_from_ref(_explicit_ref("user", [0.0, 1.0], eps))
+    c = ser.space_from_ref(_explicit_ref("user", [-0.0, 1.0], eps))
+    assert a.key == b.key == c.key
+    assert ser.space_from_ref(ser.space_to_ref(a)).key == a.key
