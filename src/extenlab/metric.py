@@ -46,6 +46,9 @@ _SCREEN_MARGIN = 2.0 ** -30
 # there an underflowed term (absolute error 2^-1075 at most) is far below
 # the margin.  A bound outside that range proves nothing.
 _SCREEN_FLOOR = 2.0 ** -900
+# A bound given to measured_modulus_multi shrinks its room by this, far
+# more than its rounding can reach (the proof is at maps._arc_bound).
+_ARC_MARGIN = 2.0 ** -30
 
 
 def _frozen(a) -> np.ndarray:
@@ -140,6 +143,16 @@ def _exact_block(a, columns, rows, cols, out, tmp) -> np.ndarray:
     d = tmp.block(rows, cols)
     np.subtract.outer(columns[1][rows], columns[1][cols], out=d)
     return np.hypot(acc, d, out=acc)
+
+
+def _exact_pairs(a, columns, i, j) -> np.ndarray:
+    """_euclidean(a[i], a[j]) bit for bit, gathering from the columns."""
+    if len(columns) > 2:
+        return _euclidean(a[i], a[j])
+    d = columns[0][i] - columns[0][j]
+    if len(columns) == 1:
+        return np.abs(d, out=d)
+    return np.hypot(d, columns[1][i] - columns[1][j], out=d)
 
 
 def _square_limit(allowed: np.ndarray) -> np.ndarray:
@@ -606,7 +619,8 @@ def _bucket_of_code(n_buckets: int) -> np.ndarray:
                    0, n_buckets - 1)
 
 
-def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24) -> Modulus:
+def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
+                           bound=None) -> Modulus:
     """Tightest dyadic-bucket step modulus all the sampled maps obey.
 
     Used to declare moduli for constructed extensions (and homotopy
@@ -632,12 +646,17 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24) -> Modulu
     block, and by the error bounds stated at _SCREEN_MARGIN a skipped
     pair's exact distances all lie below that pair's largest one, so no
     skipped pair can raise a bucket maximum.
+
+    bound (several maps) replaces the squares: bound(rows, cols, codes,
+    limit) is True where a pair is proven below limit[code], the largest
+    distance an evaluated pair of the code's bucket attained in row 0 or
+    an earlier block, so again no skipped pair raises a maximum.
     """
-    radii, bounds = _measured_bounds(net, values_list, n_buckets)
+    radii, bounds = _measured_bounds(net, values_list, n_buckets, bound)
     return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
 
 
-def _measured_bounds(net: Net, values_list, n_buckets: int):
+def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
     """The radii and bounds of measured_modulus_multi's table, empty on a
     net of diameter 0; a bound is NaN or infinite where a value is, which
     Modulus.step then rejects."""
@@ -656,21 +675,30 @@ def _measured_bounds(net: Net, values_list, n_buckets: int):
             dv = _exact_block(values_list[0], columns[0], rows, cols, out, tmp)
             np.maximum.at(peaks, codes.ravel(), dv.ravel())
     else:
-        top = np.zeros(n_buckets)               # S per bucket
-        for rows, cols, codes in net._pair_codes():
-            s = _square_sums(columns[0], rows, cols, acc, tmp)
-            for c in columns[1:]:
-                np.maximum(s, _square_sums(c, rows, cols, out, tmp), out=s)
-            top_of_code = np.zeros(_RADII + 2)
-            np.maximum.at(top_of_code, codes.ravel(), s.ravel())
-            np.maximum.at(top, bucket, top_of_code)
-            floor = top * (1.0 - _SCREEN_MARGIN)
-            floor[~((top >= _SCREEN_FLOOR) & (top < np.inf))] = -1.0
-            ii, jj = np.nonzero(~(s < floor[bucket][codes]))
+        def evaluate(ii, jj):                   # pairs of the current block
             i, j = ii + rows.start, jj + cols.start
-            dv = functools.reduce(np.maximum, (_euclidean(v[i], v[j])
-                                               for v in values_list))
+            dv = functools.reduce(np.maximum, (
+                _exact_pairs(v, c, i, j) for v, c in zip(values_list, columns)))
             np.maximum.at(peaks, codes[ii, jj], dv)
+
+        top = np.zeros(n_buckets)               # S, or attained maxima
+        for rows, cols, codes in net._pair_codes():
+            if bound is not None:
+                if rows.start == 0:             # row 0 seeds the maxima
+                    evaluate(*np.nonzero(np.ones((1, codes.shape[1]))))
+                np.maximum.at(top, bucket, peaks)
+                skip = bound(rows, cols, codes, top[bucket])
+            else:
+                s = _square_sums(columns[0], rows, cols, acc, tmp)
+                for c in columns[1:]:
+                    np.maximum(s, _square_sums(c, rows, cols, out, tmp), out=s)
+                top_of_code = np.zeros(_RADII + 2)
+                np.maximum.at(top_of_code, codes.ravel(), s.ravel())
+                np.maximum.at(top, bucket, top_of_code)
+                floor = top * (1.0 - _SCREEN_MARGIN)
+                floor[~((top >= _SCREEN_FLOOR) & (top < np.inf))] = -1.0
+                skip = s < floor[bucket][codes]
+            evaluate(*np.nonzero(~skip))
     per_bucket = np.zeros(n_buckets)
     np.maximum.at(per_bucket, bucket, peaks)
     return radii, np.maximum.accumulate(per_bucket)
@@ -782,12 +810,21 @@ def check_modulus(f, slack: float) -> bool:
     value differences sum to s <= lim is proven to pass; every other pair,
     NaN and infinite values included, gets the exact test
     np.hypot(...) > omega(d) + slack + 1e-12 of the unscreened pass.
+
+    Identity maps take O(n): on a Euclidean net, values array_equal to the
+    points give each value distance by the same _euclidean on the same
+    coordinates (-0.0 and 0.0 alike), so it is d bit for bit, and for
+    L >= 1 monotone rounding gives fl(L d) + slack + 1e-12 >= d.
     """
     if slack < 0:
         raise InvalidArgument("slack must be >= 0")
-    values = f.values
+    values, net, modulus = f.values, f.domain, f.modulus
     if np.all(values == values[0]):
         return True  # constant maps satisfy every modulus
+    if (isinstance(net.metric, EuclideanMetric)
+            and modulus.kind == "lipschitz" and modulus.lipschitz >= 1.0
+            and np.array_equal(values, net.points)):
+        return True  # the identity proof above
     columns = _columns(values)
     out, tmp = _Scratch(), _Scratch()
     for rows, cols, lim, exact in _allowed_blocks(f, slack):

@@ -172,6 +172,11 @@ def _run_anr_eopen(report: Report):
     y_space = pair.space
     quarter = circle.meta["count"] // 4
     base_pts = circle.net.points[[0, quarter]]
+    prod = product_with(y_space, "ndagger")
+    factor_vals = np.asarray(prod.meta["factor_values"])
+    if report.n_max > (bound := int(np.count_nonzero(factor_vals))):
+        raise InvalidArgument(f"n_max {report.n_max} beyond the truncation "
+                              f"bound {bound} at {dyadic.format_epsilon(eps)}")
 
     def gamma(m):
         return 3 * math.pi / (4 * m)
@@ -192,9 +197,7 @@ def _run_anr_eopen(report: Report):
         PositiveCertificate(limit_ext, tolerance=2 * eps))
     report.expect(verdict.ok, "limit extension failed its own certificate")
 
-    prod = product_with(y_space, "ndagger")
     n_base = prod.meta["base_size"]
-    factor_vals = np.asarray(prod.meta["factor_values"])
     z_cols = pair.z_indices
     tilde_z = [np.arange(n_base)]         # the 0 slice carries all of Y
     psi_vals = [limit_ext_vals]
@@ -498,14 +501,12 @@ def _run_equiconnected(report: Report):
         except EpsilonTooLarge as exc:
             report.fail(f"j={j}: {exc}")
             continue
-        coincidence = np.nonzero(np.all(phi0.values == phi1.values, axis=1))[0]
+        coincidence = h.meta["coincidence"]
         fixed = bool(np.all(h.values[:, coincidence, :]
                             == phi0.values[coincidence]))
-        pairwise = 0.0
-        for a in range(len(h.times)):
-            for b in range(a + 1, len(h.times)):
-                pairwise = max(pairwise, float(
-                    euclidean_rows(h.values[a], h.values[b]).max()))
+        pairwise = max(
+            float(euclidean_rows(h.values[a], h.values[a + 1:]).max())
+            for a in range(len(h.times) - 1))
         ends = bool(np.array_equal(h.values[0], phi0.values)
                     and np.array_equal(h.values[-1], phi1.values))
         good = fixed and ends and pairwise < delta and len(coincidence) > 0

@@ -468,8 +468,8 @@ def _build_sine(eps, params):
         curve_pts.append(half2[1:])
         zero_pos[k + 1] = sum(len(c) for c in curve_pts) - 1
     curve = np.vstack(curve_pts)
-    tail = np.column_stack([1.0 / np.arange(k_osc + 2, m_tail + 1, dtype=float),
-                            np.zeros(m_tail - k_osc - 1)])
+    tail_x = 1.0 / np.arange(k_osc + 2, m_tail + 1, dtype=float)
+    tail = np.column_stack([tail_x, np.zeros_like(tail_x)])    # empty at 1
     for j, m in enumerate(range(k_osc + 2, m_tail + 1)):
         zero_pos[m] = len(curve) + j
     seg_y = dyadic.grid(eps, -1.0, 1.0)

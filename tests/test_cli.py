@@ -371,3 +371,24 @@ def test_certify_rejects_malformed_path_components(tmp_path, capsys):
                                str(certificate))
         assert code == code_wanted, labels
         assert code == 0 or "path_components" in err
+
+
+def test_every_example_at_coarse_epsilon_ends_in_an_exit_code(capsys):
+    # sine at 1 once raised numpy's "negative dimensions", anr-eopen at
+    # 1 .. 2^-2 an IndexError on a missing 1/n slice
+    codes = {}
+    for entry in xl.list_examples():
+        for eps in ("1", "2^-1", "2^-2", "2^-3"):
+            codes[entry["name"], eps] = run_cli(
+                capsys, "example", "run", entry["name"], "--epsilon", eps)[0]
+    assert len(codes) == 52 and set(codes.values()) <= {0, 2, 3, 4}
+    for name in ("pathcomp", "sine-not-eclosed", "sine-not-eopen"):
+        assert codes[name, "1"] == 3
+    for eps in ("1", "2^-1", "2^-2"):
+        assert codes["anr-eopen", eps] == 3
+    assert codes["anr-eopen", "2^-3"] == 0
+
+
+def test_space_info_sine_at_epsilon_one(capsys):
+    code, out, _ = run_cli(capsys, "space", "info", "sine", "--epsilon", "1")
+    assert code == 0 and "net_size: 6" in out

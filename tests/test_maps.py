@@ -382,3 +382,115 @@ def test_collapse_retraction_bounds():
         collapse_retraction(ear, 0)
     with pytest.raises(InvalidArgument):
         collapse_retraction(ear, 10 ** 6)
+
+
+# ---------------------------------------------------------------------------
+# the endpoint bound of geodesic homotopies against the unscreened kernel
+
+
+def _on_circle(angles, radius=1.0):
+    return radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _counted_geodesic(monkeypatch, f, g):
+    """homotopy_between(f, g, "geodesic-circle") and the share of pairs
+    its bound left to the exact kernel."""
+    from extenlab import maps
+    seen = [0, 0]
+    make = maps._arc_bound
+
+    def counting(*args):
+        below = make(*args)
+
+        def count(rows, cols, codes, limit):
+            skip = below(rows, cols, codes, limit)
+            seen[0] += skip.size
+            seen[1] += skip.size - np.count_nonzero(skip)
+            return skip
+        return count
+
+    monkeypatch.setattr(maps, "_arc_bound", counting)
+    h = homotopy_between(f, g, "geodesic-circle")
+    return h, seen[1] / seen[0]
+
+
+def _assert_unscreened_table(h):
+    from test_metric import unscreened_bounds
+    radii, bounds = unscreened_bounds(h.base, list(h.values))
+    got = np.array(h.modulus.table()[1:]).T
+    assert np.array_equal(got[0], radii) and np.array_equal(got[1], bounds)
+
+
+def _geodesic_endpoints(rng, n):
+    """(f, g) value arrays that stress the endpoint bound, by name."""
+    a = rng.uniform(-math.pi, math.pi, n)
+    d = rng.uniform(-0.4, 0.4, n)
+    cases = {}
+    # angles a few ulps either side of the cut at +-pi
+    cut = np.where(rng.random(n) < 0.5, math.pi, -math.pi)
+    near = cut * (1 - rng.integers(0, 4, n) * 2.0 ** -52)
+    cases["near-pi"] = _on_circle(near), _on_circle(near - d)
+    # delta just inside the antipodal refusal (radius 0.5 keeps the maps
+    # closer than 2); the other rows turn little
+    wide = np.where(rng.random(n) < 0.5, d, np.sign(d) * (math.pi - 2e-9))
+    radius = np.where(np.abs(wide) > 1, 0.5, 1.0)[:, None]
+    cases["wide-delta"] = radius * _on_circle(a), radius * _on_circle(a + wide)
+    # a quarter of the rows equal, some with signs of zero that arctan2
+    # tells apart
+    f, g = _on_circle(a), _on_circle(a + d)
+    g[::4] = f[::4]
+    f[1::8], g[1::8] = (-1.0, -0.0), (-1.0, 0.0)
+    cases["equal-rows"] = f, g
+    # endpoints a few ulps off the circle
+    f, g = _on_circle(a), _on_circle(a + d)
+    f[::3] *= 1 + rng.integers(-3, 4, (len(f[::3]), 1)) * 2.0 ** -52
+    g[1::3] *= 1 + rng.integers(-3, 4, (len(g[1::3]), 1)) * 2.0 ** -52
+    cases["ulps-off"] = f, g
+    # and far off: radius 0.5 and 3, and the zero vector (a block takes
+    # these rows' terms, so only blocks without them skip pairs)
+    f, g = f.copy(), g.copy()
+    f[5::9] *= 0.5
+    g[7::11] *= 0.5
+    f[6::13] *= 3.0
+    g[6::13] *= 3.0
+    f[9::17] = 0.0
+    cases["far-off"] = f, g
+    return cases
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 8 * 900, 8 * 40])
+def test_geodesic_bound_keeps_the_table_bit_for_bit(monkeypatch, rng,
+                                                     circle, budget):
+    from extenlab import metric
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", budget)
+    n = 72
+    for domain in (circle.net.subnet(np.arange(0, len(circle.net), 7)),
+                   Net(np.round(rng.random((n, 2)), 2), 0.1)):
+        for name, (f, g) in _geodesic_endpoints(rng, len(domain)).items():
+            h, share = _counted_geodesic(
+                monkeypatch, MapSample(domain, circle, f, Modulus.lip(2.0)),
+                MapSample(domain, circle, g, Modulus.lip(2.0)))
+            assert share < 1.0 or name == "far-off", name
+            _assert_unscreened_table(h)
+
+
+def test_geodesic_bound_leaves_few_candidates_on_equiconnected(monkeypatch,
+                                                                circle):
+    # the j = 1 call of the equiconnected reproduction at its resolution
+    net = circle.net
+    phi0 = MapSample(net, circle, net.points, Modulus.lip(1.0))
+    ang = np.arctan2(net.points[:, 1], net.points[:, 0])
+    bump = np.where((ang >= 0) & (ang <= math.pi),
+                    0.25 * np.sin(np.maximum(ang, 0.0)), 0.0)
+    vals = np.where((bump == 0.0)[:, None], net.points,
+                    np.column_stack([np.cos(ang + bump), np.sin(ang + bump)]))
+    h, share = _counted_geodesic(
+        monkeypatch, phi0, MapSample(net, circle, vals, Modulus.lip(2.0)))
+    assert share < 0.05
+    _assert_unscreened_table(h)
+
+
+def test_arc_margin_leaves_room_for_the_rounding():
+    from extenlab import metric
+    # the bound's rounding reaches 2^-44 (1 + limit); hypot adds 2 ulps
+    assert 2.0 ** -43 < metric._ARC_MARGIN < 2.0 ** -20

@@ -1026,3 +1026,91 @@ def test_screen_constants_leave_room_for_the_rounding():
     assert lim[0] == 1.0 - metric._SCREEN_MARGIN
     assert lim[1] == lim[3] == lim[4] == lim[5] == -1.0
     assert lim[2] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the O(n) identity proof in check_modulus
+
+
+ONE_DOWN, ONE_UP = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+
+
+def test_identity_proof_agrees_with_the_unscreened_check(rng):
+    # distances near 1e5 have an ulp above 1e-12, so L = 1 - ulp fails
+    # without slack: only L >= 1 may take the proof
+    n = 60
+    outcomes = {}
+    for dim in (1, 2, 3):
+        pts = rng.random((n, dim)) * 1e5
+        pts[-4:] = pts[:4]
+        net = Net(pts, 0.5)
+        for constant in (1.0, ONE_UP, 2.0, ONE_DOWN):
+            for slack in (0.0, 0.05):
+                f = MapSample(net, None, pts.copy(), Modulus.lip(constant))
+                got = check_modulus(f, slack)
+                assert got is unscreened_check_modulus(f, slack), \
+                    (dim, constant, slack)
+                outcomes[constant, slack] = got
+    assert outcomes[ONE_DOWN, 0.0] is False
+    assert all(outcomes[c, s] for c in (1.0, ONE_UP, 2.0) for s in (0, 0.05))
+
+
+def _points_with_specials(rng, n, special):
+    pts = rng.random((n, 2))
+    pts[rng.integers(0, n, 3), rng.integers(0, 2, 3)] = special
+    return pts
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_identity_proof_on_signed_zeros_nan_inf_and_other_shapes(rng):
+    n = 40
+    zeros = np.round(rng.random((n, 2)), 1)
+    zeros[::3, 0] = 0.0
+    signed = zeros.copy()
+    signed[::3, 0] = -0.0                 # array_equal to the points
+    line = np.round(rng.random((n, 1)), 2)
+    cases = [(zeros, signed), (zeros, zeros.copy()),
+             (_points_with_specials(rng, n, np.nan), None),
+             (_points_with_specials(rng, n, np.inf), None),
+             (_points_with_specials(rng, n, -np.inf), None),
+             # values == points would broadcast these to all True
+             (line, np.hstack([line, line])),
+             (zeros, zeros[:, :1])]
+    got = []
+    for pts, values in cases:
+        net = Net(pts, 0.5)
+        values = pts.copy() if values is None else values
+        for constant in (1.0, 2.0):
+            f = MapSample(net, None, values, Modulus.lip(constant))
+            got.append(check_modulus(f, 0.0))
+            assert got[-1] is unscreened_check_modulus(f, 0.0)
+    assert got[-4] is False               # sqrt(2) |dx| > |dx|
+
+
+def test_identity_proof_needs_a_euclidean_net(rng):
+    n = 48
+    full_path_fails = set()
+    for kind, net in _random_nets(rng, n).items():
+        for constant in (1.0, ONE_UP, 2.0):
+            f = MapSample(net, None, net.points.copy(), Modulus.lip(constant))
+            got = check_modulus(f, 0.0)
+            assert got is unscreened_check_modulus(f, 0.0), (kind, constant)
+            if not got:
+                full_path_fails.add(kind)
+    # values farther apart than the net distance: the proof must not apply
+    assert {"max-product", "cone", "matrix"} <= full_path_fails
+
+
+def test_sine_identity_at_2_10_calls_no_pair_kernel(monkeypatch):
+    from extenlab import metric
+    from extenlab.families import explicit_extension
+
+    def refuse(*args):
+        raise AssertionError("a pair kernel ran")
+
+    for name in ("_square_sums", "_exact_block", "_allowed_blocks"):
+        monkeypatch.setattr(metric, name, refuse)
+    eps = 2.0 ** -10
+    ext = explicit_extension("sine-eopen", None, eps)
+    assert len(ext.domain) == 48507
+    assert check_modulus(ext, 2 * eps)

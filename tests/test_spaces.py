@@ -421,3 +421,10 @@ def test_clear_caches_builds_fresh_instances():
     assert np.array_equal(fresh_space.net.points, space.net.points)
     assert xl.make_space("interval", eps) is fresh_space
     assert xl.make_pair("interval-ends", eps) is fresh_pair
+
+
+def test_sine_net_sizes_from_epsilon_one_to_2_9():
+    # at 1 the zero tail is empty; the finer sizes are the ones every
+    # reproduction has used
+    sizes = [len(xl.make_space("sine", 2.0 ** -k).net) for k in range(10)]
+    assert sizes == [6, 10, 19, 48, 119, 326, 836, 2225, 6268, 17662]
