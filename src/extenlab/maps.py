@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (DiameterTooLarge, DomainMismatch, EpsilonTooLarge,
                      ExtensionFailure, GluingMismatch, InvalidArgument,
                      LoopTooCoarse)
-from .metric import (_ARC_MARGIN, EuclideanMetric, Modulus, Net, _Scratch,
+from .metric import (_SCREEN_MARGIN, EuclideanMetric, Modulus, Net, _Scratch,
                      _frozen, check_modulus, euclidean_rows, measured_modulus,
                      measured_modulus_multi, pair_blocks, sup_distance)
 from .spaces import AnnotatedSpace, Retraction, SpacePair, spiked_base_pair
@@ -300,7 +300,7 @@ def _arc_bound(f, g, a0, delta, fixed):
     Rounding: arctan2, t delta, cos, sin and the wraps cost a few ulps of
     2 pi, so values lie within 2^-46 (1 + r) of their points, M and
     arcsin are off by 2^-46 at most and np.hypot adds 2 ulps.  A pair
-    skipped, M < 2 arcsin(min(1, room / 2)) - c with c = _ARC_MARGIN and
+    skipped, M < 2 arcsin(min(1, room / 2)) - c with c = _SCREEN_MARGIN and
     room = limit (1 - c) - c - off_i - off_j > 0, so has computed
     distances below limit - c (1 + limit) + 2^-44 (1 + limit) <= limit,
     as r_i + r_j <= off_i + off_j + 2 < limit + 2.  NaN never skips.
@@ -313,9 +313,9 @@ def _arc_bound(f, g, a0, delta, fixed):
     sep, spread = _Scratch(), _Scratch()
 
     def below(rows, cols, codes, limit):
-        room = (limit * (1.0 - _ARC_MARGIN) - _ARC_MARGIN
+        room = (limit * (1.0 - _SCREEN_MARGIN) - _SCREEN_MARGIN
                 - off[rows].max() - off[cols].max())
-        theta = 2.0 * np.arcsin(np.clip(room / 2.0, 0.0, 1.0)) - _ARC_MARGIN
+        theta = 2.0 * np.arcsin(np.clip(room / 2.0, 0.0, 1.0)) - _SCREEN_MARGIN
         s, h = sep.block(rows, cols), spread.block(rows, cols)
         np.abs(np.subtract.outer(mid[rows], mid[cols], out=s), out=s)
         np.minimum(s, np.subtract(2 * math.pi, s, out=h), out=s)

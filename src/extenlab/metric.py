@@ -34,21 +34,19 @@ _TABLE_BYTES = 64 << 20
 # _RADII; searchsorted over these 255 edges gives codes 0..255.
 _RADII = 254
 
-# The modulus kernels screen pairs by squared norms (see _square_limit and
-# measured_modulus_multi).  With u = 2^-53, fl(sum of k squares) is within
-# a relative k*u of the exact sum of the squared (computed) differences,
-# np.hypot within 1 ulp of the exact norm and sqrt(einsum) within
-# (k/2 + 1)*u; a screen shrinks every bound by _SCREEN_MARGIN, far more
-# than any of these for fewer than 2^20 coordinates, so it skips only
-# pairs the exact expression decides the same way.
+# The modulus kernels skip a pair only where a bound provider (see
+# _square_bound and maps._arc_bound) proves it below a limit; each
+# provider shrinks its room by _SCREEN_MARGIN.  With u = 2^-53,
+# fl(sum of k squares) is within a relative k*u of the exact sum of the
+# squared (computed) differences, np.hypot within 1 ulp of the exact norm
+# and sqrt(einsum) within (k/2 + 1)*u; the margin is far more than any of
+# these for fewer than 2^20 coordinates, and than the 2^-44 (1 + limit)
+# that maps._arc_bound's rounding reaches.
 _SCREEN_MARGIN = 2.0 ** -30
 # Squares are trusted from _SCREEN_FLOOR up to the largest finite float:
 # there an underflowed term (absolute error 2^-1075 at most) is far below
 # the margin.  A bound outside that range proves nothing.
 _SCREEN_FLOOR = 2.0 ** -900
-# A bound given to measured_modulus_multi shrinks its room by this, far
-# more than its rounding can reach (the proof is at maps._arc_bound).
-_ARC_MARGIN = 2.0 ** -30
 
 
 def _frozen(a) -> np.ndarray:
@@ -165,13 +163,30 @@ def _square_limit(allowed: np.ndarray) -> np.ndarray:
     s (1 + k u) plus the underflow 2^-1075 k, so D < allowed^2 (1 - 2^-31)
     for lim >= _SCREEN_FLOOR; the computed distance is within (k/2 + 1) u
     of sqrt(D), hence below allowed.  A NaN s fails s <= lim, so it is
-    never proven.  allowed must be positive, as omega + slack + 1e-12 is.
+    never proven.  allowed must not be negative.
     """
     with np.errstate(over="ignore"):
         lim = allowed * allowed
     lim *= 1.0 - _SCREEN_MARGIN
     lim[~((lim >= _SCREEN_FLOOR) & (lim < np.inf))] = -1.0
     return lim
+
+
+def _square_bound(values_list):
+    """The squared-norm bound provider of the modulus kernels:
+    bound(rows, cols, codes, limit) is True where a pair's squared value
+    differences, the largest sum over the maps, are at most
+    _square_limit(limit)[code], so that each of its value distances lies
+    below limit[code].  A NaN sum is never proven."""
+    columns = [_columns(v) for v in values_list]
+    acc, out, tmp = _Scratch(), _Scratch(), _Scratch()
+
+    def below(rows, cols, codes, limit):
+        s = _square_sums(columns[0], rows, cols, acc, tmp)
+        for c in columns[1:]:
+            np.maximum(s, _square_sums(c, rows, cols, out, tmp), out=s)
+        return s <= _square_limit(limit)[codes]
+    return below
 
 
 def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
@@ -454,10 +469,15 @@ class Net:
                 for rows, cols in self._blocks())
 
 
+def _edges(dmax: float) -> np.ndarray:
+    """[0] + dmax * 2^-253 ... dmax: code c holds the distances in
+    (edges[c-1], edges[c]], code 0 those <= 0 and code 255 the rest."""
+    return np.r_[0.0, dmax * 2.0 ** np.arange(1 - _RADII, 1.0)]
+
+
 def _codes(d: np.ndarray, dmax: float) -> np.ndarray:
-    """Position of each distance among [0] + dmax * 2^-253 ... dmax."""
-    edges = np.r_[0.0, dmax * 2.0 ** np.arange(1 - _RADII, 1.0)]
-    return np.searchsorted(edges, d, side="left").astype(np.uint8)
+    """Position of each distance among _edges(dmax)."""
+    return np.searchsorted(_edges(dmax), d, side="left").astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -636,21 +656,13 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
     ignore visiting order; every maximum is of np.hypot value distances,
     so the table is bit for bit that of a full n x n pass.
 
-    One map: every pair's value distance.  Several maps (homotopy
-    slices): a pair's s is the largest over the maps of its sum of
-    squared value differences, and each bucket keeps S, the running
-    maximum of s over the blocks seen so far, this one included.  Only
-    pairs with s >= S (1 - _SCREEN_MARGIN) get their exact distances;
-    where S is not a finite number >= _SCREEN_FLOOR, all pairs of the
-    bucket do.  The pair that raised S to its value was evaluated in its
-    block, and by the error bounds stated at _SCREEN_MARGIN a skipped
-    pair's exact distances all lie below that pair's largest one, so no
-    skipped pair can raise a bucket maximum.
-
-    bound (several maps) replaces the squares: bound(rows, cols, codes,
-    limit) is True where a pair is proven below limit[code], the largest
+    One map: every pair's value distance, block by block.  Several maps
+    (homotopy slices): a bound provider, by default _square_bound of the
+    maps, skips the pairs it proves below limit[code], the largest
     distance an evaluated pair of the code's bucket attained in row 0 or
-    an earlier block, so again no skipped pair raises a maximum.
+    an earlier block, so no skipped pair can raise a bucket maximum.  The
+    other pairs get their exact distances.  bound(rows, cols, codes,
+    limit) replaces the default, as a homotopy's endpoint bound does.
     """
     radii, bounds = _measured_bounds(net, values_list, n_buckets, bound)
     return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
@@ -667,38 +679,28 @@ def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
         return np.empty(0), np.empty(0)
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
     bucket = _bucket_of_code(n_buckets)
+    if bound is None and len(values_list) > 1:
+        bound = _square_bound(values_list)
     columns = [_columns(v) for v in values_list]
-    out, tmp, acc = _Scratch(), _Scratch(), _Scratch()
+    out, tmp = _Scratch(), _Scratch()
     peaks = np.zeros(_RADII + 2)                # per code
-    if len(values_list) == 1:
-        for rows, cols, codes in net._pair_codes():
+    top = np.zeros(n_buckets)                   # attained maxima
+
+    def evaluate(ii, jj):                       # pairs of the current block
+        i, j = ii + rows.start, jj + cols.start
+        dv = functools.reduce(np.maximum, (
+            _exact_pairs(v, c, i, j) for v, c in zip(values_list, columns)))
+        np.maximum.at(peaks, codes[ii, jj], dv)
+
+    for rows, cols, codes in net._pair_codes():
+        if bound is None:                       # one map: every pair
             dv = _exact_block(values_list[0], columns[0], rows, cols, out, tmp)
             np.maximum.at(peaks, codes.ravel(), dv.ravel())
-    else:
-        def evaluate(ii, jj):                   # pairs of the current block
-            i, j = ii + rows.start, jj + cols.start
-            dv = functools.reduce(np.maximum, (
-                _exact_pairs(v, c, i, j) for v, c in zip(values_list, columns)))
-            np.maximum.at(peaks, codes[ii, jj], dv)
-
-        top = np.zeros(n_buckets)               # S, or attained maxima
-        for rows, cols, codes in net._pair_codes():
-            if bound is not None:
-                if rows.start == 0:             # row 0 seeds the maxima
-                    evaluate(*np.nonzero(np.ones((1, codes.shape[1]))))
-                np.maximum.at(top, bucket, peaks)
-                skip = bound(rows, cols, codes, top[bucket])
-            else:
-                s = _square_sums(columns[0], rows, cols, acc, tmp)
-                for c in columns[1:]:
-                    np.maximum(s, _square_sums(c, rows, cols, out, tmp), out=s)
-                top_of_code = np.zeros(_RADII + 2)
-                np.maximum.at(top_of_code, codes.ravel(), s.ravel())
-                np.maximum.at(top, bucket, top_of_code)
-                floor = top * (1.0 - _SCREEN_MARGIN)
-                floor[~((top >= _SCREEN_FLOOR) & (top < np.inf))] = -1.0
-                skip = s < floor[bucket][codes]
-            evaluate(*np.nonzero(~skip))
+            continue
+        if rows.start == 0:                     # row 0 seeds the maxima
+            evaluate(*np.nonzero(np.ones((1, codes.shape[1]))))
+        np.maximum.at(top, bucket, peaks)
+        evaluate(*np.nonzero(~bound(rows, cols, codes, top[bucket])))
     per_bucket = np.zeros(n_buckets)
     np.maximum.at(per_bucket, bucket, peaks)
     return radii, np.maximum.accumulate(per_bucket)
@@ -734,63 +736,18 @@ def sup_distance_interval(f, g) -> tuple[float, float]:
     return value, value + slack
 
 
-def _own_bucket_count(net: Net, modulus: Modulus) -> int:
-    """K if modulus is a step table over [0] and the net's own top K
-    dyadic radii, bit for bit; else 0.  Only a table that is dyadic in
-    itself asks the net for its diameter."""
-    if modulus.kind != "step":
-        return 0
-    radii, k = modulus.radii, len(modulus.radii) - 1
-    if not (1 <= k <= _RADII and len(modulus.bounds) == k + 1
-            and radii[0] == 0.0 and radii[-1] > 0.0
-            and np.array_equal(radii[1:],
-                               radii[-1] * 2.0 ** np.arange(1 - k, 1.0))):
-        return 0
-    return k if radii[-1] == net._dmax else 0
-
-
-def _allowed_blocks(f, slack: float):
-    """(rows, cols, lim, exact) over the pair blocks of f's domain, where
-    allowed = omega(d) + slack + 1e-12 per pair: lim is _square_limit of
-    allowed or of a lower bound on it, and exact(ii, jj) is allowed
-    itself for the block's pairs (ii, jj).
-
-    On a step table over the net's own radii omega(d) is a lookup by pair
-    code into bounds + slack + 1e-12, entry for entry the same float
-    operations as evaluating the modulus.  On a 2-d Euclidean net, a
-    pair's distance is bounded below by sqrt(s) (1 - _SCREEN_MARGIN) from
-    its squared coordinate differences s (0 where s is not a finite
-    number >= _SCREEN_FLOOR), which omega, + slack and + 1e-12 keep below
-    allowed since each is monotone and rounds monotonically; exact
-    evaluates the modulus on np.hypot distances.  Any other net evaluates
-    allowed on the pair distances of each block.
-    """
-    net, modulus = f.domain, f.modulus
-    k = _own_bucket_count(net, modulus)
-    if k:
-        step = np.r_[0, 1 + _bucket_of_code(k)[1:]]
-        allowed = (modulus.bounds + slack + 1e-12)[step]
-        lim = _square_limit(allowed)
-        for rows, cols, codes in net._pair_codes():
-            yield rows, cols, lim[codes], \
-                lambda ii, jj, codes=codes: allowed[codes[ii, jj]]
-    elif isinstance(net.metric, EuclideanMetric) and net.dimension == 2:
-        columns = _columns(net.points)
-        out, tmp = _Scratch(), _Scratch()
-        for rows, cols in net._blocks():
-            s = _square_sums(columns, rows, cols, out, tmp)
-            trusted = (s >= _SCREEN_FLOOR) & (s < np.inf)
-            low = np.sqrt(s, out=s)
-            low *= 1.0 - _SCREEN_MARGIN
-            low[~trusted] = 0.0
-            yield rows, cols, _square_limit(modulus(low) + slack + 1e-12), \
-                lambda ii, jj, r=rows.start, c=cols.start: \
-                modulus(net.dist_pairs(ii + r, jj + c)) + slack + 1e-12
-    else:
-        for rows, cols in net._blocks():
-            allowed = modulus(net.dist_idx(rows, cols)) + slack + 1e-12
-            yield rows, cols, _square_limit(allowed), \
-                lambda ii, jj, allowed=allowed: allowed[ii, jj]
+def _allowances(net: Net, modulus: Modulus, slack: float):
+    """(lo, tight) per pair code.  lo[c] = omega(nextafter(edges[c-1])) +
+    slack + 1e-12 (see _edges) is at most omega(d) + slack + 1e-12 for
+    every pair of code c, since omega and the additions round
+    monotonically; where tight[c], lo[c] equals the same expression at
+    edges[c] and so is every such pair's allowance.  Codes 0 and 255 get
+    lo = NaN: never screened, never tight."""
+    edges = _edges(net._dmax)
+    lo = np.full(_RADII + 2, np.nan)
+    lo[1:-1] = modulus(np.nextafter(edges[:-1], np.inf)) + slack + 1e-12
+    tight = lo == modulus(np.r_[0.0, edges[1:], 0.0]) + slack + 1e-12
+    return lo, tight
 
 
 def check_modulus(f, slack: float) -> bool:
@@ -801,15 +758,17 @@ def check_modulus(f, slack: float) -> bool:
     the per-pair test of a full n x n pass, so the answer is the same.
     Every pair's value distance is compared with omega; only the pair
     distances may come from the domain's derived data (see Net), which
-    never depends on a map or a modulus.  A step table over the domain
-    net's own dyadic radii (as measured_modulus_multi declares) is read
-    through the net's pair codes; Lipschitz moduli and other tables are
-    evaluated on freshly computed distances.
+    never depends on a map or a modulus.
 
-    The test is screened (see _allowed_blocks): a pair whose squared
-    value differences sum to s <= lim is proven to pass; every other pair,
-    NaN and infinite values included, gets the exact test
-    np.hypot(...) > omega(d) + slack + 1e-12 of the unscreened pass.
+    The test is screened: _square_bound skips each pair proven below the
+    lower bound lo[code] of its allowance (see _allowances); every other
+    pair, NaN and infinite values included, gets the exact test
+    np.hypot(...) > omega(d) + slack + 1e-12 of the unscreened pass, its
+    allowance read from lo where its code is tight and else evaluated on
+    its net distance.  A step table over the domain net's own dyadic
+    radii (as measured_modulus_multi declares) is tight on every code
+    from 1 to 254, so it computes net distances only for pairs at
+    distance 0.
 
     Identity maps take O(n): on a Euclidean net, values array_equal to the
     points give each value distance by the same _euclidean on the same
@@ -826,11 +785,14 @@ def check_modulus(f, slack: float) -> bool:
             and np.array_equal(values, net.points)):
         return True  # the identity proof above
     columns = _columns(values)
-    out, tmp = _Scratch(), _Scratch()
-    for rows, cols, lim, exact in _allowed_blocks(f, slack):
-        s = _square_sums(columns, rows, cols, out, tmp)
-        ii, jj = np.nonzero(~(s <= lim))
-        i, j = ii + rows.start, jj + cols.start
-        if np.any(_euclidean(values[i], values[j]) > exact(ii, jj)):
+    lo, tight = _allowances(net, modulus, slack)
+    below = _square_bound([values])
+    for rows, cols, codes in net._pair_codes():
+        ii, jj = np.nonzero(~below(rows, cols, codes, lo))
+        i, j, c = ii + rows.start, jj + cols.start, codes[ii, jj]
+        allowed, loose = lo[c], ~tight[c]
+        allowed[loose] = modulus(net.dist_pairs(i[loose], j[loose])) \
+            + slack + 1e-12
+        if np.any(_exact_pairs(values, columns, i, j) > allowed):
             return False
     return True

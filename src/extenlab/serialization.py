@@ -42,8 +42,12 @@ def net_from_json(data: dict) -> Net:
     if metric == "euclidean":
         return Net(pts, float(data["resolution"]))
     if isinstance(metric, dict) and "matrix" in metric:
-        return Net(pts, float(data["resolution"]),
-                   MatrixMetric(np.asarray(metric["matrix"], dtype=float)))
+        matrix = np.asarray(metric["matrix"], dtype=float)
+        if matrix.shape != (len(pts), len(pts)) \
+                or not np.all((matrix >= 0) & (matrix < np.inf)):
+            raise InvalidArgument("a net's distance matrix must be (n, n) "
+                                  "for its n points, finite and >= 0")
+        return Net(pts, float(data["resolution"]), MatrixMetric(matrix))
     raise InvalidArgument("metric must be 'euclidean' or {'matrix': ...}")
 
 

@@ -3,6 +3,7 @@ import json
 
 import jsonschema
 import numpy as np
+import pytest
 
 import extenlab as xl
 from extenlab import serialization as ser
@@ -298,19 +299,19 @@ def test_certify_rejects_a_non_finite_modulus(tmp_path, capsys):
         assert "finite" in err
 
 
-def test_certify_matrix_metric_codomain(tmp_path, capsys):
-    # an explicit codomain whose net carries a distance matrix: images
-    # resolve to its points by exact lookup instead of crashing
+def _certify_into_matrix_codomain(tmp_path, capsys, matrix_of):
+    """certify sine-eopen's member 1 at 2^-4 into an explicit codomain
+    whose net carries matrix_of(d), d its own distance matrix."""
     eps = 2.0 ** -4
     fam = xl.example_family("sine-eopen", eps)
     phi = fam.member(1)
     cod = phi.codomain
     every = np.arange(len(cod.net))
+    matrix = matrix_of(cod.net.dist_idx(every, every))
     cod_ref = {"kind": "explicit", "name": "sine-matrix",
                "net": {"dimension": 2, "points": cod.net.points.tolist(),
                        "resolution": eps,
-                       "metric": {"matrix":
-                                  cod.net.dist_idx(every, every).tolist()}},
+                       "metric": {"matrix": matrix.tolist()}},
                "path_components": cod.labels.tolist(),
                "component_names": list(cod.label_names),
                "clopen_atoms": [every.tolist()]}
@@ -320,8 +321,26 @@ def test_certify_matrix_metric_codomain(tmp_path, capsys):
     certificate = tmp_path / "certificate.json"
     cert = xl.build_negative_certificate("sine-eopen", 1, eps)
     certificate.write_text(ser.dumps(ser.certificate_to_json(cert, eps)))
-    code, out, _ = run_cli(capsys, "certify", str(problem), str(certificate))
+    return run_cli(capsys, "certify", str(problem), str(certificate))
+
+
+def test_certify_matrix_metric_codomain(tmp_path, capsys):
+    # an explicit codomain whose net carries a distance matrix: images
+    # resolve to its points by exact lookup instead of crashing
+    code, out, _ = _certify_into_matrix_codomain(tmp_path, capsys,
+                                                 lambda d: d)
     assert code == 0 and json.loads(out)["status"] == "verified"
+
+
+@pytest.mark.parametrize("matrix_of", [
+    lambda d: d[:-3], lambda d: np.vstack([d, d[:2]]), lambda d: d[0],
+    lambda d: -d, lambda d: np.full_like(d, np.nan)],
+    ids=["3-rows-short", "2-rows-long", "1-d", "negated", "nan"])
+def test_certify_rejects_a_malformed_distance_matrix(tmp_path, capsys,
+                                                     matrix_of):
+    code, _, err = _certify_into_matrix_codomain(tmp_path, capsys, matrix_of)
+    assert code == 3
+    assert "distance matrix" in err
 
 
 def test_certify_rejects_malformed_clopen_atoms(tmp_path, capsys):

@@ -493,4 +493,4 @@ def test_geodesic_bound_leaves_few_candidates_on_equiconnected(monkeypatch,
 def test_arc_margin_leaves_room_for_the_rounding():
     from extenlab import metric
     # the bound's rounding reaches 2^-44 (1 + limit); hypot adds 2 ulps
-    assert 2.0 ** -43 < metric._ARC_MARGIN < 2.0 ** -20
+    assert 2.0 ** -43 < metric._SCREEN_MARGIN < 2.0 ** -20

@@ -631,7 +631,7 @@ def test_pair_codes_match_reference_cold_and_warm(monkeypatch, rng, before,
                     reference_measured_modulus_multi(net, vl, k).table(), kind
         values, other = values_list
         for modulus, coded in _check_moduli(net, values, other):
-            assert (metric._own_bucket_count(net, modulus) > 0) is coded, kind
+            assert (own_bucket_count(net, modulus) > 0) is coded, kind
             f = MapSample(net, None, values, modulus)
             for slack in (0.0, 0.05):
                 got = check_modulus(f, slack)
@@ -814,6 +814,21 @@ def unscreened_bounds(net, values_list, n_buckets=24):
     return radii, np.maximum.accumulate(peaks)
 
 
+def own_bucket_count(net, modulus):
+    """K if modulus is a step table over [0] and the net's own top K
+    dyadic radii, bit for bit; else 0."""
+    from extenlab.metric import _RADII
+    if modulus.kind != "step":
+        return 0
+    radii, k = modulus.radii, len(modulus.radii) - 1
+    if not (1 <= k <= _RADII and len(modulus.bounds) == k + 1
+            and radii[0] == 0.0 and radii[-1] > 0.0
+            and np.array_equal(radii[1:],
+                               radii[-1] * 2.0 ** np.arange(1 - k, 1.0))):
+        return 0
+    return k if radii[-1] == net._dmax else 0
+
+
 def unscreened_check_modulus(f, slack):
     """check_modulus before the screen: every pair's np.hypot against
     omega(d) + slack + 1e-12."""
@@ -821,7 +836,7 @@ def unscreened_check_modulus(f, slack):
     net, modulus, values = f.domain, f.modulus, f.values
     if np.all(values == values[0]):
         return True
-    k = metric._own_bucket_count(net, modulus)
+    k = own_bucket_count(net, modulus)
     if k:
         step = np.r_[0, 1 + metric._bucket_of_code(k)[1:]]
         table = (modulus.bounds + slack + 1e-12)[step]
@@ -971,10 +986,10 @@ def test_check_screen_margin_covers_the_rounding_of_squares(rng):
 
 
 def test_planar_net_screen_keeps_a_distance_at_a_step_radius(rng):
-    # on a 2-d Euclidean net the screen bounds d from below by
-    # sqrt(s) (1 - margin); sqrt(s) itself can exceed np.hypot's d by an
-    # ulp, or by far when the squares are subnormal, and a step table
-    # with a radius at d would then jump to its next bound
+    # a screen of the net distance d by sqrt(s), s the sum of its
+    # squares, would err: sqrt(s) can exceed np.hypot's d by an ulp, or
+    # by far when the squares are subnormal, and a step table with a
+    # radius at d would then jump to its next bound
     xy = rng.random((2000, 2))
     x, y = xy.T
     over = np.flatnonzero(np.sqrt(x * x + y * y) > np.hypot(x, y))
@@ -1002,7 +1017,7 @@ def test_planar_net_screen_keeps_a_distance_at_a_step_radius(rng):
     ((1.6e-162, 0.0), (1.5e-162, 1.5e-162))])
 def test_multi_map_screen_keeps_a_pair_whose_squares_order_lower(p, q):
     # q's squares sum below p's, yet np.hypot puts q above p: q must be
-    # evaluated although s(q) < S, the bucket's largest sum of squares
+    # evaluated although a screen of its squares by p's would skip it
     assert sum(c * c for c in q) < sum(c * c for c in p)
     assert np.hypot(*q) > np.hypot(*p)
     net = line_net([0.0, 1.0, 1.05])      # d = 1 and 1.05: one bucket
@@ -1026,6 +1041,82 @@ def test_screen_constants_leave_room_for_the_rounding():
     assert lim[0] == 1.0 - metric._SCREEN_MARGIN
     assert lim[1] == lim[3] == lim[4] == lim[5] == -1.0
     assert lim[2] > 0.0
+
+
+@pytest.mark.parametrize("budget", BUDGETS[:2])
+def test_allowances_bound_every_pair_and_are_exact_where_tight(monkeypatch,
+                                                               rng, budget):
+    from extenlab import metric
+    from extenlab.families import _sqrt_step_modulus
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", budget)
+    n = 48
+    loose_codes = set()
+    for kind, net in _random_nets(rng, n).items():
+        values = rng.random((n, 2))
+        own = [measured_modulus(net, values, k) for k in (1, 24, 254)]
+        table = own[1].table()
+        off_edge = [_sqrt_step_modulus(1.3),
+                    Modulus.step([(2 * r, b) for r, b in table]),
+                    Modulus.step([(0.0, 0.0)] + [
+                        (r * (1 + 1e-3 * i), b)
+                        for i, (r, b) in enumerate(table[1:])])]
+        lipschitz = [Modulus.lip(c) for c in (0.0, 1.0, 3.0, 1e160)]
+        for modulus, is_own in ([(m, True) for m in own]
+                                + [(m, False) for m in off_edge + lipschitz]):
+            for slack in (0.0, 0.05):
+                lo, tight = metric._allowances(net, modulus, slack)
+                assert np.isnan(lo[[0, -1]]).all() and not tight[[0, -1]].any()
+                held = np.zeros(len(lo), dtype=bool)
+                for rows, cols, codes in net._pair_codes():
+                    c = codes.ravel()
+                    inner = (c > 0) & (c < len(lo) - 1)
+                    d = net.dist_idx(rows, cols).ravel()[inner]
+                    allowed = modulus(d) + slack + 1e-12
+                    c = c[inner]
+                    assert np.all(allowed >= lo[c]), (kind, slack)
+                    assert np.array_equal(allowed[tight[c]],
+                                          lo[c][tight[c]]), (kind, slack)
+                    held[c] = True
+                    loose_codes.update((modulus.kind, int(k))
+                                       for k in c[~tight[c]])
+                if is_own:
+                    assert tight[held].all(), (kind, slack)
+    # the exact fallback has work: off-edge tables and Lipschitz moduli
+    # leave codes that hold pairs without a single allowance
+    assert {kind for kind, _ in loose_codes} == {"step", "lipschitz"}
+
+
+def test_eop_homotopy_frames_leave_few_candidates(monkeypatch):
+    # the 4-frame call of the eop-homotopy reproduction at its resolution
+    from extenlab import metric, runs
+    calls, seen = [], [0, 0]
+    square_bound, measure = metric._square_bound, runs.measured_modulus_multi
+
+    def counting(values_list):
+        below = square_bound(values_list)
+
+        def count(rows, cols, codes, limit):
+            skip = below(rows, cols, codes, limit)
+            if len(values_list) == 4:
+                seen[0] += skip.size
+                seen[1] += skip.size - np.count_nonzero(skip)
+            return skip
+        return count
+
+    def spy(net, values_list, *args, **kwargs):
+        modulus = measure(net, values_list, *args, **kwargs)
+        calls.append((net, values_list, modulus))
+        return modulus
+
+    monkeypatch.setattr(metric, "_square_bound", counting)
+    monkeypatch.setattr(runs, "measured_modulus_multi", spy)
+    runs.run_example("eop-homotopy")
+    [(net, values_list, modulus)] = calls
+    assert len(values_list) == 4
+    assert seen[1] < 0.1 * seen[0]
+    radii, bounds = unscreened_bounds(net, values_list)
+    got = np.array(modulus.table()[1:]).T
+    assert np.array_equal(got[0], radii) and np.array_equal(got[1], bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -1108,7 +1199,7 @@ def test_sine_identity_at_2_10_calls_no_pair_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("a pair kernel ran")
 
-    for name in ("_square_sums", "_exact_block", "_allowed_blocks"):
+    for name in ("_square_sums", "_exact_block", "_exact_pairs"):
         monkeypatch.setattr(metric, name, refuse)
     eps = 2.0 ** -10
     ext = explicit_extension("sine-eopen", None, eps)
