@@ -6,6 +6,10 @@ missing clopen extension, a mandatory crossing region, or a nonzero
 winding number against a nullhomotopy witness.  Verdicts are
 finite-resolution statements; each records the resolution and the
 margins that refinement should only improve.
+
+A certificate's file form holds its kind, the resolution and each
+dataclass field under its own name (see serialization.certificate_to_json);
+the field annotations below are what the reader checks each value against.
 """
 
 from __future__ import annotations
@@ -19,78 +23,27 @@ from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse, \
     NotCoveredRefusal, UnknownName
 from .families import explicit_extension
 from .maps import MapSample, collapse_retraction, winding_number
-from .metric import euclidean_rows, reachable
-from .spaces import AnnotatedSpace, SpacePair, make_pair, make_space
+from .metric import _frozen, euclidean_rows, reachable
+from .spaces import AnnotatedSpace, SpacePair, index_cutoff, make_pair, \
+    make_space
 
 VERIFIED = "verified"
 REFUTED = "refuted"
 INVALID = "invalid-certificate"
 INCONSISTENT = "inconsistent-input"
 
-
-@dataclass(frozen=True)
-class PositiveCertificate:
-    kind = "positive"
-    extension: MapSample
-    tolerance: float
-    modulus_slack: float | None = None
-
-
-@dataclass(frozen=True)
-class PathComponentObstruction:
-    kind = "path-component"
-    z1: int
-    z2: int
-    witness_path: np.ndarray          # Y net indices
-    x_labels: tuple
-
-    def __post_init__(self):
-        w = np.asarray(self.witness_path, dtype=int)
-        w.setflags(write=False)
-        object.__setattr__(self, "witness_path", w)
-
-
-@dataclass(frozen=True)
-class ClopenObstruction:
-    kind = "clopen"
-    value_label: int                  # the natural number the value encodes
-    value_ambient: float              # its coordinate, 1/value_label
-    trace: tuple                      # Z positions of the preimage
-
-
-@dataclass(frozen=True)
-class MandatoryCrossingObstruction:
-    kind = "mandatory-crossing"
-    brackets: tuple                   # ((a_j, b_j), ...) as Z positions
-    region: dict                      # {"axis": int, "op": str, "value": float}
-    z0: int
-    separation: float
-
-
-@dataclass(frozen=True)
-class WindingObstruction:
-    kind = "winding"
-    loop: np.ndarray                  # Z positions, cyclic order
-    witness_rings: np.ndarray         # (rings, loop length, 2) in Y
-    retraction: str                   # "collapse-k"
-    expected_winding: int
-
-    def __post_init__(self):
-        lp = np.asarray(self.loop, dtype=int)
-        lp.setflags(write=False)
-        object.__setattr__(self, "loop", lp)
-        w = np.asarray(self.witness_rings, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "witness_rings", w)
-
-
-Certificate = (PositiveCertificate | PathComponentObstruction |
-               ClopenObstruction | MandatoryCrossingObstruction |
-               WindingObstruction)
+# Positions in the pair's nets, which the file reader checks are in range.
+ZPosition = int                   # one position in Z
+ZPositions = tuple                # positions in Z, 1-d
+ZPositionPairs = tuple            # ((a, b), ...) positions in Z
+YPositions = np.ndarray           # positions in Y, 1-d
 
 
 @dataclass
 class Verdict:
+    """Outcome of a check.  A failed check sets the status it names:
+    REFUTED replaces only VERIFIED; INVALID and INCONSISTENT always apply."""
+
     status: str
     epsilon: float
     checks: list = field(default_factory=list)
@@ -100,8 +53,11 @@ class Verdict:
     def ok(self) -> bool:
         return self.status == VERIFIED
 
-    def add(self, name: str, passed: bool, info: str = "") -> bool:
+    def add(self, name: str, passed: bool, info: str = "",
+            fails: str = REFUTED) -> bool:
         self.checks.append({"check": name, "ok": bool(passed), "info": info})
+        if not passed and (fails != REFUTED or self.status == VERIFIED):
+            self.status = fails
         return passed
 
     def as_dict(self) -> dict:
@@ -123,246 +79,259 @@ def region_mask(points: np.ndarray, region: dict) -> np.ndarray:
     raise InvalidArgument(f"unknown region op {op!r}")
 
 
+class Certificate:
+    """Evidence about a pair and a map; check(pair, phi, v) re-checks it."""
+
+    kind = None
+
+
+@dataclass(frozen=True)
+class PositiveCertificate(Certificate):
+    kind = "positive"
+    extension: MapSample
+    tolerance: float
+    modulus_slack: float | None = None
+
+    def check(self, pair, phi, v: Verdict):
+        ext = self.extension
+        if not np.array_equal(ext.domain.points, pair.space.net.points):
+            v.add("extension-on-Y", False, "extension does not live on Y",
+                  fails=INCONSISTENT)
+            return
+        if ext.codomain_name != phi.codomain_name:
+            v.add("codomain", False, "extension and map codomains differ",
+                  fails=INCONSISTENT)
+            return
+        slack = self.modulus_slack if self.modulus_slack is not None \
+            else 2 * ext.codomain.resolution
+        problems = ext.validity_report(slack=slack)
+        v.add("extension-valid", not problems, "; ".join(problems))
+        gap = float(euclidean_rows(ext.values[pair.z_indices],
+                                   phi.values).max())
+        v.add("restriction-agreement", gap <= self.tolerance + 1e-15,
+              f"sup over Z = {gap:.3g}, tolerance {self.tolerance:g}")
+        v.margins["restriction_gap"] = self.tolerance - gap
+
+
+@dataclass(frozen=True)
+class PathComponentObstruction(Certificate):
+    kind = "path-component"
+    z1: ZPosition
+    z2: ZPosition
+    witness_path: YPositions
+    x_labels: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "witness_path",
+                           _frozen(self.witness_path, int))
+        object.__setattr__(self, "x_labels", tuple(self.x_labels))
+
+    def check(self, pair, phi, v: Verdict):
+        y = pair.space
+        witness = self.witness_path
+        z_y = pair.z_indices
+        ok_shape = (0 <= self.z1 < len(z_y) and 0 <= self.z2 < len(z_y)
+                    and witness.ndim == 1 and len(witness) >= 1
+                    and witness.min() >= 0 and witness.max() < len(y.net))
+        if not v.add("well-formed", ok_shape, "indices in range",
+                     fails=INVALID):
+            return
+        if not v.add("witness-endpoints", witness[0] == z_y[self.z1]
+                     and witness[-1] == z_y[self.z2],
+                     "witness joins z1 to z2", fails=INVALID):
+            return
+        max_step = float(y.net.dist_pairs(witness[:-1], witness[1:])
+                         .max(initial=0.0))
+        v.add("witness-steps", max_step <= 2 * pair.resolution + 1e-12,
+              f"max step {max_step:.3g} vs 2 eps")
+        v.add("witness-one-component", len(np.unique(y.labels[witness])) == 1,
+              "witness stays in one Y component")
+        cod = phi.codomain
+        imgs = phi.values[[self.z1, self.z2]]
+        idx, dist = cod.net.nearest(imgs)
+        if not v.add("images-on-net",
+                     float(dist.max()) <= cod.resolution + 1e-9,
+                     "images resolve to codomain net points"):
+            return
+        names = tuple(cod.label_names[cod.labels[i]] for i in idx)
+        v.add("labels-claimed", names == self.x_labels, f"labels {names}")
+        v.add("labels-distinct", names[0] != names[1],
+              "images in distinct path components")
+        v.margins["image_separation"] = float(
+            euclidean_rows(imgs[:1], imgs[1:])[0])
+
+
+@dataclass(frozen=True)
+class ClopenObstruction(Certificate):
+    kind = "clopen"
+    value_label: int                  # the natural number the value encodes
+    value_ambient: float              # its coordinate, 1/value_label
+    trace: ZPositions                 # of the preimage, sorted
+
+    def __post_init__(self):
+        object.__setattr__(self, "trace",
+                           tuple(sorted(int(i) for i in self.trace)))
+
+    def check(self, pair, phi, v: Verdict):
+        vals = phi.values[:, 0]
+        preimage = frozenset(
+            int(i) for i in np.nonzero(vals == self.value_ambient)[0])
+        claimed = frozenset(self.trace)
+        v.add("preimage-matches-trace", preimage == claimed,
+              f"preimage size {len(preimage)}, trace size {len(claimed)}")
+        v.add("trace-nonempty", len(claimed) > 0, "")
+        trace_y = frozenset(int(pair.z_indices[i]) for i in claimed)
+        exists = pair.space.clopen.trace_extends(pair.z_indices, trace_y)
+        v.add("no-clopen-extension", not exists,
+              "Y's clopen oracle finds no set with this trace")
+        others = np.unique(vals[vals != self.value_ambient])
+        if len(others):
+            v.margins["value_isolation"] = float(
+                np.abs(others - self.value_ambient).min())
+
+
+@dataclass(frozen=True)
+class MandatoryCrossingObstruction(Certificate):
+    kind = "mandatory-crossing"
+    brackets: ZPositionPairs
+    region: dict                      # {"axis": int, "op": str, "value": float}
+    z0: ZPosition
+    separation: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "brackets", tuple(
+            (int(a), int(b)) for a, b in self.brackets))
+
+    def check(self, pair, phi, v: Verdict):
+        eps = pair.resolution
+        cod = phi.codomain
+        mask = region_mask(cod.net.points, self.region)
+        if not v.add("region-nonempty", bool(mask.any()), "",
+                     fails=INVALID):
+            return
+        sep = float(euclidean_rows(phi.values[self.z0],
+                                   cod.net.points[mask]).min())
+        v.add("separation", sep >= self.separation - 1e-12,
+              f"d(phi(z0), region) = {sep:.6g}")
+        v.add("separation-above-4eps", self.separation > 4 * eps,
+              f"{self.separation:.6g} > {4 * eps:.6g}")
+
+        adj = cod.net.adjacency(2 * eps)
+        da_prev = db_prev = math.inf
+        z0_pt = pair.z_net.points[self.z0]
+        prev_a = None
+        for j, (a, b) in enumerate(self.brackets):
+            idx, dist = cod.net.nearest(phi.values[[a, b]])
+            if not v.add(f"bracket{j}-images-on-net",
+                         float(dist.max()) <= 1e-9,
+                         "bracket images are codomain net points"):
+                continue
+            la, lb = cod.labels[idx[0]], cod.labels[idx[1]]
+            if not v.add(f"bracket{j}-same-component", la == lb,
+                         "both images in one codomain component"):
+                continue
+            allowed = (cod.labels == la) & ~mask
+            v.add(f"bracket{j}-crossing-forced",
+                  not reachable(adj, allowed, int(idx[0]), int(idx[1])),
+                  "no chain avoids the region")
+            da, db = map(float, euclidean_rows(pair.z_net.points[[a, b]],
+                                               z0_pt))
+            monotone = da < da_prev - 1e-15 and db < db_prev - 1e-15
+            nested = prev_a is None or db <= da_prev + 1e-12
+            v.add(f"bracket{j}-approaches-z0", monotone and nested,
+                  f"d(a,z0)={da:.4g}, d(b,z0)={db:.4g}")
+            da_prev, db_prev, prev_a = da, db, a
+        v.add("brackets-present", len(self.brackets) > 0, "")
+        v.margins["separation_margin"] = self.separation - 4 * eps
+        if math.isfinite(da_prev):
+            v.margins["final_bracket_gap"] = da_prev
+
+
+@dataclass(frozen=True)
+class WindingObstruction(Certificate):
+    kind = "winding"
+    loop: ZPositions                  # in cyclic order
+    witness_rings: np.ndarray         # (rings, loop length, 2) in Y
+    retraction: str                   # "collapse-k"
+    expected_winding: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "loop", _frozen(self.loop, int))
+        object.__setattr__(self, "witness_rings",
+                           _frozen(self.witness_rings))
+
+    def check(self, pair, phi, v: Verdict):
+        eps = pair.resolution
+        y = pair.space
+        loop_y = pair.z_indices[self.loop]
+        rings = self.witness_rings
+        if rings.ndim != 3 or rings.shape[1] != len(self.loop) \
+                or rings.shape[2] != 2:
+            v.add("well-formed", False, "witness rings must be (r, loop, 2)",
+                  fails=INVALID)
+            return
+        ring0_gap = float(euclidean_rows(rings[0], y.net.points[loop_y]).max())
+        if not v.add("witness-starts-at-loop", ring0_gap <= 1e-12,
+                     "first ring equals the loop", fails=INVALID):
+            return
+        spread = float(euclidean_rows(rings[-1], rings[-1][0]).max())
+        if not v.add("witness-ends-constant", spread <= 1e-12,
+                     "last ring is a single point", fails=INVALID):
+            return
+        inside = y.contains(rings.reshape(-1, 2))
+        v.add("witness-inside-Y", bool(np.all(inside)),
+              f"{int(np.count_nonzero(~inside))} vertices escape Y")
+        turned = np.roll(rings, -1, axis=1)    # chords, radial, diagonal
+        worst = max(float(euclidean_rows(p.reshape(-1, 2),
+                                         q.reshape(-1, 2)).max())
+                    for p, q in ((rings, turned), (rings[:-1], rings[1:]),
+                                 (turned[:-1], rings[1:])))
+        v.add("witness-triangles-small", worst <= 2 * eps * (1 + 1e-9),
+              f"max witness edge {worst:.4g} vs 2 eps")
+        try:
+            k = int(self.retraction.rsplit("-", 1)[1])
+        except (IndexError, ValueError):
+            v.add("retraction-name", False, "expected collapse-k",
+                  fails=INVALID)
+            return
+        retr = collapse_retraction(phi.codomain, k)
+        loop_vals = retr.apply(phi.values[self.loop])
+        try:
+            w = winding_number(loop_vals, (1.0 / k, 0.0))
+        except LoopTooCoarse as exc:
+            v.add("winding-defined", False, str(exc))
+            return
+        v.add("winding-defined", True, "")
+        v.add("winding-matches", w == self.expected_winding and w != 0,
+              f"winding {w}, expected {self.expected_winding}")
+        v.margins["winding"] = float(abs(w))
+
+
+KINDS = {cls.kind: cls for cls in (
+    PositiveCertificate, PathComponentObstruction, ClopenObstruction,
+    MandatoryCrossingObstruction, WindingObstruction)}
+
+
 def check_certificate(pair: SpacePair, phi: MapSample,
                       cert: Certificate) -> Verdict:
     """Re-check a certificate from scratch against the pair and map."""
-    eps = pair.resolution
-    v = Verdict(VERIFIED, eps)
+    v = Verdict(VERIFIED, pair.resolution)
     if not (phi.domain is pair.z_net
             or np.array_equal(phi.domain.points, pair.z_net.points)):
-        v.status = INCONSISTENT
-        v.add("map-on-Z", False, "map does not live on the pair's Z net")
+        v.add("map-on-Z", False, "map does not live on the pair's Z net",
+              fails=INCONSISTENT)
+        return v
+    if not isinstance(cert, Certificate):
+        v.add("kind", False, "unknown certificate kind", fails=INVALID)
         return v
     try:
-        checker = _CHECKERS[cert.kind]
-    except (KeyError, AttributeError):
-        v.status = INVALID
-        v.add("kind", False, "unknown certificate kind")
-        return v
-    try:
-        checker(pair, phi, cert, v)
+        cert.check(pair, phi, v)
     except (IndexError, ValueError, TypeError, KeyError) as exc:
-        v.status = INVALID
-        v.add("well-formed", False, f"malformed certificate: {exc}")
+        v.add("well-formed", False, f"malformed certificate: {exc}",
+              fails=INVALID)
     except ExtenlabError as exc:
-        v.status = INVALID
-        v.add("well-formed", False, str(exc))
+        v.add("well-formed", False, str(exc), fails=INVALID)
     return v
-
-
-def _fail(v: Verdict):
-    if v.status == VERIFIED:
-        v.status = REFUTED
-
-
-def _check_positive(pair, phi, cert, v: Verdict):
-    ext = cert.extension
-    if not np.array_equal(ext.domain.points, pair.space.net.points):
-        v.status = INCONSISTENT
-        v.add("extension-on-Y", False, "extension does not live on Y")
-        return
-    if ext.codomain_name != phi.codomain_name:
-        v.status = INCONSISTENT
-        v.add("codomain", False, "extension and map codomains differ")
-        return
-    slack = cert.modulus_slack if cert.modulus_slack is not None \
-        else 2 * ext.codomain.resolution
-    problems = ext.validity_report(slack=slack)
-    if not v.add("extension-valid", not problems, "; ".join(problems)):
-        _fail(v)
-    gap = float(euclidean_rows(ext.values[pair.z_indices], phi.values).max())
-    if not v.add("restriction-agreement",
-                 gap <= cert.tolerance + 1e-15,
-                 f"sup over Z = {gap:.3g}, tolerance {cert.tolerance:g}"):
-        _fail(v)
-    v.margins["restriction_gap"] = cert.tolerance - gap
-
-
-def _check_path_component(pair, phi, cert, v: Verdict):
-    y = pair.space
-    witness = cert.witness_path
-    z_y = pair.z_indices
-    ok_shape = (0 <= cert.z1 < len(z_y) and 0 <= cert.z2 < len(z_y)
-                and len(witness) >= 1
-                and witness.min() >= 0 and witness.max() < len(y.net))
-    if not v.add("well-formed", ok_shape, "indices in range"):
-        v.status = INVALID
-        return
-    if not v.add("witness-endpoints",
-                 witness[0] == z_y[cert.z1] and witness[-1] == z_y[cert.z2],
-                 "witness joins z1 to z2"):
-        v.status = INVALID
-        return
-    if len(witness) > 1:
-        steps = y.net.dist_pairs(witness[:-1], witness[1:])
-        max_step = float(steps.max())
-    else:
-        max_step = 0.0
-    if not v.add("witness-steps", max_step <= 2 * pair.resolution + 1e-12,
-                 f"max step {max_step:.3g} vs 2 eps"):
-        _fail(v)
-    labels = y.labels[witness]
-    if not v.add("witness-one-component", len(np.unique(labels)) == 1,
-                 "witness stays in one Y component"):
-        _fail(v)
-    cod = phi.codomain
-    imgs = phi.values[[cert.z1, cert.z2]]
-    idx, dist = cod.net.nearest(imgs)
-    if not v.add("images-on-net", float(dist.max()) <= cod.resolution + 1e-9,
-                 "images resolve to codomain net points"):
-        _fail(v)
-        return
-    names = tuple(cod.label_names[cod.labels[i]] for i in idx)
-    if not v.add("labels-claimed", names == tuple(cert.x_labels),
-                 f"labels {names}"):
-        _fail(v)
-    if not v.add("labels-distinct", names[0] != names[1],
-                 "images in distinct path components"):
-        _fail(v)
-    v.margins["image_separation"] = float(euclidean_rows(imgs[:1], imgs[1:])[0])
-
-
-def _check_clopen(pair, phi, cert, v: Verdict):
-    vals = phi.values[:, 0]
-    preimage = frozenset(int(i) for i in np.nonzero(vals == cert.value_ambient)[0])
-    claimed = frozenset(int(i) for i in cert.trace)
-    if not v.add("preimage-matches-trace", preimage == claimed,
-                 f"preimage size {len(preimage)}, trace size {len(claimed)}"):
-        _fail(v)
-    if not v.add("trace-nonempty", len(claimed) > 0, ""):
-        _fail(v)
-    trace_y = frozenset(int(pair.z_indices[i]) for i in claimed)
-    exists = pair.space.clopen.trace_extends(pair.z_indices, trace_y)
-    if not v.add("no-clopen-extension", not exists,
-                 "Y's clopen oracle finds no set with this trace"):
-        _fail(v)
-    others = np.unique(vals[vals != cert.value_ambient])
-    if len(others):
-        v.margins["value_isolation"] = float(
-            np.abs(others - cert.value_ambient).min())
-
-
-def _check_mandatory_crossing(pair, phi, cert, v: Verdict):
-    eps = pair.resolution
-    cod = phi.codomain
-    mask = region_mask(cod.net.points, cert.region)
-    if not v.add("region-nonempty", bool(mask.any()), ""):
-        v.status = INVALID
-        return
-    z0_img = phi.values[cert.z0]
-    sep = float(euclidean_rows(
-        np.broadcast_to(z0_img, cod.net.points[mask].shape),
-        cod.net.points[mask]).min())
-    if not v.add("separation", sep >= cert.separation - 1e-12,
-                 f"d(phi(z0), region) = {sep:.6g}"):
-        _fail(v)
-    if not v.add("separation-above-4eps", cert.separation > 4 * eps,
-                 f"{cert.separation:.6g} > {4 * eps:.6g}"):
-        _fail(v)
-
-    adj = cod.net.adjacency(2 * eps)
-    da_prev = db_prev = math.inf
-    z0_pt = pair.z_net.points[cert.z0]
-    prev_a = None
-    for j, (a, b) in enumerate(cert.brackets):
-        imgs = phi.values[[a, b]]
-        idx, dist = cod.net.nearest(imgs)
-        if not v.add(f"bracket{j}-images-on-net",
-                     float(dist.max()) <= 1e-9,
-                     "bracket images are codomain net points"):
-            _fail(v)
-            continue
-        la, lb = cod.labels[idx[0]], cod.labels[idx[1]]
-        if not v.add(f"bracket{j}-same-component", la == lb,
-                     "both images in one codomain component"):
-            _fail(v)
-            continue
-        allowed = (cod.labels == la) & ~mask
-        crossing_forced = not reachable(adj, allowed, int(idx[0]), int(idx[1]))
-        if not v.add(f"bracket{j}-crossing-forced", crossing_forced,
-                     "no chain avoids the region"):
-            _fail(v)
-        da = float(euclidean_rows(pair.z_net.points[[a]], z0_pt[None, :])[0])
-        db = float(euclidean_rows(pair.z_net.points[[b]], z0_pt[None, :])[0])
-        monotone = da < da_prev - 1e-15 and db < db_prev - 1e-15
-        nested = prev_a is None or db <= da_prev + 1e-12
-        if not v.add(f"bracket{j}-approaches-z0", monotone and nested,
-                     f"d(a,z0)={da:.4g}, d(b,z0)={db:.4g}"):
-            _fail(v)
-        da_prev, db_prev, prev_a = da, db, a
-    if not v.add("brackets-present", len(cert.brackets) > 0, ""):
-        _fail(v)
-    v.margins["separation_margin"] = cert.separation - 4 * eps
-    if math.isfinite(da_prev):
-        v.margins["final_bracket_gap"] = da_prev
-
-
-def _check_winding(pair, phi, cert, v: Verdict):
-    eps = pair.resolution
-    y = pair.space
-    loop_y = pair.z_indices[cert.loop]
-    rings = cert.witness_rings
-    if rings.ndim != 3 or rings.shape[1] != len(cert.loop) or rings.shape[2] != 2:
-        v.status = INVALID
-        v.add("well-formed", False, "witness rings must be (r, loop, 2)")
-        return
-    ring0_gap = float(euclidean_rows(rings[0], y.net.points[loop_y]).max())
-    if not v.add("witness-starts-at-loop", ring0_gap <= 1e-12,
-                 "first ring equals the loop"):
-        v.status = INVALID
-        return
-    last = rings[-1]
-    if not v.add("witness-ends-constant",
-                 float(euclidean_rows(last, np.broadcast_to(last[0], last.shape)).max()) <= 1e-12,
-                 "last ring is a single point"):
-        v.status = INVALID
-        return
-    flat = rings.reshape(-1, 2)
-    inside = y.contains(flat)
-    if not v.add("witness-inside-Y", bool(np.all(inside)),
-                 f"{int(np.count_nonzero(~inside))} vertices escape Y"):
-        _fail(v)
-    lim = 2 * eps * (1 + 1e-9)
-    chords = euclidean_rows(rings.reshape(-1, 2),
-                            np.roll(rings, -1, axis=1).reshape(-1, 2)).max()
-    radial = euclidean_rows(rings[:-1].reshape(-1, 2),
-                            rings[1:].reshape(-1, 2)).max()
-    diag = euclidean_rows(np.roll(rings, -1, axis=1)[:-1].reshape(-1, 2),
-                          rings[1:].reshape(-1, 2)).max()
-    worst = float(max(chords, radial, diag))
-    if not v.add("witness-triangles-small", worst <= lim,
-                 f"max witness edge {worst:.4g} vs 2 eps"):
-        _fail(v)
-    try:
-        k = int(cert.retraction.rsplit("-", 1)[1])
-    except (IndexError, ValueError):
-        v.status = INVALID
-        v.add("retraction-name", False, "expected collapse-k")
-        return
-    retr = collapse_retraction(phi.codomain, k)
-    loop_vals = retr.apply(phi.values[cert.loop])
-    center = (1.0 / k, 0.0)
-    try:
-        w = winding_number(loop_vals, center)
-    except LoopTooCoarse as exc:
-        v.add("winding-defined", False, str(exc))
-        _fail(v)
-        return
-    v.add("winding-defined", True, "")
-    if not v.add("winding-matches",
-                 w == cert.expected_winding and w != 0,
-                 f"winding {w}, expected {cert.expected_winding}"):
-        _fail(v)
-    v.margins["winding"] = float(abs(w))
-
-
-_CHECKERS = {
-    "positive": _check_positive,
-    "path-component": _check_path_component,
-    "clopen": _check_clopen,
-    "mandatory-crossing": _check_mandatory_crossing,
-    "winding": _check_winding,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +339,6 @@ _CHECKERS = {
 
 
 def _comb_bracket_count(eps: float) -> int:
-    from .spaces import index_cutoff
     j = 0
     while (1.0 / ((j + 1) * (j + 2))) > 2 * eps * (1 + 1e-9) \
             and (j + 2) <= index_cutoff(eps):
@@ -402,36 +370,29 @@ def build_negative_certificate(name: str, n: int | None,
                                resolution: float) -> Certificate:
     """Obstruction certificate for an instance known non-extendible."""
     eps = resolution
-    if name == "comb":
+    if name in ("comb", "sine-eclosed", "pathcomp"):
         if n is not None:
-            raise NotCoveredRefusal("every finite comb member extends")
+            raise NotCoveredRefusal("every finite comb member extends"
+                                    if name == "comb" else "finite members "
+                                    "stay in one path component")
         pair = make_pair("interval-N", eps)
         pos = _member_positions(pair)
-        count = _comb_bracket_count(eps)
-        brackets = tuple((pos[j + 1], pos[j]) for j in range(1, count + 1))
-        return MandatoryCrossingObstruction(
-            brackets=brackets,
-            region={"axis": 1, "op": "le", "value": 2 * eps},
-            z0=pos[0], separation=1.0 - 2 * eps)
-    if name in ("sine-eclosed", "pathcomp"):
-        if n is not None:
-            raise NotCoveredRefusal("finite members stay in one path component")
-        pair = make_pair("interval-N", eps)
-        pos = _member_positions(pair)
-        if name == "sine-eclosed":
+        if name == "pathcomp":
+            witness = np.arange(pair.z_indices[pos[1]],
+                                pair.z_indices[pos[0]] - 1, -1)
+            return PathComponentObstruction(
+                z1=pos[1], z2=pos[0], witness_path=witness,
+                x_labels=("curve", "segment"))
+        if name == "comb":
+            count = _comb_bracket_count(eps)
+            region = {"axis": 1, "op": "le", "value": 2 * eps}
+        else:
             sine = make_space("sine", eps)
             count = _sine_bracket_count(eps, sine.meta["osc_cutoff"])
-            brackets = tuple((pos[j + 1], pos[j]) for j in range(1, count + 1))
-            return MandatoryCrossingObstruction(
-                brackets=brackets,
-                region={"axis": 1, "op": "abs_ge", "value": 1.0 - 2 * eps},
-                z0=pos[0], separation=1.0 - 2 * eps)
-        y_lo = pair.z_indices[pos[0]]
-        y_hi = pair.z_indices[pos[1]]
-        witness = np.arange(y_hi, y_lo - 1, -1)
-        return PathComponentObstruction(
-            z1=pos[1], z2=pos[0], witness_path=witness,
-            x_labels=("curve", "segment"))
+            region = {"axis": 1, "op": "abs_ge", "value": 1.0 - 2 * eps}
+        return MandatoryCrossingObstruction(
+            brackets=[(pos[j + 1], pos[j]) for j in range(1, count + 1)],
+            region=region, z0=pos[0], separation=1.0 - 2 * eps)
     if name == "sine-eopen":
         if n is None:
             raise NotCoveredRefusal("the sine inclusion extends via the identity")

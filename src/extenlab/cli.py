@@ -100,14 +100,15 @@ def _cmd_certify(args) -> int:
     try:
         problem = json.loads(_data_path(args.problem).read_text("utf-8"))
         cert_data = json.loads(_data_path(args.certificate).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         sys.stderr.write(f"cannot read inputs: {exc}\n")
         return EXIT_INVALID
     try:
         pair = pair_from_ref(problem["pair"])
         phi = map_from_json(problem["map"], pair.z_net)
         cert = certificate_from_json(cert_data, pair, phi.codomain)
-    except (KeyError, TypeError, ValueError, ExtenlabError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError,
+            ExtenlabError) as exc:
         sys.stderr.write(f"malformed problem or certificate: {exc}\n")
         return EXIT_INVALID
     verdict = check_certificate(pair, phi, cert)

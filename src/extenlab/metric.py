@@ -49,15 +49,15 @@ _SCREEN_MARGIN = 2.0 ** -30
 _SCREEN_FLOOR = 2.0 ** -900
 
 
-def _frozen(a) -> np.ndarray:
-    """a as a read-only, C-contiguous float64 array.
+def _frozen(a, dtype=float) -> np.ndarray:
+    """a as a read-only, C-contiguous array of dtype (float64 by default).
 
     Ownership passes: an array that owns its data is frozen in place, and
     the caller must not write to it again.  A view is kept only if its
     root array owns its data and is read-only; any other view is copied,
     so no write through another name reaches what the result holds.
     """
-    out = np.ascontiguousarray(np.asarray(a, dtype=float))
+    out = np.ascontiguousarray(np.asarray(a, dtype=dtype))
     root = out
     while isinstance(root.base, np.ndarray):
         root = root.base
@@ -489,9 +489,8 @@ class EpsilonGraph:
     edges: np.ndarray  # (m, 2) int, i < j, lexicographically sorted
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=int).reshape(-1, 2)
-        e.setflags(write=False)
-        object.__setattr__(self, "edges", e)
+        object.__setattr__(self, "edges",
+                           _frozen(self.edges, int).reshape(-1, 2))
 
     def adjacency(self) -> csr_matrix:
         n = len(self.net)

@@ -6,6 +6,7 @@ so identical objects always serialize to identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from importlib import resources
@@ -194,64 +195,70 @@ def homotopy_from_json(data: dict, base: Net):
 
 
 def certificate_to_json(cert, epsilon: float) -> dict:
-    if isinstance(cert, certs.PositiveCertificate):
-        return {"kind": "positive", "epsilon": epsilon,
-                "tolerance": cert.tolerance,
-                "modulus_slack": cert.modulus_slack,
-                "extension": map_to_json(cert.extension)}
-    if isinstance(cert, certs.PathComponentObstruction):
-        return {"kind": "path-component", "epsilon": epsilon,
-                "z1": int(cert.z1), "z2": int(cert.z2),
-                "witness_path": cert.witness_path.tolist(),
-                "x_labels": list(cert.x_labels)}
-    if isinstance(cert, certs.ClopenObstruction):
-        return {"kind": "clopen", "epsilon": epsilon,
-                "value_label": int(cert.value_label),
-                "value_ambient": cert.value_ambient,
-                "trace": sorted(int(i) for i in cert.trace)}
-    if isinstance(cert, certs.MandatoryCrossingObstruction):
-        return {"kind": "mandatory-crossing", "epsilon": epsilon,
-                "brackets": [[int(a), int(b)] for a, b in cert.brackets],
-                "region": cert.region, "z0": int(cert.z0),
-                "separation": cert.separation}
-    if isinstance(cert, certs.WindingObstruction):
-        return {"kind": "winding", "epsilon": epsilon,
-                "loop": cert.loop.tolist(),
-                "witness_rings": cert.witness_rings.tolist(),
-                "retraction": cert.retraction,
-                "expected_winding": int(cert.expected_winding)}
-    raise InvalidArgument("unknown certificate type")
+    """kind, epsilon and every dataclass field under its own name."""
+    out = {f.name: _plain(getattr(cert, f.name))
+           for f in dataclasses.fields(cert)}
+    out.update(kind=cert.kind, epsilon=epsilon)
+    return out
+
+
+def _plain(value):
+    if isinstance(value, MapSample):
+        return map_to_json(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def certificate_from_json(data: dict, pair: SpacePair,
                           codomain: AnnotatedSpace):
-    kind = data.get("kind")
-    if kind == "positive":
-        ext = map_from_json(data["extension"], pair.space.net)
-        return certs.PositiveCertificate(
-            ext, float(data["tolerance"]),
-            None if data.get("modulus_slack") is None
-            else float(data["modulus_slack"]))
-    if kind == "path-component":
-        return certs.PathComponentObstruction(
-            int(data["z1"]), int(data["z2"]),
-            np.asarray(data["witness_path"], dtype=int),
-            tuple(data["x_labels"]))
-    if kind == "clopen":
-        return certs.ClopenObstruction(int(data["value_label"]),
-                                       float(data["value_ambient"]),
-                                       tuple(data["trace"]))
-    if kind == "mandatory-crossing":
-        return certs.MandatoryCrossingObstruction(
-            tuple((int(a), int(b)) for a, b in data["brackets"]),
-            dict(data["region"]), int(data["z0"]),
-            float(data["separation"]))
-    if kind == "winding":
-        return certs.WindingObstruction(
-            np.asarray(data["loop"], dtype=int),
-            np.asarray(data["witness_rings"], dtype=float),
-            str(data["retraction"]), int(data["expected_winding"]))
-    raise InvalidArgument(f"unknown certificate kind {kind!r}")
+    """The certificate a file holds.  Each field must fit its annotation
+    (see _SHAPES), positions inside the pair's nets, or InvalidArgument is
+    raised; an absent field takes its default."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    cls = certs.KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidArgument(f"unknown certificate kind {kind!r}")
+    fields = dataclasses.fields(cls)
+    types = {"kind": "str", "epsilon": "float",
+             **{f.name: f.type for f in fields}}
+    needed = {"epsilon"} | {f.name for f in fields
+                            if f.default is dataclasses.MISSING}
+    if not needed <= set(data) <= set(types):
+        raise InvalidArgument(f"a {kind} certificate holds {sorted(types)}")
+    sizes = {"Z": len(pair.z_net), "Y": len(pair.space.net)}
+    for name, value in data.items():
+        if not _fits(value, _SHAPES[types[name]], sizes):
+            raise InvalidArgument(f"{kind} certificate field {name!r} "
+                                  f"must be {types[name]}")
+    return cls(**{f.name: map_from_json(data[f.name], pair.space.net)
+                  if f.type == "MapSample" else data[f.name]
+                  for f in fields if f.name in data})
+
+
+# What a field admits, by its annotation: a tuple of JSON types (ints
+# within int64), "Z" or "Y" for a position in that net, [shape] for a
+# list of shape and [shape, shape] for a pair.
+_SHAPES = {"MapSample": (dict,), "float": (int, float),
+           "float | None": (int, float, type(None)), "int": (int,),
+           "str": (str,), "dict": (dict,), "np.ndarray": (list,),
+           "tuple[str, ...]": [(str,)], "ZPosition": "Z",
+           "ZPositions": ["Z"], "ZPositionPairs": [["Z", "Z"]],
+           "YPositions": ["Y"]}
+
+
+def _fits(value, shape, sizes: dict) -> bool:
+    if isinstance(shape, str):
+        return type(value) is int and 0 <= value < sizes[shape]
+    if isinstance(shape, tuple):
+        return type(value) in shape and (type(value) is not int
+                                         or -2 ** 63 <= value < 2 ** 63)
+    return type(value) is list and len(shape) in (1, len(value)) and all(
+        _fits(v, shape[i % len(shape)], sizes) for i, v in enumerate(value))
 
 
 def load_schema(name: str) -> dict:

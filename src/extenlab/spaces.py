@@ -32,7 +32,7 @@ import numpy as np
 from . import dyadic
 from .errors import InvalidArgument, UnknownName
 from .metric import (ConeMetric, EuclideanMetric, MaxProductMetric, Modulus,
-                     Net, euclidean_rows)
+                     Net, _frozen, euclidean_rows)
 
 
 def index_cutoff(eps: float) -> int:
@@ -177,12 +177,9 @@ class AnnotatedSpace:
     recipe: dict | None = None
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=int)
-        lab.setflags(write=False)
-        object.__setattr__(self, "labels", lab)
-        e = np.asarray(self.chain_edges, dtype=int).reshape(-1, 2)
-        e.setflags(write=False)
-        object.__setattr__(self, "chain_edges", e)
+        object.__setattr__(self, "labels", _frozen(self.labels, int))
+        object.__setattr__(self, "chain_edges",
+                           _frozen(self.chain_edges, int).reshape(-1, 2))
 
     @property
     def resolution(self) -> float:
@@ -226,13 +223,11 @@ class SpacePair:
     recipe: dict | None = None
 
     def __post_init__(self):
-        z = np.asarray(self.z_indices, dtype=int)
-        z.setflags(write=False)
-        object.__setattr__(self, "z_indices", z)
+        object.__setattr__(self, "z_indices", _frozen(self.z_indices, int))
 
     @classmethod
     def build(cls, name, space, z_indices, meta=None):
-        z = np.asarray(z_indices, dtype=int)
+        z = _frozen(z_indices, int)
         return cls(name, space, z, space.net.subnet(z), meta or {})
 
     @property

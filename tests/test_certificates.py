@@ -420,3 +420,25 @@ def test_soundness_drill_no_positive_for_obstructed_instances():
         assert cert is not None
         with pytest.raises(xl.NotCoveredRefusal):
             xl.explicit_extension(name, n, EPS6)
+
+
+# ---------------------------------------------------------------------------
+# the status rule
+
+
+def test_a_failed_check_sets_its_status_by_one_rule():
+    from extenlab.certificates import (INCONSISTENT, INVALID, REFUTED,
+                                       VERIFIED, Verdict)
+    v = Verdict(VERIFIED, EPS6)
+    assert v.add("holds", True) and v.status == VERIFIED
+    assert not v.add("fails", False) and v.status == REFUTED
+    for worse in (INVALID, INCONSISTENT):
+        w = Verdict(VERIFIED, EPS6)
+        w.add("shape", False, fails=worse)
+        w.add("later", False)             # REFUTED replaces only VERIFIED
+        assert w.status == worse
+    v.add("shape", False, fails=INVALID)   # INVALID replaces REFUTED
+    assert v.status == INVALID
+    v.add("ok-again", True, fails=INCONSISTENT)
+    assert v.status == INVALID
+    assert [c["ok"] for c in v.checks] == [True, False, False, True]

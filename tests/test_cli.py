@@ -411,3 +411,88 @@ def test_every_example_at_coarse_epsilon_ends_in_an_exit_code(capsys):
 def test_space_info_sine_at_epsilon_one(capsys):
     code, out, _ = run_cli(capsys, "space", "info", "sine", "--epsilon", "1")
     assert code == 0 and "net_size: 6" in out
+
+
+# ---------------------------------------------------------------------------
+# certificate fields are checked up front
+
+
+EPS6 = 2.0 ** -6
+
+
+def _emitted(tmp_path, family, n, eps=EPS6):
+    """problem.json as emitted, and the certificate's file form."""
+    fam = xl.example_family(family, eps)
+    phi = fam.limit if n is None else fam.member(n)
+    problem = tmp_path / "problem.json"
+    problem.write_text(ser.dumps({"pair": ser.pair_to_ref(fam.pair),
+                                  "map": ser.map_to_json(phi)}))
+    cert = xl.certificate_for(family, n, eps)
+    return problem, json.loads(ser.dumps(ser.certificate_to_json(cert, eps)))
+
+
+def _certify(tmp_path, problem, text):
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text(text)
+    return main(["certify", str(problem), str(certificate),
+                 "--out", str(tmp_path / "verdict.json")])
+
+
+@pytest.mark.parametrize("family,n,field,tamper", [
+    ("comb", None, "z0", lambda v: float("inf")),
+    ("hawaii", 2, "expected_winding", lambda v: float("inf")),
+    ("comb", None, "z0", lambda v: -1),
+    ("ndagger-eopen", 2, "trace", lambda v: [-1]),
+    ("sine-eopen", 2, "witness_path", lambda v: [[i] for i in v]),
+    ("comb", None, "brackets", lambda v: [[float(v[0][0]), v[0][1]]] + v[1:]),
+], ids=["int-infinite", "winding-infinite", "negative-position",
+        "trace-negative", "path-2d", "bracket-float"])
+def test_certify_refuses_a_field_that_does_not_fit(tmp_path, capsys, family,
+                                                   n, field, tamper):
+    problem, cert = _emitted(tmp_path, family, n)
+    assert _certify(tmp_path, problem, json.dumps(cert)) == 0
+    cert[field] = tamper(cert[field])
+    assert _certify(tmp_path, problem, json.dumps(cert)) == 3
+    assert repr(field) in capsys.readouterr().err
+
+
+def test_certify_refuses_a_deeply_nested_file(tmp_path, capsys):
+    problem, _ = _emitted(tmp_path, "comb", None)
+    assert _certify(tmp_path, problem, "[" * 100_000) == 3
+    assert "cannot read inputs" in capsys.readouterr().err
+
+
+def test_certify_fuzzed_certificate_fields_end_in_an_exit_code(tmp_path):
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    eps = 2.0 ** -5
+    emitted = {}
+    for family, n in (("hawaii", None), ("pathcomp", None),
+                      ("ndagger-eopen", 2), ("comb", None), ("hawaii", 2)):
+        base = tmp_path / f"{family}-{n}"
+        base.mkdir()
+        problem, cert = _emitted(base, family, n, eps)
+        emitted[cert["kind"]] = (base, problem, cert)
+    assert len(emitted) == 5
+    nested = st.recursive(st.just(0), lambda inner: st.lists(
+        inner, min_size=1, max_size=2), max_leaves=40)
+    wrong = st.one_of(
+        st.sampled_from([None, True, "collapse-2", {}, [], [[0, 1]], 0.5]),
+        st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+        st.sampled_from([-1, -2 ** 63, 2 ** 63, 10 ** 400]),
+        st.floats(allow_nan=True, allow_infinity=True), nested)
+
+    @given(st.sampled_from(sorted(emitted)), st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def run(kind, data):
+        base, problem, cert = emitted[kind]
+        cert = dict(cert)
+        key = data.draw(st.sampled_from(sorted(cert)))
+        if data.draw(st.booleans()):
+            del cert[key]
+        else:
+            cert[key] = data.draw(wrong)
+        assert _certify(base, problem, json.dumps(cert)) in (0, 2, 3, 4)
+
+    run()

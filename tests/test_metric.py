@@ -1205,3 +1205,36 @@ def test_sine_identity_at_2_10_calls_no_pair_kernel(monkeypatch):
     ext = explicit_extension("sine-eopen", None, eps)
     assert len(ext.domain) == 48507
     assert check_modulus(ext, 2 * eps)
+
+
+def test_writes_through_a_base_array_reach_no_space_pair_graph_or_certificate(
+        rng):
+    from extenlab.certificates import (PathComponentObstruction,
+                                       WindingObstruction)
+    from extenlab.metric import EpsilonGraph
+    iv = xl.make_space("interval", 2.0 ** -3)
+    z = np.arange(6)
+    pair = xl.SpacePair.build("x", iv, z[1:3])
+    labels, edges = np.zeros(12, dtype=int), np.arange(12)
+    space = xl.AnnotatedSpace("s", (), iv.net, labels[:9], ("only",),
+                              iv.clopen, {}, {}, edges[:8])
+    graph = EpsilonGraph(iv.net, 0.25, edges[:8])
+    path = PathComponentObstruction(0, 1, z[2:5], ("a", "b"))
+    rings = rng.random((3, 4, 2))
+    winding = WindingObstruction(z[:4], rings[:, :, :], "collapse-1", 1)
+    kept = rings.copy()
+    z[:] = 7
+    labels[:] = 5
+    edges[:] = 0
+    rings[:] = 0.0
+    assert pair.z_indices.tolist() == [1, 2]
+    assert np.array_equal(pair.z_net.points, iv.net.points[[1, 2]])
+    assert space.labels.tolist() == [0] * 9
+    assert space.chain_edges.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    assert graph.edges.tolist() == space.chain_edges.tolist()
+    assert path.witness_path.tolist() == [2, 3, 4]
+    assert winding.loop.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(winding.witness_rings, kept)
+    for a in (pair.z_indices, space.labels, space.chain_edges, graph.edges,
+              path.witness_path, winding.loop, winding.witness_rings):
+        assert not a.flags.writeable

@@ -320,3 +320,55 @@ def test_explicit_spaces_on_equal_points_share_a_key():
     c = ser.space_from_ref(_explicit_ref("user", [-0.0, 1.0], eps))
     assert a.key == b.key == c.key
     assert ser.space_from_ref(ser.space_to_ref(a)).key == a.key
+
+
+def test_the_certificate_schema_lists_each_kind_by_its_fields():
+    from extenlab.certificates import KINDS
+    branches = {b["properties"]["kind"]["const"]: b
+                for b in ser.load_schema("certificate")["oneOf"]}
+    assert set(branches) == set(KINDS)
+    for kind, cls in KINDS.items():
+        fields = dataclasses.fields(cls)
+        assert set(branches[kind]["properties"]) == \
+            {"kind", "epsilon"} | {f.name for f in fields}
+        assert set(branches[kind]["required"]) == {"kind", "epsilon"} | {
+            f.name for f in fields if f.default is dataclasses.MISSING}
+
+
+def _numpy_scalars(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float, tuple,
+                                                         dict)):
+        return value
+    if isinstance(value, tuple):
+        return tuple(_numpy_scalars(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _numpy_scalars(v) for k, v in value.items()}
+    return np.int64(value) if isinstance(value, int) else np.float64(value)
+
+
+@pytest.mark.parametrize("name,n", [("hawaii", None), ("pathcomp", None),
+                                    ("ndagger-eopen", 2), ("comb", None),
+                                    ("hawaii", 2)])
+def test_numpy_scalar_fields_write_the_plain_bytes(name, n):
+    from extenlab.certificates import ClopenObstruction, certificate_for
+    fam = xl.example_family(name, EPS6)
+    plain = certificate_for(name, n, EPS6)
+    if plain.kind == "clopen":              # an unsorted trace is sorted
+        plain = ClopenObstruction(plain.value_label, plain.value_ambient,
+                                  (0, 2, 3))
+        numpy = ClopenObstruction(np.int64(plain.value_label),
+                                  np.float64(plain.value_ambient),
+                                  [np.int64(3), np.int64(0), np.int64(2)])
+    else:
+        numpy = dataclasses.replace(plain, **{
+            f.name: _numpy_scalars(getattr(plain, f.name))
+            for f in dataclasses.fields(plain)})
+        if plain.kind == "positive":
+            numpy = dataclasses.replace(numpy, modulus_slack=np.float64(0.5))
+            plain = dataclasses.replace(plain, modulus_slack=0.5)
+    blob = ser.dumps(ser.certificate_to_json(plain, EPS6))
+    assert ser.dumps(ser.certificate_to_json(numpy, EPS6)) == blob
+    _validate("certificate", json.loads(blob))
+    back = ser.certificate_from_json(json.loads(blob), fam.pair,
+                                     fam.codomain)
+    assert ser.dumps(ser.certificate_to_json(back, EPS6)) == blob
