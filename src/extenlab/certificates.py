@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse, \
-    NotCoveredRefusal, UnknownName
-from .families import explicit_extension
+    NotCoveredRefusal
+from .families import example_family, explicit_extension, extends
 from .maps import MapSample, collapse_retraction, winding_number
 from .metric import _frozen, euclidean_rows, reachable
-from .spaces import AnnotatedSpace, SpacePair, index_cutoff, make_pair, \
-    make_space
+from .spaces import AnnotatedSpace, SpacePair, index_cutoff
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -37,6 +36,7 @@ ZPosition = int                   # one position in Z
 ZPositions = tuple                # positions in Z, 1-d
 ZPositionPairs = tuple            # ((a, b), ...) positions in Z
 YPositions = np.ndarray           # positions in Y, 1-d
+Region = dict                     # {"axis": int, "op": str, "value": float}
 
 
 @dataclass
@@ -194,7 +194,7 @@ class ClopenObstruction(Certificate):
 class MandatoryCrossingObstruction(Certificate):
     kind = "mandatory-crossing"
     brackets: ZPositionPairs
-    region: dict                      # {"axis": int, "op": str, "value": float}
+    region: Region
     z0: ZPosition
     separation: float
 
@@ -362,69 +362,22 @@ def _sine_bracket_count(eps: float, k_osc: int) -> int:
     return count
 
 
-def _member_positions(pair: SpacePair) -> dict:
-    return {int(m): i for i, m in enumerate(pair.meta["z_members"])}
-
-
 def build_negative_certificate(name: str, n: int | None,
                                resolution: float) -> Certificate:
-    """Obstruction certificate for an instance known non-extendible."""
+    """Obstruction certificate for an instance that does not extend."""
+    if extends(name, n):
+        raise NotCoveredRefusal(f"{name} {'limit' if n is None else n} "
+                                "extends")
     eps = resolution
-    if name in ("comb", "sine-eclosed", "pathcomp"):
-        if n is not None:
-            raise NotCoveredRefusal("every finite comb member extends"
-                                    if name == "comb" else "finite members "
-                                    "stay in one path component")
-        pair = make_pair("interval-N", eps)
-        pos = _member_positions(pair)
-        if name == "pathcomp":
-            witness = np.arange(pair.z_indices[pos[1]],
-                                pair.z_indices[pos[0]] - 1, -1)
-            return PathComponentObstruction(
-                z1=pos[1], z2=pos[0], witness_path=witness,
-                x_labels=("curve", "segment"))
-        if name == "comb":
-            count = _comb_bracket_count(eps)
-            region = {"axis": 1, "op": "le", "value": 2 * eps}
-        else:
-            sine = make_space("sine", eps)
-            count = _sine_bracket_count(eps, sine.meta["osc_cutoff"])
-            region = {"axis": 1, "op": "abs_ge", "value": 1.0 - 2 * eps}
-        return MandatoryCrossingObstruction(
-            brackets=[(pos[j + 1], pos[j]) for j in range(1, count + 1)],
-            region=region, z0=pos[0], separation=1.0 - 2 * eps)
-    if name == "sine-eopen":
-        if n is None:
-            raise NotCoveredRefusal("the sine inclusion extends via the identity")
-        pair = make_pair("sine-zeros", eps)
-        sine = pair.space
-        if n + 1 > sine.meta["osc_cutoff"] + 1:
-            raise InvalidArgument(f"oscillation {n} not represented")
-        pos = _member_positions(pair)
-        zero = sine.meta["zero_index"]
-        witness = np.arange(zero[n], zero[n + 1] + 1)
-        return PathComponentObstruction(
-            z1=pos[n], z2=pos[n + 1], witness_path=witness,
-            x_labels=("curve", "segment"))
-    if name == "ndagger-eopen":
-        if n is None:
-            raise NotCoveredRefusal("the constant limit extends")
-        pair = make_pair("interval-N", eps)
-        pos = _member_positions(pair)
-        return ClopenObstruction(value_label=n + 1,
-                                 value_ambient=1.0 / (n + 1),
-                                 trace=(pos[1],))
+    fam = example_family(name, eps)
+    pair, cod = fam.pair, fam.codomain
     if name == "hawaii":
-        if n is None:
-            raise NotCoveredRefusal("the constant limit extends")
-        pair = make_pair("disk-earring", eps)
-        ear = pair.meta["z_space"]
-        if n + 1 not in ear.meta["circles"]:
-            raise InvalidArgument(f"circle {n + 1} not represented")
-        loop = ear.meta["circles"][n + 1]
         k = n + 1
+        if k not in cod.meta["circles"]:
+            raise InvalidArgument(f"circle {k} not represented")
+        loop = cod.meta["circles"][k]
         center = np.array([1.0 / k, 0.0])
-        loop_pts = ear.net.points[loop]
+        loop_pts = cod.net.points[loop]
         radius = 1.0 / k
         steps = max(1, int(math.ceil(4 * radius / eps)))
         scales = 1.0 - np.arange(steps + 1) / steps
@@ -434,21 +387,45 @@ def build_negative_certificate(name: str, n: int | None,
         return WindingObstruction(loop=loop, witness_rings=rings,
                                   retraction=f"collapse-{k}",
                                   expected_winding=1)
-    if name == "ndagger-eclosed":
-        raise NotCoveredRefusal("every member and the limit extend here")
-    raise UnknownName(f"unknown example family {name!r}")
+    pos = {int(m): i for i, m in enumerate(pair.meta["z_members"])}
+    if name == "pathcomp":
+        witness = np.arange(pair.z_indices[pos[1]],
+                            pair.z_indices[pos[0]] - 1, -1)
+        return PathComponentObstruction(
+            z1=pos[1], z2=pos[0], witness_path=witness,
+            x_labels=("curve", "segment"))
+    if name in ("comb", "sine-eclosed"):
+        if name == "comb":
+            count = _comb_bracket_count(eps)
+            region = {"axis": 1, "op": "le", "value": 2 * eps}
+        else:
+            count = _sine_bracket_count(eps, cod.meta["osc_cutoff"])
+            region = {"axis": 1, "op": "abs_ge", "value": 1.0 - 2 * eps}
+        return MandatoryCrossingObstruction(
+            brackets=[(pos[j + 1], pos[j]) for j in range(1, count + 1)],
+            region=region, z0=pos[0], separation=1.0 - 2 * eps)
+    if name == "sine-eopen":
+        if n + 1 > cod.meta["osc_cutoff"] + 1:
+            raise InvalidArgument(f"oscillation {n} not represented")
+        zero = cod.meta["zero_index"]
+        witness = np.arange(zero[n], zero[n + 1] + 1)
+        return PathComponentObstruction(
+            z1=pos[n], z2=pos[n + 1], witness_path=witness,
+            x_labels=("curve", "segment"))
+    return ClopenObstruction(value_label=n + 1,         # ndagger-eopen
+                             value_ambient=1.0 / (n + 1),
+                             trace=(pos[1],))
 
 
 def certificate_for(name: str, n: int | None,
                     resolution: float) -> Certificate:
     """The catalog's certificate for member n of a family (None: the
-    limit): its obstruction where it does not extend, else its explicit
-    extension.  The two builders refuse exactly each other's instances."""
-    try:
-        return build_negative_certificate(name, n, resolution)
-    except NotCoveredRefusal:
+    limit): its explicit extension where it extends, else its
+    obstruction."""
+    if extends(name, n):
         return PositiveCertificate(explicit_extension(name, n, resolution),
                                    tolerance=0.0)
+    return build_negative_certificate(name, n, resolution)
 
 
 def disjointify(space: AnnotatedSpace, sets) -> list[frozenset]:

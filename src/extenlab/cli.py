@@ -13,6 +13,7 @@ paths for `certify`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -178,6 +179,7 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+@functools.cache                  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extenlab",

@@ -5,8 +5,8 @@ counterexample formulas exactly on net points, so sup distances come out
 as closed forms (1/(n+1) for the comb, sine and ndagger families, 2/(n+1)
 for the earring family, 1/n for the path-component family).
 
-explicit_extension covers precisely the instances known to extend; for
-anything else it refuses rather than guessing.
+extends says which instances extend; explicit_extension covers exactly
+those and refuses the rest rather than guessing.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from .metric import Modulus, measured_modulus
 from .maps import MapFamily, MapSample, constant_map
 from .spaces import index_cutoff, make_pair, make_space
 
-FAMILY_NAMES = ("pathcomp", "sine-eclosed", "sine-eopen", "comb",
-                "ndagger-eopen", "hawaii", "ndagger-eclosed")
-
-
 def _sqrt_step_modulus(diameter: float) -> Modulus:
     """Step table dominating omega(t) = sqrt(2 t), capped at the diameter."""
     radii = diameter * 2.0 ** np.arange(-23, 1.0)
@@ -31,19 +27,10 @@ def _sqrt_step_modulus(diameter: float) -> Modulus:
 
 def example_family(name: str, resolution: float) -> MapFamily:
     """Catalog family over its standard pair at the given resolution."""
-    if name in ("comb",):
-        return _comb_family(resolution)
-    if name in ("pathcomp", "sine-eclosed"):
-        return _pathcomp_family(name, resolution)
-    if name == "sine-eopen":
-        return _sine_eopen_family(resolution)
-    if name == "ndagger-eopen":
-        return _ndagger_eopen_family(resolution)
-    if name == "hawaii":
-        return _hawaii_family(resolution)
-    if name == "ndagger-eclosed":
-        return _ndagger_eclosed_family(resolution)
-    raise UnknownName(f"unknown family {name!r}")
+    build = _FAMILIES.get(name)
+    if build is None:
+        raise UnknownName(f"unknown family {name!r}")
+    return build(resolution)
 
 
 def _comb_family(eps: float) -> MapFamily:
@@ -172,63 +159,67 @@ def _ndagger_eclosed_family(eps: float) -> MapFamily:
                      n_bound=n_blocks - 1, meta={"block_of": block_of})
 
 
+_FAMILIES = {
+    "pathcomp": lambda eps: _pathcomp_family("pathcomp", eps),
+    "sine-eclosed": lambda eps: _pathcomp_family("sine-eclosed", eps),
+    "sine-eopen": _sine_eopen_family,
+    "comb": _comb_family,
+    "ndagger-eopen": _ndagger_eopen_family,
+    "hawaii": _hawaii_family,
+    "ndagger-eclosed": _ndagger_eclosed_family,
+}
+FAMILY_NAMES = tuple(_FAMILIES)
+
+# The maps Z -> X that extend over Y are neither open nor closed in X^Z,
+# and each family but ndagger-eclosed (which extends throughout) shows
+# one of the two: not closed, every member extends and the limit does
+# not; not open, the limit extends and no member does.
+_NOT_CLOSED = ("pathcomp", "sine-eclosed", "comb")
+_NOT_OPEN = ("sine-eopen", "ndagger-eopen", "hawaii")
+
+
+def extends(name: str, n: int | None) -> bool:
+    """Whether member n of the family (None: its limit) extends over Y."""
+    if name not in _FAMILIES:
+        raise UnknownName(f"unknown family {name!r}")
+    return name not in (_NOT_CLOSED if n is None else _NOT_OPEN)
+
+
 # ---------------------------------------------------------------------------
 # explicit extensions (positive side)
 
 
 def explicit_extension(name: str, n: int | None,
                        resolution: float) -> MapSample:
-    """Explicit extension over Y for instances known to extend.
+    """Explicit extension over Y for the instances that extend.
 
     n = None asks for the limit map's extension.  Raises
-    NotCoveredRefusal for instances that provably do not extend.
+    NotCoveredRefusal for the instances that do not extend.
     """
-    eps = resolution
+    if not extends(name, n):
+        raise NotCoveredRefusal(f"{name} {'limit' if n is None else n} "
+                                "does not extend")
+    fam = example_family(name, resolution)
+    y_net = fam.pair.space.net
     if name == "comb":
-        if n is None:
-            raise NotCoveredRefusal("the comb limit does not extend")
-        return _comb_extension(n, eps)
+        return _comb_extension(fam, n)
     if name in ("pathcomp", "sine-eclosed"):
-        if n is None:
-            raise NotCoveredRefusal(
-                "the path-component limit leaves every path component")
-        return _pathcomp_extension(name, n, eps)
+        return _pathcomp_extension(fam, n)
     if name == "sine-eopen":
-        if n is not None:
-            raise NotCoveredRefusal(
-                "finite sine inclusions hit two path components")
-        pair = make_pair("sine-zeros", eps)
-        return MapSample(pair.space.net, pair.space,
-                         pair.space.net.points, Modulus.lip(1.0),
+        return MapSample(y_net, fam.codomain, y_net.points, Modulus.lip(1.0),
                          name="sine-identity")
-    if name == "ndagger-eopen":
-        if n is not None:
-            raise NotCoveredRefusal(
-                "no finite member satisfies the clopen intersection property")
-        pair = make_pair("interval-N", eps)
-        ndag = make_space("ndagger", eps)
-        return constant_map(pair.space.net, ndag, [0.0],
-                            name="ndagger-eopen-limit-ext")
-    if name == "hawaii":
-        if n is not None:
-            raise NotCoveredRefusal(
-                "finite earring members wind around a collapsed circle")
-        pair = make_pair("disk-earring", eps)
-        ear = pair.meta["z_space"]
-        return constant_map(pair.space.net, ear, [0.0, 0.0],
-                            name="hawaii-limit-ext")
-    if name == "ndagger-eclosed":
-        return _block_constant_extension(n, eps)
-    raise UnknownName(f"unknown family {name!r}")
+    if name in ("ndagger-eopen", "hawaii"):       # constant limits
+        return constant_map(y_net, fam.codomain, fam.limit.values[0],
+                            name=f"{name}-limit-ext")
+    return _block_constant_extension(fam, n)
 
 
-def _comb_extension(n: int, eps: float) -> MapSample:
+def _comb_extension(fam: MapFamily, n: int) -> MapSample:
     """Constant at the limit tooth tip on [0, 1/(n+1)], then tooth-to-tooth
     traversals: down tooth k+1, across the base, up tooth k."""
-    if not (1 <= n <= index_cutoff(eps) - 1):
+    if not (1 <= n <= fam.n_bound):
         raise InvalidArgument(f"comb extension needs n+1 exact teeth (n={n})")
-    pair = make_pair("interval-N", eps)
-    comb = make_space("comb", eps)
+    pair = fam.pair
     y = pair.space.net.points[:, 0]
     vals = np.zeros((len(y), 2))
     const = y <= 1.0 / (n + 1)
@@ -253,9 +244,8 @@ def _comb_extension(n: int, eps: float) -> MapSample:
         xx[up], yy[up] = x_up, s[up] - 1.0 - w
         vals[sel, 0] = xx
         vals[sel, 1] = yy
-    family = example_family("comb", eps)
-    vals[pair.z_indices] = family.member(n).values   # bit-exact on Z
-    return MapSample(pair.space.net, comb, vals,
+    vals[pair.z_indices] = fam.member(n).values   # bit-exact on Z
+    return MapSample(pair.space.net, fam.codomain, vals,
                      measured_modulus(pair.space.net, vals),
                      name=f"comb-ext-{n}")
 
@@ -272,10 +262,9 @@ def _polyline_positions(points: np.ndarray, fractions: np.ndarray) -> np.ndarray
     return points[pos] + (points[pos + 1] - points[pos]) * t[:, None]
 
 
-def _pathcomp_extension(name: str, n: int, eps: float) -> MapSample:
+def _pathcomp_extension(fam: MapFamily, n: int) -> MapSample:
     """Walks the shipped curve polyline between consecutive zeros."""
-    pair = make_pair("interval-N", eps)
-    sine = make_space("sine", eps)
+    pair, sine = fam.pair, fam.codomain
     if n > sine.meta["osc_cutoff"]:
         raise InvalidArgument(f"extension needs oscillation {n} represented")
     zero = sine.meta["zero_index"]
@@ -293,18 +282,15 @@ def _pathcomp_extension(name: str, n: int, eps: float) -> MapSample:
         poly = sine.net.points[zero[k]:zero[k + 1] + 1]
         frac = (y[sel] - a) / (b - a)
         vals[sel] = _polyline_positions(poly[::-1], frac)
-    family = example_family(name, eps)
-    vals[pair.z_indices] = family.member(n).values
+    vals[pair.z_indices] = fam.member(n).values
     return MapSample(pair.space.net, sine, vals,
                      measured_modulus(pair.space.net, vals),
-                     name=f"{name}-ext-{n}")
+                     name=f"{fam.name}-ext-{n}")
 
 
-def _block_constant_extension(j: int | None, eps: float) -> MapSample:
+def _block_constant_extension(fam: MapFamily, j: int | None) -> MapSample:
     """Per-block constant extension for the shrinking-union family."""
-    pair = make_pair("opc-intervals", eps)
-    ndag = make_space("ndagger", eps)
-    fam = example_family("ndagger-eclosed", eps)
+    pair = fam.pair
     phi = fam.limit if j is None else fam.member(j)
     vals = np.zeros((len(pair.space.net), 1))
     for b, (left, right) in enumerate(pair.meta["block_ends"]):
@@ -312,6 +298,6 @@ def _block_constant_extension(j: int | None, eps: float) -> MapSample:
         zpos = pair.z_position(left)
         vals[block["start"]:block["start"] + block["size"]] = phi.values[zpos]
     vals[0] = phi.values[0]   # the point at infinity
-    return MapSample(pair.space.net, ndag, vals,
+    return MapSample(pair.space.net, fam.codomain, vals,
                      measured_modulus(pair.space.net, vals),
                      name=f"ndagger-eclosed-ext-{'limit' if j is None else j}")

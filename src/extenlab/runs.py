@@ -439,8 +439,7 @@ def _run_cone_contraction(report: Report):
         target = 2.0 ** (-j)
         delta = min(target / 2, 1.0)
         radius = delta / 4
-        d_to_p = euclidean_rows(circle.net.points,
-                                np.broadcast_to(p, circle.net.points.shape))
+        d_to_p = euclidean_rows(circle.net.points, p)
         idx = np.nonzero(d_to_p <= radius)[0]
         if len(idx) < 3:
             report.notes.append(f"j={j}: ball too small at this resolution")
@@ -452,9 +451,7 @@ def _run_cone_contraction(report: Report):
         except ExtenlabError as exc:
             report.fail(f"j={j}: {exc}")
             continue
-        spread = float(euclidean_rows(
-            h.values.reshape(-1, 2),
-            np.broadcast_to(p, (h.values.shape[0] * h.values.shape[1], 2))).max())
+        spread = float(euclidean_rows(h.values.reshape(-1, 2), p).max())
         verdict = Verdict(VERIFIED, eps)
         verdict.add("starts-at-identity",
                     np.array_equal(h.slice(0.0).values, ball.net.points), "")

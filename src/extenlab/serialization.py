@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -17,7 +18,7 @@ from .errors import InvalidArgument, UnknownName
 from .metric import MatrixMetric, Modulus, Net
 from .spaces import (AnnotatedSpace, ClopenAtoms, SpacePair, cone, make_pair,
                      make_space, opc_disjoint_union, product_with, subspace)
-from .maps import Homotopy, MapSample
+from .maps import MapSample
 from . import certificates as certs
 
 
@@ -178,22 +179,6 @@ def map_from_json(data: dict, domain: Net,
                      name=data.get("name", ""))
 
 
-def homotopy_to_json(h) -> dict:
-    """Homotopy as a map on the time-grid product of its base."""
-    return {"codomain": space_to_ref(h.codomain),
-            "times": h.times.tolist(),
-            "values": h.values.reshape(-1, h.values.shape[2]).tolist(),
-            "modulus": modulus_to_json(h.modulus)}
-
-
-def homotopy_from_json(data: dict, base: Net):
-    times = np.asarray(data["times"], dtype=float)
-    flat = np.asarray(data["values"], dtype=float)
-    values = flat.reshape(len(times), len(base), -1)
-    return Homotopy(base, space_from_ref(data["codomain"]), times, values,
-                    modulus_from_json(data["modulus"]))
-
-
 def certificate_to_json(cert, epsilon: float) -> dict:
     """kind, epsilon and every dataclass field under its own name."""
     out = {f.name: _plain(getattr(cert, f.name))
@@ -217,8 +202,9 @@ def _plain(value):
 def certificate_from_json(data: dict, pair: SpacePair,
                           codomain: AnnotatedSpace):
     """The certificate a file holds.  Each field must fit its annotation
-    (see _SHAPES), positions inside the pair's nets, or InvalidArgument is
-    raised; an absent field takes its default."""
+    (see _SHAPES), positions inside the pair's nets and axes inside the
+    codomain's, or InvalidArgument is raised; an absent field takes its
+    default."""
     kind = data.get("kind") if isinstance(data, dict) else None
     cls = certs.KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
@@ -230,7 +216,8 @@ def certificate_from_json(data: dict, pair: SpacePair,
                             if f.default is dataclasses.MISSING}
     if not needed <= set(data) <= set(types):
         raise InvalidArgument(f"a {kind} certificate holds {sorted(types)}")
-    sizes = {"Z": len(pair.z_net), "Y": len(pair.space.net)}
+    sizes = {"Z": len(pair.z_net), "Y": len(pair.space.net),
+             "axis": codomain.net.dimension}
     for name, value in data.items():
         if not _fits(value, _SHAPES[types[name]], sizes):
             raise InvalidArgument(f"{kind} certificate field {name!r} "
@@ -241,22 +228,33 @@ def certificate_from_json(data: dict, pair: SpacePair,
 
 
 # What a field admits, by its annotation: a tuple of JSON types (ints
-# within int64), "Z" or "Y" for a position in that net, [shape] for a
-# list of shape and [shape, shape] for a pair.
+# within int64), "Z" or "Y" for a position in that net and "axis" for an
+# axis of the codomain, [shape] for a list of shape and [shape, shape]
+# for a pair, {key: shape} for an object with exactly those keys, or a
+# test of the value.
 _SHAPES = {"MapSample": (dict,), "float": (int, float),
            "float | None": (int, float, type(None)), "int": (int,),
-           "str": (str,), "dict": (dict,), "np.ndarray": (list,),
+           "str": (str,), "np.ndarray": (list,),
            "tuple[str, ...]": [(str,)], "ZPosition": "Z",
            "ZPositions": ["Z"], "ZPositionPairs": [["Z", "Z"]],
-           "YPositions": ["Y"]}
+           "YPositions": ["Y"],
+           "Region": {"axis": "axis",
+                      "op": lambda v: v in ("le", "ge", "abs_ge", "abs_le"),
+                      "value": lambda v: _fits(v, (int, float), {})
+                      and math.isfinite(v)}}
 
 
 def _fits(value, shape, sizes: dict) -> bool:
+    if callable(shape):
+        return shape(value)
     if isinstance(shape, str):
         return type(value) is int and 0 <= value < sizes[shape]
     if isinstance(shape, tuple):
         return type(value) in shape and (type(value) is not int
                                          or -2 ** 63 <= value < 2 ** 63)
+    if isinstance(shape, dict):
+        return type(value) is dict and value.keys() == shape.keys() and all(
+            _fits(value[k], shape[k], sizes) for k in shape)
     return type(value) is list and len(shape) in (1, len(value)) and all(
         _fits(v, shape[i % len(shape)], sizes) for i, v in enumerate(value))
 

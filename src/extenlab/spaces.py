@@ -141,10 +141,10 @@ def _disk_retraction(center, radius):
     c = np.asarray(center, dtype=float)
 
     def contains(p):
-        return euclidean_rows(p, np.broadcast_to(c, p.shape)) <= 1.5 * radius
+        return euclidean_rows(p, c) <= 1.5 * radius
 
     def apply(p):
-        d = euclidean_rows(p, np.broadcast_to(c, p.shape))
+        d = euclidean_rows(p, c)
         scale = np.minimum(1.0, radius / np.maximum(d, 1e-300))
         return c + (p - c) * scale[:, None]
 
@@ -401,7 +401,7 @@ def _build_disk(eps, params, extra=None):
     net = Net(pts_all, eps)
 
     def member(p):
-        return euclidean_rows(p, np.broadcast_to(center, p.shape)) <= radius + 1e-9
+        return euclidean_rows(p, center) <= radius + 1e-9
 
     return AnnotatedSpace(
         "disk", params, net, np.zeros(n, dtype=int), ("disk",),
@@ -415,8 +415,7 @@ def _build_disk(eps, params, extra=None):
 
 
 def _nearest_row(pts, target) -> int:
-    return int(euclidean_rows(pts, np.broadcast_to(np.asarray(target, float),
-                                                   pts.shape)).argmin())
+    return int(euclidean_rows(pts, np.asarray(target, float)).argmin())
 
 
 def _sample_monotone_arc(theta_a, theta_b, step, endpoints):

@@ -23,6 +23,14 @@ def test_example_list(capsys):
     assert len(out.strip().splitlines()) == 13
 
 
+def test_main_builds_its_parser_once(capsys):
+    from extenlab.cli import build_parser
+    build_parser.cache_clear()
+    assert run_cli(capsys, "example", "list")[0] == 0
+    assert run_cli(capsys, "example", "run", "nosuch")[0] == 3
+    assert build_parser.cache_info().misses == 1
+
+
 def test_example_run_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "example", "run", "ndagger-eclosed",
                            "--epsilon", "2^-6")
@@ -445,8 +453,19 @@ def _certify(tmp_path, problem, text):
     ("ndagger-eopen", 2, "trace", lambda v: [-1]),
     ("sine-eopen", 2, "witness_path", lambda v: [[i] for i in v]),
     ("comb", None, "brackets", lambda v: [[float(v[0][0]), v[0][1]]] + v[1:]),
+    ("comb", None, "region", lambda v: {**v, "axis": -1}),
+    ("comb", None, "region", lambda v: {**v, "junk": [1]}),
+    ("comb", None, "region", lambda v: {}),
+    ("comb", None, "region", lambda v: {**v, "axis": 5}),
+    ("comb", None, "region", lambda v: {**v, "axis": 1.0}),
+    ("comb", None, "region", lambda v: {**v, "op": "xx"}),
+    ("comb", None, "region", lambda v: {**v, "value": "a"}),
+    ("comb", None, "region", lambda v: {**v, "value": float("nan")}),
 ], ids=["int-infinite", "winding-infinite", "negative-position",
-        "trace-negative", "path-2d", "bracket-float"])
+        "trace-negative", "path-2d", "bracket-float", "region-axis-negative",
+        "region-extra-key", "region-empty", "region-axis-too-large",
+        "region-axis-float", "region-op-unknown", "region-value-string",
+        "region-value-nan"])
 def test_certify_refuses_a_field_that_does_not_fit(tmp_path, capsys, family,
                                                    n, field, tamper):
     problem, cert = _emitted(tmp_path, family, n)

@@ -6,7 +6,8 @@ from extenlab.errors import InvalidArgument, NotCoveredRefusal, UnknownName
 from extenlab.certificates import (PositiveCertificate,
                                    build_negative_certificate,
                                    certificate_for)
-from extenlab.families import FAMILY_NAMES, example_family, explicit_extension
+from extenlab.families import (FAMILY_NAMES, example_family,
+                               explicit_extension, extends)
 from extenlab.maps import restrict
 from extenlab.metric import check_modulus
 from extenlab.serialization import certificate_to_json, dumps
@@ -171,7 +172,40 @@ def test_builders_partition_every_instance(name):
         neg = _built_or_refused(build_negative_certificate, name, n)
         ext = _built_or_refused(explicit_extension, name, n)
         assert (neg is None) != (ext is None), (name, n)
+        assert (neg is None) == extends(name, n), (name, n)
         expected = neg or PositiveCertificate(ext, tolerance=0.0)
         assert dumps(certificate_to_json(certificate_for(name, n, EPS6),
                                          EPS6)) \
             == dumps(certificate_to_json(expected, EPS6)), (name, n)
+
+
+# whether the members and the limit extend: not closed (members extend,
+# the limit does not), not open (the limit extends, no member does), or
+# extendible throughout
+PAPER_CLASSIFICATION = {
+    "pathcomp": (True, False), "sine-eclosed": (True, False),
+    "comb": (True, False), "sine-eopen": (False, True),
+    "ndagger-eopen": (False, True), "hawaii": (False, True),
+    "ndagger-eclosed": (True, True),
+}
+
+
+def test_extends_follows_the_papers_classification():
+    assert set(PAPER_CLASSIFICATION) == set(FAMILY_NAMES)
+    for name, (members, limit) in PAPER_CLASSIFICATION.items():
+        n_bound = example_family(name, EPS6).n_bound
+        assert {extends(name, n) for n in range(1, n_bound + 1)} \
+            == {members}, name
+        assert extends(name, None) == limit, name
+
+
+@pytest.mark.parametrize("build", [
+    extends, lambda name, n: explicit_extension(name, n, EPS6),
+    lambda name, n: build_negative_certificate(name, n, EPS6),
+    lambda name, n: certificate_for(name, n, EPS6),
+], ids=["extends", "explicit_extension", "build_negative_certificate",
+        "certificate_for"])
+def test_unknown_family_name_raises_unknown_name(build):
+    for n in (None, 1):
+        with pytest.raises(UnknownName):
+            build("borsuk", n)

@@ -202,6 +202,14 @@ def test_homotopy_geodesic_quarter_turn(circle):
     assert angles.min() >= -1e-12 and angles.max() <= math.pi / 2 + 1e-12
 
 
+def test_homotopy_slices_are_valid_under_the_shared_modulus(circle):
+    f = constant_map(circle.net, circle, [1.0, 0.0])
+    g = constant_map(circle.net, circle, [0.0, 1.0])
+    h = homotopy_between(f, g, "geodesic-circle")
+    for t in (0.0, 0.5, 1.0):
+        assert not h.slice(t).validity_report()
+
+
 def test_homotopy_geodesic_rejects_antipodal(circle):
     dom = Net(np.array([[0.0]]), 1.0)
     f = MapSample(dom, circle, np.array([[1.0, 0.0]]), Modulus.lip(0.0))

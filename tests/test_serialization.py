@@ -231,21 +231,6 @@ def test_positive_certificate_round_trip():
     assert check_certificate(fam.pair, fam.member(2), back).ok
 
 
-def test_homotopy_round_trip_as_product_map():
-    circle = xl.make_space("circle", EPS6)
-    from extenlab.maps import constant_map, homotopy_between
-    f = constant_map(circle.net, circle, [1.0, 0.0])
-    g = constant_map(circle.net, circle, [0.0, 1.0])
-    h = xl.homotopy_between(f, g, "geodesic-circle")
-    data = json.loads(ser.dumps(ser.homotopy_to_json(h)))
-    back = ser.homotopy_from_json(data, circle.net)
-    assert np.array_equal(back.values, h.values)
-    assert np.array_equal(back.times, h.times)
-    # every slice is a valid sample under the shared modulus
-    for t in (0.0, 0.5, 1.0):
-        assert not back.slice(t).validity_report()
-
-
 def test_verdict_json_validates():
     fam = xl.example_family("comb", EPS6)
     cert = build_negative_certificate("comb", None, EPS6)
