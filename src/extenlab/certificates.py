@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse, \
-    NotCoveredRefusal
-from .families import example_family, explicit_extension, extends
+from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse
+from .families import _covered_family, explicit_extension, extends
 from .maps import MapSample, collapse_retraction, winding_number
 from .metric import _frozen, euclidean_rows, reachable
 from .spaces import AnnotatedSpace, SpacePair, index_cutoff
@@ -364,17 +363,16 @@ def _sine_bracket_count(eps: float, k_osc: int) -> int:
 
 def build_negative_certificate(name: str, n: int | None,
                                resolution: float) -> Certificate:
-    """Obstruction certificate for an instance that does not extend."""
-    if extends(name, n):
-        raise NotCoveredRefusal(f"{name} {'limit' if n is None else n} "
-                                "extends")
+    """Obstruction certificate for an instance that does not extend.
+
+    Raises InvalidArgument for a member outside the family's bound and
+    NotCoveredRefusal for the instances that extend.
+    """
     eps = resolution
-    fam = example_family(name, eps)
+    fam = _covered_family(name, n, eps, extending=False)
     pair, cod = fam.pair, fam.codomain
     if name == "hawaii":
         k = n + 1
-        if k not in cod.meta["circles"]:
-            raise InvalidArgument(f"circle {k} not represented")
         loop = cod.meta["circles"][k]
         center = np.array([1.0 / k, 0.0])
         loop_pts = cod.net.points[loop]
@@ -405,8 +403,6 @@ def build_negative_certificate(name: str, n: int | None,
             brackets=[(pos[j + 1], pos[j]) for j in range(1, count + 1)],
             region=region, z0=pos[0], separation=1.0 - 2 * eps)
     if name == "sine-eopen":
-        if n + 1 > cod.meta["osc_cutoff"] + 1:
-            raise InvalidArgument(f"oscillation {n} not represented")
         zero = cod.meta["zero_index"]
         witness = np.arange(zero[n], zero[n + 1] + 1)
         return PathComponentObstruction(

@@ -189,17 +189,34 @@ def extends(name: str, n: int | None) -> bool:
 # explicit extensions (positive side)
 
 
+def _covered_family(name: str, n: int | None, resolution: float,
+                   extending: bool) -> MapFamily:
+    """The family of an instance a builder covers.
+
+    Raises InvalidArgument for a member n outside 1..n_bound, then
+    NotCoveredRefusal unless the instance extends exactly when the
+    builder asks for extending instances.
+    """
+    fam = example_family(name, resolution)
+    if n is not None and not 1 <= n <= fam.n_bound:
+        raise InvalidArgument(f"{name}: n={n} outside 1..{fam.n_bound} "
+                              "at this resolution")
+    if extends(name, n) != extending:
+        which = "limit" if n is None else n
+        verb = "does not extend" if extending else "extends"
+        raise NotCoveredRefusal(f"{name} {which} {verb}")
+    return fam
+
+
 def explicit_extension(name: str, n: int | None,
                        resolution: float) -> MapSample:
     """Explicit extension over Y for the instances that extend.
 
-    n = None asks for the limit map's extension.  Raises
-    NotCoveredRefusal for the instances that do not extend.
+    n = None asks for the limit map's extension.  Raises InvalidArgument
+    for a member outside the family's bound and NotCoveredRefusal for the
+    instances that do not extend.
     """
-    if not extends(name, n):
-        raise NotCoveredRefusal(f"{name} {'limit' if n is None else n} "
-                                "does not extend")
-    fam = example_family(name, resolution)
+    fam = _covered_family(name, n, resolution, extending=True)
     y_net = fam.pair.space.net
     if name == "comb":
         return _comb_extension(fam, n)
@@ -217,8 +234,6 @@ def explicit_extension(name: str, n: int | None,
 def _comb_extension(fam: MapFamily, n: int) -> MapSample:
     """Constant at the limit tooth tip on [0, 1/(n+1)], then tooth-to-tooth
     traversals: down tooth k+1, across the base, up tooth k."""
-    if not (1 <= n <= fam.n_bound):
-        raise InvalidArgument(f"comb extension needs n+1 exact teeth (n={n})")
     pair = fam.pair
     y = pair.space.net.points[:, 0]
     vals = np.zeros((len(y), 2))
@@ -265,8 +280,6 @@ def _polyline_positions(points: np.ndarray, fractions: np.ndarray) -> np.ndarray
 def _pathcomp_extension(fam: MapFamily, n: int) -> MapSample:
     """Walks the shipped curve polyline between consecutive zeros."""
     pair, sine = fam.pair, fam.codomain
-    if n > sine.meta["osc_cutoff"]:
-        raise InvalidArgument(f"extension needs oscillation {n} represented")
     zero = sine.meta["zero_index"]
     y = pair.space.net.points[:, 0]
     vals = np.zeros((len(y), 2))

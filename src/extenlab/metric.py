@@ -519,19 +519,6 @@ def build_epsilon_graph(net: Net, scale: float) -> EpsilonGraph:
     return EpsilonGraph(net, scale, np.vstack(found))
 
 
-def spot_check_triangle(net: Net, samples: int = 200, seed: int = 0) -> float:
-    """Worst triangle-inequality defect over sampled triples (<= 0 is good)."""
-    rng = np.random.default_rng(seed)
-    n = len(net)
-    triples = rng.integers(0, n, size=(samples, 3))
-    worst = -math.inf
-    for i, j, k in triples:
-        direct = net.pair_dist(int(i), int(k))
-        detour = net.pair_dist(int(i), int(j)) + net.pair_dist(int(j), int(k))
-        worst = max(worst, direct - detour)
-    return worst
-
-
 def graph_components(graph: EpsilonGraph) -> np.ndarray:
     """Connected-component labeling; each id is its smallest member index."""
     n = len(graph.net)

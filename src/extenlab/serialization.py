@@ -115,7 +115,7 @@ def space_from_ref(data: dict) -> AnnotatedSpace:
                               (("kind", "explicit"), ("points", digest[:16])),
                               net, labels, names,
                               _clopen_atoms(data["clopen_atoms"], len(net)),
-                              {}, {}, np.empty((0, 2)))
+                              {}, {})
     raise InvalidArgument("space reference needs a known 'kind'")
 
 

@@ -3,15 +3,16 @@
 Every catalog space is built at a dyadic resolution eps and carries exact
 structural annotations next to its net: a total path-component labeling,
 its clopen atoms, retraction data for the ANRs, and named basepoints.
+No edge list backs the labeling; the test suite checks that the points
+of each label are 2 eps-chain-connected through points of that label.
 
 Truncation policy (documented per space, deterministic):
 
-* ndagger      keeps every point 1/m with m <= 1/eps plus the limit 0;
-               the distinguished index cutoff (family bounds, exact
-               annotations) is index_cutoff(eps) = min(32, 1/(8 eps)).
-* comb         keeps teeth 1/m exactly for m <= index_cutoff(eps), then
-               fill teeth roughly every 0.75 eps down to ~eps, then the
-               limit tooth at x = 0.  An honest eps-net of the full comb.
+* ndagger      keeps every point 1/m with m <= 1/eps plus the limit 0.
+* comb         keeps teeth 1/m exactly for m <= index_cutoff(eps) (about
+               1/(8 eps), between 2 and 32), then fill teeth roughly every
+               0.75 eps down to ~eps, then the limit tooth at x = 0.  An
+               honest eps-net of the full comb.
 * sine         keeps full oscillations k <= osc_cutoff(eps) (the widest
                k(k+1) <= 1/eps), then only the baseline zeros (1/m, 0)
                down to m <= 1/eps, plus the limit segment {0} x [-1, 1].
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -159,6 +161,8 @@ def _disk_retraction(center, radius):
 class AnnotatedSpace:
     """A compact metric space at one resolution, with exact annotations.
 
+    meta: builder data that pair, family and example code reads back
+    (e.g. the sine's zero_index, the earring's circles).
     recipe: how a constructor built it, as serialization.space_to_ref
     writes it but with base spaces for their references; else None.
     """
@@ -171,15 +175,12 @@ class AnnotatedSpace:
     clopen: ClopenAtoms
     retractions: dict
     basepoints: dict
-    chain_edges: np.ndarray
     meta: dict = field(default_factory=dict)
     contains_fn: object = None
     recipe: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "labels", _frozen(self.labels, int))
-        object.__setattr__(self, "chain_edges",
-                           _frozen(self.chain_edges, int).reshape(-1, 2))
 
     @property
     def resolution(self) -> float:
@@ -241,13 +242,6 @@ class SpacePair:
         return int(hits[0])
 
 
-def _consecutive(indices) -> np.ndarray:
-    idx = np.asarray(indices, dtype=int)
-    if len(idx) < 2:
-        return np.empty((0, 2), dtype=int)
-    return np.column_stack([idx[:-1], idx[1:]])
-
-
 # ---------------------------------------------------------------------------
 # catalog builders
 
@@ -256,8 +250,8 @@ def _build_point(eps, params):
     net = Net(np.array([[0.0]]), eps)
     return AnnotatedSpace(
         "point", params, net, np.zeros(1, dtype=int), ("point",),
-        ClopenAtoms.connected(1), {}, {"origin": 0}, np.empty((0, 2)),
-        meta={}, contains_fn=lambda p: euclidean_rows(p, np.zeros_like(p)) <= 1e-12)
+        ClopenAtoms.connected(1), {}, {"origin": 0},
+        contains_fn=lambda p: euclidean_rows(p, np.zeros_like(p)) <= 1e-12)
 
 
 def _build_interval(eps, params, extra=()):
@@ -270,7 +264,6 @@ def _build_interval(eps, params, extra=()):
         "interval", params, net, np.zeros(n, dtype=int), ("interval",),
         ClopenAtoms.connected(n), {"clamp": _interval_retraction()},
         {"left": 0, "right": n - 1},
-        _consecutive(np.arange(n)),
         meta={"values": pts},
         contains_fn=lambda p: (p[:, 0] >= -1e-12) & (p[:, 0] <= 1 + 1e-12))
 
@@ -288,14 +281,9 @@ def _build_ndagger(eps, params):
     labels = np.arange(n)
     names = tuple("singleton-0" if v == 0.0 else f"singleton-1/{round(1 / v)}"
                   for v in vals)
-    members = np.array([0] + list(range(round(1.0 / eps), 0, -1)))
-    index_of = {int(m): i for i, m in enumerate(members)}
     return AnnotatedSpace(
         "ndagger", params, net, labels, names, ClopenAtoms(labels), {},
-        {"zero": 0, "one": n - 1},
-        np.empty((0, 2)),
-        meta={"members": members, "index_of_member": index_of,
-              "index_cutoff": index_cutoff(eps)})
+        {"zero": 0, "one": n - 1})
 
 
 def _build_circle(eps, params):
@@ -308,13 +296,11 @@ def _build_circle(eps, params):
                      (count // 2, (-1, 0)), (3 * count // 4, (0, -1))):
         pts[j] = exact
     net = Net(pts, eps)
-    edges = np.vstack([_consecutive(np.arange(count)), [[count - 1, 0]]])
     return AnnotatedSpace(
         "circle", params, net, np.zeros(count, dtype=int), ("circle",),
         ClopenAtoms.connected(count), {"radial": _circle_retraction()},
         {"angle0": 0},
-        edges,
-        meta={"count": count, "angles": ang},
+        meta={"count": count},
         contains_fn=lambda p: np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0) <= 1e-9)
 
 
@@ -366,39 +352,13 @@ def _build_disk(eps, params, extra=None):
 
     count = int(math.ceil(2 * math.pi * radius / (0.5 * eps)))
     ang = 2 * math.pi * np.arange(count) / count
-    ring_idx = [add_rows(np.column_stack([cx + r * np.cos(ang),
-                                          cy + r * np.sin(ang)]))
-                for r in (radius, radius - 0.5 * eps, radius - eps)]
+    for r in (radius, radius - 0.5 * eps, radius - eps):
+        add_rows(np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)]))
     injected = add_rows(extra) if extra is not None and len(extra) else \
         np.empty(0, dtype=int)
 
-    pts_all = np.vstack(rows)
-    n = len(pts_all)
-
-    edges = []
-    h = (idx2d[:-1, :] >= 0) & (idx2d[1:, :] >= 0)
-    edges.append(np.column_stack([idx2d[:-1, :][h], idx2d[1:, :][h]]))
-    v = (idx2d[:, :-1] >= 0) & (idx2d[:, 1:] >= 0)
-    edges.append(np.column_stack([idx2d[:, :-1][v], idx2d[:, 1:][v]]))
-    for r in range(3):
-        edges.append(np.column_stack([ring_idx[r], np.roll(ring_idx[r], -1)]))
-        if r:
-            edges.append(np.column_stack([ring_idx[r], ring_idx[r - 1]]))
-    # innermost ring into the grid: one inside corner of the containing cell
-    inner = ring_idx[2]
-    base = np.floor((pts_all[inner] - (xs[0], ys[0])) / eps).astype(int)
-    corner = np.full(len(inner), -1, dtype=int)
-    for step in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        ix, iy = (base + step).T
-        ok = (ix >= 0) & (ix < idx2d.shape[0]) & (iy >= 0) & (iy < idx2d.shape[1])
-        first = corner < 0
-        first[ok] &= idx2d[ix[ok], iy[ok]] >= 0
-        first &= ok
-        corner[first] = idx2d[ix[first], iy[first]]
-    found = corner >= 0
-    edges.append(np.column_stack([inner[found], corner[found]]))
-
-    net = Net(pts_all, eps)
+    net = Net(np.vstack(rows), eps)
+    n = len(net)
 
     def member(p):
         return euclidean_rows(p, center) <= radius + 1e-9
@@ -408,9 +368,7 @@ def _build_disk(eps, params, extra=None):
         ClopenAtoms.connected(n),
         {"radial-clamp": _disk_retraction(center, radius)},
         {"center": _nearest_row(grid_pts, center)},
-        np.vstack(edges),
-        meta={"center": center, "radius": radius,
-              "injected_indices": injected},
+        meta={"injected_indices": injected},
         contains_fn=member)
 
 
@@ -474,10 +432,6 @@ def _build_sine(eps, params):
 
     labels = np.zeros(n, dtype=int)
     labels[n_curve:] = 1
-    edges = np.vstack([
-        _consecutive(np.arange(n_curve)),           # polyline plus zero tail
-        _consecutive(np.arange(n_curve, n)),        # the limit segment
-    ])
     origin = n_curve + int(np.nonzero(seg_y == 0.0)[0][0])
     net = Net(pts, eps)
 
@@ -493,10 +447,7 @@ def _build_sine(eps, params):
     return AnnotatedSpace(
         "sine", params, net, labels, ("curve", "segment"),
         ClopenAtoms.connected(n), {}, {"origin": origin, "corner": 0},
-        edges,
-        meta={"zero_index": zero_pos, "osc_cutoff": k_osc,
-              "tail_max": m_tail, "n_curve": n_curve,
-              "index_cutoff": index_cutoff(eps)},
+        meta={"zero_index": zero_pos, "osc_cutoff": k_osc},
         contains_fn=member)
 
 
@@ -522,23 +473,11 @@ def _build_comb(eps, params):
     ygrid = dyadic.grid(eps)
     base_x = np.unique(np.concatenate([dyadic.grid(eps), np.asarray(teeth)]))
     base = np.column_stack([base_x, np.zeros(len(base_x))])
-    cols, col_index = [], {}
-    offset = len(base)
-    for x in teeth:
-        col = np.column_stack([np.full(len(ygrid) - 1, x), ygrid[1:]])
-        col_index[x] = offset
-        cols.append(col)
-        offset += len(col)
+    cols = [np.column_stack([np.full(len(ygrid) - 1, x), ygrid[1:]])
+            for x in teeth]
     pts = np.vstack([base] + cols)
     n = len(pts)
-    edges = [_consecutive(np.arange(len(base)))]
-    base_pos = {x: i for i, x in enumerate(base_x)}
-    for x in teeth:
-        start = col_index[x]
-        idx = np.concatenate([[base_pos[x]], np.arange(start, start + len(ygrid) - 1)])
-        edges.append(_consecutive(idx))
     net = Net(pts, eps)
-    tip_of = {x: col_index[x] + len(ygrid) - 2 for x in teeth}
 
     def member(p):
         x, y = p[:, 0], p[:, 1]
@@ -549,14 +488,10 @@ def _build_comb(eps, params):
         on_tooth &= (y >= -1e-9) & (y <= 1 + 1e-9)
         return on_base | on_tooth
 
-    cut = index_cutoff(eps)
+    # base_x starts at 0.0; the limit tooth's column comes last, tip on top
     return AnnotatedSpace(
         "comb", params, net, np.zeros(n, dtype=int), ("comb",),
-        ClopenAtoms.connected(n), {},
-        {"limit-tip": tip_of[0.0], "origin": base_pos[0.0]},
-        np.vstack(edges),
-        meta={"teeth": teeth, "index_cutoff": cut, "tip_index": tip_of,
-              "exact_teeth": [1.0 / m for m in range(1, cut + 1)]},
+        ClopenAtoms.connected(n), {}, {"limit-tip": n - 1, "origin": 0},
         contains_fn=member)
 
 
@@ -564,7 +499,6 @@ def _build_hawaii(eps, params):
     k_max = round(1.0 / eps)
     pts = [np.array([[0.0, 0.0]])]
     circle_indices = {}
-    edges = []
     offset = 1
     for k in range(1, k_max + 1):
         r = 1.0 / k
@@ -576,7 +510,6 @@ def _build_hawaii(eps, params):
         ring = np.concatenate([[0], offset + np.arange(count - 1)])
         pts.append(circ[1:])  # drop the shared origin sample
         circle_indices[k] = ring
-        edges.append(np.column_stack([ring, np.roll(ring, -1)]))
         offset += count - 1
     net_pts = np.vstack(pts)
     n = len(net_pts)
@@ -598,7 +531,6 @@ def _build_hawaii(eps, params):
     return AnnotatedSpace(
         "hawaii", params, net, np.zeros(n, dtype=int), ("earring",),
         ClopenAtoms.connected(n), {}, {"origin": 0},
-        np.vstack(edges),
         meta={"circles": circle_indices, "circle_max": k_max,
               "family_bound": min(index_cutoff(eps), k_max - 1)},
         contains_fn=member)
@@ -693,25 +625,13 @@ def product_with(space: AnnotatedSpace, factor: str,
         atom_ids = np.concatenate([np.where(base.ids < 0, -1,
                                             base.ids + i * base.count)
                                    for i in range(nF)])
-    edges = _layer_edges(space, nF, linked=factor == "interval")
     return AnnotatedSpace(
         f"product({factor},{space.name})",
         (("factor", factor), *grid, ("base", space.key)),
-        net, labels, names, ClopenAtoms(atom_ids), {}, {}, np.vstack(edges),
+        net, labels, names, ClopenAtoms(atom_ids), {}, {},
         meta={"factor_values": fvals, "base_size": nA},
         recipe={"kind": "construct", "op": "product", "factor": factor,
                 "base": space, **dict(grid)})
-
-
-def _layer_edges(space: AnnotatedSpace, layers: int, linked: bool) -> list:
-    """Chain edges on stacked copies of the net (linked: to the next copy)."""
-    n = len(space.net)
-    edges = [space.chain_edges + i * n for i in range(layers)]
-    if linked:
-        edges += [np.column_stack([np.arange(n) + i * n,
-                                   np.arange(n) + (i + 1) * n])
-                  for i in range(layers - 1)]
-    return edges
 
 
 def cone(space: AnnotatedSpace) -> AnnotatedSpace:
@@ -728,14 +648,10 @@ def cone(space: AnnotatedSpace) -> AnnotatedSpace:
     pts = np.vstack([pts, apex[None, :]])
     net = Net(pts, eps, ConeMetric())
     n = len(pts)
-    edges = _layer_edges(space, nL, linked=True)
-    edges.append(np.column_stack([(nL - 1) * nA + np.arange(nA),
-                                  np.full(nA, n - 1)]))
     return AnnotatedSpace(
         f"cone({space.name})", (("base", space.key),),
         net, np.zeros(n, dtype=int), ("cone",),
         ClopenAtoms.connected(n), {}, {"apex": n - 1},
-        np.vstack(edges),
         meta={"levels": levels, "base_size": nA, "apex_index": n - 1},
         recipe={"kind": "construct", "op": "cone", "base": space})
 
@@ -756,7 +672,6 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
     meta_blocks = []
     labels = [np.array([0])]
     names = ["infinity"]
-    edges = []
     atom_ids = [np.array([len(blocks)])]    # infinity after the blocks
     for n, b in enumerate(blocks, start=1):
         if b.resolution != eps:
@@ -774,32 +689,30 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
                             "scale": scale, "shift": 0.75 * 2.0 ** (-n)})
         labels.append(b.labels + len(names))
         names.extend(f"block{n}:{ln}" for ln in b.label_names)
-        edges.append(b.chain_edges + offset)
         offset += len(p)
     net = Net(np.vstack(pts), eps)
     return AnnotatedSpace(
         "opc", tuple((f"block{i + 1}", b.key) for i, b in enumerate(blocks)),
         net, np.concatenate(labels), tuple(names),
         ClopenAtoms(np.concatenate(atom_ids)), {},
-        {"infinity": 0}, np.vstack(edges), meta={"blocks": meta_blocks},
+        {"infinity": 0}, meta={"blocks": meta_blocks},
         recipe={"kind": "construct", "op": "opc", "blocks": list(blocks)})
 
 
 def subspace(space: AnnotatedSpace, indices, name: str) -> AnnotatedSpace:
     """Connected sub-net of a catalog space, reusing the parent's metric."""
-    idx = np.asarray(indices, dtype=int)
+    idx = np.asarray(indices, dtype=np.int64)
     labs = np.unique(space.labels[idx])
     if len(labs) != 1:
         raise InvalidArgument("subspace must sit inside one path component")
     net = space.net.subnet(idx)
     n = len(idx)
-    pos = {int(i): j for j, i in enumerate(idx)}
-    kept = [(pos[a], pos[b]) for a, b in space.chain_edges
-            if int(a) in pos and int(b) in pos]
+    # the digest keeps subspaces of one base on other indices apart
+    digest = hashlib.sha256(idx.tobytes()).hexdigest()
     return AnnotatedSpace(
-        name, (("base", space.key),), net, np.zeros(n, dtype=int),
-        (space.label_names[labs[0]],), ClopenAtoms.connected(n), {}, {},
-        np.asarray(kept, dtype=int).reshape(-1, 2),
+        name, (("base", space.key), ("indices", digest[:16])), net,
+        np.zeros(n, dtype=int), (space.label_names[labs[0]],),
+        ClopenAtoms.connected(n), {}, {},
         contains_fn=space.contains_fn,
         recipe={"kind": "construct", "op": "subspace", "base": space,
                 "indices": [int(i) for i in idx], "name": name})
@@ -824,16 +737,17 @@ def urysohn(space: AnnotatedSpace, z_indices, v_indices):
     from .maps import MapSample  # local import to avoid a cycle
 
     z = np.asarray(z_indices, dtype=int)
-    v = set(int(i) for i in np.asarray(v_indices, dtype=int))
-    if not set(int(i) for i in z) <= v:
+    in_v = np.zeros(len(space.net), dtype=bool)
+    in_v[np.asarray(v_indices, dtype=int)] = True
+    if not in_v[z].all():
         raise InvalidArgument("urysohn requires Z inside V")
-    comp = np.asarray([i for i in range(len(space.net)) if i not in v], dtype=int)
+    comp = np.flatnonzero(~in_v)
     if len(comp) == 0:
         raise InvalidArgument("urysohn requires a nonempty complement")
     all_idx = np.arange(len(space.net))
     d_comp = space.net.dist_idx(all_idx, comp).min(axis=1)
     d_z = space.net.dist_idx(all_idx, z).min(axis=1)
-    sep = float(space.net.dist_idx(z, comp).min())
+    sep = float(d_comp[z].min())
     if sep <= 0:
         from .errors import DegenerateSeparation
         raise DegenerateSeparation("d(Z, Y - V) vanishes on the net")
@@ -873,9 +787,7 @@ def _build_named_pair(name: str, eps: float) -> SpacePair:
         y = _build_interval(eps, (("with", "N"),), extra=members)
         z = np.searchsorted(y.meta["values"], members)
         member_ids = np.array([0] + list(range(round(1 / eps), 0, -1)))
-        return SpacePair.build(name, y, z,
-                               meta={"z_members": member_ids,
-                                     "index_cutoff": index_cutoff(eps)})
+        return SpacePair.build(name, y, z, meta={"z_members": member_ids})
     if name == "interval-ends":
         y = make_space("interval", eps)
         return SpacePair.build(name, y, [y.basepoint("left"), y.basepoint("right")])

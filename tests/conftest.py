@@ -2,14 +2,18 @@
 
 The oracles here deliberately avoid the library's own shortest-path /
 component machinery (scipy's csgraph included): union-find over explicit
-edge lists, exhaustive path enumeration for maximin values, and plain BFS
-over a dense distance matrix for reachability.
+edge lists (chain pairs come from a KD-tree or the net's own distances),
+exhaustive path enumeration for maximin values, and plain BFS over a
+dense distance matrix for reachability.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 
 class UnionFind:
@@ -69,6 +73,57 @@ def components_by_unionfind_loop(n: int, edges) -> np.ndarray:
     for i, r in enumerate(roots):
         first.setdefault(r, i)
     return np.array([first[r] for r in roots])
+
+
+def pairs_within(net, scale: float) -> np.ndarray:
+    """Every pair i < j of net points with d(i, j) <= scale, by the net's
+    own metric: a KD-tree on a Euclidean net, row blocks of Net.dist_idx
+    on any other (the cone's apex shortcut is not a Euclidean distance).
+    """
+    n = len(net)
+    if net.metric_kind == "ambient-euclidean":
+        tree = cKDTree(net.points, balanced_tree=False, compact_nodes=False)
+        return tree.query_pairs(scale, output_type="ndarray")
+    found = [np.empty((0, 2), dtype=np.int64)]
+    step = max(1, 2 ** 22 // n)
+    for start in range(0, n, step):
+        block = net.dist_idx(slice(start, start + step), slice(start, n))
+        ii, jj = np.nonzero(block <= scale)
+        found.append(np.column_stack([ii, jj])[ii < jj] + start)
+    return np.vstack(found)
+
+
+def assert_labels_chain_connected(space):
+    """Each path-component label of an annotated space is one chain class.
+
+    The pairs within the scale whose points share a label are joined by
+    union-find; the space passes when that leaves exactly one group per
+    label.  Any scale up to 2 eps proves the claim, so the check starts
+    just above eps, which keeps the disk's pair list short, and widens
+    through 1.5 eps to 2 eps only for nets spaced more coarsely.
+    """
+    eps = space.resolution
+    labels = space.labels
+    for scale in (1.01 * eps, 1.5 * eps, 2.0 * eps):
+        pairs = pairs_within(space.net, scale)
+        pairs = pairs[labels[pairs[:, 0]] == labels[pairs[:, 1]]]
+        groups = components_by_unionfind(len(labels), pairs)
+        if len(np.unique(groups)) == len(np.unique(labels)):
+            return
+    raise AssertionError(f"{space.key}: a label is not 2eps-chain-connected")
+
+
+def spot_check_triangle(net, samples: int = 200, seed: int = 0) -> float:
+    """Worst triangle-inequality defect over sampled triples (<= 0 is good)."""
+    rng = np.random.default_rng(seed)
+    n = len(net)
+    triples = rng.integers(0, n, size=(samples, 3))
+    worst = -math.inf
+    for i, j, k in triples:
+        direct = net.pair_dist(int(i), int(k))
+        detour = net.pair_dist(int(i), int(j)) + net.pair_dist(int(j), int(k))
+        worst = max(worst, direct - detour)
+    return worst
 
 
 def exhaustive_widest_path(n: int, edges, src: int, dst: int,

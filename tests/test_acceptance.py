@@ -20,7 +20,7 @@ from extenlab.metric import (Modulus, build_epsilon_graph, euclidean_rows,
                              reachable, sup_distance, widest_path_value)
 from extenlab.maps import MapSample
 
-from conftest import (bfs_reachable_dense, components_by_unionfind,
+from conftest import (assert_labels_chain_connected, bfs_reachable_dense,
                       exhaustive_widest_path)
 
 EPS8 = 2.0 ** -8
@@ -206,16 +206,7 @@ def test_acceptance_7_metric_and_invariant_suites(rng):
         eps = 2.0 ** -k
         for name in xl.catalog_names():
             space = xl.make_space(name, eps)
-            edges = space.chain_edges
-            if len(edges):
-                if space.net.metric_kind == "ambient-euclidean":
-                    lengths = euclidean_rows(space.net.points[edges[:, 0]],
-                                             space.net.points[edges[:, 1]])
-                    assert float(lengths.max()) <= 2 * eps + 1e-12, (name, k)
-                groups = components_by_unionfind(len(space.net), edges)
-                for lab in np.unique(space.labels):
-                    members = np.nonzero(space.labels == lab)[0]
-                    assert len(np.unique(groups[members])) == 1, (name, k)
+            assert_labels_chain_connected(space)
             for retr in space.retractions.values():
                 assert bool(np.all(retr.contains(space.net.points)))
                 moved = retr.apply(space.net.points)

@@ -3,7 +3,7 @@ import pytest
 
 import extenlab as xl
 from extenlab.errors import InvalidArgument, NotCoveredRefusal, UnknownName
-from extenlab.certificates import (PositiveCertificate,
+from extenlab.certificates import (Certificate, PositiveCertificate,
                                    build_negative_certificate,
                                    certificate_for)
 from extenlab.families import (FAMILY_NAMES, example_family,
@@ -209,3 +209,17 @@ def test_unknown_family_name_raises_unknown_name(build):
     for n in (None, 1):
         with pytest.raises(UnknownName):
             build("borsuk", n)
+
+
+@pytest.mark.parametrize("eps", [2.0 ** -5, EPS6, EPS8])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_members_outside_the_bound_are_refused_as_invalid(name, eps):
+    # n = 0 and n = -1 used to crash inside the builders, and members past
+    # n_bound used to build; the bound itself still builds
+    n_bound = example_family(name, eps).n_bound
+    for n in (-1, 0, n_bound + 1):
+        for build in (explicit_extension, build_negative_certificate,
+                      certificate_for):
+            with pytest.raises(InvalidArgument):
+                build(name, n, eps)
+    assert isinstance(certificate_for(name, n_bound, eps), Certificate)

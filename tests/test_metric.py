@@ -13,7 +13,8 @@ from extenlab.metric import (Modulus, Net, build_epsilon_graph,
                              sup_distance_interval, widest_path_value)
 from extenlab.maps import MapSample
 
-from conftest import components_by_unionfind, exhaustive_widest_path
+from conftest import (components_by_unionfind, exhaustive_widest_path,
+                      spot_check_triangle)
 
 EPS8 = 2.0 ** -8
 EPS6 = 2.0 ** -6
@@ -71,8 +72,7 @@ def test_net_adjacency_is_its_own_graph_built_once_per_scale():
     for pts in (np.array([[0.0], [0.5]]), np.array([[0.0], [0.25], [0.5]])):
         nets.append(AnnotatedSpace(
             "user", (), Net(pts, 0.25), np.zeros(len(pts), dtype=int),
-            ("user",), ClopenAtoms.connected(len(pts)), {}, {},
-            np.empty((0, 2))).net)
+            ("user",), ClopenAtoms.connected(len(pts)), {}, {}).net)
     for net in nets:
         adj = net.adjacency(2 * eps)
         assert adj.shape == (len(net), len(net))
@@ -124,7 +124,7 @@ def test_epsilon_graph_edges_match_dense_relation(rng):
 
 
 def test_matrix_metric_triangle_spot_check():
-    from extenlab.metric import MatrixMetric, spot_check_triangle
+    from extenlab.metric import MatrixMetric
     mat = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
     net = Net(np.zeros((3, 1)), 1.0, MatrixMetric(mat))
     assert spot_check_triangle(net, samples=100) <= 0.0
@@ -1217,7 +1217,7 @@ def test_writes_through_a_base_array_reach_no_space_pair_graph_or_certificate(
     pair = xl.SpacePair.build("x", iv, z[1:3])
     labels, edges = np.zeros(12, dtype=int), np.arange(12)
     space = xl.AnnotatedSpace("s", (), iv.net, labels[:9], ("only",),
-                              iv.clopen, {}, {}, edges[:8])
+                              iv.clopen, {}, {})
     graph = EpsilonGraph(iv.net, 0.25, edges[:8])
     path = PathComponentObstruction(0, 1, z[2:5], ("a", "b"))
     rings = rng.random((3, 4, 2))
@@ -1230,11 +1230,10 @@ def test_writes_through_a_base_array_reach_no_space_pair_graph_or_certificate(
     assert pair.z_indices.tolist() == [1, 2]
     assert np.array_equal(pair.z_net.points, iv.net.points[[1, 2]])
     assert space.labels.tolist() == [0] * 9
-    assert space.chain_edges.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
-    assert graph.edges.tolist() == space.chain_edges.tolist()
+    assert graph.edges.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
     assert path.witness_path.tolist() == [2, 3, 4]
     assert winding.loop.tolist() == [0, 1, 2, 3]
     assert np.array_equal(winding.witness_rings, kept)
-    for a in (pair.z_indices, space.labels, space.chain_edges, graph.edges,
+    for a in (pair.z_indices, space.labels, graph.edges,
               path.witness_path, winding.loop, winding.witness_rings):
         assert not a.flags.writeable

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 import extenlab as xl
@@ -6,6 +10,7 @@ from extenlab.runs import list_examples, run_example
 from extenlab.serialization import dumps
 
 EPS6 = 2.0 ** -6
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
 def test_catalog_lists_thirteen_reproductions():
@@ -16,6 +21,16 @@ def test_catalog_lists_thirteen_reproductions():
     for e in entries:
         assert e["claim"]
         assert e["default_n_max"] >= 1
+
+
+def test_reproductions_keep_their_report_bytes():
+    # each report at its pin hashes to the digest the benchmark records
+    recorded = json.loads(DIGESTS.read_text())
+    for entry in list_examples():
+        name = entry["name"]
+        text = dumps(run_example(name).as_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == recorded[f"repro/{name}"], name
 
 
 def test_unknown_example_raises():

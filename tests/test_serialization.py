@@ -86,7 +86,7 @@ def test_explicit_space_round_trip():
     from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     net = Net(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5)
     sp = AnnotatedSpace("user", (), net, np.zeros(2, dtype=int), ("user",),
-                        ClopenAtoms.connected(2), {}, {}, np.empty((0, 2)))
+                        ClopenAtoms.connected(2), {}, {})
     ref = json.loads(ser.dumps(ser.space_to_ref(sp)))
     _validate("space", ref)
     back = ser.space_from_ref(ref)
@@ -114,8 +114,7 @@ def test_explicit_space_with_a_catalog_name_stays_explicit():
     from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     net = Net(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), 0.5)
     sp = AnnotatedSpace("circle", (), net, np.zeros(3, dtype=int),
-                        ("circle",), ClopenAtoms.connected(3), {}, {},
-                        np.empty((0, 2)))
+                        ("circle",), ClopenAtoms.connected(3), {}, {})
     ref = json.loads(ser.dumps(ser.space_to_ref(sp)))
     assert ref["kind"] == "explicit"
     assert np.array_equal(ser.space_from_ref(ref).net.points, net.points)

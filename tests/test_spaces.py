@@ -12,7 +12,7 @@ from extenlab.metric import Modulus, check_modulus, euclidean_rows, \
     sup_distance
 from extenlab.spaces import index_cutoff, osc_cutoff
 
-from conftest import components_by_unionfind
+from conftest import assert_labels_chain_connected
 
 EPS6 = 2.0 ** -6
 EPS8 = 2.0 ** -8
@@ -173,8 +173,7 @@ def test_product_point_interval_is_interval():
 def test_product_interval_square_one_component():
     sq = xl.product_with(xl.make_space("interval", 2.0 ** -4), "interval")
     assert sq.component_count() == 1
-    labels = components_by_unionfind(len(sq.net), sq.chain_edges)
-    assert len(np.unique(labels)) == 1
+    assert_labels_chain_connected(sq)
 
 
 def test_product_circle_ndagger_components():
@@ -183,10 +182,7 @@ def test_product_circle_ndagger_components():
     nd = xl.make_space("ndagger", eps)
     assert prod.component_count() == len(nd.net)
     # each declared component is internally 2eps-chain-connected
-    labels = components_by_unionfind(len(prod.net), prod.chain_edges)
-    for lab in np.unique(prod.labels):
-        members = np.nonzero(prod.labels == lab)[0]
-        assert len(np.unique(labels[members])) == 1
+    assert_labels_chain_connected(prod)
 
 
 def test_product_rejects_coarse_grid():
@@ -210,6 +206,37 @@ def test_product_key_names_its_grid_step():
         sup_distance(f, g)
 
 
+def test_subspace_key_names_its_indices():
+    # subspaces of one base under one name: the key tells the index sets
+    # apart, so maps into different ones refuse to compare
+    eps = 2.0 ** -4
+    circle = xl.make_space("circle", eps)
+    first = xl.subspace(circle, [0, 1, 2], "b")
+    other = xl.subspace(circle, [5, 6, 7], "b")
+    again = xl.subspace(circle, [0, 1, 2], "b")
+    assert first.key != other.key
+    assert first.key == again.key
+    point = xl.make_space("point", eps).net
+    f, g, h = (MapSample(point, sub, sub.net.points[:1], Modulus.lip(1.0))
+               for sub in (first, other, again))
+    with pytest.raises(DomainMismatch):
+        sup_distance(f, g)
+    assert sup_distance(f, h) == 0.0
+
+
+def test_label_oracle_rejects_a_split_label():
+    # the interval with its two ends under one label and the middle under
+    # another: the end label is no chain class, so the oracle must fail
+    iv = xl.make_space("interval", 2.0 ** -4)
+    labels = np.zeros(len(iv.net), dtype=int)
+    labels[4:-4] = 1
+    split = xl.AnnotatedSpace("split", (), iv.net, labels, ("ends", "middle"),
+                              iv.clopen, {}, {})
+    with pytest.raises(AssertionError):
+        assert_labels_chain_connected(split)
+    assert_labels_chain_connected(iv)
+
+
 def test_cone_point_is_interval():
     cp = xl.cone(xl.make_space("point", 2.0 ** -4))
     iv = xl.make_space("interval", 2.0 ** -4)
@@ -224,19 +251,16 @@ def test_cone_two_points_single_component():
     from extenlab.metric import Net
     two = AnnotatedSpace(
         "two-points", (), Net(np.array([[0.0], [1.0]]), 2.0 ** -4),
-        np.array([0, 1]), ("a", "b"), ClopenAtoms.connected(2), {}, {},
-        np.empty((0, 2)))
+        np.array([0, 1]), ("a", "b"), ClopenAtoms.connected(2), {}, {})
     c = xl.cone(two)
     assert c.component_count() == 1
-    labels = components_by_unionfind(len(c.net), c.chain_edges)
-    assert len(np.unique(labels)) == 1
+    assert_labels_chain_connected(c)
 
 
 def test_cone_ndagger_path_connected():
     c = xl.cone(xl.make_space("ndagger", 2.0 ** -5))
     assert c.component_count() == 1
-    labels = components_by_unionfind(len(c.net), c.chain_edges)
-    assert len(np.unique(labels)) == 1
+    assert_labels_chain_connected(c)
 
 
 def test_cone_metric_triangle_inequality_sampled(rng):
@@ -352,7 +376,7 @@ def test_urysohn_degenerate_separation():
     from extenlab.metric import Net
     net = Net(np.array([[0.0], [0.0], [1.0]]), 1.0)
     sp = AnnotatedSpace("dup", (), net, np.zeros(3, dtype=int), ("dup",),
-                        ClopenAtoms.connected(3), {}, {}, np.empty((0, 2)))
+                        ClopenAtoms.connected(3), {}, {})
     with pytest.raises(DegenerateSeparation):
         xl.urysohn(sp, [0], [0, 2])
 
