@@ -295,7 +295,7 @@ def _arc_bound(f, g, a0, delta, fixed):
     multiples of 2 pi, so it is at most 2 sin(min(pi, M) / 2) for
     M = min(|m_i - m_j|, 2 pi - |m_i - m_j|) + |h_i - h_j|.  The values
     lie within off_i of these points: |r - 1| for an endpoint of norm r,
-    plus |delta_i| on a fixed row; a block takes its largest off_i.
+    plus |delta_i| on a fixed row; a run of rows takes its largest off_i.
 
     Rounding: arctan2, t delta, cos, sin and the wraps cost a few ulps of
     2 pi, so values lie within 2^-46 (1 + r) of their points, M and

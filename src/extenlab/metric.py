@@ -9,9 +9,10 @@ and the data a Net derives from them on first use never changes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -33,6 +34,15 @@ _TABLE_BYTES = 64 << 20
 # dmax * 2^-253 ... dmax, so one table serves every bucket count up to
 # _RADII; searchsorted over these 255 edges gives codes 0..255.
 _RADII = 254
+
+# Net points per tile.  The modulus kernels cut each block of pairs into
+# units, a row tile by a column tile clipped to the block, and skip a
+# unit whole when the boxes of its tiles' values prove every pair of it.
+_TILE = 32
+
+# The additive tolerance of check_modulus: a pair passes when its value
+# distance is at most omega(d) + slack + _CHECK_TOLERANCE.
+_CHECK_TOLERANCE = 1e-12
 
 # The modulus kernels skip a pair only where a bound provider (see
 # _square_bound and maps._arc_bound) proves it below a limit; each
@@ -95,8 +105,9 @@ def _euclidean_cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _columns(a: np.ndarray) -> list[np.ndarray]:
-    """Each coordinate of an (n, d) array as its own contiguous column."""
-    return [np.ascontiguousarray(a[:, k]) for k in range(a.shape[1])]
+    """Each coordinate of an (..., n, d) array as its own contiguous
+    (..., n) column."""
+    return [np.ascontiguousarray(a[..., k]) for k in range(a.shape[-1])]
 
 
 class _Scratch:
@@ -107,8 +118,8 @@ class _Scratch:
     def __init__(self):
         self.buf = np.empty(0)
 
-    def block(self, rows: slice, cols: slice) -> np.ndarray:
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
+    def block(self, rows: np.ndarray, cols: slice) -> np.ndarray:
+        shape = (len(rows), cols.stop - cols.start)
         if self.buf.size < shape[0] * shape[1]:
             self.buf = np.empty(shape[0] * shape[1])
         return self.buf[:shape[0] * shape[1]].reshape(shape)
@@ -144,13 +155,14 @@ def _exact_block(a, columns, rows, cols, out, tmp) -> np.ndarray:
 
 
 def _exact_pairs(a, columns, i, j) -> np.ndarray:
-    """_euclidean(a[i], a[j]) bit for bit, gathering from the columns."""
+    """_euclidean(a[..., i, :], a[..., j, :]) bit for bit, gathering from
+    the columns (see _columns)."""
     if len(columns) > 2:
-        return _euclidean(a[i], a[j])
-    d = columns[0][i] - columns[0][j]
+        return _euclidean(a[..., i, :], a[..., j, :])
+    d = columns[0][..., i] - columns[0][..., j]
     if len(columns) == 1:
         return np.abs(d, out=d)
-    return np.hypot(d, columns[1][i] - columns[1][j], out=d)
+    return np.hypot(d, columns[1][..., i] - columns[1][..., j], out=d)
 
 
 def _square_limit(allowed: np.ndarray) -> np.ndarray:
@@ -207,6 +219,38 @@ def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
         r1 = min(n_rows, r0 + max(1, cells // (n_cols - c0)))
         yield slice(r0, r1), slice(c0, n_cols)
         r0 = r1
+
+
+def _tile_edges(s: slice, tile: int) -> np.ndarray:
+    """Offsets into s, from 0 to its length, where the tiles
+    [k tile, (k + 1) tile) of the net order cut it; the piece between
+    edges p and p + 1 lies in tile s.start // tile + p."""
+    inner = np.arange(s.start // tile + 1, -(-s.stop // tile)) * tile
+    return np.concatenate(([0], inner - s.start, [s.stop - s.start]))
+
+
+class _CodedBlock(NamedTuple):
+    """A block of a net's visited pairs with each pair's code, cut into
+    units: row tile x column tile of `tile` net points, clipped to the
+    block (see _tile_edges).  low and high hold each unit's lowest and
+    highest code, one uint8 each."""
+
+    rows: slice
+    cols: slice
+    codes: np.ndarray
+    tile: int
+    low: np.ndarray
+    high: np.ndarray
+
+
+def _coded(rows: slice, cols: slice, codes: np.ndarray) -> _CodedBlock:
+    """The block's codes with their unit summary, all frozen."""
+    at = _tile_edges(rows, _TILE)[:-1], _tile_edges(cols, _TILE)[:-1]
+    low = np.minimum.reduceat(np.minimum.reduceat(codes, at[0]), at[1], 1)
+    high = np.maximum.reduceat(np.maximum.reduceat(codes, at[0]), at[1], 1)
+    for a in (codes, low, high):
+        a.setflags(write=False)
+    return _CodedBlock(rows, cols, codes, _TILE, low, high)
 
 
 class _CoordinateMetric:
@@ -349,8 +393,10 @@ class Net:
                    pair_blocks(upper=metric.symmetric), and each visited
                    pair's code, the position of its distance among
                    [0] + dmax * 2^-253 ... dmax: one uint8 per pair in
-                   pair_blocks layout (about n^2/2 bytes), stored only up
-                   to _TABLE_BYTES, else None and computed per call;
+                   pair_blocks layout (about n^2/2 bytes), with the
+                   lowest and highest code of each _TILE x _TILE unit
+                   (see _CodedBlock), stored only up to _TABLE_BYTES,
+                   else None and computed per call;
       _index       the backend's nearest-point query structure;
       _graphs      scale -> adjacency of build_epsilon_graph(net, scale).
     """
@@ -430,7 +476,7 @@ class Net:
 
     @functools.cached_property
     def _pair_table(self):
-        """(dmax, stored (rows, cols, codes) blocks or None)."""
+        """(dmax, stored _CodedBlocks or None)."""
         blocks = list(self._blocks())
         cells = sum((r.stop - r.start) * (c.stop - c.start) for r, c in blocks)
         dmax = 0.0
@@ -446,12 +492,9 @@ class Net:
             d = self.dist_idx(rows, cols)
             dmax = max(dmax, float(d.max()))
             coded.append((rows, cols, dmax, _codes(d, dmax)))
-        stored = [(rows, cols, codes if scale == dmax else
-                   _codes(self.dist_idx(rows, cols), dmax))
-                  for rows, cols, scale, codes in coded]
-        for _, _, codes in stored:
-            codes.setflags(write=False)
-        return dmax, stored
+        return dmax, [_coded(rows, cols, codes if scale == dmax else
+                             _codes(self.dist_idx(rows, cols), dmax))
+                      for rows, cols, scale, codes in coded]
 
     @property
     def _dmax(self) -> float:
@@ -460,12 +503,12 @@ class Net:
         return self._pair_table[0]
 
     def _pair_codes(self):
-        """(rows, cols, codes) over the visited pairs; the stored table if
-        the net has one, else codes computed block by block."""
+        """_CodedBlocks over the visited pairs; the stored table if the
+        net has one, else codes and units computed block by block."""
         dmax, stored = self._pair_table
         if stored is not None:
             return iter(stored)
-        return ((rows, cols, _codes(self.dist_idx(rows, cols), dmax))
+        return (_coded(rows, cols, _codes(self.dist_idx(rows, cols), dmax))
                 for rows, cols in self._blocks())
 
 
@@ -476,8 +519,26 @@ def _edges(dmax: float) -> np.ndarray:
 
 
 def _codes(d: np.ndarray, dmax: float) -> np.ndarray:
-    """Position of each distance among _edges(dmax)."""
-    return np.searchsorted(_edges(dmax), d, side="left").astype(np.uint8)
+    """Position of each distance among _edges(dmax), as searchsorted
+    (side="left") gives it.
+
+    For a normal dmax, edge c >= 1 is dmax * 2^(c - 254) exactly; with
+    d = m 2^e and dmax = M 2^E (np.frexp, mantissas in [1/2, 1)), d is at
+    most dmax * 2^k first for k = e - E + (m > M), so d > 0 has code
+    clip(254 + e - E + (m > M), 1, 255).  d <= 0 has code 0, NaN and +inf
+    code 255.  A dmax below 2^-760 (edge 1 would lose bits) or not finite
+    takes searchsorted itself.
+    """
+    if not 2.0 ** -760 <= dmax < math.inf:
+        return np.searchsorted(_edges(dmax), d, side="left").astype(np.uint8)
+    top, top_exp = math.frexp(dmax)
+    m, e = np.frexp(d)
+    e += m > top
+    e += _RADII - top_exp
+    codes = np.clip(e, 1, 255, out=e).astype(np.uint8)
+    np.putmask(codes, d <= 0, 0)
+    np.putmask(codes, ~(d < math.inf), 255)
+    return codes
 
 
 @dataclass(frozen=True)
@@ -625,6 +686,112 @@ def _bucket_of_code(n_buckets: int) -> np.ndarray:
                    0, n_buckets - 1)
 
 
+def _tile_boxes(values_list, tile: int):
+    """(lo, hi): per tile of `tile` net points and coordinate, the lowest
+    and the highest value over the tile's points and over all the maps,
+    NaN where one is; a map with fewer coordinates counts as 0 in those
+    it lacks, which add no term to its distances."""
+    starts = np.arange(0, len(values_list[0]), tile)
+    width = max(v.shape[1] for v in values_list)
+    lo, hi = np.zeros((2, len(values_list), len(starts), width))
+    for m, v in enumerate(values_list):
+        lo[m, :, :v.shape[1]] = np.minimum.reduceat(v, starts)
+        hi[m, :, :v.shape[1]] = np.maximum.reduceat(v, starts)
+    return lo.min(axis=0), hi.max(axis=0)
+
+
+def _box_squares(boxes, row_tiles, col_tiles) -> np.ndarray:
+    """Per row tile x column tile, the sum over coordinates of w^2, w the
+    largest difference of the two tiles' boxes (see _tile_boxes):
+    max(hi_row - lo_col, hi_col - lo_row).
+
+    For any pair of the two tiles and any map, the exact value
+    differences are at most those of the box corners, and rounding is
+    monotone, so each computed difference |fl(p_k - q_k)| is at most
+    fl(w_k); the exact sum of their squares is therefore at most that of
+    the w_k, and the _square_limit argument carries over to the sum
+    computed here.  A NaN or infinite value makes the sum NaN or
+    infinite, which no limit meets.
+
+    Two boxes that are one and the same point (every w is 0, which
+    fl(hi - lo) gives only for equal operands) put each of the unit's
+    pairs at value distance 0 exactly in every map; the sum is then -1,
+    which every limit meets, as 0 raises no measured maximum (they start
+    at 0) and fails no allowance (each is positive or NaN)."""
+    lo, hi = boxes
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.maximum(hi[row_tiles, None] - lo[None, col_tiles],
+                       hi[None, col_tiles] - lo[row_tiles, None])
+        s = np.einsum("...k,...k->...", w, w)
+    zero = s == 0.0                     # w >= 0: an underflow, or every w 0
+    zero[zero] = ~w[zero].any(axis=-1)
+    s[zero] = -1.0
+    return s
+
+
+def _unit_runs(net: Net, values_list, limit, seed: bool = False):
+    """The visited pairs of net that no tile bound proves, as runs
+    (rows, cols, codes): an array of row indices, a column slice and the
+    run's codes, block by block.
+
+    Each block of net._pair_codes() is cut into units (see _CodedBlock).
+    A unit is skipped when its _box_squares bound s over values_list is
+    at most _square_limit(limit())[c] at both its lowest and its highest
+    code c: its pairs' value distances then lie below limit() at the
+    lowest code, hence at every code of the unit, provided the limit does
+    not decrease from one code to the next where it is a number.  A limit
+    outside [_SCREEN_FLOOR, inf) squared, NaN included, proves nothing.
+    The rows of consecutive row tiles whose surviving units match share
+    one run per stretch of contiguous surviving columns.  limit() is read
+    once per block, after the block's seed runs.
+
+    seed=True first yields, per block, the first row of each row tile over
+    all the block's columns, as one run (two in the first block: the
+    net's first row, then the others, which a caller may screen against
+    it), and leaves these rows out of the units, so that limits taken
+    from pairs already evaluated meet the units early.
+    """
+    boxes = None
+    for rows, cols, codes, tile, low, high in net._pair_codes():
+        if boxes is None:
+            boxes = _tile_boxes(values_list, tile)
+        r_at, c_at = _tile_edges(rows, tile), _tile_edges(cols, tile)
+        s = _box_squares(boxes, rows.start // tile + np.arange(len(low)),
+                         cols.start // tile + np.arange(len(c_at) - 1))
+        in_units = np.ones(len(codes), dtype=bool)
+        if seed:                        # the net's first row goes alone
+            in_units[r_at[:-1]] = False
+            for at in np.split(r_at[:-1], [1] if rows.start == 0 else []):
+                if len(at):
+                    yield at + rows.start, cols, codes[at]
+        lim = _square_limit(limit())
+        keep = np.zeros((len(low), len(c_at) + 1), dtype=bool)
+        keep[:, 1:-1] = ~((s <= lim[low]) & (s <= lim[high]))
+        new = np.ones(len(low), dtype=bool)     # row tiles starting a run
+        new[1:] = (keep[1:] != keep[:-1]).any(axis=1)
+        firsts = np.flatnonzero(new)
+        for a, b in zip(firsts, [*firsts[1:], len(low)]):
+            at = r_at[a] + np.flatnonzero(in_units[r_at[a]:r_at[b]])
+            if not len(at):
+                continue
+            ends = np.flatnonzero(keep[a, 1:] != keep[a, :-1])
+            for c0, c1 in zip(c_at[ends[::2]], c_at[ends[1::2]]):
+                yield (at + rows.start,
+                       slice(cols.start + c0, cols.start + c1),
+                       codes[at, c0:c1])
+
+
+def _largest_over_maps(dv: np.ndarray) -> np.ndarray:
+    """functools.reduce(np.maximum, dv) bit for bit, for (maps, pairs)
+    distances: a NaN pair keeps the first NaN in map order, as the fold
+    does, whatever the sign bit a reduction would give it."""
+    top = dv.max(axis=0)
+    nan = np.isnan(top)
+    if nan.any():
+        top[nan] = dv[np.isnan(dv[:, nan]).argmax(axis=0), nan]
+    return top
+
+
 def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
                            bound=None) -> Modulus:
     """Tightest dyadic-bucket step modulus all the sampled maps obey.
@@ -642,13 +809,18 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
     ignore visiting order; every maximum is of np.hypot value distances,
     so the table is bit for bit that of a full n x n pass.
 
-    One map: every pair's value distance, block by block.  Several maps
-    (homotopy slices): a bound provider, by default _square_bound of the
-    maps, skips the pairs it proves below limit[code], the largest
-    distance an evaluated pair of the code's bucket attained in row 0 or
-    an earlier block, so no skipped pair can raise a bucket maximum.  The
-    other pairs get their exact distances.  bound(rows, cols, codes,
-    limit) replaces the default, as a homotopy's endpoint bound does.
+    The table is the prefix maximum over the buckets of the per-bucket
+    maxima, so a pair no larger than the prefix maximum its bucket has
+    already attained cannot change it.  That prefix maximum, per code,
+    is the limit of _unit_runs, which skips the units its tile bound
+    proves below it; the first row of each row tile is evaluated first
+    to seed it.  In the runs left, one map gets every pair's value
+    distance, block by block.  Several maps (homotopy slices) go through
+    a bound provider, by default _square_bound of the maps, which skips
+    the pairs it proves below the same limit; the other pairs get their
+    exact distances.  bound(rows, cols, codes, limit), over a run of an
+    index array of rows by a slice of columns, replaces the default, as
+    a homotopy's endpoint bound does.
     """
     radii, bounds = _measured_bounds(net, values_list, n_buckets, bound)
     return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
@@ -665,28 +837,30 @@ def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
         return np.empty(0), np.empty(0)
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
     bucket = _bucket_of_code(n_buckets)
+    last = np.searchsorted(bucket, bucket, side="right") - 1  # of its bucket
     if bound is None and len(values_list) > 1:
         bound = _square_bound(values_list)
-    columns = [_columns(v) for v in values_list]
+    columns = _columns(values_list[0])
+    stacks = [(a, _columns(a)) for a in (    # runs of maps of one shape
+        np.stack(list(g)) for _, g in itertools.groupby(values_list, np.shape))
+    ] if bound is not None else []
     out, tmp = _Scratch(), _Scratch()
     peaks = np.zeros(_RADII + 2)                # per code
-    top = np.zeros(n_buckets)                   # attained maxima
 
-    def evaluate(ii, jj):                       # pairs of the current block
-        i, j = ii + rows.start, jj + cols.start
-        dv = functools.reduce(np.maximum, (
-            _exact_pairs(v, c, i, j) for v, c in zip(values_list, columns)))
-        np.maximum.at(peaks, codes[ii, jj], dv)
+    def limit():                                # attained prefix maxima
+        return np.maximum.accumulate(peaks)[last]
 
-    for rows, cols, codes in net._pair_codes():
+    for rows, cols, codes in _unit_runs(net, values_list, limit, seed=True):
         if bound is None:                       # one map: every pair
-            dv = _exact_block(values_list[0], columns[0], rows, cols, out, tmp)
+            dv = _exact_block(values_list[0], columns, rows, cols, out, tmp)
             np.maximum.at(peaks, codes.ravel(), dv.ravel())
             continue
-        if rows.start == 0:                     # row 0 seeds the maxima
-            evaluate(*np.nonzero(np.ones((1, codes.shape[1]))))
-        np.maximum.at(top, bucket, peaks)
-        evaluate(*np.nonzero(~bound(rows, cols, codes, top[bucket])))
+        ii, jj = np.nonzero(~bound(rows, cols, codes, limit()))
+        if not len(ii):
+            continue
+        i, j = rows[ii], jj + cols.start
+        dv = np.concatenate([_exact_pairs(a, c, i, j) for a, c in stacks])
+        np.maximum.at(peaks, codes[ii, jj], _largest_over_maps(dv))
     per_bucket = np.zeros(n_buckets)
     np.maximum.at(per_bucket, bucket, peaks)
     return radii, np.maximum.accumulate(per_bucket)
@@ -724,15 +898,18 @@ def sup_distance_interval(f, g) -> tuple[float, float]:
 
 def _allowances(net: Net, modulus: Modulus, slack: float):
     """(lo, tight) per pair code.  lo[c] = omega(nextafter(edges[c-1])) +
-    slack + 1e-12 (see _edges) is at most omega(d) + slack + 1e-12 for
-    every pair of code c, since omega and the additions round
-    monotonically; where tight[c], lo[c] equals the same expression at
-    edges[c] and so is every such pair's allowance.  Codes 0 and 255 get
-    lo = NaN: never screened, never tight."""
+    slack + _CHECK_TOLERANCE (see _edges) is at most omega(d) + slack +
+    _CHECK_TOLERANCE for every pair of code c, since omega and the
+    additions round monotonically; for the same reason lo does not
+    decrease from code 1 to code 254.  Where tight[c], lo[c] equals the
+    same expression at edges[c] and so is every such pair's allowance.
+    Codes 0 and 255 get lo = NaN: never screened, never tight."""
     edges = _edges(net._dmax)
     lo = np.full(_RADII + 2, np.nan)
-    lo[1:-1] = modulus(np.nextafter(edges[:-1], np.inf)) + slack + 1e-12
-    tight = lo == modulus(np.r_[0.0, edges[1:], 0.0]) + slack + 1e-12
+    lo[1:-1] = (modulus(np.nextafter(edges[:-1], np.inf)) + slack
+                + _CHECK_TOLERANCE)
+    tight = lo == (modulus(np.r_[0.0, edges[1:], 0.0]) + slack
+                   + _CHECK_TOLERANCE)
     return lo, tight
 
 
@@ -740,26 +917,29 @@ def check_modulus(f, slack: float) -> bool:
     """Does f satisfy its declared modulus up to additive slack on all pairs?
 
     One pass over the visited pairs, stopping at the first violating
-    block; each unordered pair is tested once on a symmetric metric, with
+    run; each unordered pair is tested once on a symmetric metric, with
     the per-pair test of a full n x n pass, so the answer is the same.
     Every pair's value distance is compared with omega; only the pair
     distances may come from the domain's derived data (see Net), which
     never depends on a map or a modulus.
 
-    The test is screened: _square_bound skips each pair proven below the
-    lower bound lo[code] of its allowance (see _allowances); every other
-    pair, NaN and infinite values included, gets the exact test
-    np.hypot(...) > omega(d) + slack + 1e-12 of the unscreened pass, its
-    allowance read from lo where its code is tight and else evaluated on
-    its net distance.  A step table over the domain net's own dyadic
-    radii (as measured_modulus_multi declares) is tight on every code
-    from 1 to 254, so it computes net distances only for pairs at
-    distance 0.
+    The test is screened twice against the lower bound lo[code] of each
+    pair's allowance (see _allowances).  _unit_runs skips the units
+    whose tile bound lies below lo at their lowest code, which holds
+    only for units whose codes all lie in 1..254, where lo does not
+    decrease.  In the runs left, _square_bound skips each pair proven
+    below lo[code]; every other pair, NaN and infinite values included,
+    gets the exact test np.hypot(...) > omega(d) + slack +
+    _CHECK_TOLERANCE of the unscreened pass, its allowance read from lo
+    where its code is tight and else evaluated on its net distance.  A
+    step table over the domain net's own dyadic radii (as
+    measured_modulus_multi declares) is tight on every code from 1 to
+    254, so it computes net distances only for pairs at distance 0.
 
     Identity maps take O(n): on a Euclidean net, values array_equal to the
     points give each value distance by the same _euclidean on the same
     coordinates (-0.0 and 0.0 alike), so it is d bit for bit, and for
-    L >= 1 monotone rounding gives fl(L d) + slack + 1e-12 >= d.
+    L >= 1 monotone rounding gives fl(L d) + slack + _CHECK_TOLERANCE >= d.
     """
     if slack < 0:
         raise InvalidArgument("slack must be >= 0")
@@ -773,12 +953,12 @@ def check_modulus(f, slack: float) -> bool:
     columns = _columns(values)
     lo, tight = _allowances(net, modulus, slack)
     below = _square_bound([values])
-    for rows, cols, codes in net._pair_codes():
+    for rows, cols, codes in _unit_runs(net, [values], lambda: lo):
         ii, jj = np.nonzero(~below(rows, cols, codes, lo))
-        i, j, c = ii + rows.start, jj + cols.start, codes[ii, jj]
+        i, j, c = rows[ii], jj + cols.start, codes[ii, jj]
         allowed, loose = lo[c], ~tight[c]
-        allowed[loose] = modulus(net.dist_pairs(i[loose], j[loose])) \
-            + slack + 1e-12
+        allowed[loose] = (modulus(net.dist_pairs(i[loose], j[loose]))
+                          + slack + _CHECK_TOLERANCE)
         if np.any(_exact_pairs(values, columns, i, j) > allowed):
             return False
     return True

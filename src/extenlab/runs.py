@@ -25,8 +25,9 @@ from .maps import (Homotopy, MapSample, constant_map, cone_contraction,
                    dugundji_extend_partial, equiconnect_homotopy,
                    glue_homotopy_extension, homotopy_between, restrict,
                    small_diameter_extend)
-from .metric import (Modulus, euclidean_rows, measured_modulus,
-                     measured_modulus_multi, sup_distance)
+from .metric import (_SCREEN_FLOOR, _SCREEN_MARGIN, Modulus, _columns,
+                     euclidean_rows, measured_modulus, measured_modulus_multi,
+                     sup_distance)
 from .spaces import SpacePair, make_pair, make_space, product_with, \
     subspace, urysohn
 
@@ -469,6 +470,31 @@ def _run_cone_contraction(report: Report):
                          "every stage")
 
 
+def _largest_slice_distance(values: np.ndarray) -> float:
+    """max over a of float(euclidean_rows(values[a], values[a + 1:]).max()),
+    bit for bit.  Per slice a, only the pairs whose sum of squares s is
+    within _SCREEN_MARGIN of the largest, smax, get their distance: any
+    other pair's lies below that of the pair attaining smax (the argument
+    of metric._square_limit).  Every pair is evaluated where smax is not
+    a number in [_SCREEN_FLOOR, inf)."""
+    columns = _columns(values)
+    largest = []
+    for a in range(len(values) - 1):
+        s = np.zeros((len(values) - a - 1, values.shape[1]))
+        for c in columns:
+            d = np.subtract(c[a], c[a + 1:])
+            s += np.multiply(d, d, out=d)
+        smax = s.max()
+        if _SCREEN_FLOOR <= smax < math.inf:
+            near = np.flatnonzero(s >= smax * (1.0 - _SCREEN_MARGIN))
+            b, j = np.divmod(near, values.shape[1])
+            dist = euclidean_rows(values[a, j], values[a + 1 + b, j])
+        else:
+            dist = euclidean_rows(values[a], values[a + 1:])
+        largest.append(float(dist.max()))
+    return max(largest)
+
+
 def _run_equiconnected(report: Report):
     eps = report.epsilon
     circle = make_space("circle", eps)
@@ -497,9 +523,7 @@ def _run_equiconnected(report: Report):
         coincidence = h.meta["coincidence"]
         fixed = bool(np.all(h.values[:, coincidence, :]
                             == phi0.values[coincidence]))
-        pairwise = max(
-            float(euclidean_rows(h.values[a], h.values[a + 1:]).max())
-            for a in range(len(h.times) - 1))
+        pairwise = _largest_slice_distance(h.values)
         ends = bool(np.array_equal(h.values[0], phi0.values)
                     and np.array_equal(h.values[-1], phi1.values))
         verdict = Verdict(VERIFIED, eps)

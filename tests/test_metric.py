@@ -650,6 +650,33 @@ def test_code_edges_hold_the_radii_of_every_bucket_count():
             assert edges[-k:].tobytes() == radii.tobytes()
 
 
+def _searchsorted_codes(d, dmax):
+    from extenlab.metric import _edges
+    return np.searchsorted(_edges(dmax), d, side="left").astype(np.uint8)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_pair_codes_from_exponents_match_searchsorted(rng):
+    from extenlab import metric
+    for kind, net in _random_nets(rng, 60).items():
+        for rows, cols, codes, *_ in net._pair_codes():
+            want = _searchsorted_codes(net.dist_idx(rows, cols), net._dmax)
+            assert np.array_equal(codes, want), kind
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                         -5e-324, 1e-310, 1e308])
+    # normal dmax take the exponents; 2^-770, 0, inf and NaN searchsorted
+    for dmax in (2.0 ** -30, 1.0, 3.7, 1e300, 2.0 ** -760, 2.0 ** -770, 0.0,
+                 np.inf, np.nan):
+        edges = metric._edges(dmax)
+        spread = dmax * 2.0 ** -rng.integers(0, 300, 3000)
+        d = np.concatenate([rng.random(3000) * dmax, spread * rng.random(3000),
+                            edges, np.nextafter(edges, np.inf),
+                            np.nextafter(edges, -np.inf), specials])
+        assert np.array_equal(metric._codes(d, dmax),
+                              _searchsorted_codes(d, dmax)), dmax
+
+
 def test_measured_modulus_bucket_count_range():
     net = line_net([0.0, 1.0, 3.0])
     values = np.array([[0.0], [1.0], [2.0]])
@@ -806,7 +833,7 @@ def unscreened_bounds(net, values_list, n_buckets=24):
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
     bucket = metric._bucket_of_code(n_buckets)
     peaks = np.zeros(len(radii))
-    for rows, cols, codes in net._pair_codes():
+    for rows, cols, codes, *_ in net._pair_codes():
         dv = functools.reduce(np.maximum,
                               (metric._euclidean_cross(v[rows], v[cols])
                                for v in values_list))
@@ -841,7 +868,7 @@ def unscreened_check_modulus(f, slack):
         step = np.r_[0, 1 + metric._bucket_of_code(k)[1:]]
         table = (modulus.bounds + slack + 1e-12)[step]
         blocks = ((rows, cols, table[codes])
-                  for rows, cols, codes in net._pair_codes())
+                  for rows, cols, codes, *_ in net._pair_codes())
     else:
         blocks = ((rows, cols, modulus(net.dist_idx(rows, cols)) + slack
                    + 1e-12) for rows, cols in net._blocks())
@@ -1067,7 +1094,7 @@ def test_allowances_bound_every_pair_and_are_exact_where_tight(monkeypatch,
                 lo, tight = metric._allowances(net, modulus, slack)
                 assert np.isnan(lo[[0, -1]]).all() and not tight[[0, -1]].any()
                 held = np.zeros(len(lo), dtype=bool)
-                for rows, cols, codes in net._pair_codes():
+                for rows, cols, codes, *_ in net._pair_codes():
                     c = codes.ravel()
                     inner = (c > 0) & (c < len(lo) - 1)
                     d = net.dist_idx(rows, cols).ravel()[inner]
@@ -1117,6 +1144,131 @@ def test_eop_homotopy_frames_leave_few_candidates(monkeypatch):
     radii, bounds = unscreened_bounds(net, values_list)
     got = np.array(modulus.table()[1:]).T
     assert np.array_equal(got[0], radii) and np.array_equal(got[1], bounds)
+
+
+# ---------------------------------------------------------------------------
+# tile bounds: whole units of pairs skipped by the boxes of their values
+
+
+def _count_skips(monkeypatch):
+    """Patch metric._unit_runs to count [visited, yielded] pairs."""
+    from extenlab import metric
+    seen = [0, 0]
+    unit_runs = metric._unit_runs
+
+    def counting(net, values_list, limit, seed=False):
+        seen[0] += sum(block.codes.size for block in net._pair_codes())
+        for run in unit_runs(net, values_list, limit, seed):
+            seen[1] += run[2].size
+            yield run
+
+    monkeypatch.setattr(metric, "_unit_runs", counting)
+    return seen
+
+
+def _tile_value_sets(rng, net, dim):
+    """The screen value sets plus values constant on runs of the net
+    order and values smooth in it, which whole units can prove."""
+    n = len(net)
+    sets = _screen_value_sets(rng, net, dim)
+    sets["runs"] = np.repeat(rng.random((n // 4 + 1, dim)), 4, axis=0)[:n]
+    sets["smooth"] = np.cumsum(rng.random((n, dim)) * 0.02, axis=0)
+    # one coordinate constant: boxes of width 0 there, not elsewhere
+    sets["flat"] = sets["smooth"] * np.r_[0.0, np.ones(dim - 1)] + 0.25
+    # every square underflows to 0, yet no distance is 0
+    sets["underflow"] = sets["smooth"] * 1e-170
+    for name in ("runs", "smooth", "flat", "underflow"):
+        sets[name][-4:] = sets[name][:4]
+    return sets
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("tile", [1, 3, 7])
+@pytest.mark.parametrize("budget", [1 << 20, 8 * 300])
+def test_tiled_kernels_match_the_unscreened_ones(monkeypatch, rng, tile,
+                                                 budget):
+    from extenlab import metric
+    from extenlab.metric import MatrixMetric
+    monkeypatch.setattr(metric, "_TILE", tile)
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", budget)
+    seen = _count_skips(monkeypatch)
+    n = 30
+    nets = _random_nets(rng, n)
+    # NaN net distances put pairs in code 255
+    holed = nets["matrix"].metric.matrix.copy()
+    holed[[3, 17, 20], [25, 8, 21]] = holed[[25, 8, 21], [3, 17, 20]] = np.nan
+    nets["matrix-nan"] = Net(nets["matrix"].points, 0.1, MatrixMetric(holed))
+    for kind, net in nets.items():
+        codes = np.concatenate([b.codes.ravel() for b in net._pair_codes()])
+        assert codes.min() == 0
+        assert (codes.max() == 255) == (kind == "matrix-nan"), kind
+        for dim in (1, 2):
+            sets = _tile_value_sets(rng, net, dim)
+            own = measured_modulus(net, sets["smooth"])
+            for name, values in sets.items():
+                for values_list in ([values], [values, np.roll(values, 3, 0)]):
+                    _assert_bounds_equal(net, values_list, 24)
+                for modulus in (own, Modulus.lip(3.0), Modulus.lip(1e160),
+                                Modulus.step([(2 * r, b)
+                                              for r, b in own.table()])):
+                    f = MapSample(net, None, values, modulus)
+                    for slack in (0.0, 0.05):
+                        assert check_modulus(f, slack) == \
+                            unscreened_check_modulus(f, slack), \
+                            (kind, dim, name)
+    # whole units were skipped, so the tile rule itself was tested
+    assert seen[1] < seen[0]
+
+
+@pytest.mark.parametrize("tile", [3, 7])
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_a_lone_violating_pair_at_a_tile_corner_is_found(monkeypatch, rng,
+                                                         tile, asymmetric):
+    from extenlab import metric
+    monkeypatch.setattr(metric, "_TILE", tile)
+    n = 6 * tile
+    for i, j in ((tile - 1, tile), (tile, tile - 1), (0, n - 1),
+                 (n - 1, n - tile)):
+        mat = np.full((n, n), 10.0)
+        np.fill_diagonal(mat, 0.0)
+        mat[i, j] = 0.01
+        if not asymmetric:
+            mat[j, i] = 0.01
+        values = np.zeros((n, 1))
+        values[i] = 0.5                   # only (i, j) is farther than 10
+        net = Net(np.zeros((n, 1)), 1.0, metric.MatrixMetric(mat.copy()))
+        f = MapSample(net, None, values, Modulus.lip(1.0))
+        assert check_modulus(f, 0.0) is unscreened_check_modulus(f, 0.0) \
+            is False, (i, j)
+        _assert_bounds_equal(net, [values], 24)
+        mat[i, j] = mat[j, i] = 10.0
+        healed = MapSample(Net(np.zeros((n, 1)), 1.0,
+                               metric.MatrixMetric(mat)),
+                           None, values, Modulus.lip(1.0))
+        assert check_modulus(healed, 0.0) is True, (i, j)
+
+
+def test_comb_member_measure_evaluates_few_pairs(monkeypatch):
+    # the single-map measure of a refine-workload extension at 2^-9
+    from extenlab import metric
+    from extenlab.families import explicit_extension
+    ext = explicit_extension("comb", 3, 2.0 ** -9)
+    evaluated = [0]
+    exact_block = metric._exact_block
+
+    def counting(a, columns, rows, cols, out, tmp):
+        dv = exact_block(a, columns, rows, cols, out, tmp)
+        evaluated[0] += dv.size
+        return dv
+
+    monkeypatch.setattr(metric, "_exact_block", counting)
+    seen = _count_skips(monkeypatch)
+    got = metric._measured_bounds(ext.domain, [ext.values], 24)
+    assert seen[0] == 631167
+    assert evaluated[0] == seen[1] <= 0.3 * seen[0]
+    want = unscreened_bounds(ext.domain, [ext.values])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import extenlab as xl
@@ -31,6 +32,31 @@ def test_reproductions_keep_their_report_bytes():
         text = dumps(run_example(name).as_dict())
         assert hashlib.sha256(text.encode()).hexdigest() \
             == recorded[f"repro/{name}"], name
+
+
+def test_refined_reproductions_keep_their_report_bytes():
+    # the four growing examples at 2^-9, as the benchmark's refine pass
+    recorded = json.loads(DIGESTS.read_text())
+    for name in ("pathcomp", "sine-not-eclosed", "comb", "hawaii"):
+        text = dumps(run_example(name, epsilon=2.0 ** -9).as_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == recorded[f"refine/{name}"], name
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+def test_screened_slice_distance_is_the_plain_maximum(rng):
+    from extenlab.metric import euclidean_rows
+    from extenlab.runs import _largest_slice_distance
+    for special in (None, np.nan, np.inf, 1e300, 1e-170, -0.0):
+        for dim in (1, 2, 3):
+            values = np.round(rng.random((9, 40, dim)), 2)   # ties
+            if special is not None:
+                values[rng.integers(0, 9, 2), rng.integers(0, 40, 2)] = special
+            want = max(float(euclidean_rows(values[a], values[a + 1:]).max())
+                       for a in range(len(values) - 1))
+            got = _largest_slice_distance(values)
+            assert np.array_equal(got, want, equal_nan=True), (special, dim)
 
 
 def test_unknown_example_raises():
