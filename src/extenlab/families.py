@@ -125,8 +125,7 @@ def _hawaii_family(eps: float) -> MapFamily:
 
     limit = constant_map(pair.z_net, ear, [0.0, 0.0], name="hawaii-limit")
     return MapFamily("hawaii", pair, ear, limit, gen,
-                     n_bound=ear.meta["family_bound"],
-                     meta={"circle_of": circle_of})
+                     n_bound=ear.meta["family_bound"])
 
 
 def _ndagger_eclosed_family(eps: float) -> MapFamily:
@@ -156,7 +155,7 @@ def _ndagger_eclosed_family(eps: float) -> MapFamily:
                       measured_modulus(pair.z_net, lim_vals),
                       name="ndagger-eclosed-limit")
     return MapFamily("ndagger-eclosed", pair, ndag, limit, gen,
-                     n_bound=n_blocks - 1, meta={"block_of": block_of})
+                     n_bound=n_blocks - 1)
 
 
 _FAMILIES = {

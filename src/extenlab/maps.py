@@ -94,7 +94,6 @@ class MapFamily:
     limit: MapSample
     generator: object
     n_bound: int
-    meta: dict = field(default_factory=dict)
 
     def member(self, n: int) -> MapSample:
         if not (1 <= n <= self.n_bound):
@@ -361,8 +360,7 @@ def homotopy_between(f: MapSample, g: MapSample, mode: str,
     values[-1] = g.values
     values[:, equal_rows, :] = f.values[equal_rows]  # fixed rows stay put
     modulus = measured_modulus_multi(f.domain, list(values), bound=bound)
-    return Homotopy(f.domain, f.codomain, times, values, modulus,
-                    meta={"mode": mode})
+    return Homotopy(f.domain, f.codomain, times, values, modulus)
 
 
 def equiconnect_homotopy(phi0: MapSample, phi1: MapSample,
@@ -377,9 +375,8 @@ def equiconnect_homotopy(phi0: MapSample, phi1: MapSample,
     mode = "geodesic-circle" if phi0.codomain.name == "circle" else "straight-line"
     h = homotopy_between(phi0, phi1, mode)
     coincidence = np.nonzero(np.all(phi0.values == phi1.values, axis=1))[0]
-    meta = dict(h.meta)
-    meta["coincidence"] = coincidence
-    return Homotopy(h.base, h.codomain, h.times, h.values, h.modulus, meta)
+    return Homotopy(h.base, h.codomain, h.times, h.values, h.modulus,
+                    {"coincidence": coincidence})
 
 
 def cone_contraction(v_space: AnnotatedSpace, p_index: int,
@@ -407,8 +404,7 @@ def cone_contraction(v_space: AnnotatedSpace, p_index: int,
     frames.append(np.tile(ext.values[-1], (n_v, 1)))   # apex level
     times = np.concatenate([levels, [1.0]])
     return Homotopy(v_space.net, ambient, times, np.stack(frames),
-                    ext.modulus, meta={"p_index": p_index,
-                                       "eps_target": eps_target})
+                    ext.modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,9 @@ _TILE = 32
 # distance is at most omega(d) + slack + _CHECK_TOLERANCE.
 _CHECK_TOLERANCE = 1e-12
 
-# The modulus kernels skip a pair only where a bound provider (see
-# _square_bound and maps._arc_bound) proves it below a limit; each
-# provider shrinks its room by _SCREEN_MARGIN.  With u = 2^-53,
+# The modulus kernels skip a pair only where a bound (the tile boxes of
+# _box_squares, or maps._arc_bound) proves it below a limit; each bound
+# shrinks its room by _SCREEN_MARGIN.  With u = 2^-53,
 # fl(sum of k squares) is within a relative k*u of the exact sum of the
 # squared (computed) differences, np.hypot within 1 ulp of the exact norm
 # and sqrt(einsum) within (k/2 + 1)*u; the margin is far more than any of
@@ -125,20 +125,6 @@ class _Scratch:
         return self.buf[:shape[0] * shape[1]].reshape(shape)
 
 
-def _square_sums(columns, rows, cols, out, tmp) -> np.ndarray:
-    """fl(sum over coordinates k of (c_k[i] - c_k[j])^2) over a block, in
-    out's storage; each difference is the one _euclidean forms."""
-    acc, d = out.block(rows, cols), tmp.block(rows, cols)
-    with np.errstate(over="ignore"):        # an overflow proves nothing
-        for k, c in enumerate(columns):
-            term = d if k else acc
-            np.subtract.outer(c[rows], c[cols], out=term)
-            np.multiply(term, term, out=term)
-            if k:
-                np.add(acc, term, out=acc)
-    return acc
-
-
 def _exact_block(a, columns, rows, cols, out, tmp) -> np.ndarray:
     """_euclidean_cross(a[rows], a[cols]) bit for bit: from the columns
     (same differences, same abs or hypot) when a has one or two
@@ -182,23 +168,6 @@ def _square_limit(allowed: np.ndarray) -> np.ndarray:
     lim *= 1.0 - _SCREEN_MARGIN
     lim[~((lim >= _SCREEN_FLOOR) & (lim < np.inf))] = -1.0
     return lim
-
-
-def _square_bound(values_list):
-    """The squared-norm bound provider of the modulus kernels:
-    bound(rows, cols, codes, limit) is True where a pair's squared value
-    differences, the largest sum over the maps, are at most
-    _square_limit(limit)[code], so that each of its value distances lies
-    below limit[code].  A NaN sum is never proven."""
-    columns = [_columns(v) for v in values_list]
-    acc, out, tmp = _Scratch(), _Scratch(), _Scratch()
-
-    def below(rows, cols, codes, limit):
-        s = _square_sums(columns[0], rows, cols, acc, tmp)
-        for c in columns[1:]:
-            np.maximum(s, _square_sums(c, rows, cols, out, tmp), out=s)
-        return s <= _square_limit(limit)[codes]
-    return below
 
 
 def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
@@ -479,27 +448,25 @@ class Net:
         """(dmax, stored _CodedBlocks or None)."""
         blocks = list(self._blocks())
         cells = sum((r.stop - r.start) * (c.stop - c.start) for r, c in blocks)
-        dmax = 0.0
-        if cells > _TABLE_BYTES:
-            for rows, cols in blocks:
-                dmax = max(dmax, float(self.dist_idx(rows, cols).max()))
-            return dmax, None
-        # One pass codes each block against the running maximum, which is
-        # dmax from the block holding the diameter on; only blocks coded
-        # before it are evaluated again.
-        coded = []
+        # One pass codes each block against the running maximum (NaN
+        # ignored), which is dmax from the block holding the diameter on;
+        # only blocks coded before it are evaluated again.
+        dmax, coded = 0.0, []
         for rows, cols in blocks:
             d = self.dist_idx(rows, cols)
-            dmax = max(dmax, float(d.max()))
-            coded.append((rows, cols, dmax, _codes(d, dmax)))
+            dmax = max(dmax, float(np.fmax.reduce(d, axis=None)))
+            if cells <= _TABLE_BYTES:
+                coded.append((rows, cols, dmax, _codes(d, dmax)))
+        if cells > _TABLE_BYTES:
+            return dmax, None
         return dmax, [_coded(rows, cols, codes if scale == dmax else
                              _codes(self.dist_idx(rows, cols), dmax))
                       for rows, cols, scale, codes in coded]
 
     @property
     def _dmax(self) -> float:
-        """Largest distance over the visited pairs, folded block by block
-        with max() in pair_blocks order."""
+        """Largest distance over the visited pairs, NaN ignored, folded
+        block by block with max() in pair_blocks order."""
         return self._pair_table[0]
 
     def _pair_codes(self):
@@ -814,13 +781,12 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
     already attained cannot change it.  That prefix maximum, per code,
     is the limit of _unit_runs, which skips the units its tile bound
     proves below it; the first row of each row tile is evaluated first
-    to seed it.  In the runs left, one map gets every pair's value
-    distance, block by block.  Several maps (homotopy slices) go through
-    a bound provider, by default _square_bound of the maps, which skips
-    the pairs it proves below the same limit; the other pairs get their
-    exact distances.  bound(rows, cols, codes, limit), over a run of an
-    index array of rows by a slice of columns, replaces the default, as
-    a homotopy's endpoint bound does.
+    to seed it.  In the runs left, every map gets every pair's value
+    distance, block by block, and the maps are folded in list order with
+    np.maximum.  bound(rows, cols, codes, limit), over a run of an index
+    array of rows by a slice of columns, is True where it proves a pair's
+    largest value distance below limit[code], as a homotopy's endpoint
+    bound does; with it, only the other pairs get their exact distances.
     """
     radii, bounds = _measured_bounds(net, values_list, n_buckets, bound)
     return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
@@ -838,21 +804,24 @@ def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
     bucket = _bucket_of_code(n_buckets)
     last = np.searchsorted(bucket, bucket, side="right") - 1  # of its bucket
-    if bound is None and len(values_list) > 1:
-        bound = _square_bound(values_list)
-    columns = _columns(values_list[0])
-    stacks = [(a, _columns(a)) for a in (    # runs of maps of one shape
-        np.stack(list(g)) for _, g in itertools.groupby(values_list, np.shape))
-    ] if bound is not None else []
-    out, tmp = _Scratch(), _Scratch()
+    if bound is None:
+        columns = [_columns(v) for v in values_list]
+    else:
+        stacks = [(a, _columns(a)) for a in (    # runs of maps of one shape
+            np.stack(list(g))
+            for _, g in itertools.groupby(values_list, np.shape))]
+    out, tmp, more = _Scratch(), _Scratch(), _Scratch()
     peaks = np.zeros(_RADII + 2)                # per code
 
     def limit():                                # attained prefix maxima
         return np.maximum.accumulate(peaks)[last]
 
     for rows, cols, codes in _unit_runs(net, values_list, limit, seed=True):
-        if bound is None:                       # one map: every pair
-            dv = _exact_block(values_list[0], columns, rows, cols, out, tmp)
+        if bound is None:                       # every pair of every map
+            dv = _exact_block(values_list[0], columns[0], rows, cols, out, tmp)
+            for a, c in zip(values_list[1:], columns[1:]):
+                np.maximum(dv, _exact_block(a, c, rows, cols, more, tmp),
+                           out=dv)
             np.maximum.at(peaks, codes.ravel(), dv.ravel())
             continue
         ii, jj = np.nonzero(~bound(rows, cols, codes, limit()))
@@ -923,18 +892,18 @@ def check_modulus(f, slack: float) -> bool:
     distances may come from the domain's derived data (see Net), which
     never depends on a map or a modulus.
 
-    The test is screened twice against the lower bound lo[code] of each
-    pair's allowance (see _allowances).  _unit_runs skips the units
-    whose tile bound lies below lo at their lowest code, which holds
-    only for units whose codes all lie in 1..254, where lo does not
-    decrease.  In the runs left, _square_bound skips each pair proven
-    below lo[code]; every other pair, NaN and infinite values included,
-    gets the exact test np.hypot(...) > omega(d) + slack +
-    _CHECK_TOLERANCE of the unscreened pass, its allowance read from lo
-    where its code is tight and else evaluated on its net distance.  A
-    step table over the domain net's own dyadic radii (as
-    measured_modulus_multi declares) is tight on every code from 1 to
-    254, so it computes net distances only for pairs at distance 0.
+    _unit_runs skips the units whose tile bound lies below the lower
+    bound lo[code] of each pair's allowance (see _allowances) at their
+    lowest code, which holds only for units whose codes all lie in
+    1..254, where lo does not decrease.  In the runs left, every pair
+    gets its exact value distance; one at most lo[code] passes, and
+    every other pair, NaN and infinite values included, gets the exact
+    test np.hypot(...) > omega(d) + slack + _CHECK_TOLERANCE of the
+    unscreened pass, its allowance read from lo where its code is tight
+    and else evaluated on its net distance.  A step table over the
+    domain net's own dyadic radii (as measured_modulus_multi declares) is
+    tight on every code from 1 to 254, so it computes net distances only
+    for pairs at distance 0.
 
     Identity maps take O(n): on a Euclidean net, values array_equal to the
     points give each value distance by the same _euclidean on the same
@@ -952,13 +921,14 @@ def check_modulus(f, slack: float) -> bool:
         return True  # the identity proof above
     columns = _columns(values)
     lo, tight = _allowances(net, modulus, slack)
-    below = _square_bound([values])
+    out, tmp = _Scratch(), _Scratch()
     for rows, cols, codes in _unit_runs(net, [values], lambda: lo):
-        ii, jj = np.nonzero(~below(rows, cols, codes, lo))
+        dv = _exact_block(values, columns, rows, cols, out, tmp)
+        ii, jj = np.nonzero(~(dv <= lo[codes]))
         i, j, c = rows[ii], jj + cols.start, codes[ii, jj]
         allowed, loose = lo[c], ~tight[c]
         allowed[loose] = (modulus(net.dist_pairs(i[loose], j[loose]))
                           + slack + _CHECK_TOLERANCE)
-        if np.any(_exact_pairs(values, columns, i, j) > allowed):
+        if np.any(dv[ii, jj] > allowed):
             return False
     return True

@@ -286,8 +286,7 @@ def _run_eop_homotopy(report: Report):
     frames = [limit.values] + [members[k].values
                                for k in range(k_cap, first - 1, -1)]
     psi = Homotopy(net, circle, np.asarray(times), np.stack(frames),
-                   measured_modulus_multi(net, frames[:2] + frames[-2:]),
-                   meta={"indices": np.arange(len(net))})
+                   measured_modulus_multi(net, frames[:2] + frames[-2:]))
     prev = math.inf
     for k in range(first, report.n_max + 1):
         sup = sup_distance(members[k], limit)

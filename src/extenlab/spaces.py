@@ -728,8 +728,7 @@ def spiked_base_pair(v_space: AnnotatedSpace, p_index: int) -> SpacePair:
     base = np.arange(nA)
     spike = p_index + nA * np.arange(1, nL)
     z = np.concatenate([base, spike, [y.meta["apex_index"]]])
-    return SpacePair.build(f"spiked-base({v_space.name})", y, z,
-                           meta={"p_index": p_index, "base_size": nA})
+    return SpacePair.build(f"spiked-base({v_space.name})", y, z)
 
 
 def urysohn(space: AnnotatedSpace, z_indices, v_indices):

@@ -498,6 +498,21 @@ def test_geodesic_bound_leaves_few_candidates_on_equiconnected(monkeypatch,
     _assert_unscreened_table(h)
 
 
+def test_straight_line_homotopy_keeps_the_table_bit_for_bit():
+    # 65 disk-valued slices, no bound: every map of every surviving run
+    net = xl.make_space("interval", 2.0 ** -8).net
+    disk = xl.make_space("disk", 2.0 ** -3)
+    y = net.points[:, 0]
+    f = 0.5 * np.column_stack([np.cos(3 * y), np.sin(5 * y)])
+    g = np.column_stack([y - 0.5, 0.25 * np.cos(7 * y)])
+    g[::5] = f[::5]                       # some rows stay put
+    h = homotopy_between(MapSample(net, disk, f, Modulus.lip(4.0)),
+                         MapSample(net, disk, g, Modulus.lip(4.0)),
+                         "straight-line")
+    assert len(h.values) == 65
+    _assert_unscreened_table(h)
+
+
 def test_arc_margin_leaves_room_for_the_rounding():
     from extenlab import metric
     # the bound's rounding reaches 2^-44 (1 + limit); hypot adds 2 ulps
