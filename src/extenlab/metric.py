@@ -26,8 +26,8 @@ from .errors import DomainMismatch, InvalidArgument
 _BLOCK_BYTES = 1 << 20
 
 # Largest pair-code table a Net stores, in bytes (one uint8 per visited
-# pair, so n(n+1)/2 and a little on a symmetric metric: n up to about
-# 11,500).  Larger nets recompute their codes block by block per call.
+# pair, so n(n+1)/2 and a little: n up to about 11,500).  Larger nets
+# recompute their codes block by block per call.
 _TABLE_BYTES = 64 << 20
 
 # A net's codes place each distance d among [0] and the dyadic radii
@@ -178,8 +178,8 @@ def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
     block order stay in lexicographic (i, j) order.  upper=True (square
     grids) starts each block's columns at its first row: every unordered
     pair is visited with j >= i (pairs with j < i only in a block's
-    diagonal corner).  Use it only where d(i, j) == d(j, i) bit for bit,
-    as the backends' `symmetric` attribute states.
+    diagonal corner).  Every backend has d(i, j) == d(j, i) bit for bit,
+    so a square pass over a net reads each distance it needs this way.
     """
     cells = _BLOCK_BYTES // 8
     r0 = 0
@@ -227,12 +227,10 @@ class _CoordinateMetric:
     symmetric bit for bit, since a - b is exactly -(b - a) and hypot,
     abs, max, min and + are commutative.
 
-    The protocol all backends share: `symmetric`, `block` (a rows x cols
-    grid of distances), `pairs` (aligned index arrays), `index` (the
-    query structure `nearest` reads, built once per net) and `nearest`.
+    The protocol all backends share: `block` (a rows x cols grid of
+    distances), `pairs` (aligned index arrays), `index` (the query
+    structure `nearest` reads, built once per net) and `nearest`.
     """
-
-    symmetric = True
 
     def cross(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return self.dist(p[:, None, :], q[None, :, :])
@@ -276,16 +274,20 @@ class MatrixMetric:
     """Explicit distance matrix over net indices.
 
     Coordinate queries resolve by exact index lookup, so maps into
-    matrix-metric spaces must take values on net points.  Symmetric only
-    if the matrix equals its transpose; file-supplied matrices may not.
-    The matrix is frozen; ownership passes (see _frozen).
+    matrix-metric spaces must take values on net points.  The matrix
+    must equal its transpose (NaN entries matching NaN) and have a zero
+    diagonal, as a metric's does; InvalidArgument otherwise.  The matrix
+    is frozen; ownership passes (see _frozen).
     """
 
     kind = "explicit-matrix"
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = _frozen(matrix)
-        self.symmetric = bool(np.array_equal(self.matrix, self.matrix.T))
+        m = self.matrix = _frozen(matrix)
+        if (m.ndim != 2 or not np.array_equal(m, m.T, equal_nan=True)
+                or np.any(np.diagonal(m) != 0)):
+            raise InvalidArgument("a distance matrix must be square, equal "
+                                  "to its transpose and zero on its diagonal")
 
     def block(self, points: np.ndarray, rows, cols) -> np.ndarray:
         return self.matrix[rows, cols] if isinstance(rows, slice) \
@@ -352,16 +354,17 @@ class Net:
 
     points     -- (n, d) ambient coordinates; frozen, ownership passes
                   (see _frozen: a view of a writeable array is copied)
-    resolution -- eps > 0; every intended point is within eps of the net
+    resolution -- eps, positive and finite; every intended point is
+                  within eps of the net
     metric     -- one of the metric backends above
 
     Derived data, computed on first use from the points and the metric
     alone (never from a map or a modulus), kept on the instance and
     freed with it:
       _pair_table  dmax, the largest distance over the visited pairs of
-                   pair_blocks(upper=metric.symmetric), and each visited
-                   pair's code, the position of its distance among
-                   [0] + dmax * 2^-253 ... dmax: one uint8 per pair in
+                   pair_blocks(upper=True), each unordered pair once, and
+                   each visited pair's code, the position of its distance
+                   among [0] + dmax * 2^-253 ... dmax: one uint8 per pair in
                    pair_blocks layout (about n^2/2 bytes), with the
                    lowest and highest code of each _TILE x _TILE unit
                    (see _CodedBlock), stored only up to _TABLE_BYTES,
@@ -378,8 +381,8 @@ class Net:
         object.__setattr__(self, "points", _frozen(self.points))
         if self.points.ndim != 2 or len(self.points) == 0:
             raise InvalidArgument("net needs a nonempty (n, d) point array")
-        if not self.resolution > 0:
-            raise InvalidArgument("net resolution must be positive")
+        if not 0 < self.resolution < math.inf:
+            raise InvalidArgument("net resolution must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -441,7 +444,7 @@ class Net:
         return {}
 
     def _blocks(self):
-        return pair_blocks(len(self), len(self), upper=self.metric.symmetric)
+        return pair_blocks(len(self), len(self), upper=True)
 
     @functools.cached_property
     def _pair_table(self):
@@ -538,7 +541,7 @@ def build_epsilon_graph(net: Net, scale: float) -> EpsilonGraph:
         edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         return EpsilonGraph(net, scale, edges)
     found = []
-    for rows, cols in pair_blocks(len(net), len(net), upper=True):
+    for rows, cols in net._blocks():
         ii, jj = np.nonzero(net.dist_idx(rows, cols) <= scale)
         ii += rows.start
         jj += cols.start
@@ -886,8 +889,9 @@ def check_modulus(f, slack: float) -> bool:
     """Does f satisfy its declared modulus up to additive slack on all pairs?
 
     One pass over the visited pairs, stopping at the first violating
-    run; each unordered pair is tested once on a symmetric metric, with
-    the per-pair test of a full n x n pass, so the answer is the same.
+    run; each unordered pair is tested once, with the per-pair test of
+    a full n x n pass, and every metric is symmetric, so the answer is
+    the same.
     Every pair's value distance is compared with omega; only the pair
     distances may come from the domain's derived data (see Net), which
     never depends on a map or a modulus.

@@ -40,6 +40,8 @@ def net_from_json(data: dict) -> Net:
     pts = np.asarray(data["points"], dtype=float)
     if pts.ndim != 2 or pts.shape[1] != data["dimension"]:
         raise InvalidArgument("net points do not match the declared dimension")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidArgument("net points must be finite")
     metric = data["metric"]
     if metric == "euclidean":
         return Net(pts, float(data["resolution"]))

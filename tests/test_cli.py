@@ -342,8 +342,10 @@ def test_certify_matrix_metric_codomain(tmp_path, capsys):
 
 @pytest.mark.parametrize("matrix_of", [
     lambda d: d[:-3], lambda d: np.vstack([d, d[:2]]), lambda d: d[0],
-    lambda d: -d, lambda d: np.full_like(d, np.nan)],
-    ids=["3-rows-short", "2-rows-long", "1-d", "negated", "nan"])
+    lambda d: -d, lambda d: np.full_like(d, np.nan), lambda d: np.triu(d),
+    lambda d: d + np.eye(len(d))],
+    ids=["3-rows-short", "2-rows-long", "1-d", "negated", "nan", "asymmetric",
+         "nonzero-diagonal"])
 def test_certify_rejects_a_malformed_distance_matrix(tmp_path, capsys,
                                                      matrix_of):
     code, _, err = _certify_into_matrix_codomain(tmp_path, capsys, matrix_of)

@@ -132,6 +132,17 @@ def test_matrix_metric_triangle_spot_check():
     assert spot_check_triangle(cone.net, samples=300) <= 1e-12
 
 
+def test_matrix_metric_refuses_a_matrix_no_metric_has():
+    from extenlab.metric import MatrixMetric
+    nan = float("nan")
+    mat = np.array([[0.0, 1.0, nan], [1.0, 0.0, 2.0], [nan, 2.0, 0.0]])
+    MatrixMetric(mat)                   # NaN holes matching across i, j
+    for bad in (mat[0], np.triu(mat), mat + np.eye(3), mat[:2],
+                np.where(np.eye(3) == 1, nan, mat)):
+        with pytest.raises(InvalidArgument, match="distance matrix"):
+            MatrixMetric(bad)
+
+
 def test_components_refine_under_smaller_scale(rng):
     pts = rng.random((60, 2))
     net = Net(pts, 0.25)
@@ -445,17 +456,12 @@ def _random_nets(rng, n):
     np.fill_diagonal(sym, 0.0)
     dup = np.arange(4)
     sym[dup, n - 4 + dup] = sym[n - 4 + dup, dup] = 0.0
-    asym = sym.copy()
-    asym[rng.integers(0, n, 5), rng.integers(0, n, 5)] += 0.25
     nets = {"euclidean-1d": Net(pts[:, :1], 0.1),
             "euclidean-2d": Net(pts[:, :2], 0.1),
             "euclidean-3d": Net(pts, 0.1),
             "max-product": Net(pts, 0.1, MaxProductMetric(1)),
             "cone": Net(pts, 0.1, ConeMetric()),
-            "matrix": Net(pts[:, :1], 0.1, MatrixMetric(sym)),
-            "matrix-asymmetric": Net(pts[:, :1], 0.1, MatrixMetric(asym))}
-    assert nets["matrix"].metric.symmetric
-    assert not nets["matrix-asymmetric"].metric.symmetric
+            "matrix": Net(pts[:, :1], 0.1, MatrixMetric(sym))}
     return nets
 
 
@@ -504,22 +510,18 @@ def test_engine_matches_reference_on_all_metric_kinds(monkeypatch, rng, budget):
                         reference_check_modulus(f, slack), kind
 
 
-@pytest.mark.parametrize("asymmetric", [False, True])
 def test_check_modulus_finds_the_one_pair_across_a_block_boundary(
-        monkeypatch, rng, asymmetric):
+        monkeypatch, rng):
     from extenlab import metric
     n = 60
     monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * 7 * n)   # 7-row blocks
     mat = np.full((n, n), 10.0)
     np.fill_diagonal(mat, 0.0)
     i, j = 6, 7                       # last row of block 0, first of block 1
-    mat[j, i] = 0.01
-    if not asymmetric:
-        mat[i, j] = 0.01
+    mat[i, j] = mat[j, i] = 0.01
     values = rng.random((n, 1))
     values[i], values[j] = 0.0, 0.5
     net = Net(np.zeros((n, 1)), 1.0, metric.MatrixMetric(mat.copy()))
-    assert net.metric.symmetric is not asymmetric
     f = MapSample(net, None, values, Modulus.lip(1.0))
     assert reference_check_modulus(f, 0.0) is False
     assert check_modulus(f, 0.0) is False
@@ -756,7 +758,7 @@ def test_matrix_net_builds_its_lookup_once(monkeypatch):
     index = MatrixMetric.index
     monkeypatch.setattr(MatrixMetric, "index",
                         lambda self, p: calls.append(1) or index(self, p))
-    net = Net(np.array([[0.0], [2.0]]), 1.0, MatrixMetric(np.eye(2)))
+    net = Net(np.array([[0.0], [2.0]]), 1.0, MatrixMetric(1 - np.eye(2)))
     for _ in range(3):
         assert net.nearest([[2.0], [0.0]])[0].tolist() == [1, 0]
     assert len(calls) == 1
@@ -782,6 +784,8 @@ def test_writes_through_a_base_array_reach_no_net_or_map(rng):
     raw = rng.random((3 * n, 1))
     f = MapSample(net, None, raw[n:2 * n, 0], Modulus.lip(1.0))
     mats = rng.random((2, n, n))
+    mats += mats.transpose(0, 2, 1)
+    mats[:, np.arange(n), np.arange(n)] = 0.0
     mnet = Net(np.zeros((n, 1)), 0.1, MatrixMetric(mats[0]))
     steps = rng.random((3, n, 1))
     h = Homotopy(net, None, np.linspace(0.0, 1.0, 3), steps[:, :, :],
@@ -1208,9 +1212,8 @@ def test_tiled_kernels_match_the_unscreened_ones(monkeypatch, rng, tile,
 
 
 @pytest.mark.parametrize("tile", [3, 7])
-@pytest.mark.parametrize("asymmetric", [False, True])
 def test_a_lone_violating_pair_at_a_tile_corner_is_found(monkeypatch, rng,
-                                                         tile, asymmetric):
+                                                         tile):
     from extenlab import metric
     monkeypatch.setattr(metric, "_TILE", tile)
     n = 6 * tile
@@ -1218,9 +1221,7 @@ def test_a_lone_violating_pair_at_a_tile_corner_is_found(monkeypatch, rng,
                  (n - 1, n - tile)):
         mat = np.full((n, n), 10.0)
         np.fill_diagonal(mat, 0.0)
-        mat[i, j] = 0.01
-        if not asymmetric:
-            mat[j, i] = 0.01
+        mat[i, j] = mat[j, i] = 0.01
         values = np.zeros((n, 1))
         values[i] = 0.5                   # only (i, j) is farther than 10
         net = Net(np.zeros((n, 1)), 1.0, metric.MatrixMetric(mat.copy()))

@@ -56,10 +56,14 @@ def test_net_round_trip_matrix():
     assert np.array_equal(back.metric.matrix, mat)
 
 
-def test_net_json_must_match_dimension():
+@pytest.mark.parametrize("dimension, point, resolution", [
+    (3, 0.0, 0.5), (1, float("nan"), 0.5), (1, 0.0, float("inf"))],
+    ids=["dimension", "nan-point", "inf-resolution"])
+def test_net_json_must_match_dimension(dimension, point, resolution):
+    # a net is a finite point set at a finite resolution, in its dimension
     with pytest.raises(InvalidArgument):
-        ser.net_from_json({"dimension": 3, "points": [[0.0]],
-                           "resolution": 0.5, "metric": "euclidean"})
+        ser.net_from_json({"dimension": dimension, "points": [[point]],
+                           "resolution": resolution, "metric": "euclidean"})
 
 
 def test_catalog_space_ref_round_trip():
