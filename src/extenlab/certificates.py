@@ -23,7 +23,7 @@ from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse
 from .families import _covered_family, explicit_extension, extends
 from .maps import MapSample, collapse_retraction, winding_number
 from .metric import _frozen, euclidean_rows, reachable
-from .spaces import AnnotatedSpace, SpacePair, index_cutoff
+from .spaces import AnnotatedSpace, SpacePair, index_cutoff, osc_cutoff
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -172,6 +172,17 @@ class ClopenObstruction(Certificate):
                            tuple(sorted(int(i) for i in self.trace)))
 
     def check(self, pair, phi, v: Verdict):
+        cod = phi.codomain
+        if cod.net.dimension == 1:
+            idx, dist = cod.net.nearest([self.value_ambient])
+            isolated = dist[0] == 0 and cod.clopen.extends(
+                frozenset({int(idx[0])}))
+        else:
+            isolated = False
+        if not isolated:
+            v.add("value-isolated", False, "the value is no codomain net "
+                  "point that is clopen on its own", fails=INVALID)
+            return
         vals = phi.values[:, 0]
         preimage = frozenset(
             int(i) for i in np.nonzero(vals == self.value_ambient)[0])
@@ -345,12 +356,12 @@ def _comb_bracket_count(eps: float) -> int:
     return j
 
 
-def _sine_bracket_count(eps: float, k_osc: int) -> int:
+def _sine_bracket_count(eps: float) -> int:
     # a bracket is blocked when the gap left at the oscillation's peak
     # after deleting |y| >= 1 - 2 eps exceeds the chain scale
     u = math.acos(1 - 2 * eps)
     count = 0
-    for j in range(1, k_osc):
+    for j in range(1, osc_cutoff(eps)):
         theta = (j + 0.5) * math.pi
         gap = 2 * math.pi * u / (theta * theta - u * u)
         spacing = 1.0 / (j * (j + 1))
@@ -397,7 +408,7 @@ def build_negative_certificate(name: str, n: int | None,
             count = _comb_bracket_count(eps)
             region = {"axis": 1, "op": "le", "value": 2 * eps}
         else:
-            count = _sine_bracket_count(eps, cod.meta["osc_cutoff"])
+            count = _sine_bracket_count(eps)
             region = {"axis": 1, "op": "abs_ge", "value": 1.0 - 2 * eps}
         return MandatoryCrossingObstruction(
             brackets=[(pos[j + 1], pos[j]) for j in range(1, count + 1)],

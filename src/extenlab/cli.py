@@ -108,7 +108,7 @@ def _cmd_certify(args) -> int:
         pair = pair_from_ref(problem["pair"])
         phi = map_from_json(problem["map"], pair.z_net)
         cert = certificate_from_json(cert_data, pair, phi.codomain)
-    except (KeyError, TypeError, ValueError, RecursionError,
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
             ExtenlabError) as exc:
         sys.stderr.write(f"malformed problem or certificate: {exc}\n")
         return EXIT_INVALID
@@ -255,6 +255,9 @@ def main(argv=None) -> int:
         return handler(args)
     except (UnknownName, InvalidArgument) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INVALID
+    except OSError as exc:
+        sys.stderr.write(f"cannot write output: {exc}\n")
         return EXIT_INVALID
     except ExtenlabError as exc:
         sys.stderr.write(f"inconsistency: {exc}\n")

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidArgument, NotCoveredRefusal, UnknownName
 from .metric import Modulus, measured_modulus
 from .maps import MapFamily, MapSample, constant_map
-from .spaces import index_cutoff, make_pair, make_space
+from .spaces import index_cutoff, make_pair, make_space, osc_cutoff
 
 def _sqrt_step_modulus(diameter: float) -> Modulus:
     """Step table dominating omega(t) = sqrt(2 t), capped at the diameter."""
@@ -73,8 +73,7 @@ def _pathcomp_family(name: str, eps: float) -> MapFamily:
     limit_vals = np.column_stack([z_coords, np.zeros(len(z_coords))])
     limit = MapSample(pair.z_net, sine, limit_vals, Modulus.lip(1.0),
                       name=f"{name}-limit")
-    return MapFamily(name, pair, sine, limit, gen,
-                     n_bound=sine.meta["osc_cutoff"])
+    return MapFamily(name, pair, sine, limit, gen, n_bound=osc_cutoff(eps))
 
 
 def _sine_eopen_family(eps: float) -> MapFamily:
@@ -92,7 +91,7 @@ def _sine_eopen_family(eps: float) -> MapFamily:
     limit = MapSample(pair.z_net, sine, z_pts, Modulus.lip(1.0),
                       name="sine-eopen-limit")
     return MapFamily("sine-eopen", pair, sine, limit, gen,
-                     n_bound=pair.meta["osc_cutoff"])
+                     n_bound=osc_cutoff(eps))
 
 
 def _ndagger_eopen_family(eps: float) -> MapFamily:
@@ -112,8 +111,9 @@ def _ndagger_eopen_family(eps: float) -> MapFamily:
 def _hawaii_family(eps: float) -> MapFamily:
     pair = make_pair("disk-earring", eps)
     ear = pair.meta["z_space"]
+    circles = ear.meta["circles"]
     circle_of = np.zeros(len(pair.z_net), dtype=int)   # 0 = shared origin
-    for k, ring in ear.meta["circles"].items():
+    for k, ring in circles.items():
         circle_of[ring[1:]] = k
     z_pts = pair.z_net.points
 
@@ -125,14 +125,13 @@ def _hawaii_family(eps: float) -> MapFamily:
 
     limit = constant_map(pair.z_net, ear, [0.0, 0.0], name="hawaii-limit")
     return MapFamily("hawaii", pair, ear, limit, gen,
-                     n_bound=ear.meta["family_bound"])
+                     n_bound=min(index_cutoff(eps), len(circles) - 1))
 
 
 def _ndagger_eclosed_family(eps: float) -> MapFamily:
     pair = make_pair("opc-intervals", eps)
     ndag = make_space("ndagger", eps)
-    ends = pair.meta["block_ends"]
-    n_blocks = len(ends)
+    n_blocks = len(pair.space.meta["blocks"])
     # z layout: infinity first, then (left, right) per block
     block_of = np.zeros(len(pair.z_net), dtype=int)
     for b in range(n_blocks):
@@ -305,9 +304,8 @@ def _block_constant_extension(fam: MapFamily, j: int | None) -> MapSample:
     pair = fam.pair
     phi = fam.limit if j is None else fam.member(j)
     vals = np.zeros((len(pair.space.net), 1))
-    for b, (left, right) in enumerate(pair.meta["block_ends"]):
-        block = pair.space.meta["blocks"][b]
-        zpos = pair.z_position(left)
+    for block in pair.space.meta["blocks"]:
+        zpos = pair.z_position(block["start"])
         vals[block["start"]:block["start"] + block["size"]] = phi.values[zpos]
     vals[0] = phi.values[0]   # the point at infinity
     return MapSample(pair.space.net, fam.codomain, vals,

@@ -9,7 +9,7 @@ rather than trusted metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,7 +115,6 @@ class Homotopy:
     times: np.ndarray
     values: np.ndarray          # (n_times, n_base, dim)
     modulus: Modulus            # uniform in t
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = _frozen(self.times)
@@ -250,16 +249,16 @@ def small_diameter_extend(pair: SpacePair, f: MapSample,
     return out
 
 
-def glue_homotopy_extension(pair: SpacePair, v_indices, phibar: MapSample,
+def glue_homotopy_extension(pair: SpacePair, vbar_indices, phibar: MapSample,
                             psi: Homotopy, f: MapSample,
                             tolerance: float = 1e-9) -> MapSample:
     """Piecewise extension: psi_{f(y)}(y) on closure(V), phibar elsewhere.
 
-    psi lives on the sub-net closure(V) (its index list is in
-    psi.meta["indices"]); psi's time is evaluated at the nearest grid
-    point to f(y).  The result agrees with psi's final slice on Z.
+    psi lives on the sub-net closure(V), whose Y indices are vbar_indices;
+    psi's time is evaluated at the nearest grid point to f(y).  The result
+    agrees with psi's final slice on Z.
     """
-    vbar = np.asarray(psi.meta.get("indices", v_indices), dtype=int)
+    vbar = np.asarray(vbar_indices, dtype=int)
     if len(phibar.values) != len(pair.space.net) or len(f.values) != len(pair.space.net):
         raise DomainMismatch("glue: phibar and f must live on Y")
     start_gap = float(euclidean_rows(psi.values[0],
@@ -373,10 +372,7 @@ def equiconnect_homotopy(phi0: MapSample, phi1: MapSample,
     if not sup_distance(phi0, phi1) < delta:
         raise EpsilonTooLarge("maps are not delta-close")
     mode = "geodesic-circle" if phi0.codomain.name == "circle" else "straight-line"
-    h = homotopy_between(phi0, phi1, mode)
-    coincidence = np.nonzero(np.all(phi0.values == phi1.values, axis=1))[0]
-    return Homotopy(h.base, h.codomain, h.times, h.values, h.modulus,
-                    {"coincidence": coincidence})
+    return homotopy_between(phi0, phi1, mode)
 
 
 def cone_contraction(v_space: AnnotatedSpace, p_index: int,
@@ -441,7 +437,7 @@ def collapse_retraction(earring: AnnotatedSpace, k: int) -> Retraction:
     """
     if earring.name != "hawaii":
         raise InvalidArgument("collapse retraction is for the earring")
-    if not (1 <= k <= earring.meta["circle_max"]):
+    if k not in earring.meta["circles"]:
         raise InvalidArgument(f"circle {k} not represented at this resolution")
 
     def classify(p):

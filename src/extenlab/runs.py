@@ -171,7 +171,7 @@ def _run_anr_eopen(report: Report):
     circle = make_space("circle", eps)
     pair = make_pair("interval-ends", eps)
     y_space = pair.space
-    quarter = circle.meta["count"] // 4
+    quarter = len(circle.net) // 4
     base_pts = circle.net.points[[0, quarter]]
     prod = product_with(y_space, "ndagger")
     factor_vals = np.asarray(prod.meta["factor_values"])
@@ -198,7 +198,7 @@ def _run_anr_eopen(report: Report):
         PositiveCertificate(limit_ext, tolerance=2 * eps))
     report.expect(verdict.ok, "limit extension failed its own certificate")
 
-    n_base = prod.meta["base_size"]
+    n_base = len(y_space.net)
     z_cols = pair.z_indices
     tilde_z = [np.arange(n_base)]         # the 0 slice carries all of Y
     psi_vals = [limit_ext_vals]
@@ -340,8 +340,7 @@ def _run_anr_eclosed(report: Report):
         b_on = MapSample(sub, circle, phibar_limit.values[vbar_idx],
                          phibar_limit.modulus, name="psi1")
         psi = homotopy_between(a_on, b_on, "geodesic-circle")
-        psi.meta["indices"] = vbar_idx
-        glued = glue_homotopy_extension(pair, v_idx, phibar_n, psi, f)
+        glued = glue_homotopy_extension(pair, vbar_idx, phibar_n, psi, f)
         cert = PositiveCertificate(glued, tolerance=0.0,
                                    modulus_slack=4 * eps)
         verdict = check_certificate(pair, phi, cert)
@@ -519,7 +518,8 @@ def _run_equiconnected(report: Report):
         except EpsilonTooLarge as exc:
             report.fail(f"j={j}: {exc}")
             continue
-        coincidence = h.meta["coincidence"]
+        coincidence = np.nonzero(np.all(phi0.values == phi1.values,
+                                        axis=1))[0]
         fixed = bool(np.all(h.values[:, coincidence, :]
                             == phi0.values[coincidence]))
         pairwise = _largest_slice_distance(h.values)

@@ -80,7 +80,7 @@ def _with_refs(value):
 
 
 def space_from_ref(data: dict) -> AnnotatedSpace:
-    kind = data.get("kind")
+    kind = _object(data, "space").get("kind")
     if kind == "catalog":
         params = {k: (tuple(v) if isinstance(v, list) else v)
                   for k, v in data.get("parameters", {}).items()}
@@ -145,11 +145,16 @@ def pair_to_ref(pair: SpacePair) -> dict:
 
 
 def pair_from_ref(data: dict) -> SpacePair:
-    if data.get("kind") == "catalog":
+    if _object(data, "pair").get("kind") == "catalog":
         return make_pair(data["name"], float(data["resolution"]))
     space = space_from_ref(data["space"])
-    return SpacePair.build(data.get("name", "pair"), space,
-                           np.asarray(data["z_indices"], dtype=int))
+    return SpacePair.build(data.get("name", "pair"), space, data["z_indices"])
+
+
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise InvalidArgument(f"a {what} reference must be an object")
+    return data
 
 
 def modulus_to_json(m: Modulus) -> dict:
@@ -176,9 +181,12 @@ def map_to_json(f: MapSample, codomain_ref: dict | None = None) -> dict:
 def map_from_json(data: dict, domain: Net,
                   codomain: AnnotatedSpace | None = None) -> MapSample:
     cod = codomain if codomain is not None else space_from_ref(data["codomain"])
-    return MapSample(domain, cod, np.asarray(data["values"], dtype=float),
-                     modulus_from_json(data["modulus"]),
-                     name=data.get("name", ""))
+    f = MapSample(domain, cod, np.asarray(data["values"], dtype=float),
+                  modulus_from_json(data["modulus"]), name=data.get("name", ""))
+    if f.values.ndim != 2 or f.values.shape[1] != cod.net.dimension:
+        raise InvalidArgument("map values must be points of the codomain's "
+                              f"dimension {cod.net.dimension}")
+    return f
 
 
 def certificate_to_json(cert, epsilon: float) -> dict:

@@ -228,7 +228,7 @@ class SpacePair:
 
     @classmethod
     def build(cls, name, space, z_indices, meta=None):
-        z = _frozen(z_indices, int)
+        z = _net_indices(z_indices, space, "Z")
         return cls(name, space, z, space.net.subnet(z), meta or {})
 
     @property
@@ -240,6 +240,17 @@ class SpacePair:
         if len(hits) == 0:
             raise InvalidArgument(f"Y index {y_index} is not in Z")
         return int(hits[0])
+
+
+def _net_indices(indices, space: AnnotatedSpace, what: str) -> np.ndarray:
+    """indices as a 1-d int64 array; InvalidArgument unless each is an
+    integer in 0..n-1 for the n points of space's net."""
+    idx = np.asarray(indices)
+    n = len(space.net)
+    if idx.dtype.kind != "i" or idx.ndim != 1 \
+            or not np.all((idx >= 0) & (idx < n)):
+        raise InvalidArgument(f"{what} indices must be a list in 0..{n - 1}")
+    return idx.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +275,6 @@ def _build_interval(eps, params, extra=()):
         "interval", params, net, np.zeros(n, dtype=int), ("interval",),
         ClopenAtoms.connected(n), {"clamp": _interval_retraction()},
         {"left": 0, "right": n - 1},
-        meta={"values": pts},
         contains_fn=lambda p: (p[:, 0] >= -1e-12) & (p[:, 0] <= 1 + 1e-12))
 
 
@@ -300,7 +310,6 @@ def _build_circle(eps, params):
         "circle", params, net, np.zeros(count, dtype=int), ("circle",),
         ClopenAtoms.connected(count), {"radial": _circle_retraction()},
         {"angle0": 0},
-        meta={"count": count},
         contains_fn=lambda p: np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0) <= 1e-9)
 
 
@@ -447,7 +456,7 @@ def _build_sine(eps, params):
     return AnnotatedSpace(
         "sine", params, net, labels, ("curve", "segment"),
         ClopenAtoms.connected(n), {}, {"origin": origin, "corner": 0},
-        meta={"zero_index": zero_pos, "osc_cutoff": k_osc},
+        meta={"zero_index": zero_pos},
         contains_fn=member)
 
 
@@ -507,7 +516,8 @@ def _build_hawaii(eps, params):
         ang = math.pi + 2 * math.pi * np.arange(count) / count
         circ = np.column_stack([r + r * np.cos(ang), r * np.sin(ang)])
         circ[count // 2] = (2.0 * r, 0.0)
-        ring = np.concatenate([[0], offset + np.arange(count - 1)])
+        ring = _frozen(np.concatenate([[0], offset + np.arange(count - 1)]),
+                       int)
         pts.append(circ[1:])  # drop the shared origin sample
         circle_indices[k] = ring
         offset += count - 1
@@ -531,8 +541,7 @@ def _build_hawaii(eps, params):
     return AnnotatedSpace(
         "hawaii", params, net, np.zeros(n, dtype=int), ("earring",),
         ClopenAtoms.connected(n), {}, {"origin": 0},
-        meta={"circles": circle_indices, "circle_max": k_max,
-              "family_bound": min(index_cutoff(eps), k_max - 1)},
+        meta={"circles": circle_indices},
         contains_fn=member)
 
 
@@ -629,7 +638,7 @@ def product_with(space: AnnotatedSpace, factor: str,
         f"product({factor},{space.name})",
         (("factor", factor), *grid, ("base", space.key)),
         net, labels, names, ClopenAtoms(atom_ids), {}, {},
-        meta={"factor_values": fvals, "base_size": nA},
+        meta={"factor_values": _frozen(fvals)},
         recipe={"kind": "construct", "op": "product", "factor": factor,
                 "base": space, **dict(grid)})
 
@@ -639,7 +648,7 @@ def cone(space: AnnotatedSpace) -> AnnotatedSpace:
     if not isinstance(space.net.metric, EuclideanMetric):
         raise InvalidArgument("cone base must carry the ambient metric")
     eps = space.resolution
-    levels = dyadic.grid(eps)[:-1]          # 0 .. 1-eps; apex stands for 1
+    levels = _frozen(dyadic.grid(eps)[:-1])   # 0 .. 1-eps; apex stands for 1
     nA, nL = len(space.net), len(levels)
     rep = np.repeat(levels, nA)
     tiled = np.tile(space.net.points, (nL, 1))
@@ -652,7 +661,7 @@ def cone(space: AnnotatedSpace) -> AnnotatedSpace:
         f"cone({space.name})", (("base", space.key),),
         net, np.zeros(n, dtype=int), ("cone",),
         ClopenAtoms.connected(n), {}, {"apex": n - 1},
-        meta={"levels": levels, "base_size": nA, "apex_index": n - 1},
+        meta={"levels": levels},
         recipe={"kind": "construct", "op": "cone", "base": space})
 
 
@@ -701,7 +710,7 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
 
 def subspace(space: AnnotatedSpace, indices, name: str) -> AnnotatedSpace:
     """Connected sub-net of a catalog space, reusing the parent's metric."""
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _net_indices(indices, space, "subspace")
     labs = np.unique(space.labels[idx])
     if len(labs) != 1:
         raise InvalidArgument("subspace must sit inside one path component")
@@ -723,11 +732,9 @@ def spiked_base_pair(v_space: AnnotatedSpace, p_index: int) -> SpacePair:
     if not (0 <= p_index < len(v_space.net)):
         raise InvalidArgument("spike basepoint must be a net point of V")
     y = cone(v_space)
-    nA = y.meta["base_size"]
-    nL = len(y.meta["levels"])
-    base = np.arange(nA)
-    spike = p_index + nA * np.arange(1, nL)
-    z = np.concatenate([base, spike, [y.meta["apex_index"]]])
+    nA = len(v_space.net)
+    spike = p_index + nA * np.arange(1, len(y.meta["levels"]))
+    z = np.concatenate([np.arange(nA), spike, [y.basepoint("apex")]])
     return SpacePair.build(f"spiked-base({v_space.name})", y, z)
 
 
@@ -784,8 +791,8 @@ def _build_named_pair(name: str, eps: float) -> SpacePair:
     if name == "interval-N":
         members = _ndagger_values(eps)
         y = _build_interval(eps, (("with", "N"),), extra=members)
-        z = np.searchsorted(y.meta["values"], members)
-        member_ids = np.array([0] + list(range(round(1 / eps), 0, -1)))
+        z = np.searchsorted(y.net.points[:, 0], members)
+        member_ids = _frozen([0] + list(range(round(1 / eps), 0, -1)), int)
         return SpacePair.build(name, y, z, meta={"z_members": member_ids})
     if name == "interval-ends":
         y = make_space("interval", eps)
@@ -796,8 +803,7 @@ def _build_named_pair(name: str, eps: float) -> SpacePair:
         ms = sorted(zp)  # 1..tail_max
         z = np.asarray([zp[m] for m in ms] + [y.basepoint("origin")])
         return SpacePair.build(name, y, z,
-                               meta={"z_members": np.asarray(ms + [0]),
-                                     "osc_cutoff": y.meta["osc_cutoff"]})
+                               meta={"z_members": _frozen(ms + [0], int)})
     if name == "disk-earring":
         ear = make_space("hawaii", eps)
         y = _build_disk(eps, (("center", (1.0, 0.0)), ("radius", 1.0),
@@ -808,11 +814,7 @@ def _build_named_pair(name: str, eps: float) -> SpacePair:
         block = make_space("interval", eps)
         y = opc_disjoint_union([block] * 8)
         z = [0]
-        ends = []
         for b in y.meta["blocks"]:
-            start, size = b["start"], b["size"]
-            ends.append((start, start + size - 1))
-            z.extend([start, start + size - 1])
-        return SpacePair.build(name, y, np.asarray(z),
-                               meta={"block_ends": ends})
+            z.extend([b["start"], b["start"] + b["size"] - 1])
+        return SpacePair.build(name, y, np.asarray(z))
     raise UnknownName(f"unknown pair {name!r}")

@@ -279,9 +279,10 @@ def test_clopen_wrong_trace_refuted():
 
 
 def test_clopen_trivial_trace_refuted_by_oracle():
-    # the empty trace extends (to the empty clopen), so no obstruction
+    # the empty trace extends (to the empty clopen), so no obstruction;
+    # 1/2 is an isolated point of the codomain that member 3 never takes
     fam = xl.example_family("ndagger-eopen", EPS8)
-    ghost = ClopenObstruction(999, 1.0 / 999, trace=())
+    ghost = ClopenObstruction(2, 1.0 / 2, trace=())
     v = check_certificate(fam.pair, fam.member(3), ghost)
     assert v.status == "refuted"
 

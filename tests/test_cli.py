@@ -517,3 +517,135 @@ def test_certify_fuzzed_certificate_fields_end_in_an_exit_code(tmp_path):
         assert _certify(base, problem, json.dumps(cert)) in (0, 2, 3, 4)
 
     run()
+
+
+# ---------------------------------------------------------------------------
+# malformed problem files and unwritable outputs end in exit 3
+
+
+EPS5 = 2.0 ** -5
+
+
+def _explicit_problem(family, n, eps=EPS5):
+    """problem.json's content for member n (None: the limit), its pair in
+    explicit form, and the catalog certificate's file form."""
+    fam = xl.example_family(family, eps)
+    phi = fam.limit if n is None else fam.member(n)
+    pair = dataclasses.replace(fam.pair, recipe=None)
+    problem = {"pair": ser.pair_to_ref(pair), "map": ser.map_to_json(phi)}
+    cert = ser.certificate_to_json(xl.certificate_for(family, n, eps), eps)
+    return json.loads(ser.dumps(problem)), json.loads(ser.dumps(cert))
+
+
+def _whole_subspace(extra):
+    """A codomain edit: the space as a subspace of itself, plus indices."""
+    def edit(ref):
+        n = len(ser.space_from_ref(ref).net)
+        return {"kind": "construct", "op": "subspace", "base": ref,
+                "indices": list(range(n)) + extra, "name": "whole"}
+    return edit
+
+
+def _set(*path, value):
+    """A problem edit: the entry at path becomes value, or value(entry)."""
+    def edit(problem):
+        *head, last = path
+        for key in head:
+            problem = problem[key]
+        problem[last] = value(problem[last]) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize("family,n,edit,code_wanted", [
+    ("comb", None, _set("pair", "z_indices", 0, value=999), 3),
+    ("comb", None, _set("pair", "z_indices", 0, value=-1), 3),
+    ("comb", None, _set("pair", "z_indices", 1, value=1.5), 3),
+    ("comb", None, _set("map", "codomain", "resolution", value=10 ** 400), 3),
+    ("comb", None, _set("map", "codomain", value=_whole_subspace([])), 0),
+    ("comb", None, _set("map", "codomain", value=_whole_subspace([99999])), 3),
+    ("comb", None, _set("map", "codomain", value=_whole_subspace([-1])), 3),
+    ("comb", None, _set("pair", value=5), 3),
+    ("comb", None, _set("map", "codomain", value=5), 3),
+    ("comb", None, _set("pair", "space", value=5), 3),
+    ("comb", None, _set("map", "codomain", value={
+        "kind": "construct", "op": "cone", "base": {
+            "kind": "catalog", "name": "disk", "parameters": {},
+            "resolution": EPS5}}), 3),
+    ("ndagger-eopen", 2, _set("map", "codomain", value={
+        "kind": "catalog", "name": "interval", "parameters": {},
+        "resolution": EPS5}), 3),
+], ids=["z-index-past-the-net", "z-index-negative", "z-index-not-an-integer",
+        "resolution-past-every-float", "subspace-whole",
+        "subspace-index-past-the-net", "subspace-index-negative",
+        "pair-not-an-object", "codomain-not-an-object",
+        "space-not-an-object", "values-of-another-dimension",
+        "clopen-value-not-isolated-in-the-codomain"])
+def test_certify_refuses_a_malformed_problem(tmp_path, capsys, family, n,
+                                             edit, code_wanted):
+    problem, cert = _explicit_problem(family, n)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert _certify(tmp_path, path, json.dumps(cert)) == 0
+    edit(problem)
+    path.write_text(json.dumps(problem))
+    assert _certify(tmp_path, path, json.dumps(cert)) == code_wanted
+
+
+def test_output_that_cannot_be_written_exits_three(tmp_path, capsys):
+    problem, cert = _emitted(tmp_path, "ndagger-eopen", 2)
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text(json.dumps(cert))
+    code, _, err = run_cli(capsys, "certify", str(problem), str(certificate),
+                           "--out", str(tmp_path / "missing" / "v.json"))
+    assert code == 3 and "cannot write output" in err
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run_cli(capsys, "example", "run", "ndagger-not-eopen",
+                           "--epsilon", "2^-6", "--n-max", "2",
+                           "--emit-certificates", str(taken))
+    assert code == 3 and "cannot write output" in err
+
+
+def test_certify_fuzzed_problem_references_end_in_an_exit_code(tmp_path):
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    paths = [("pair",), ("map",), ("pair", "space"), ("map", "codomain"),
+             ("pair", "z_indices")]
+    emitted = []
+    for family, n, subspace in (("comb", None, True),
+                                ("ndagger-eopen", 2, False),
+                                ("sine-eopen", 2, False)):
+        problem, cert = _explicit_problem(family, n)
+        if subspace:     # the codomain as a subspace of itself
+            _set("map", "codomain", value=_whole_subspace([]))(problem)
+        problem_path = tmp_path / "problem.json"
+        problem_path.write_text(json.dumps(problem))
+        assert _certify(tmp_path, problem_path, json.dumps(cert)) == 0
+        emitted.append((problem, json.dumps(cert), paths + subspace * [
+            ("map", "codomain", "base"), ("map", "codomain", "indices")]))
+    index = st.integers(min_value=-2 ** 70, max_value=2 ** 70) | \
+        st.sampled_from([-1, 999, 99999])
+    nested = st.recursive(index, lambda inner: st.lists(
+        inner, max_size=3), max_leaves=12)
+    wrong = st.one_of(index, st.text(max_size=4), nested,
+                      st.sampled_from([None, 0.5, {}, {"kind": "catalog"}]))
+
+    @given(st.sampled_from(emitted), st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def run(base, data):
+        problem, cert, paths = base
+        path = data.draw(st.sampled_from(paths))
+        problem = json.loads(json.dumps(problem))
+        entry = problem
+        for key in path:
+            entry = entry[key]
+        if isinstance(entry, list) and data.draw(st.booleans()):
+            entry[data.draw(st.integers(0, len(entry) - 1))] = data.draw(index)
+        else:
+            _set(*path, value=data.draw(wrong))(problem)
+        problem_path = tmp_path / "problem.json"
+        problem_path.write_text(json.dumps(problem))
+        assert _certify(tmp_path, problem_path, cert) in (0, 2, 3, 4)
+
+    run()

@@ -250,7 +250,7 @@ def test_equiconnect_identical_maps(circle):
 
 def test_equiconnect_rejects_distant_maps(circle):
     phi0 = MapSample(circle.net, circle, circle.net.points, Modulus.lip(1.0))
-    rolled = np.roll(circle.net.points, circle.meta["count"] // 2, axis=0)
+    rolled = np.roll(circle.net.points, len(circle.net) // 2, axis=0)
     phi1 = MapSample(circle.net, circle, rolled, Modulus.lip(1.0))
     with pytest.raises(EpsilonTooLarge):
         equiconnect_homotopy(phi0, phi1, delta=0.1)
@@ -268,7 +268,7 @@ def test_glue_returns_phibar_when_f_vanishes(interval):
     from extenlab.maps import Homotopy
     frames = np.stack([vals[sub_idx], vals[sub_idx]])
     psi = Homotopy(sub, circle6, np.array([0.0, 1.0]), frames,
-                   Modulus.lip(1.0), meta={"indices": sub_idx})
+                   Modulus.lip(1.0))
     f = constant_map(y.net, xl.make_space("interval", EPS6), [0.0])
     out = glue_homotopy_extension(pair, sub_idx, phibar, psi, f)
     assert np.array_equal(out.values, phibar.values)
@@ -285,8 +285,7 @@ def test_glue_rejects_mismatched_start(interval):
     from extenlab.maps import Homotopy
     wrong = np.tile([0.0, 1.0], (5, 1))
     psi = Homotopy(sub, circle6, np.array([0.0, 1.0]),
-                   np.stack([wrong, wrong]), Modulus.lip(0.0),
-                   meta={"indices": sub_idx})
+                   np.stack([wrong, wrong]), Modulus.lip(0.0))
     f = constant_map(y.net, xl.make_space("interval", EPS6), [0.0])
     with pytest.raises(GluingMismatch):
         glue_homotopy_extension(pair, sub_idx, phibar, psi, f)
