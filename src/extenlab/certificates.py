@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse
 from .families import _covered_family, explicit_extension, extends
 from .maps import MapSample, collapse_retraction, winding_number
-from .metric import _frozen, euclidean_rows, reachable
+from .metric import _frozen, _same_net, euclidean_rows, reachable
 from .spaces import AnnotatedSpace, SpacePair, index_cutoff, osc_cutoff
 
 VERIFIED = "verified"
@@ -93,7 +93,7 @@ class PositiveCertificate(Certificate):
 
     def check(self, pair, phi, v: Verdict):
         ext = self.extension
-        if not np.array_equal(ext.domain.points, pair.space.net.points):
+        if not _same_net(ext.domain, pair.space.net):
             v.add("extension-on-Y", False, "extension does not live on Y",
                   fails=INCONSISTENT)
             return
@@ -326,8 +326,7 @@ def check_certificate(pair: SpacePair, phi: MapSample,
                       cert: Certificate) -> Verdict:
     """Re-check a certificate from scratch against the pair and map."""
     v = Verdict(VERIFIED, pair.resolution)
-    if not (phi.domain is pair.z_net
-            or np.array_equal(phi.domain.points, pair.z_net.points)):
+    if not _same_net(phi.domain, pair.z_net):
         v.add("map-on-Z", False, "map does not live on the pair's Z net",
               fails=INCONSISTENT)
         return v

@@ -17,8 +17,9 @@ from .errors import (DiameterTooLarge, DomainMismatch, EpsilonTooLarge,
                      ExtensionFailure, GluingMismatch, InvalidArgument,
                      LoopTooCoarse)
 from .metric import (_SCREEN_MARGIN, EuclideanMetric, Modulus, Net, _Scratch,
-                     _frozen, check_modulus, euclidean_rows, measured_modulus,
-                     measured_modulus_multi, pair_blocks, sup_distance)
+                     _frozen, _same_net, check_modulus, euclidean_rows,
+                     measured_modulus, measured_modulus_multi, pair_blocks,
+                     sup_distance)
 from .spaces import AnnotatedSpace, Retraction, SpacePair, spiked_base_pair
 
 # Rows per weighted-average product in _dugundji_values: BLAS rounding of
@@ -135,8 +136,7 @@ class Homotopy:
 
 def restrict(f: MapSample, pair: SpacePair) -> MapSample:
     """Values copied on the Z indices, modulus inherited."""
-    if not (f.domain is pair.space.net
-            or np.array_equal(f.domain.points, pair.space.net.points)):
+    if not _same_net(f.domain, pair.space.net):
         raise DomainMismatch("restrict: map does not live on the pair's Y")
     return MapSample(pair.z_net, f.codomain, f.values[pair.z_indices],
                      f.modulus, name=f"{f.name}|Z")
@@ -325,8 +325,7 @@ def _arc_bound(f, g, a0, delta, fixed):
 def homotopy_between(f: MapSample, g: MapSample, mode: str,
                      time_step: float = 2.0 ** -6) -> Homotopy:
     """Straight-line or shorter-arc homotopy with exact endpoint slices."""
-    if not (f.domain is g.domain
-            or np.array_equal(f.domain.points, g.domain.points)):
+    if not _same_net(f.domain, g.domain):
         raise DomainMismatch("homotopy endpoints must share a domain")
     if f.codomain_name != g.codomain_name:
         raise DomainMismatch("homotopy endpoints must share a codomain")
@@ -358,7 +357,7 @@ def homotopy_between(f: MapSample, g: MapSample, mode: str,
     values[0] = f.values
     values[-1] = g.values
     values[:, equal_rows, :] = f.values[equal_rows]  # fixed rows stay put
-    modulus = measured_modulus_multi(f.domain, list(values), bound=bound)
+    modulus = measured_modulus_multi(f.domain, values, bound=bound)
     return Homotopy(f.domain, f.codomain, times, values, modulus)
 
 

@@ -9,7 +9,6 @@ and the data a Net derives from them on first use never changes.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -100,10 +99,6 @@ def euclidean_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _euclidean(np.atleast_2d(p), np.atleast_2d(q))
 
 
-def _euclidean_cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return _euclidean(p[:, None, :], q[None, :, :])
-
-
 def _columns(a: np.ndarray) -> list[np.ndarray]:
     """Each coordinate of an (..., n, d) array as its own contiguous
     (..., n) column."""
@@ -125,30 +120,22 @@ class _Scratch:
         return self.buf[:shape[0] * shape[1]].reshape(shape)
 
 
-def _exact_block(a, columns, rows, cols, out, tmp) -> np.ndarray:
-    """_euclidean_cross(a[rows], a[cols]) bit for bit: from the columns
-    (same differences, same abs or hypot) when a has one or two
-    coordinates, in out's storage; else the expression itself."""
-    if len(columns) > 2:
-        return _euclidean_cross(a[rows], a[cols])
-    acc = out.block(rows, cols)
-    np.subtract.outer(columns[0][rows], columns[0][cols], out=acc)
-    if len(columns) == 1:
-        return np.abs(acc, out=acc)
-    d = tmp.block(rows, cols)
-    np.subtract.outer(columns[1][rows], columns[1][cols], out=d)
-    return np.hypot(acc, d, out=acc)
-
-
-def _exact_pairs(a, columns, i, j) -> np.ndarray:
-    """_euclidean(a[..., i, :], a[..., j, :]) bit for bit, gathering from
-    the columns (see _columns)."""
+def _exact(a, columns, i, j, out=None, tmp=None) -> np.ndarray:
+    """_euclidean(a[..., i, :], a[..., j, :]) bit for bit, i and j
+    broadcast against each other: from the columns (see _columns; the
+    same differences, then the same abs or hypot) when a has one or two
+    coordinates, in the storage of out and tmp (see _Scratch) if given;
+    else the expression itself."""
     if len(columns) > 2:
         return _euclidean(a[..., i, :], a[..., j, :])
-    d = columns[0][..., i] - columns[0][..., j]
+
+    def diff(c, scratch):
+        return np.subtract(c[..., i], c[..., j],
+                           out=None if scratch is None else scratch.block(i, j))
+    d = diff(columns[0], out)
     if len(columns) == 1:
         return np.abs(d, out=d)
-    return np.hypot(d, columns[1][..., i] - columns[1][..., j], out=d)
+    return np.hypot(d, diff(columns[1], tmp), out=d)
 
 
 def _square_limit(allowed: np.ndarray) -> np.ndarray:
@@ -656,18 +643,13 @@ def _bucket_of_code(n_buckets: int) -> np.ndarray:
                    0, n_buckets - 1)
 
 
-def _tile_boxes(values_list, tile: int):
+def _tile_boxes(maps: np.ndarray, tile: int):
     """(lo, hi): per tile of `tile` net points and coordinate, the lowest
-    and the highest value over the tile's points and over all the maps,
-    NaN where one is; a map with fewer coordinates counts as 0 in those
-    it lacks, which add no term to its distances."""
-    starts = np.arange(0, len(values_list[0]), tile)
-    width = max(v.shape[1] for v in values_list)
-    lo, hi = np.zeros((2, len(values_list), len(starts), width))
-    for m, v in enumerate(values_list):
-        lo[m, :, :v.shape[1]] = np.minimum.reduceat(v, starts)
-        hi[m, :, :v.shape[1]] = np.maximum.reduceat(v, starts)
-    return lo.min(axis=0), hi.max(axis=0)
+    and the highest value over the tile's points and over all the maps of
+    the (maps, n, d) stack, NaN where one is."""
+    starts = np.arange(0, maps.shape[1], tile)
+    return (np.minimum.reduceat(maps, starts, axis=1).min(axis=0),
+            np.maximum.reduceat(maps, starts, axis=1).max(axis=0))
 
 
 def _box_squares(boxes, row_tiles, col_tiles) -> np.ndarray:
@@ -699,13 +681,13 @@ def _box_squares(boxes, row_tiles, col_tiles) -> np.ndarray:
     return s
 
 
-def _unit_runs(net: Net, values_list, limit, seed: bool = False):
+def _unit_runs(net: Net, maps: np.ndarray, limit, seed: bool = False):
     """The visited pairs of net that no tile bound proves, as runs
     (rows, cols, codes): an array of row indices, a column slice and the
     run's codes, block by block.
 
     Each block of net._pair_codes() is cut into units (see _CodedBlock).
-    A unit is skipped when its _box_squares bound s over values_list is
+    A unit is skipped when its _box_squares bound s over the maps is
     at most _square_limit(limit())[c] at both its lowest and its highest
     code c: its pairs' value distances then lie below limit() at the
     lowest code, hence at every code of the unit, provided the limit does
@@ -724,7 +706,7 @@ def _unit_runs(net: Net, values_list, limit, seed: bool = False):
     boxes = None
     for rows, cols, codes, tile, low, high in net._pair_codes():
         if boxes is None:
-            boxes = _tile_boxes(values_list, tile)
+            boxes = _tile_boxes(maps, tile)
         r_at, c_at = _tile_edges(rows, tile), _tile_edges(cols, tile)
         s = _box_squares(boxes, rows.start // tile + np.arange(len(low)),
                          cols.start // tile + np.arange(len(c_at) - 1))
@@ -769,6 +751,8 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
     Used to declare moduli for constructed extensions (and homotopy
     slices) whose analytic modulus has no convenient closed form;
     check_modulus then re-verifies the declaration independently.
+    values_list holds maps of one (n, d) shape, n the net's size, as a
+    list or a (maps, n, d) stack; InvalidArgument otherwise.
 
     The radii are dmax * 2^-(n_buckets-1) ... dmax, n_buckets <= 254.
     Distances come from the net's derived pair data (see Net): its
@@ -785,7 +769,7 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
     is the limit of _unit_runs, which skips the units its tile bound
     proves below it; the first row of each row tile is evaluated first
     to seed it.  In the runs left, every map gets every pair's value
-    distance, block by block, and the maps are folded in list order with
+    distance, block by block, and the maps are folded in stack order with
     np.maximum.  bound(rows, cols, codes, limit), over a run of an index
     array of rows by a slice of columns, is True where it proves a pair's
     largest value distance below limit[code], as a homotopy's endpoint
@@ -801,38 +785,37 @@ def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
     Modulus.step then rejects."""
     if not 1 <= n_buckets <= _RADII:
         raise InvalidArgument(f"n_buckets must be in 1..{_RADII}")
+    shapes = {np.shape(v) for v in values_list}
+    if len(shapes) != 1 or shapes.pop()[:-1] != (len(net),):
+        raise InvalidArgument("the maps need one (n, d) shape, n = len(net)")
     dmax = net._dmax
     if dmax == 0.0:
         return np.empty(0), np.empty(0)
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
     bucket = _bucket_of_code(n_buckets)
     last = np.searchsorted(bucket, bucket, side="right") - 1  # of its bucket
-    if bound is None:
-        columns = [_columns(v) for v in values_list]
-    else:
-        stacks = [(a, _columns(a)) for a in (    # runs of maps of one shape
-            np.stack(list(g))
-            for _, g in itertools.groupby(values_list, np.shape))]
+    maps = np.asarray(values_list, dtype=float)
+    columns = [_columns(a) for a in maps] if bound is None else _columns(maps)
     out, tmp, more = _Scratch(), _Scratch(), _Scratch()
     peaks = np.zeros(_RADII + 2)                # per code
 
     def limit():                                # attained prefix maxima
         return np.maximum.accumulate(peaks)[last]
 
-    for rows, cols, codes in _unit_runs(net, values_list, limit, seed=True):
+    for rows, cols, codes in _unit_runs(net, maps, limit, seed=True):
         if bound is None:                       # every pair of every map
-            dv = _exact_block(values_list[0], columns[0], rows, cols, out, tmp)
-            for a, c in zip(values_list[1:], columns[1:]):
-                np.maximum(dv, _exact_block(a, c, rows, cols, more, tmp),
-                           out=dv)
+            i = rows[:, None]
+            dv = _exact(maps[0], columns[0], i, cols, out, tmp)
+            for a, c in zip(maps[1:], columns[1:]):
+                np.maximum(dv, _exact(a, c, i, cols, more, tmp), out=dv)
             np.maximum.at(peaks, codes.ravel(), dv.ravel())
             continue
         ii, jj = np.nonzero(~bound(rows, cols, codes, limit()))
         if not len(ii):
             continue
         i, j = rows[ii], jj + cols.start
-        dv = np.concatenate([_exact_pairs(a, c, i, j) for a, c in stacks])
-        np.maximum.at(peaks, codes[ii, jj], _largest_over_maps(dv))
+        dv = _largest_over_maps(_exact(maps, columns, i, j))
+        np.maximum.at(peaks, codes[ii, jj], dv)
     per_bucket = np.zeros(n_buckets)
     np.maximum.at(per_bucket, bucket, peaks)
     return radii, np.maximum.accumulate(per_bucket)
@@ -843,8 +826,7 @@ def measured_modulus(net: Net, values: np.ndarray, n_buckets: int = 24) -> Modul
 
 
 def _same_net(a: Net, b: Net) -> bool:
-    return a is b or (a.points.shape == b.points.shape
-                      and np.array_equal(a.points, b.points))
+    return a is b or np.array_equal(a.points, b.points)
 
 
 def sup_distance(f, g) -> float:
@@ -926,8 +908,8 @@ def check_modulus(f, slack: float) -> bool:
     columns = _columns(values)
     lo, tight = _allowances(net, modulus, slack)
     out, tmp = _Scratch(), _Scratch()
-    for rows, cols, codes in _unit_runs(net, [values], lambda: lo):
-        dv = _exact_block(values, columns, rows, cols, out, tmp)
+    for rows, cols, codes in _unit_runs(net, values[None], lambda: lo):
+        dv = _exact(values, columns, rows[:, None], cols, out, tmp)
         ii, jj = np.nonzero(~(dv <= lo[codes]))
         i, j, c = rows[ii], jj + cols.start, codes[ii, jj]
         allowed, loose = lo[c], ~tight[c]

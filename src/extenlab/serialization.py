@@ -183,9 +183,10 @@ def map_from_json(data: dict, domain: Net,
     cod = codomain if codomain is not None else space_from_ref(data["codomain"])
     f = MapSample(domain, cod, np.asarray(data["values"], dtype=float),
                   modulus_from_json(data["modulus"]), name=data.get("name", ""))
-    if f.values.ndim != 2 or f.values.shape[1] != cod.net.dimension:
-        raise InvalidArgument("map values must be points of the codomain's "
-                              f"dimension {cod.net.dimension}")
+    if f.values.ndim != 2 or f.values.shape[1] != cod.net.dimension \
+            or not np.all(np.isfinite(f.values)):
+        raise InvalidArgument("map values must be finite points of the "
+                              f"codomain's dimension {cod.net.dimension}")
     return f
 
 
@@ -237,21 +238,25 @@ def certificate_from_json(data: dict, pair: SpacePair,
                   for f in fields if f.name in data})
 
 
+def _finite(value) -> bool:
+    return _fits(value, (int, float), {}) and math.isfinite(value)
+
+
 # What a field admits, by its annotation: a tuple of JSON types (ints
 # within int64), "Z" or "Y" for a position in that net and "axis" for an
 # axis of the codomain, [shape] for a list of shape and [shape, shape]
 # for a pair, {key: shape} for an object with exactly those keys, or a
-# test of the value.
-_SHAPES = {"MapSample": (dict,), "float": (int, float),
-           "float | None": (int, float, type(None)), "int": (int,),
+# test of the value.  Numbers must be finite: a check against a NaN or
+# infinite slack or tolerance passes whatever the certificate holds.
+_SHAPES = {"MapSample": (dict,), "float": _finite,
+           "float | None": lambda v: v is None or _finite(v), "int": (int,),
            "str": (str,), "np.ndarray": (list,),
            "tuple[str, ...]": [(str,)], "ZPosition": "Z",
            "ZPositions": ["Z"], "ZPositionPairs": [["Z", "Z"]],
            "YPositions": ["Y"],
            "Region": {"axis": "axis",
                       "op": lambda v: v in ("le", "ge", "abs_ge", "abs_le"),
-                      "value": lambda v: _fits(v, (int, float), {})
-                      and math.isfinite(v)}}
+                      "value": _finite}}
 
 
 def _fits(value, shape, sizes: dict) -> bool:

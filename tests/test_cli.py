@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -463,11 +464,18 @@ def _certify(tmp_path, problem, text):
     ("comb", None, "region", lambda v: {**v, "op": "xx"}),
     ("comb", None, "region", lambda v: {**v, "value": "a"}),
     ("comb", None, "region", lambda v: {**v, "value": float("nan")}),
+    # a NaN or infinite slack or tolerance passes every comparison
+    ("comb", 2, "modulus_slack", lambda v: float("nan")),
+    ("comb", 2, "modulus_slack", lambda v: float("inf")),
+    ("comb", 2, "tolerance", lambda v: float("inf")),
+    ("comb", 2, "tolerance", lambda v: float("nan")),
+    ("comb", None, "separation", lambda v: float("nan")),
 ], ids=["int-infinite", "winding-infinite", "negative-position",
         "trace-negative", "path-2d", "bracket-float", "region-axis-negative",
         "region-extra-key", "region-empty", "region-axis-too-large",
         "region-axis-float", "region-op-unknown", "region-value-string",
-        "region-value-nan"])
+        "region-value-nan", "slack-nan", "slack-infinite",
+        "tolerance-infinite", "tolerance-nan", "separation-nan"])
 def test_certify_refuses_a_field_that_does_not_fit(tmp_path, capsys, family,
                                                    n, field, tamper):
     problem, cert = _emitted(tmp_path, family, n)
@@ -475,6 +483,25 @@ def test_certify_refuses_a_field_that_does_not_fit(tmp_path, capsys, family,
     cert[field] = tamper(cert[field])
     assert _certify(tmp_path, problem, json.dumps(cert)) == 3
     assert repr(field) in capsys.readouterr().err
+
+
+def test_certify_refuses_non_finite_numbers_in_a_refuted_positive(tmp_path,
+                                                                   capsys):
+    # one extension value off Z moved to the tip of tooth 1 breaks the
+    # declared modulus; a NaN or infinite slack once let it verify
+    problem, cert = _emitted(tmp_path, "comb", 2, EPS5)
+    z = xl.example_family("comb", EPS5).pair.z_indices
+    off_z = int(np.setdiff1d(np.arange(len(z) + 1), z)[0])
+    cert["extension"]["values"][off_z] = [1.0, 1.0]
+    assert _certify(tmp_path, problem, json.dumps(cert)) == 2
+    for slack in (float("nan"), float("inf")):
+        assert _certify(tmp_path, problem,
+                        json.dumps({**cert, "modulus_slack": slack})) == 3
+        assert "'modulus_slack'" in capsys.readouterr().err
+    for special in (float("nan"), float("inf"), float("-inf")):
+        cert["extension"]["values"][off_z] = [special, 1.0]
+        assert _certify(tmp_path, problem, json.dumps(cert)) == 3
+        assert "finite" in capsys.readouterr().err
 
 
 def test_certify_refuses_a_deeply_nested_file(tmp_path, capsys):
@@ -517,6 +544,20 @@ def test_certify_fuzzed_certificate_fields_end_in_an_exit_code(tmp_path):
         assert _certify(base, problem, json.dumps(cert)) in (0, 2, 3, 4)
 
     run()
+    floats = {kind: ["epsilon"] + [
+        f.name for f in dataclasses.fields(ser.certs.KINDS[kind])
+        if f.type in ("float", "float | None")] for kind in emitted}
+
+    @given(st.sampled_from(sorted(emitted)), st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def non_finite(kind, data):
+        base, problem, cert = emitted[kind]
+        cert = {**cert, data.draw(st.sampled_from(floats[kind])):
+                data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))}
+        assert _certify(base, problem, json.dumps(cert)) == 3
+
+    non_finite()
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +615,23 @@ def _set(*path, value):
     ("ndagger-eopen", 2, _set("map", "codomain", value={
         "kind": "catalog", "name": "interval", "parameters": {},
         "resolution": EPS5}), 3),
+    # one non-finite value at a Z point once verified every one of these
+    ("comb", None, _set("map", "values", 2, 0, value=float("nan")), 3),
+    ("pathcomp", None, _set("map", "values", 2, 1, value=float("inf")), 3),
+    ("sine-eclosed", None, _set("map", "values", 2, 1, value=float("nan")),
+     3),
+    ("sine-eopen", 1, _set("map", "values", 2, 0, value=float("-inf")), 3),
+    ("hawaii", 1, _set("map", "values", 2, 0, value=float("nan")), 3),
+    ("ndagger-eopen", 1, _set("map", "values", 2, 0, value=float("inf")), 3),
 ], ids=["z-index-past-the-net", "z-index-negative", "z-index-not-an-integer",
         "resolution-past-every-float", "subspace-whole",
         "subspace-index-past-the-net", "subspace-index-negative",
         "pair-not-an-object", "codomain-not-an-object",
         "space-not-an-object", "values-of-another-dimension",
-        "clopen-value-not-isolated-in-the-codomain"])
+        "clopen-value-not-isolated-in-the-codomain", "comb-value-nan",
+        "pathcomp-value-infinite", "sine-eclosed-value-nan",
+        "sine-eopen-value-minus-infinite", "hawaii-value-nan",
+        "ndagger-eopen-value-infinite"])
 def test_certify_refuses_a_malformed_problem(tmp_path, capsys, family, n,
                                              edit, code_wanted):
     problem, cert = _explicit_problem(family, n)
@@ -649,3 +701,32 @@ def test_certify_fuzzed_problem_references_end_in_an_exit_code(tmp_path):
         assert _certify(tmp_path, problem_path, cert) in (0, 2, 3, 4)
 
     run()
+    special = st.sampled_from([math.nan, math.inf, -math.inf])
+
+    @given(st.sampled_from(emitted), st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def bad_values(base, data):
+        problem = json.loads(json.dumps(base[0]))
+        values = problem["map"]["values"]
+        row = data.draw(st.integers(0, len(values) - 1))
+        width = len(values[row])
+        edit = data.draw(st.sampled_from(["non-finite", "ragged", "width",
+                                          "empty"]))
+        if edit == "non-finite":
+            values[row][data.draw(st.integers(0, width - 1))] = \
+                data.draw(special)
+        elif edit == "ragged":
+            values[row] = values[row][:-1] if data.draw(st.booleans()) \
+                else values[row] + [0.0]
+        elif edit == "width":
+            other = data.draw(st.integers(0, 3).filter(lambda w: w != width))
+            problem["map"]["values"] = [(v + [0.0] * 3)[:other]
+                                        for v in values]
+        else:
+            problem["map"]["values"] = []
+        problem_path = tmp_path / "problem.json"
+        problem_path.write_text(json.dumps(problem))
+        assert _certify(tmp_path, problem_path, base[1]) == 3
+
+    bad_values()

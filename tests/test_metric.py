@@ -498,7 +498,8 @@ def test_engine_matches_reference_on_all_metric_kinds(monkeypatch, rng, budget):
     for kind, net in _random_nets(rng, n).items():
         values_list = [rng.random((n, 2)), np.round(rng.random((n, 1)), 2),
                        rng.random((n, 3))]
-        for vl in (values_list[:1], values_list[:2], values_list[1:]):
+        for vl in (values_list[:1], [values_list[0], rng.random((n, 2))],
+                   [values_list[2], rng.random((n, 3))]):
             want = reference_measured_modulus_multi(net, vl).table()
             assert metric.measured_modulus_multi(net, vl).table() == want, kind
         for values in values_list:
@@ -617,7 +618,7 @@ def test_pair_codes_match_reference_cold_and_warm(monkeypatch, rng, before,
     n = 90
     outcomes = set()
     for kind, net in _random_nets(rng, n).items():
-        values_list = [rng.random((n, 2)), np.round(rng.random((n, 1)), 2)]
+        values_list = [rng.random((n, 2)), np.round(rng.random((n, 2)), 2)]
         for values in values_list:
             values[-4:] = values[:4]          # maps agree on duplicates
         monkeypatch.setattr(metric, "_BLOCK_BYTES", before)
@@ -687,6 +688,43 @@ def test_measured_modulus_bucket_count_range():
             measured_modulus(net, values, k)
 
 
+def test_measured_modulus_needs_maps_of_one_shape():
+    net = line_net([0.0, 1.0, 3.0])
+    for values_list in ([np.zeros((3, 1)), np.ones((3, 2))],
+                        [np.zeros((3, 2)), np.ones((2, 2))],
+                        [np.zeros((2, 1))], [np.zeros(3)], []):
+        with pytest.raises(InvalidArgument):
+            measured_modulus_multi(net, values_list)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_exact_is_the_euclidean_expression_bit_for_bit(rng):
+    from extenlab import metric
+    n = 40
+    for dim in (1, 2, 3):
+        for maps in ((), (3,)):                 # one map, a stack of maps
+            a = rng.random((*maps, n, dim))
+            a[..., :6, 0] = [np.nan, np.inf, -np.inf, -0.0, 0.0, -0.0]
+            a[..., 6:9, -1] = [0.0, -0.0, np.inf]
+            columns = metric._columns(a)
+            i, j = rng.integers(0, n, 300), rng.integers(0, n, 300)
+            i[:36], j[:36] = np.divmod(np.arange(36), 6)    # every special
+            want = metric._euclidean(a[..., i, :], a[..., j, :])
+            assert metric._exact(a, columns, i, j).tobytes() == \
+                want.tobytes(), (dim, maps)
+            if maps:
+                continue
+            out, tmp = metric._Scratch(), metric._Scratch()
+            for rows, cols in ((np.arange(n), slice(0, n)),
+                               (np.array([7, 0, 3]), slice(2, 9)),
+                               (np.arange(2, n, 5), slice(5, 6))):
+                want = metric._euclidean(a[rows[:, None], :], a[cols, :])
+                for scratch in ((), (out, tmp)):
+                    got = metric._exact(a, columns, rows[:, None], cols,
+                                        *scratch)
+                    assert got.tobytes() == want.tobytes(), (dim, rows)
+
+
 @pytest.mark.parametrize("far, table_bytes", [(0, None), (-2, None),
                                               (0, 0)])
 def test_pair_grid_is_evaluated_once_per_net(monkeypatch, rng, far,
@@ -713,7 +751,7 @@ def test_pair_grid_is_evaluated_once_per_net(monkeypatch, rng, far,
     grid = sum(sizes)
     values = rng.random((n, 1))
     declared = measured_modulus(net, values)
-    metric.measured_modulus_multi(net, [values, rng.random((n, 2))])
+    metric.measured_modulus_multi(net, [values, rng.random((n, 1))])
     assert check_modulus(MapSample(net, None, values, declared), 0.0)
     if table_bytes == 0:
         # nothing stored: the diameter once, then the codes in each call
@@ -839,7 +877,8 @@ def unscreened_bounds(net, values_list, n_buckets=24):
     peaks = np.zeros(len(radii))
     for rows, cols, codes, *_ in net._pair_codes():
         dv = functools.reduce(np.maximum,
-                              (metric._euclidean_cross(v[rows], v[cols])
+                              (metric._euclidean(v[rows][:, None, :],
+                                                 v[cols][None, :, :])
                                for v in values_list))
         np.maximum.at(peaks, bucket[codes].ravel(), dv.ravel())
     return radii, np.maximum.accumulate(peaks)
@@ -877,8 +916,8 @@ def unscreened_check_modulus(f, slack):
         blocks = ((rows, cols, modulus(net.dist_idx(rows, cols)) + slack
                    + 1e-12) for rows, cols in net._blocks())
     for rows, cols, allowed in blocks:
-        if np.any(metric._euclidean_cross(values[rows], values[cols])
-                  > allowed):
+        if np.any(metric._euclidean(values[rows][:, None, :],
+                                    values[cols][None, :, :]) > allowed):
             return False
     return True
 
@@ -1257,14 +1296,14 @@ def test_comb_member_measure_evaluates_few_pairs(monkeypatch):
     from extenlab.families import explicit_extension
     ext = explicit_extension("comb", 3, 2.0 ** -9)
     evaluated = [0]
-    exact_block = metric._exact_block
+    exact = metric._exact
 
-    def counting(a, columns, rows, cols, out, tmp):
-        dv = exact_block(a, columns, rows, cols, out, tmp)
+    def counting(a, columns, i, j, out=None, tmp=None):
+        dv = exact(a, columns, i, j, out, tmp)
         evaluated[0] += dv.size
         return dv
 
-    monkeypatch.setattr(metric, "_exact_block", counting)
+    monkeypatch.setattr(metric, "_exact", counting)
     seen = _count_skips(monkeypatch)
     got = metric._measured_bounds(ext.domain, [ext.values], 24)
     assert seen[0] == 631167
@@ -1353,8 +1392,7 @@ def test_sine_identity_at_2_10_calls_no_pair_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("a pair kernel ran")
 
-    for name in ("_exact_block", "_exact_pairs"):
-        monkeypatch.setattr(metric, name, refuse)
+    monkeypatch.setattr(metric, "_exact", refuse)
     eps = 2.0 ** -10
     ext = explicit_extension("sine-eopen", None, eps)
     assert len(ext.domain) == 48507
