@@ -2,7 +2,8 @@
 
 Exit codes: 0 all verdicts verified, 2 a verification refuted,
 3 invalid input (bad flags, unknown names, malformed files,
-invalid certificates), 4 internal inconsistency.
+invalid certificates), 4 internal inconsistency (an input that
+contradicts itself, or a fault of the checker).
 
 Epsilon flags use the exact syntax 2^-k; output is deterministic, with
 timings withheld unless --timings is passed (so repeat runs are
@@ -112,7 +113,11 @@ def _cmd_certify(args) -> int:
             ExtenlabError) as exc:
         sys.stderr.write(f"malformed problem or certificate: {exc}\n")
         return EXIT_INVALID
-    verdict = check_certificate(pair, phi, cert)
+    try:
+        verdict = check_certificate(pair, phi, cert)
+    except Exception as exc:            # a fault of the checker, not the input
+        sys.stderr.write(f"checker fault: {exc!r}\n")
+        return EXIT_INCONSISTENT
     _emit(dumps(verdict.as_dict()) + "\n", args.out)
     return {"verified": EXIT_OK, "refuted": EXIT_REFUTED,
             "invalid-certificate": EXIT_INVALID,
@@ -133,10 +138,7 @@ def _cmd_space_info(args) -> int:
     if args.format == "json":
         _emit(dumps(info) + "\n", args.out)
     else:
-        lines = [f"{k}: {info[k]}" for k in
-                 ("name", "epsilon", "net_size", "dimension",
-                  "path_components", "clopen_atoms", "retractions",
-                  "basepoints")]
+        lines = [f"{k}: {v}" for k, v in info.items()]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

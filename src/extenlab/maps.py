@@ -13,17 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dyadic import grid
 from .errors import (DiameterTooLarge, DomainMismatch, EpsilonTooLarge,
                      ExtensionFailure, GluingMismatch, InvalidArgument,
                      LoopTooCoarse)
-from .metric import (_SCREEN_MARGIN, EuclideanMetric, Modulus, Net, _Scratch,
+from .metric import (_SCREEN_MARGIN, Modulus, Net, _Scratch, _euclidean,
                      _frozen, _same_net, check_modulus, euclidean_rows,
                      measured_modulus, measured_modulus_multi, pair_blocks,
                      sup_distance)
 from .spaces import AnnotatedSpace, Retraction, SpacePair, spiked_base_pair
 
-# Rows per weighted-average product in _dugundji_values: BLAS rounding of
-# `w @ values` depends on the row count, so this grouping fixes output bits.
+# Rows per weighted-average product in dugundji_extend_partial: BLAS
+# rounding of `w @ values` depends on the row count, so this grouping fixes
+# output bits.
 _AVERAGE_ROWS = 2048
 
 
@@ -63,10 +65,10 @@ class MapSample:
     def value_diameter(self) -> float:
         """Largest Euclidean distance between two values (exact maximum)."""
         vals = self._distinct_values()
-        cross = EuclideanMetric().cross
         best = 0.0
         for rows, cols in pair_blocks(len(vals), len(vals), upper=True):
-            best = max(best, float(cross(vals[rows], vals[cols]).max()))
+            d = _euclidean(vals[rows][:, None, :], vals[cols][None, :, :])
+            best = max(best, float(d.max()))
         return best
 
     def validity_report(self, slack: float | None = None) -> list[str]:
@@ -125,11 +127,8 @@ class Homotopy:
         if v.shape[0] != len(t) or v.shape[1] != len(self.base):
             raise InvalidArgument("homotopy values must be (times, base, dim)")
 
-    def time_index(self, t: float) -> int:
-        return int(np.abs(self.times - t).argmin())
-
     def slice(self, t: float) -> MapSample:
-        i = self.time_index(t)
+        i = int(np.abs(self.times - t).argmin())
         return MapSample(self.base, self.codomain, self.values[i],
                          self.modulus, name=f"slice@{self.times[i]:g}")
 
@@ -153,32 +152,6 @@ def constant_map(domain: Net, codomain: AnnotatedSpace, value,
 # extension operators
 
 
-def _dugundji_values(pair: SpacePair, f: MapSample, retraction: Retraction):
-    """Inverse-distance-weighted extension values plus per-point success."""
-    net = pair.space.net
-    z = pair.z_indices
-    n = len(net)
-    dim = f.values.shape[1]
-    out = np.empty((n, dim))
-    ok = np.ones(n, dtype=bool)
-    in_z = np.zeros(n, dtype=bool)
-    in_z[z] = True
-    rows = np.nonzero(~in_z)[0]
-    for lo in range(0, len(rows), _AVERAGE_ROWS):
-        idx = rows[lo:lo + _AVERAGE_ROWS]
-        d = net.dist_idx(idx, z)
-        d_z = d.min(axis=1)
-        w = np.maximum(0.0, 2.0 * d_z[:, None] - d)
-        total = w.sum(axis=1)
-        avg = (w @ f.values) / total[:, None]
-        inside = retraction.contains(avg)
-        avg_r = np.where(inside[:, None], retraction.apply(avg), avg)
-        out[idx] = avg_r
-        ok[idx] = inside
-    out[z] = f.values
-    return out, ok
-
-
 def dugundji_extend_partial(pair: SpacePair, f: MapSample,
                             retraction: str):
     """Raw weighted-extension values plus a per-point success mask.
@@ -195,7 +168,28 @@ def dugundji_extend_partial(pair: SpacePair, f: MapSample,
     retr = f.codomain.retractions[retraction]
     if not np.all(retr.contains(f.values)):
         raise InvalidArgument("map values must lie in the retraction domain")
-    return _dugundji_values(pair, f, retr)
+    net = pair.space.net
+    z = pair.z_indices
+    n = len(net)
+    dim = f.values.shape[1]
+    out = np.empty((n, dim))
+    ok = np.ones(n, dtype=bool)
+    in_z = np.zeros(n, dtype=bool)
+    in_z[z] = True
+    rows = np.nonzero(~in_z)[0]
+    for lo in range(0, len(rows), _AVERAGE_ROWS):
+        idx = rows[lo:lo + _AVERAGE_ROWS]
+        d = net.dist_idx(idx, z)
+        d_z = d.min(axis=1)
+        w = np.maximum(0.0, 2.0 * d_z[:, None] - d)
+        total = w.sum(axis=1)
+        avg = (w @ f.values) / total[:, None]
+        inside = retr.contains(avg)
+        avg_r = np.where(inside[:, None], retr.apply(avg), avg)
+        out[idx] = avg_r
+        ok[idx] = inside
+    out[z] = f.values
+    return out, ok
 
 
 def dugundji_extend(pair: SpacePair, f: MapSample,
@@ -250,8 +244,7 @@ def small_diameter_extend(pair: SpacePair, f: MapSample,
 
 
 def glue_homotopy_extension(pair: SpacePair, vbar_indices, phibar: MapSample,
-                            psi: Homotopy, f: MapSample,
-                            tolerance: float = 1e-9) -> MapSample:
+                            psi: Homotopy, f: MapSample) -> MapSample:
     """Piecewise extension: psi_{f(y)}(y) on closure(V), phibar elsewhere.
 
     psi lives on the sub-net closure(V), whose Y indices are vbar_indices;
@@ -263,7 +256,7 @@ def glue_homotopy_extension(pair: SpacePair, vbar_indices, phibar: MapSample,
         raise DomainMismatch("glue: phibar and f must live on Y")
     start_gap = float(euclidean_rows(psi.values[0],
                                      phibar.values[vbar]).max())
-    if start_gap > tolerance:
+    if start_gap > 1e-9:
         raise GluingMismatch(
             f"psi slice 0 differs from phibar by {start_gap:.3g} on closure(V)")
     out = np.array(phibar.values)
@@ -322,15 +315,13 @@ def _arc_bound(f, g, a0, delta, fixed):
     return below
 
 
-def homotopy_between(f: MapSample, g: MapSample, mode: str,
-                     time_step: float = 2.0 ** -6) -> Homotopy:
+def homotopy_between(f: MapSample, g: MapSample, mode: str) -> Homotopy:
     """Straight-line or shorter-arc homotopy with exact endpoint slices."""
     if not _same_net(f.domain, g.domain):
         raise DomainMismatch("homotopy endpoints must share a domain")
     if f.codomain_name != g.codomain_name:
         raise DomainMismatch("homotopy endpoints must share a codomain")
-    from .dyadic import grid
-    times = grid(time_step)
+    times = grid(2.0 ** -6)
     equal_rows = np.all(f.values == g.values, axis=1)
 
     if mode == "straight-line":
@@ -439,25 +430,14 @@ def collapse_retraction(earring: AnnotatedSpace, k: int) -> Retraction:
     if k not in earring.meta["circles"]:
         raise InvalidArgument(f"circle {k} not represented at this resolution")
 
-    def classify(p):
+    def apply(p):
         x, y = p[:, 0], p[:, 1]
         rr = x * x + y * y
         with np.errstate(divide="ignore", invalid="ignore"):
             k_est = np.where(rr > 0, 2 * np.maximum(x, 0.0) / np.where(rr > 0, rr, 1.0), 0.0)
-        return rr, k_est
-
-    def contains(p):
-        rr, k_est = classify(p)
-        near_origin = rr <= (1e-9) ** 2
-        on_some = (np.abs(k_est - np.round(k_est)) <= 1e-6 * np.maximum(1, np.round(k_est))) \
-            & (np.round(k_est) >= 1)
-        return near_origin | on_some
-
-    def apply(p):
-        rr, k_est = classify(p)
         keep = (np.abs(k_est - k) <= 1e-6 * k) & (rr > 0)
         out = np.zeros_like(p)
         out[keep] = p[keep]
         return out
 
-    return Retraction(f"collapse-{k}", contains, apply)
+    return Retraction(f"collapse-{k}", earring.contains, apply)

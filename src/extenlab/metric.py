@@ -219,11 +219,8 @@ class _CoordinateMetric:
     structure `nearest` reads, built once per net) and `nearest`.
     """
 
-    def cross(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return self.dist(p[:, None, :], q[None, :, :])
-
     def block(self, points: np.ndarray, rows, cols) -> np.ndarray:
-        return self.cross(points[rows], points[cols])
+        return self.dist(points[rows][:, None, :], points[cols][None, :, :])
 
     def pairs(self, points: np.ndarray, i, j) -> np.ndarray:
         return self.dist(points[i], points[j])
@@ -235,7 +232,7 @@ class _CoordinateMetric:
         idx = np.empty(len(coords), dtype=int)
         dist = np.empty(len(coords))
         for rows, cols in pair_blocks(len(coords), len(points)):
-            d = self.cross(coords[rows], points[cols])
+            d = self.dist(coords[rows][:, None, :], points[cols][None, :, :])
             idx[rows] = d.argmin(axis=1)
             dist[rows] = d.min(axis=1)
         return idx, dist
@@ -243,8 +240,6 @@ class _CoordinateMetric:
 
 class EuclideanMetric(_CoordinateMetric):
     """Ambient Euclidean metric on the stored coordinates."""
-
-    kind = "ambient-euclidean"
 
     def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return _euclidean(p, q)
@@ -266,8 +261,6 @@ class MatrixMetric:
     diagonal, as a metric's does; InvalidArgument otherwise.  The matrix
     is frozen; ownership passes (see _frozen).
     """
-
-    kind = "explicit-matrix"
 
     def __init__(self, matrix: np.ndarray):
         m = self.matrix = _frozen(matrix)
@@ -304,8 +297,6 @@ class MaxProductMetric(_CoordinateMetric):
     Euclidean on their coordinate blocks.
     """
 
-    kind = "max-product"
-
     def __init__(self, split: int):
         self.split = split
 
@@ -323,8 +314,6 @@ class ConeMetric(_CoordinateMetric):
     that travelling through the apex may be shorter:
     min(max(d_base, |s-t|), (1-s)+(1-t)).
     """
-
-    kind = "cone"
 
     def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         base = _euclidean(p[..., :-1], q[..., :-1])
@@ -378,10 +367,6 @@ class Net:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def metric_kind(self) -> str:
-        return self.metric.kind
-
     def dist_idx(self, i, j) -> np.ndarray:
         """Cross-distances between two index sets, or two slices (no copy)."""
         if not isinstance(i, slice):
@@ -395,9 +380,6 @@ class Net:
         i = np.atleast_1d(np.asarray(i, dtype=int))
         j = np.atleast_1d(np.asarray(j, dtype=int))
         return self.metric.pairs(self.points, i, j)
-
-    def pair_dist(self, i: int, j: int) -> float:
-        return float(self.dist_pairs(i, j)[0])
 
     def nearest(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the nearest net points."""

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import InvalidArgument, UnknownName
-from .metric import MatrixMetric, Modulus, Net
+from .metric import EuclideanMetric, MatrixMetric, Modulus, Net
 from .spaces import (AnnotatedSpace, ClopenAtoms, SpacePair, cone, make_pair,
                      make_space, opc_disjoint_union, product_with, subspace)
 from .maps import MapSample
@@ -27,7 +27,7 @@ def dumps(obj) -> str:
 
 
 def net_to_json(net: Net) -> dict:
-    metric = "euclidean" if net.metric_kind == "ambient-euclidean" else \
+    metric = "euclidean" if isinstance(net.metric, EuclideanMetric) else \
         {"matrix": net.metric.matrix.tolist()} if isinstance(net.metric, MatrixMetric) \
         else None
     if metric is None:
@@ -59,7 +59,7 @@ def space_to_ref(space: AnnotatedSpace) -> dict:
     """Reference form: the recipe the space was built by, with each base
     space replaced by its reference, or else the explicit form."""
     if space.recipe is not None:
-        return _with_refs(space.recipe)
+        return _plain(space.recipe)
     return {"kind": "explicit", "name": space.name,
             "net": net_to_json(space.net),
             "path_components": space.labels.tolist(),
@@ -69,21 +69,11 @@ def space_to_ref(space: AnnotatedSpace) -> dict:
             "resolution": space.resolution}
 
 
-def _with_refs(value):
-    if isinstance(value, AnnotatedSpace):
-        return space_to_ref(value)
-    if isinstance(value, dict):
-        return {k: _with_refs(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_with_refs(v) for v in value]
-    return value
-
-
 def space_from_ref(data: dict) -> AnnotatedSpace:
     kind = _object(data, "space").get("kind")
     if kind == "catalog":
-        params = {k: (tuple(v) if isinstance(v, list) else v)
-                  for k, v in data.get("parameters", {}).items()}
+        params = {k: (tuple(v) if isinstance(v, list) else v) for k, v
+                  in _object(data.get("parameters", {}), "parameters").items()}
         return make_space(data["name"], float(data["resolution"]), **params)
     if kind == "construct":
         op = data["op"]
@@ -201,6 +191,8 @@ def certificate_to_json(cert, epsilon: float) -> dict:
 def _plain(value):
     if isinstance(value, MapSample):
         return map_to_json(value)
+    if isinstance(value, AnnotatedSpace):
+        return space_to_ref(value)
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if isinstance(value, (list, tuple)):

@@ -9,11 +9,11 @@ dense distance matrix for reachability.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+
+from extenlab.metric import EuclideanMetric
 
 
 class UnionFind:
@@ -81,7 +81,7 @@ def pairs_within(net, scale: float) -> np.ndarray:
     on any other (the cone's apex shortcut is not a Euclidean distance).
     """
     n = len(net)
-    if net.metric_kind == "ambient-euclidean":
+    if isinstance(net.metric, EuclideanMetric):
         tree = cKDTree(net.points, balanced_tree=False, compact_nodes=False)
         return tree.query_pairs(scale, output_type="ndarray")
     found = [np.empty((0, 2), dtype=np.int64)]
@@ -117,13 +117,9 @@ def spot_check_triangle(net, samples: int = 200, seed: int = 0) -> float:
     """Worst triangle-inequality defect over sampled triples (<= 0 is good)."""
     rng = np.random.default_rng(seed)
     n = len(net)
-    triples = rng.integers(0, n, size=(samples, 3))
-    worst = -math.inf
-    for i, j, k in triples:
-        direct = net.pair_dist(int(i), int(k))
-        detour = net.pair_dist(int(i), int(j)) + net.pair_dist(int(j), int(k))
-        worst = max(worst, direct - detour)
-    return worst
+    i, j, k = rng.integers(0, n, size=(samples, 3)).T
+    detour = net.dist_pairs(i, j) + net.dist_pairs(j, k)
+    return float((net.dist_pairs(i, k) - detour).max())
 
 
 def exhaustive_widest_path(n: int, edges, src: int, dst: int,

@@ -470,12 +470,18 @@ def _certify(tmp_path, problem, text):
     ("comb", 2, "tolerance", lambda v: float("inf")),
     ("comb", 2, "tolerance", lambda v: float("nan")),
     ("comb", None, "separation", lambda v: float("nan")),
+    # each spelling once verified as collapse-2
+    *[("hawaii", 1, "retraction", lambda v, s=s: s) for s in (
+        "radial-2", "x-2", "collapse--2", "collapse- 2", "collapse-+2",
+        "collapse-02")],
 ], ids=["int-infinite", "winding-infinite", "negative-position",
         "trace-negative", "path-2d", "bracket-float", "region-axis-negative",
         "region-extra-key", "region-empty", "region-axis-too-large",
         "region-axis-float", "region-op-unknown", "region-value-string",
         "region-value-nan", "slack-nan", "slack-infinite",
-        "tolerance-infinite", "tolerance-nan", "separation-nan"])
+        "tolerance-infinite", "tolerance-nan", "separation-nan",
+        "retraction-radial", "retraction-x", "retraction-negative",
+        "retraction-space", "retraction-plus", "retraction-leading-zero"])
 def test_certify_refuses_a_field_that_does_not_fit(tmp_path, capsys, family,
                                                    n, field, tamper):
     problem, cert = _emitted(tmp_path, family, n)
@@ -615,6 +621,9 @@ def _set(*path, value):
     ("ndagger-eopen", 2, _set("map", "codomain", value={
         "kind": "catalog", "name": "interval", "parameters": {},
         "resolution": EPS5}), 3),
+    ("comb", None, _set("map", "codomain", value={
+        "kind": "catalog", "name": "comb", "parameters": [1],
+        "resolution": EPS5}), 3),
     # one non-finite value at a Z point once verified every one of these
     ("comb", None, _set("map", "values", 2, 0, value=float("nan")), 3),
     ("pathcomp", None, _set("map", "values", 2, 1, value=float("inf")), 3),
@@ -628,7 +637,8 @@ def _set(*path, value):
         "subspace-index-past-the-net", "subspace-index-negative",
         "pair-not-an-object", "codomain-not-an-object",
         "space-not-an-object", "values-of-another-dimension",
-        "clopen-value-not-isolated-in-the-codomain", "comb-value-nan",
+        "clopen-value-not-isolated-in-the-codomain",
+        "catalog-parameters-not-an-object", "comb-value-nan",
         "pathcomp-value-infinite", "sine-eclosed-value-nan",
         "sine-eopen-value-minus-infinite", "hawaii-value-nan",
         "ndagger-eopen-value-infinite"])
@@ -640,7 +650,30 @@ def test_certify_refuses_a_malformed_problem(tmp_path, capsys, family, n,
     assert _certify(tmp_path, path, json.dumps(cert)) == 0
     edit(problem)
     path.write_text(json.dumps(problem))
+    capsys.readouterr()
     assert _certify(tmp_path, path, json.dumps(cert)) == code_wanted
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(ser.certs.KINDS))
+def test_a_fault_of_the_checker_exits_four(tmp_path, capsys, monkeypatch,
+                                           kind):
+    family, n = {"positive": ("comb", 2), "path-component": ("pathcomp", None),
+                 "clopen": ("ndagger-eopen", 2),
+                 "mandatory-crossing": ("comb", None),
+                 "winding": ("hawaii", 1)}[kind]
+    problem, cert = _emitted(tmp_path, family, n)
+    assert cert["kind"] == kind
+
+    def fault(self, pair, phi, v):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(ser.certs.KINDS[kind], "check", fault)
+    capsys.readouterr()
+    assert _certify(tmp_path, problem, json.dumps(cert)) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "IndexError" in err
+    assert "Traceback" not in err
 
 
 def test_output_that_cannot_be_written_exits_three(tmp_path, capsys):

@@ -140,6 +140,27 @@ def test_retractions_fix_their_spaces():
             assert float(gap) <= EPS6
 
 
+# Points off each space; (0.3, 0.3) and (1.0, 0.5) miss every earring
+# circle, while (0.5, 0.5) would lie on circle 2.
+OFF_THE_SPACE = {
+    "point": [[0.5], [1e-6]],
+    "interval": [[-0.01], [1.01]],
+    "circle": [[0.0, 0.0], [0.5, 0.5], [1.01, 0.0]],
+    "sine": [[0.5, 0.5], [-0.1, 0.0], [0.0, 1.5]],
+    "comb": [[0.75, 0.5], [0.5, 1.5], [-0.1, 0.0]],
+    "hawaii": [[0.3, 0.3], [1.0, 0.5], [-0.5, 0.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_THE_SPACE))
+def test_analytic_membership_accepts_the_net_and_rejects_points_off(name):
+    for k in range(4, 11):
+        space = xl.make_space(name, 2.0 ** -k)
+        assert space.contains_fn is not None
+        assert bool(np.all(space.contains(space.net.points))), k
+        assert not np.any(space.contains(OFF_THE_SPACE[name])), k
+
+
 def test_connected_oracles_accept_only_trivial_traces():
     comb = xl.make_space("comb", EPS6)
     z = np.arange(5)
