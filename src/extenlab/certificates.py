@@ -304,11 +304,10 @@ class WindingObstruction(Certificate):
                                  (turned[:-1], rings[1:])))
         v.add("witness-triangles-small", worst <= 2 * eps * (1 + 1e-9),
               f"max witness edge {worst:.4g} vs 2 eps")
-        k = self._k
-        retr = collapse_retraction(phi.codomain, k)
+        retr = collapse_retraction(phi.codomain, self._k)
         loop_vals = retr.apply(phi.values[self.loop])
         try:
-            w = winding_number(loop_vals, (1.0 / k, 0.0))
+            w = winding_number(loop_vals, (1.0 / self._k, 0.0))
         except LoopTooCoarse as exc:
             v.add("winding-defined", False, str(exc))
             return
