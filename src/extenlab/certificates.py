@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse
 from .families import _covered_family, explicit_extension, extends
 from .maps import MapSample, collapse_retraction, winding_number
-from .metric import _frozen, _same_net, euclidean_rows, reachable
+from .metric import (_frozen, _same_net, euclidean_rows, pair_blocks,
+                     reachable)
 from .spaces import AnnotatedSpace, SpacePair, index_cutoff, osc_cutoff
 
 VERIFIED = "verified"
@@ -281,10 +282,13 @@ class WindingObstruction(Certificate):
         y = pair.space
         loop_y = pair.z_indices[self.loop]
         rings = self.witness_rings
-        if rings.ndim != 3 or rings.shape[1] != len(self.loop) \
-                or rings.shape[2] != 2:
+        if rings.ndim != 3 or rings.shape[1:] != (len(self.loop), 2):
             v.add("well-formed", False, "witness rings must be (r, loop, 2)",
                   fails=INVALID)
+            return
+        if len(rings) < 2 or len(self.loop) == 0:
+            v.add("well-formed", False, "a witness needs two rings and a "
+                  "nonempty loop", fails=INVALID)
             return
         ring0_gap = float(euclidean_rows(rings[0], y.net.points[loop_y]).max())
         if not v.add("witness-starts-at-loop", ring0_gap <= 1e-12,
@@ -294,14 +298,9 @@ class WindingObstruction(Certificate):
         if not v.add("witness-ends-constant", spread <= 1e-12,
                      "last ring is a single point", fails=INVALID):
             return
-        inside = y.contains(rings.reshape(-1, 2))
-        v.add("witness-inside-Y", bool(np.all(inside)),
-              f"{int(np.count_nonzero(~inside))} vertices escape Y")
-        turned = np.roll(rings, -1, axis=1)    # chords, radial, diagonal
-        worst = max(float(euclidean_rows(p.reshape(-1, 2),
-                                         q.reshape(-1, 2)).max())
-                    for p, q in ((rings, turned), (rings[:-1], rings[1:]),
-                                 (turned[:-1], rings[1:])))
+        escaped, worst = _witness_escapes_and_longest_edge(y, rings)
+        v.add("witness-inside-Y", escaped == 0,
+              f"{escaped} vertices escape Y")
         v.add("witness-triangles-small", worst <= 2 * eps * (1 + 1e-9),
               f"max witness edge {worst:.4g} vs 2 eps")
         retr = collapse_retraction(phi.codomain, self._k)
@@ -315,6 +314,33 @@ class WindingObstruction(Certificate):
         v.add("winding-matches", w == self.expected_winding and w != 0,
               f"winding {w}, expected {self.expected_winding}")
         v.margins["winding"] = float(abs(w))
+
+
+def _witness_escapes_and_longest_edge(y: AnnotatedSpace,
+                                      rings: np.ndarray) -> tuple[int, float]:
+    """How many vertices of the (r, L, 2) witness rings lie outside y, and
+    its longest edge: the chord from each vertex to the next one of its
+    ring (cyclically), the radial edge to the same vertex of the next
+    ring, and the diagonal from the next vertex to it.
+
+    A block is as many whole rings as pair_blocks fits in _BLOCK_BYTES of
+    coordinates, so the temporaries are a few blocks whatever r is; its
+    radial and diagonal edges reach into the next block's first ring.
+    The longest edge is the max of the same np.hypot values as over the
+    whole array.
+    """
+    escaped, worst = 0, 0.0
+    for rows, _ in pair_blocks(len(rings), rings[0].size):
+        block = rings[rows]
+        escaped += int(np.count_nonzero(~y.contains(block.reshape(-1, 2))))
+        turned = np.roll(block, -1, axis=1)
+        after = rings[rows.start + 1:rows.stop + 1]
+        for p, q in ((block, turned), (block[:len(after)], after),
+                     (turned[:len(after)], after)):
+            if p.size:
+                worst = max(worst, float(euclidean_rows(
+                    p.reshape(-1, 2), q.reshape(-1, 2)).max()))
+    return escaped, worst
 
 
 KINDS = {cls.kind: cls for cls in (
@@ -386,8 +412,8 @@ def build_negative_certificate(name: str, n: int | None,
         radius = 1.0 / k
         steps = max(1, int(math.ceil(4 * radius / eps)))
         scales = 1.0 - np.arange(steps + 1) / steps
-        rings = center[None, None, :] + scales[:, None, None] \
-            * (loop_pts[None, :, :] - center[None, None, :])
+        rings = scales[:, None, None] * (loop_pts - center)
+        rings += center
         rings[-1] = center
         return WindingObstruction(loop=loop, witness_rings=rings,
                                   retraction=f"collapse-{k}",

@@ -34,7 +34,7 @@ import numpy as np
 from . import dyadic
 from .errors import InvalidArgument, UnknownName
 from .metric import (ConeMetric, EuclideanMetric, MaxProductMetric, Modulus,
-                     Net, _frozen, euclidean_rows)
+                     Net, _frozen, euclidean_rows, pair_blocks)
 
 
 def index_cutoff(eps: float) -> int:
@@ -313,60 +313,39 @@ def _build_circle(eps, params):
         contains_fn=lambda p: np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0) <= 1e-9)
 
 
+# The largest lattice a disk builds, in cells.  The unit disk at 2^-11
+# (4,097^2 cells, about 13.2M points) fits; a larger one is refused before
+# any allocation.
+_DISK_CELLS = 1 << 25
+
+
+def _finite_number(value) -> float | None:
+    """value as a finite float if it is an int or a float, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _build_disk(eps, params, extra=None):
     lookup = dict(params)
-    center = np.asarray(lookup.get("center", (0.0, 0.0)), dtype=float)
-    radius = float(lookup.get("radius", 1.0))
-    cx, cy = center
-    xs = dyadic.grid(eps, cx - radius, cx + radius)
-    ys = dyadic.grid(eps, cy - radius, cy + radius)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    mask = (gx - cx) ** 2 + (gy - cy) ** 2 <= radius ** 2
-    grid_pts = np.column_stack([gx[mask], gy[mask]])
-    n_grid = len(grid_pts)
-
-    idx2d = np.full(mask.shape, -1, dtype=int)
-    idx2d[mask] = np.arange(n_grid)
-
-    def lattice_index(arr) -> np.ndarray:
-        # exact hits on kept grid points, else -1 (dyadic divisions are
-        # exact, so genuine duplicates compare equal bit for bit)
-        f = (arr - (xs[0], ys[0])) / eps
-        hit = np.all((f == np.round(f)) & (f >= 0) & (f < idx2d.shape), axis=1)
-        ix, iy = f[hit].astype(int).T
-        out = np.full(len(arr), -1, dtype=int)
-        out[hit] = idx2d[ix, iy]
-        return out
-
-    rows = [grid_pts]
-    seen: dict = {}
-    next_index = n_grid
-
-    def add_rows(arr):
-        nonlocal next_index
-        arr = np.asarray(arr, dtype=float)
-        out = lattice_index(arr)
-        fresh = []
-        for i in np.flatnonzero(out < 0).tolist():
-            p = (float(arr[i, 0]), float(arr[i, 1]))
-            j = seen.get(p, -1)
-            if j < 0:
-                j = seen[p] = next_index
-                fresh.append(arr[i])
-                next_index += 1
-            out[i] = j
-        if fresh:
-            rows.append(np.asarray(fresh))
-        return out
-
-    count = int(math.ceil(2 * math.pi * radius / (0.5 * eps)))
-    ang = 2 * math.pi * np.arange(count) / count
-    for r in (radius, radius - 0.5 * eps, radius - eps):
-        add_rows(np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)]))
-    injected = add_rows(extra) if extra is not None and len(extra) else \
-        np.empty(0, dtype=int)
-
-    net = Net(np.vstack(rows), eps)
+    center = lookup.get("center", (0.0, 0.0))
+    coords = [_finite_number(c) for c in center] \
+        if isinstance(center, tuple) else []
+    radius = _finite_number(lookup.get("radius", 1.0))
+    if len(coords) != 2 or None in coords or radius is None or radius < 0:
+        raise InvalidArgument("disk needs a center of two finite numbers "
+                              "and a finite radius >= 0")
+    side = 2 * radius / eps + 1
+    if side * side > _DISK_CELLS:
+        raise InvalidArgument(f"disk lattice of about {side * side:.3g} "
+                              f"cells is past the cap of {_DISK_CELLS}")
+    center = np.array(coords)
+    pts, n_grid, injected = _disk_points(eps, center, radius, extra)
+    net = Net(pts, eps)
     n = len(net)
 
     def member(p):
@@ -376,13 +355,77 @@ def _build_disk(eps, params, extra=None):
         "disk", params, net, np.zeros(n, dtype=int), ("disk",),
         ClopenAtoms.connected(n),
         {"radial-clamp": _disk_retraction(center, radius)},
-        {"center": _nearest_row(grid_pts, center)},
+        {"center": _nearest_row(net.points[:n_grid], center)},
         meta={"injected_indices": injected},
         contains_fn=member)
 
 
+def _disk_points(eps, center, radius, extra):
+    """The disk's net points, how many of them are lattice points, and the
+    rows of the extra points.
+
+    The lattice points come first, in row order, then the points of three
+    boundary rings and of extra that are not lattice points, each once at
+    its first occurrence.  No temporary is the size of the lattice but the
+    mask (one byte per cell) and the index table (four bytes per cell,
+    freed before the points are allocated).
+    """
+    cx, cy = center
+    xs = dyadic.grid(eps, cx - radius, cx + radius)
+    ys = dyadic.grid(eps, cy - radius, cy + radius)
+    # the mask a block of rows at a time: no lattice-sized float temporary
+    dx2, dy2 = (xs - cx) ** 2, (ys - cy) ** 2
+    mask = np.empty((len(xs), len(ys)), dtype=bool)
+    for rows, _ in pair_blocks(len(xs), len(ys)):
+        np.less_equal(dx2[rows, None] + dy2, radius ** 2, out=mask[rows])
+    n_grid = int(np.count_nonzero(mask))
+    if n_grid == 0:
+        raise InvalidArgument(f"disk of radius {radius!r} holds no lattice "
+                              f"point at {dyadic.format_epsilon(eps)}")
+    idx2d = np.full(mask.shape, -1, dtype=np.int32)
+    idx2d[mask] = np.arange(n_grid, dtype=np.int32)
+
+    count = int(math.ceil(2 * math.pi * radius / (0.5 * eps)))
+    ang = 2 * math.pi * np.arange(count) / count
+    queries = [np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)])
+               for r in (radius, radius - 0.5 * eps, radius - eps)]
+    if extra is not None and len(extra):
+        queries.append(np.asarray(extra, dtype=float))
+    arr = np.concatenate(queries)
+    # exact hits on kept lattice points take their index (dyadic divisions
+    # are exact, so genuine duplicates compare equal bit for bit)
+    f = (arr - (xs[0], ys[0])) / eps
+    hit = np.all((f == np.round(f)) & (f >= 0) & (f < mask.shape), axis=1)
+    ix, iy = f[hit].astype(int).T
+    index = np.full(len(arr), -1, dtype=int)
+    index[hit] = idx2d[ix, iy]
+    del idx2d
+    fresh: dict = {}
+    for i in np.flatnonzero(index < 0).tolist():
+        p = (float(arr[i, 0]), float(arr[i, 1]))
+        index[i] = fresh.setdefault(p, n_grid + len(fresh))
+
+    pts = np.empty((n_grid + len(fresh), 2))
+    stop = 0
+    for rows, _ in pair_blocks(len(xs), len(ys)):
+        m = mask[rows]
+        start, stop = stop, stop + int(np.count_nonzero(m))
+        pts[start:stop, 0] = np.broadcast_to(xs[rows, None], m.shape)[m]
+        pts[start:stop, 1] = np.broadcast_to(ys, m.shape)[m]
+    if fresh:
+        pts[n_grid:] = list(fresh)
+    return pts, n_grid, index[3 * count:].copy()
+
+
 def _nearest_row(pts, target) -> int:
-    return int(euclidean_rows(pts, np.asarray(target, float)).argmin())
+    """The first row of pts nearest target, a block of rows at a time."""
+    best, first = math.inf, 0
+    for rows, _ in pair_blocks(len(pts), 1):
+        d = euclidean_rows(pts[rows], target)
+        i = int(d.argmin())
+        if d[i] < best:
+            best, first = d[i], rows.start + i
+    return first
 
 
 def _sample_monotone_arc(theta_a, theta_b, step, endpoints):

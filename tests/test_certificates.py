@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import extenlab as xl
+from extenlab import certificates as certs_mod, metric as metric_mod
 from extenlab.certificates import (ClopenObstruction,
                                    MandatoryCrossingObstruction,
                                    PathComponentObstruction,
@@ -11,7 +14,9 @@ from extenlab.certificates import (ClopenObstruction,
                                    region_mask)
 from extenlab.errors import InvalidArgument
 from extenlab.maps import MapSample, constant_map
-from extenlab.metric import Modulus, build_epsilon_graph, reachable
+from extenlab.metric import (Modulus, build_epsilon_graph, euclidean_rows,
+                             reachable)
+from extenlab.serialization import dumps
 
 from conftest import bfs_reachable_dense
 
@@ -335,6 +340,75 @@ def test_winding_coarse_witness_refuted():
     bad = WindingObstruction(cert.loop, rings, cert.retraction, 1)
     v = check_certificate(fam.pair, fam.member(2), bad)
     assert v.status in ("refuted", "invalid-certificate")
+
+
+def _whole_array_rule(y, rings):
+    """Escaped vertices and longest edge of a witness over the whole
+    (r, L, 2) array at once: the reference for the blocked check."""
+    inside = y.contains(rings.reshape(-1, 2))
+    turned = np.roll(rings, -1, axis=1)    # chords, radial, diagonal
+    worst = max(float(euclidean_rows(p.reshape(-1, 2),
+                                     q.reshape(-1, 2)).max())
+                for p, q in ((rings, turned), (rings[:-1], rings[1:]),
+                             (turned[:-1], rings[1:])))
+    return int(np.count_nonzero(~inside)), worst
+
+
+def test_blocked_winding_check_matches_the_whole_array_rule(monkeypatch):
+    fam = xl.example_family("hawaii", EPS6)
+    phi = fam.member(2)
+    cert = build_negative_certificate("hawaii", 2, EPS6)
+    rings = np.array(cert.witness_rings)
+    r = len(rings)
+    # blocks of 7 rings: rings 7 and 14 start blocks, the last is partial
+    monkeypatch.setattr(metric_mod, "_BLOCK_BYTES", 7 * 8 * rings[0].size)
+    assert r % 7 not in (0, 1)
+    straddling = rings.copy()
+    straddling[7:] += (0.05, 0.0)       # the edges from ring 6 to ring 7
+    escaping = rings.copy()
+    escaping[r - 2, 0] = (5.0, 0.0)     # in the last, partial block
+    wrapping = rings.copy()             # ring 10's vertex 0 to 11's last
+    step = rings[11, -1] - rings[10, 0]
+    wrapping[11, -1] += 0.1 * step / np.hypot(*step)
+    y = fam.pair.space
+    longest = {"straddling": _whole_array_rule(y, straddling[6:8])[1],
+               "wrapping": float(np.hypot(*(wrapping[11, -1] - rings[10, 0])))}
+    for name, witness in (("emitted", rings), ("straddling", straddling),
+                          ("escaping", escaping), ("wrapping", wrapping)):
+        got = certs_mod._witness_escapes_and_longest_edge(y, witness)
+        want = _whole_array_rule(y, witness)
+        assert got == want, name
+        if name in longest:
+            assert want[1] == longest[name]
+        assert (want[0] > 0) == (name == "escaping")
+        bad = WindingObstruction(cert.loop, witness, cert.retraction, 1)
+        blocked = check_certificate(fam.pair, phi, bad)
+        with monkeypatch.context() as m:
+            m.setattr(certs_mod, "_witness_escapes_and_longest_edge",
+                      _whole_array_rule)
+            whole = check_certificate(fam.pair, phi, bad)
+        assert blocked.status == whole.status
+        assert dumps(blocked.as_dict()) == dumps(whole.as_dict())
+        assert blocked.ok == (name == "emitted")
+
+
+def test_winding_check_memory_does_not_grow_with_the_rings():
+    fam = xl.example_family("hawaii", EPS8)
+    phi = fam.member(1)
+    cert = build_negative_certificate("hawaii", 1, EPS8)
+    taller = WindingObstruction(cert.loop,
+                                np.repeat(cert.witness_rings, 4, axis=0),
+                                cert.retraction, 1)
+    for witness in (cert, taller):
+        tracemalloc.start()
+        try:
+            v = check_certificate(fam.pair, phi, witness)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.ok
+        # the whole-array rule takes 2.5 times the rings (11.6 MB here)
+        assert peak <= 4 * metric_mod._BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------

@@ -632,6 +632,13 @@ def _set(*path, value):
     ("sine-eopen", 1, _set("map", "values", 2, 0, value=float("-inf")), 3),
     ("hawaii", 1, _set("map", "values", 2, 0, value=float("nan")), 3),
     ("ndagger-eopen", 1, _set("map", "values", 2, 0, value=float("inf")), 3),
+    # disk parameters the builder refuses before it allocates
+    *[("comb", None, _set("map", "codomain", value={
+        "kind": "catalog", "name": "disk", "parameters": parameters,
+        "resolution": EPS5}), 3) for parameters in (
+        {"radius": -1.0}, {"radius": 1e9}, {"radius": float("nan")},
+        {"center": [float("inf"), 0.0]}, {"radius": "1"},
+        {"radius": EPS5 / 4})],
 ], ids=["z-index-past-the-net", "z-index-negative", "z-index-not-an-integer",
         "resolution-past-every-float", "subspace-whole",
         "subspace-index-past-the-net", "subspace-index-negative",
@@ -641,7 +648,9 @@ def _set(*path, value):
         "catalog-parameters-not-an-object", "comb-value-nan",
         "pathcomp-value-infinite", "sine-eclosed-value-nan",
         "sine-eopen-value-minus-infinite", "hawaii-value-nan",
-        "ndagger-eopen-value-infinite"])
+        "ndagger-eopen-value-infinite", "disk-radius-negative",
+        "disk-past-the-cell-cap", "disk-radius-nan", "disk-center-infinite",
+        "disk-radius-a-string", "disk-without-a-lattice-point"])
 def test_certify_refuses_a_malformed_problem(tmp_path, capsys, family, n,
                                              edit, code_wanted):
     problem, cert = _explicit_problem(family, n)
@@ -653,6 +662,22 @@ def test_certify_refuses_a_malformed_problem(tmp_path, capsys, family, n,
     capsys.readouterr()
     assert _certify(tmp_path, path, json.dumps(cert)) == code_wanted
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_certify_refuses_a_winding_witness_of_one_ring(tmp_path, capsys):
+    # its edge maxima were taken over empty arrays: a checker fault, exit 4
+    problem, cert = _explicit_problem("hawaii", 1)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    cert["loop"] = cert["loop"][:1]
+    cert["witness_rings"] = [[cert["witness_rings"][0][0]]]
+    capsys.readouterr()
+    assert _certify(tmp_path, path, json.dumps(cert)) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert verdict["trace"] == [{"check": "well-formed", "ok": False,
+                                 "info": "a witness needs two rings and a "
+                                         "nonempty loop"}]
 
 
 @pytest.mark.parametrize("kind", sorted(ser.certs.KINDS))

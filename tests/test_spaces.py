@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import extenlab as xl
-from extenlab import spaces as spaces_mod
+from extenlab import dyadic, spaces as spaces_mod
 from extenlab.errors import (DegenerateSeparation, DomainMismatch,
                              InvalidArgument, UnknownName)
 from extenlab.maps import MapSample
@@ -437,6 +438,84 @@ def test_disk_earring_pair_z_is_the_earring():
     # the injected earring points make it another space than the catalog disk
     disk = xl.make_space("disk", EPS6, center=(1.0, 0.0), radius=1.0)
     assert pair.space.key != disk.key
+
+
+def _meshgrid_disk(eps, center, radius, extra):
+    """Points, center basepoint and injected rows of the disk as the
+    meshgrid builder made them, whole-grid temporaries and all: the
+    reference for spaces._build_disk."""
+    center = np.asarray(center, dtype=float)
+    cx, cy = center
+    xs = dyadic.grid(eps, cx - radius, cx + radius)
+    ys = dyadic.grid(eps, cy - radius, cy + radius)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    mask = (gx - cx) ** 2 + (gy - cy) ** 2 <= radius ** 2
+    grid_pts = np.column_stack([gx[mask], gy[mask]])
+    idx2d = np.full(mask.shape, -1, dtype=int)
+    idx2d[mask] = np.arange(len(grid_pts))
+    rows, seen = [grid_pts], {}
+
+    def add_rows(arr):
+        f = (arr - (xs[0], ys[0])) / eps
+        hit = np.all((f == np.round(f)) & (f >= 0) & (f < idx2d.shape),
+                     axis=1)
+        ix, iy = f[hit].astype(int).T
+        out = np.full(len(arr), -1, dtype=int)
+        out[hit] = idx2d[ix, iy]
+        for i in np.flatnonzero(out < 0).tolist():
+            p = (float(arr[i, 0]), float(arr[i, 1]))
+            if p not in seen:
+                seen[p] = len(grid_pts) + len(seen)
+                rows.append(arr[i:i + 1])
+            out[i] = seen[p]
+        return out
+
+    count = int(math.ceil(2 * math.pi * radius / (0.5 * eps)))
+    ang = 2 * math.pi * np.arange(count) / count
+    for r in (radius, radius - 0.5 * eps, radius - eps):
+        add_rows(np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)]))
+    injected = np.empty(0, dtype=int) if extra is None else add_rows(extra)
+    center_row = int(euclidean_rows(grid_pts, center).argmin())
+    return np.vstack(rows), center_row, injected
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_disk_builder_matches_the_meshgrid_builder(k):
+    eps = 2.0 ** -k
+    ear = xl.make_space("hawaii", eps).net.points
+    for center in ((0.0, 0.0), (1.0, 0.0), (0.3, -0.1)):
+        for radius in (1.0, 0.5, 0.3):
+            lattice, _, _ = _meshgrid_disk(eps, center, radius, None)
+            # the earring moved into the disk, exact lattice and boundary
+            # points, and repeated rows
+            moved = np.asarray(center) + radius * (ear - (1.0, 0.0))
+            extra = np.vstack([moved, lattice[[0, len(lattice) // 2, -1]],
+                               moved[:3]])
+            params = (("center", center), ("radius", radius))
+            for added in (None, extra):
+                pts, center_row, injected = _meshgrid_disk(eps, center,
+                                                           radius, added)
+                disk = spaces_mod._build_disk(eps, params, extra=added)
+                got = disk.net.points
+                assert got.shape == pts.shape
+                assert got.tobytes() == pts.tobytes()
+                assert disk.basepoint("center") == center_row
+                assert disk.meta["injected_indices"].dtype == injected.dtype
+                assert np.array_equal(disk.meta["injected_indices"],
+                                      injected)
+
+
+def test_disk_earring_pair_peaks_near_its_points():
+    # the lattice mask and index table are the only lattice-sized
+    # temporaries; the meshgrid builder peaked at 6.6 times the points
+    xl.make_space("hawaii", EPS8)
+    tracemalloc.start()
+    try:
+        pair = spaces_mod._build_named_pair("disk-earring", EPS8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * pair.space.net.points.nbytes
 
 
 # ---------------------------------------------------------------------------
