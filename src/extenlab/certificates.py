@@ -120,7 +120,7 @@ class PathComponentObstruction(Certificate):
     z1: ZPosition
     z2: ZPosition
     witness_path: YPositions
-    x_labels: tuple[str, ...]
+    x_labels: tuple[str, str]
 
     def __post_init__(self):
         object.__setattr__(self, "witness_path",

@@ -26,10 +26,10 @@ from .errors import ExtenlabError, InvalidArgument, UnknownName
 from .families import example_family
 from .runs import list_examples, run_example
 from .serialization import (certificate_from_json, certificate_to_json,
-                            dumps, map_from_json, map_to_json, pair_from_ref,
-                            pair_to_ref, space_to_ref)
-from .spaces import catalog_names, cone, make_space, opc_disjoint_union, \
-    product_with
+                            dumps, map_to_json, pair_to_ref,
+                            problem_from_json, space_to_ref)
+from .spaces import OPC_MAX_BLOCKS, catalog_names, cone, make_space, \
+    opc_disjoint_union, product_with
 
 EXIT_OK = 0
 EXIT_REFUTED = 2
@@ -106,8 +106,7 @@ def _cmd_certify(args) -> int:
         sys.stderr.write(f"cannot read inputs: {exc}\n")
         return EXIT_INVALID
     try:
-        pair = pair_from_ref(problem["pair"])
-        phi = map_from_json(problem["map"], pair.z_net)
+        pair, phi = problem_from_json(problem)
         cert = certificate_from_json(cert_data, pair, phi.codomain)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
             ExtenlabError) as exc:
@@ -173,8 +172,9 @@ def _cmd_construct(args) -> int:
     elif args.op == "product-ndagger":
         space = product_with(make_space(args.base, eps), "ndagger")
     elif args.op == "opc":
-        block = make_space(args.base, eps)
-        space = opc_disjoint_union([block] * args.blocks)
+        if not 1 <= args.blocks <= OPC_MAX_BLOCKS:
+            raise InvalidArgument(f"opc takes 1..{OPC_MAX_BLOCKS} blocks")
+        space = opc_disjoint_union([make_space(args.base, eps)] * args.blocks)
     else:
         raise UnknownName(f"unknown construction {args.op!r}")
     _emit(dumps(space_to_ref(space)) + "\n", args.out)

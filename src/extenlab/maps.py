@@ -144,7 +144,7 @@ def restrict(f: MapSample, pair: SpacePair) -> MapSample:
 def constant_map(domain: Net, codomain: AnnotatedSpace, value,
                  name="constant") -> MapSample:
     value = np.asarray(value, dtype=float)
-    values = np.tile(value, (len(domain), 1))
+    values = np.full((len(domain), value.size), value)
     return MapSample(domain, codomain, values, Modulus.lip(0.0), name=name)
 
 

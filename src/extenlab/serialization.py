@@ -11,10 +11,11 @@ import hashlib
 import json
 import math
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidArgument, UnknownName
+from .errors import InvalidArgument
 from .metric import EuclideanMetric, MatrixMetric, Modulus, Net
 from .spaces import (AnnotatedSpace, ClopenAtoms, SpacePair, cone, make_pair,
                      make_space, opc_disjoint_union, product_with, subspace)
@@ -37,22 +38,19 @@ def net_to_json(net: Net) -> dict:
 
 
 def net_from_json(data: dict) -> Net:
-    pts = np.asarray(data["points"], dtype=float)
+    pts = np.asarray(_read(data, "net")["points"], dtype=float)
     if pts.ndim != 2 or pts.shape[1] != data["dimension"]:
         raise InvalidArgument("net points do not match the declared dimension")
     if not np.all(np.isfinite(pts)):
         raise InvalidArgument("net points must be finite")
-    metric = data["metric"]
-    if metric == "euclidean":
+    if data["metric"] == "euclidean":
         return Net(pts, float(data["resolution"]))
-    if isinstance(metric, dict) and "matrix" in metric:
-        matrix = np.asarray(metric["matrix"], dtype=float)
-        if matrix.shape != (len(pts), len(pts)) \
-                or not np.all((matrix >= 0) & (matrix < np.inf)):
-            raise InvalidArgument("a net's distance matrix must be (n, n) "
-                                  "for its n points, finite and >= 0")
-        return Net(pts, float(data["resolution"]), MatrixMetric(matrix))
-    raise InvalidArgument("metric must be 'euclidean' or {'matrix': ...}")
+    matrix = np.asarray(data["metric"]["matrix"], dtype=float)
+    if matrix.shape != (len(pts), len(pts)) \
+            or not np.all((matrix >= 0) & (matrix < np.inf)):
+        raise InvalidArgument("a net's distance matrix must be (n, n) "
+                              "for its n points, finite and >= 0")
+    return Net(pts, float(data["resolution"]), MatrixMetric(matrix))
 
 
 def space_to_ref(space: AnnotatedSpace) -> dict:
@@ -70,10 +68,10 @@ def space_to_ref(space: AnnotatedSpace) -> dict:
 
 
 def space_from_ref(data: dict) -> AnnotatedSpace:
-    kind = _object(data, "space").get("kind")
+    kind = _read(data, "space")["kind"]
     if kind == "catalog":
-        params = {k: (tuple(v) if isinstance(v, list) else v) for k, v
-                  in _object(data.get("parameters", {}), "parameters").items()}
+        params = {k: (tuple(v) if isinstance(v, list) else v)
+                  for k, v in data.get("parameters", {}).items()}
         return make_space(data["name"], float(data["resolution"]), **params)
     if kind == "construct":
         op = data["op"]
@@ -85,30 +83,24 @@ def space_from_ref(data: dict) -> AnnotatedSpace:
         if op == "opc":
             return opc_disjoint_union([space_from_ref(b)
                                        for b in data["blocks"]])
-        if op == "subspace":
-            return subspace(space_from_ref(data["base"]), data["indices"],
-                            data["name"])
-        raise UnknownName(f"unknown construction {op!r}")
-    if kind == "explicit":
-        net = net_from_json(data["net"])
-        labels = np.asarray(data["path_components"], dtype=int)
-        if labels.shape != (len(net),) or not len(labels):
-            raise InvalidArgument("path_components needs one label per point")
-        names = tuple(data.get("component_names",
-                               [f"component-{i}" for i in
-                                range(labels.max() + 1)]))
-        if labels.min() < 0 or labels.max() >= len(names):
-            raise InvalidArgument("path_components must index component_names")
-        # the parameters keep the key apart from every catalog key and
-        # from explicit spaces on other points (+ 0.0 folds -0.0 into 0.0)
-        digest = hashlib.sha256(repr(net.points.shape).encode()
-                                + (net.points + 0.0).tobytes()).hexdigest()
-        return AnnotatedSpace(data.get("name", "explicit"),
-                              (("kind", "explicit"), ("points", digest[:16])),
-                              net, labels, names,
-                              _clopen_atoms(data["clopen_atoms"], len(net)),
-                              {}, {})
-    raise InvalidArgument("space reference needs a known 'kind'")
+        return subspace(space_from_ref(data["base"]), data["indices"],
+                        data["name"])
+    net = net_from_json(data["net"])
+    labels = np.asarray(data["path_components"])
+    if labels.shape != (len(net),) or not len(labels):
+        raise InvalidArgument("path_components needs one label per point")
+    names = tuple(data.get("component_names", [f"component-{i}" for i in
+                                               range(labels.max() + 1)]))
+    if labels.min() < 0 or labels.max() >= len(names):
+        raise InvalidArgument("path_components must index component_names")
+    # the parameters keep the key apart from every catalog key and from
+    # explicit spaces on other points (+ 0.0 folds -0.0 into 0.0)
+    digest = hashlib.sha256(repr(net.points.shape).encode()
+                            + (net.points + 0.0).tobytes()).hexdigest()
+    return AnnotatedSpace(
+        data.get("name", "explicit"),
+        (("kind", "explicit"), ("points", digest[:16])), net, labels, names,
+        _clopen_atoms(data["clopen_atoms"], len(net)), {}, {})
 
 
 def _clopen_atoms(atoms, size: int) -> ClopenAtoms:
@@ -135,16 +127,10 @@ def pair_to_ref(pair: SpacePair) -> dict:
 
 
 def pair_from_ref(data: dict) -> SpacePair:
-    if _object(data, "pair").get("kind") == "catalog":
+    if _read(data, "pair")["kind"] == "catalog":
         return make_pair(data["name"], float(data["resolution"]))
     space = space_from_ref(data["space"])
     return SpacePair.build(data.get("name", "pair"), space, data["z_indices"])
-
-
-def _object(data, what: str) -> dict:
-    if not isinstance(data, dict):
-        raise InvalidArgument(f"a {what} reference must be an object")
-    return data
 
 
 def modulus_to_json(m: Modulus) -> dict:
@@ -154,11 +140,9 @@ def modulus_to_json(m: Modulus) -> dict:
 
 
 def modulus_from_json(data: dict) -> Modulus:
-    if "lipschitz" in data:
-        return Modulus.lip(float(data["lipschitz"]))
-    if "steps" in data:
-        return Modulus.step([(float(r), float(b)) for r, b in data["steps"]])
-    raise InvalidArgument("modulus needs 'lipschitz' or 'steps'")
+    if "lipschitz" in _read(data, "modulus"):
+        return Modulus.lip(data["lipschitz"])
+    return Modulus.step(data["steps"])
 
 
 def map_to_json(f: MapSample, codomain_ref: dict | None = None) -> dict:
@@ -168,16 +152,21 @@ def map_to_json(f: MapSample, codomain_ref: dict | None = None) -> dict:
             "name": f.name}
 
 
-def map_from_json(data: dict, domain: Net,
-                  codomain: AnnotatedSpace | None = None) -> MapSample:
-    cod = codomain if codomain is not None else space_from_ref(data["codomain"])
-    f = MapSample(domain, cod, np.asarray(data["values"], dtype=float),
-                  modulus_from_json(data["modulus"]), name=data.get("name", ""))
-    if f.values.ndim != 2 or f.values.shape[1] != cod.net.dimension \
-            or not np.all(np.isfinite(f.values)):
+def map_from_json(data: dict, domain: Net) -> MapSample:
+    cod = space_from_ref(_read(data, "map")["codomain"])
+    values = np.asarray(data["values"], dtype=float)
+    if values.ndim != 2 or values.shape[1] != cod.net.dimension \
+            or not np.all(np.isfinite(values)):
         raise InvalidArgument("map values must be finite points of the "
                               f"codomain's dimension {cod.net.dimension}")
-    return f
+    return MapSample(domain, cod, values, modulus_from_json(data["modulus"]),
+                     name=data.get("name", ""))
+
+
+def problem_from_json(data: dict) -> tuple[SpacePair, MapSample]:
+    """The pair (Y, Z) and the map Z -> X that a problem file holds."""
+    pair = pair_from_ref(_read(data, "problem")["pair"])
+    return pair, map_from_json(data["map"], pair.z_net)
 
 
 def certificate_to_json(cert, epsilon: float) -> dict:
@@ -204,51 +193,89 @@ def _plain(value):
 
 def certificate_from_json(data: dict, pair: SpacePair,
                           codomain: AnnotatedSpace):
-    """The certificate a file holds.  Each field must fit its annotation
-    (see _SHAPES), positions inside the pair's nets and axes inside the
+    """The certificate a file holds.  It must fit its kind's row of
+    _SHAPES, with positions inside the pair's nets and axes inside the
     codomain's, or InvalidArgument is raised; an absent field takes its
     default."""
-    kind = data.get("kind") if isinstance(data, dict) else None
-    cls = certs.KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise InvalidArgument(f"unknown certificate kind {kind!r}")
-    fields = dataclasses.fields(cls)
-    types = {"kind": "str", "epsilon": "float",
-             **{f.name: f.type for f in fields}}
-    needed = {"epsilon"} | {f.name for f in fields
-                            if f.default is dataclasses.MISSING}
-    if not needed <= set(data) <= set(types):
-        raise InvalidArgument(f"a {kind} certificate holds {sorted(types)}")
     sizes = {"Z": len(pair.z_net), "Y": len(pair.space.net),
              "axis": codomain.net.dimension}
-    for name, value in data.items():
-        if not _fits(value, _SHAPES[types[name]], sizes):
-            raise InvalidArgument(f"{kind} certificate field {name!r} "
-                                  f"must be {types[name]}")
+    cls = certs.KINDS[_read(data, "certificate", sizes)["kind"]]
     return cls(**{f.name: map_from_json(data[f.name], pair.space.net)
                   if f.type == "MapSample" else data[f.name]
-                  for f in fields if f.name in data})
+                  for f in dataclasses.fields(cls) if f.name in data})
+
+
+def _read(data, row: str, sizes: dict = {}) -> dict:
+    """data, if it fits one alternative of _SHAPES[row]; else
+    InvalidArgument naming the first key that is missing, not admitted or
+    malformed in the alternative it misses least."""
+    if type(data) is not dict:
+        raise InvalidArgument(f"a {row} must be an object")
+    misfits = min((_misfits(data, s, sizes) for s in _SHAPES[row]), key=len)
+    if misfits:
+        raise InvalidArgument(f"{row} field {misfits[0]!r} is missing, not "
+                              "admitted or malformed")
+    return data
+
+
+def _misfits(value: dict, row: dict, sizes: dict) -> list:
+    """The keys of value that row does not admit or that do not fit, then
+    the keys row needs (those without a trailing ?) that value lacks."""
+    admits = {k.rstrip("?"): s for k, s in row.items()}
+    return [k for k, v in value.items()
+            if k not in admits or not _fits(v, admits[k], sizes)] + \
+        [k for k in row if k[-1] != "?" and k not in value]
 
 
 def _finite(value) -> bool:
-    return _fits(value, (int, float), {}) and math.isfinite(value)
+    return _fits(value, _NUMBER, {}) and math.isfinite(value)
 
 
-# What a field admits, by its annotation: a tuple of JSON types (ints
-# within int64), "Z" or "Y" for a position in that net and "axis" for an
-# axis of the codomain, [shape] for a list of shape and [shape, shape]
-# for a pair, {key: shape} for an object with exactly those keys, or a
-# test of the value.  Numbers must be finite: a check against a NaN or
-# infinite slack or tolerance passes whatever the certificate holds.
-_SHAPES = {"MapSample": (dict,), "float": _finite,
-           "float | None": lambda v: v is None or _finite(v), "int": (int,),
-           "str": (str,), "np.ndarray": (list,),
-           "tuple[str, ...]": [(str,)], "ZPosition": "Z",
-           "ZPositions": ["Z"], "ZPositionPairs": [["Z", "Z"]],
-           "YPositions": ["Y"],
-           "Region": {"axis": "axis",
-                      "op": lambda v: v in ("le", "ge", "abs_ge", "abs_le"),
-                      "value": _finite}}
+def _numbers(value) -> bool:
+    """A list of JSON numbers or of lists of them, typed in one pass (its
+    reader checks the shape)."""
+    rows = type(value) is list and set(map(type, value)) <= {list}
+    return type(value) is list and set(map(type, chain.from_iterable(
+        value) if rows else value)) <= {int, float}
+
+
+# What a certificate field admits, by its annotation, and the
+# alternatives of each part of a file: a tuple of JSON types (ints within
+# int64) and shapes, any one of which fits; a set of admitted strings;
+# "Z" or "Y" for a position in that net, "axis" for an axis of the
+# codomain; [shape] for a list of shape, [shape, shape] for a pair;
+# {key: shape} for an object, a trailing ? marking a key it may omit; or
+# a test of the value.  Certificate numbers must be finite (a NaN slack
+# passes every check).  A part another reader reads is an object here.
+_NUMBER = (int, float)
+_SHAPES = {
+    "MapSample": (dict,), "float": _finite, "int": (int,), "str": (str,),
+    "float | None": (type(None), _finite), "np.ndarray": (list,),
+    "tuple[str, str]": [(str,), (str,)], "ZPosition": "Z", "ZPositions": ["Z"],
+    "ZPositionPairs": [["Z", "Z"]], "YPositions": ["Y"],
+    "Region": {"axis": "axis", "op": {"le", "ge", "abs_ge", "abs_le"},
+               "value": _finite},
+    "net": ({"dimension": (int,), "points": _numbers, "resolution": _NUMBER,
+             "metric": ({"euclidean"}, {"matrix": _numbers})},),
+    "space": ({"kind": {"catalog"}, "name": (str,), "parameters?": (dict,),
+               "resolution": _NUMBER},
+              {"kind": {"construct"}, "base?": (dict,), "blocks?": (list,),
+               "factor?": (str,), "indices?": [(int,)], "name?": (str,),
+               "op": {"cone", "product", "opc", "subspace"},
+               "step?": (*_NUMBER, type(None))},
+              {"kind": {"explicit"}, "name?": (str,), "net": (dict,),
+               "path_components": [(int,)], "component_names?": [(str,)],
+               "clopen_atoms": [[(int,)]], "resolution?": _NUMBER}),
+    "pair": ({"kind": {"catalog"}, "name": (str,), "resolution": _NUMBER},
+             {"kind": {"explicit"}, "name?": (str,), "space": (dict,),
+              "z_indices": [(int,)]}),
+    "map": ({"codomain": (dict,), "values": _numbers, "modulus": (dict,),
+             "name?": (str,)},),
+    "modulus": ({"lipschitz": _NUMBER}, {"steps": [[_NUMBER, _NUMBER]]}),
+    "problem": ({"pair": (dict,), "map": (dict,)},)}
+_SHAPES["certificate"] = tuple({"kind": {kind}, "epsilon": _finite, **{
+    f.name + "?" * (f.default is not dataclasses.MISSING): _SHAPES[f.type]
+    for f in dataclasses.fields(cls)}} for kind, cls in certs.KINDS.items())
 
 
 def _fits(value, shape, sizes: dict) -> bool:
@@ -257,11 +284,14 @@ def _fits(value, shape, sizes: dict) -> bool:
     if isinstance(shape, str):
         return type(value) is int and 0 <= value < sizes[shape]
     if isinstance(shape, tuple):
-        return type(value) in shape and (type(value) is not int
-                                         or -2 ** 63 <= value < 2 ** 63)
+        if type(value) in shape:
+            return type(value) is not int or -2 ** 63 <= value < 2 ** 63
+        return any(_fits(value, s, sizes) for s in shape
+                   if not isinstance(s, type))
+    if isinstance(shape, set):
+        return type(value) is str and value in shape
     if isinstance(shape, dict):
-        return type(value) is dict and value.keys() == shape.keys() and all(
-            _fits(value[k], shape[k], sizes) for k in shape)
+        return type(value) is dict and not _misfits(value, shape, sizes)
     return type(value) is list and len(shape) in (1, len(value)) and all(
         _fits(v, shape[i % len(shape)], sizes) for i, v in enumerate(value))
 

@@ -708,6 +708,10 @@ def cone(space: AnnotatedSpace) -> AnnotatedSpace:
         recipe={"kind": "construct", "op": "cone", "base": space})
 
 
+# past it, block n's diameter 2^(-n-2) is no longer a normal float
+OPC_MAX_BLOCKS = 1020
+
+
 def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
     """One-point compactification of a shrinking disjoint union.
 
@@ -715,8 +719,8 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
     inside [0.75 * 2^-n, 2^-n], so every point of block n sits within
     2^-n of the point at infinity (placed at the origin).
     """
-    if not blocks:
-        raise InvalidArgument("opc needs at least one block")
+    if not 1 <= len(blocks) <= OPC_MAX_BLOCKS:
+        raise InvalidArgument(f"opc takes 1..{OPC_MAX_BLOCKS} blocks")
     eps = blocks[0].resolution
     dim = max(b.net.dimension for b in blocks)
     pts = [np.zeros((1, dim))]

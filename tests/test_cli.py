@@ -136,6 +136,15 @@ def test_construct_output_bytes(capsys):
         assert out == expected + "\n", op
 
 
+@pytest.mark.parametrize("blocks", ["0", "1021", str(10 ** 19)])
+def test_construct_opc_refuses_a_block_count_before_building(capsys, blocks):
+    # 10^19 blocks once ended in an OverflowError traceback with exit 1
+    code, out, err = run_cli(capsys, "construct", "opc", "point",
+                             "--epsilon", "2^-3", "--blocks", blocks)
+    assert code == 3 and out == ""
+    assert "1..1020" in err and "Traceback" not in err
+
+
 def test_unknown_flags_rejected(capsys):
     code, _, _ = run_cli(capsys, "example", "run", "comb", "--bogus")
     assert code == 3
@@ -156,6 +165,28 @@ def test_certify_cycle(tmp_path, capsys):
     assert code == 0
     verdict = json.loads(out)
     assert verdict["status"] == "verified"
+
+
+@pytest.mark.parametrize("form", ["catalog", "explicit"])
+@pytest.mark.parametrize("n", [None, 1], ids=["limit", "member-1"])
+@pytest.mark.parametrize("family", xl.FAMILY_NAMES)
+def test_emitted_files_fit_the_schemas_and_certify(tmp_path, family, n, form):
+    # what the writers emit for each family, its pair by recipe or by points
+    eps = EPS4
+    fam = xl.example_family(family, eps)
+    pair = fam.pair if form == "catalog" else \
+        dataclasses.replace(fam.pair, recipe=None)
+    problem = {"pair": ser.pair_to_ref(pair),
+               "map": ser.map_to_json(fam.limit if n is None
+                                      else fam.member(n))}
+    cert = ser.certificate_to_json(xl.certificate_for(family, n, eps), eps)
+    path = tmp_path / "problem.json"
+    path.write_text(ser.dumps(problem))
+    for name, instance in (("problem", problem), ("certificate", cert)):
+        jsonschema.validate(instance=json.loads(ser.dumps(instance)),
+                            schema=ser.load_schema(name),
+                            registry=_registry())
+    assert _certify(tmp_path, path, ser.dumps(cert)) == 0
 
 
 def _registry():
@@ -470,6 +501,9 @@ def _certify(tmp_path, problem, text):
     ("comb", 2, "tolerance", lambda v: float("inf")),
     ("comb", 2, "tolerance", lambda v: float("nan")),
     ("comb", None, "separation", lambda v: float("nan")),
+    # the schema holds two labels; one or three once refuted (exit 2)
+    ("pathcomp", None, "x_labels", lambda v: v[:1]),
+    ("pathcomp", None, "x_labels", lambda v: v + ["segment"]),
     # each spelling once verified as collapse-2
     *[("hawaii", 1, "retraction", lambda v, s=s: s) for s in (
         "radial-2", "x-2", "collapse--2", "collapse- 2", "collapse-+2",
@@ -480,6 +514,7 @@ def _certify(tmp_path, problem, text):
         "region-axis-float", "region-op-unknown", "region-value-string",
         "region-value-nan", "slack-nan", "slack-infinite",
         "tolerance-infinite", "tolerance-nan", "separation-nan",
+        "x-labels-one", "x-labels-three",
         "retraction-radial", "retraction-x", "retraction-negative",
         "retraction-space", "retraction-plus", "retraction-leading-zero"])
 def test_certify_refuses_a_field_that_does_not_fit(tmp_path, capsys, family,
@@ -603,6 +638,11 @@ def _set(*path, value):
     return edit
 
 
+def _extra(*path):
+    """A file edit: one key no schema admits, beside the keys at path."""
+    return _set(*path, "junk", value=1)
+
+
 @pytest.mark.parametrize("family,n,edit,code_wanted", [
     ("comb", None, _set("pair", "z_indices", 0, value=999), 3),
     ("comb", None, _set("pair", "z_indices", 0, value=-1), 3),
@@ -639,6 +679,29 @@ def _set(*path, value):
         {"radius": -1.0}, {"radius": 1e9}, {"radius": float("nan")},
         {"center": [float("inf"), 0.0]}, {"radius": "1"},
         {"radius": EPS5 / 4})],
+    # each of these once verified (a string value refuted): the schemas
+    # reject them all
+    *[("ndagger-eopen", 1, edit, 3) for edit in (
+        _set("pair", "space", "path_components", 0, value=0.7),
+        _set("pair", "space", "component_names", value="interval"),
+        _set("pair", "space", "name", value=5),
+        _set("pair", "space", "resolution", value="x"),
+        lambda p: p["pair"]["space"].update(
+            clopen_atom=p["pair"]["space"]["clopen_atoms"]),
+        _set("pair", "space", "net", "resolution", value="0.03125"),
+        _extra("pair", "space", "net"),
+        _set("pair", "name", value=5),
+        _extra("pair"),
+        _set("pair", "z_indices", 0, value=True),
+        _extra(),
+        _set("map", "modulus", value={"lipschitz": True}),
+        _set("map", "modulus", value={"lipschitz": "1"}),
+        _set("map", "modulus", value=lambda m: {**m, "steps": [[0.0, 0.0]]}),
+        _set("map", "name", value=5),
+        _set("map", "values", 0, 0, value=True),
+        _set("map", "values", 0, 0, value="0.5"),
+        _extra("map", "codomain"),
+        _set("map", "codomain", "resolution", value="0.03125"))],
 ], ids=["z-index-past-the-net", "z-index-negative", "z-index-not-an-integer",
         "resolution-past-every-float", "subspace-whole",
         "subspace-index-past-the-net", "subspace-index-negative",
@@ -650,7 +713,14 @@ def _set(*path, value):
         "sine-eopen-value-minus-infinite", "hawaii-value-nan",
         "ndagger-eopen-value-infinite", "disk-radius-negative",
         "disk-past-the-cell-cap", "disk-radius-nan", "disk-center-infinite",
-        "disk-radius-a-string", "disk-without-a-lattice-point"])
+        "disk-radius-a-string", "disk-without-a-lattice-point",
+        "labels-float", "component-names-string", "space-name-number",
+        "space-resolution-string", "clopen-atom-misspelt",
+        "net-resolution-string", "net-extra-key", "pair-name-number",
+        "pair-extra-key", "z-index-bool", "top-extra-key", "lipschitz-bool",
+        "lipschitz-string", "lipschitz-and-steps", "map-name-number",
+        "value-bool", "value-string", "codomain-extra-key",
+        "codomain-resolution-string"])
 def test_certify_refuses_a_malformed_problem(tmp_path, capsys, family, n,
                                              edit, code_wanted):
     problem, cert = _explicit_problem(family, n)
@@ -788,3 +858,97 @@ def test_certify_fuzzed_problem_references_end_in_an_exit_code(tmp_path):
         assert _certify(tmp_path, problem_path, base[1]) == 3
 
     bad_values()
+
+
+# ---------------------------------------------------------------------------
+# a file the shipped schemas reject exits 3
+
+
+EPS4 = 2.0 ** -4
+
+
+@pytest.mark.parametrize("edit", [
+    _extra("extension"), _set("extension", "name", value=5),
+    _set("extension", "values", 0, 0, value=False),
+    _extra("extension", "codomain")],
+    ids=["extra-key", "name-number", "value-bool", "codomain-extra-key"])
+def test_certify_refuses_a_positive_extension_the_schema_rejects(tmp_path,
+                                                                 capsys, edit):
+    # each of these once verified
+    problem, cert = _explicit_problem("comb", 1, EPS4)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert cert["kind"] == "positive"
+    assert _certify(tmp_path, path, json.dumps(cert)) == 0
+    edit(cert)
+    assert not _validator("certificate").is_valid(cert)
+    capsys.readouterr()
+    assert _certify(tmp_path, path, json.dumps(cert)) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _validator(name):
+    schema = ser.load_schema(name)
+    return jsonschema.Draft202012Validator(schema, registry=_registry())
+
+
+def _replacements(value):
+    """Values of another JSON type than value: bools and strings for a
+    number, and a float for an int."""
+    swaps = [v for v in (None, True, "x", 0.5, 3, [], [0], {}, {"kind": "x"})
+             if type(v) is not type(value)]
+    if type(value) in (int, float):
+        swaps += [str(value), value == 0]
+    return swaps + ([value + 0.5] if type(value) is int else [])
+
+
+def test_certify_exits_three_on_every_file_the_schemas_reject(tmp_path,
+                                                              capsys):
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    emitted = []
+    for family, n in (("comb", None), ("ndagger-eopen", 2),
+                      ("sine-eopen", 2), ("hawaii", 1), ("comb", 1)):
+        problem, cert = _explicit_problem(family, n, EPS4)
+        if n is None:   # the codomain as a subspace of itself
+            _set("map", "codomain", value=_whole_subspace([]))(problem)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert _certify(tmp_path, path, json.dumps(cert)) == 0
+        emitted.append((problem, cert))
+    assert emitted[-1][1]["kind"] == "positive"
+    validators = {name: _validator(name) for name in ("problem",
+                                                      "certificate")}
+
+    @given(st.integers(0, len(emitted) - 1), st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def run(which, data):
+        problem, cert = json.loads(json.dumps(emitted[which]))
+        # the positive one's extension map, else the problem file
+        parent, key = (cert, "extension") if cert["kind"] == "positive" \
+            else (problem, data.draw(st.sampled_from(sorted(problem))))
+        while isinstance(parent[key], (dict, list)) and parent[key] \
+                and data.draw(st.integers(0, 3)):
+            node = parent[key]
+            parent, key = node, data.draw(st.sampled_from(sorted(node))) \
+                if isinstance(node, dict) \
+                else data.draw(st.integers(0, len(node) - 1))
+        edit = data.draw(st.sampled_from(["drop", "extra", "swap"]))
+        if edit == "drop":
+            del parent[key]
+        elif edit == "extra" and isinstance(parent, dict):
+            parent["junk"] = data.draw(st.sampled_from([1, "x", {}]))
+        else:
+            parent[key] = data.draw(st.sampled_from(
+                _replacements(parent[key])))
+        rejected = not (validators["problem"].is_valid(problem)
+                        and validators["certificate"].is_valid(cert))
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        capsys.readouterr()
+        code = _certify(tmp_path, path, json.dumps(cert))
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 3 if rejected else code in (0, 2, 3, 4)
+
+    run()

@@ -170,6 +170,23 @@ def test_small_diameter_constant(interval):
     assert ext.value_diameter() == 0.0
 
 
+@pytest.mark.parametrize("value", [0.5, [0.5], [0.5, -1.0]],
+                         ids=["0-d", "1-wide", "2-wide"])
+def test_constant_map_allocates_its_values_once(circle, value):
+    # np.tile handed over a view that freezing copied: twice the output
+    import tracemalloc
+    domain = Net(np.zeros((200_000, 1)), 1.0)
+    tracemalloc.start()
+    try:
+        f = constant_map(domain, circle, value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values.shape == (len(domain), np.size(value))
+    assert np.all(f.values == np.ravel(value)) and not f.values.flags.writeable
+    assert peak <= 1.1 * f.values.nbytes
+
+
 # ---------------------------------------------------------------------------
 # homotopies
 

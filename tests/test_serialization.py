@@ -323,6 +323,40 @@ def test_the_certificate_schema_lists_each_kind_by_its_fields():
             f.name for f in fields if f.default is dataclasses.MISSING}
 
 
+def _alternatives(schema):
+    """A schema's branches by their kind, else by their first key."""
+    return {b["properties"]["kind"]["const"] if "kind" in b["properties"]
+            else min(b["properties"]): b
+            for b in schema.get("oneOf", [schema])}
+
+
+def test_each_part_of_a_file_is_read_by_the_fields_of_its_schema():
+    # the field table and the shipped schemas admit the same keys and need
+    # the same ones, alternative by alternative
+    schema = {name: ser.load_schema(name) for name in (
+        "net", "space", "pair", "map", "problem", "certificate")}
+    schema["modulus"] = schema["map"]["properties"]["modulus"]
+    for name, branches in ((name, _alternatives(body))
+                           for name, body in schema.items()):
+        rows = {min(row["kind"]) if "kind" in row else
+                min(k.rstrip("?") for k in row): row
+                for row in ser._SHAPES[name]}
+        assert rows.keys() == branches.keys(), name
+        for kind, row in rows.items():
+            branch = branches[kind]
+            assert {k.rstrip("?") for k in row} == set(branch["properties"])
+            assert {k for k in row if k[-1] != "?"} == set(branch["required"])
+    construct = _alternatives(schema["space"])["construct"]["properties"]
+    assert ser._SHAPES["space"][1]["op"] == set(construct["op"]["enum"])
+    region = _alternatives(schema["certificate"])["mandatory-crossing"]
+    assert ser._SHAPES["Region"]["op"] == set(
+        region["properties"]["region"]["properties"]["op"]["enum"])
+    euclidean, matrix = schema["net"]["properties"]["metric"]["oneOf"]
+    assert ser._SHAPES["net"][0]["metric"][0] == {euclidean["const"]}
+    assert ser._SHAPES["net"][0]["metric"][1].keys() == set(
+        matrix["properties"]) == set(matrix["required"])
+
+
 def _numpy_scalars(value):
     if isinstance(value, bool) or not isinstance(value, (int, float, tuple,
                                                          dict)):

@@ -320,6 +320,15 @@ def test_opc_blocks_accumulate_at_infinity():
         assert far <= 2.0 ** (-b["n"]) + 1e-15
 
 
+def test_opc_refuses_a_block_count_past_a_normal_diameter():
+    # block n has diameter 2^(-n-2): 2^-1022 at n = 1,020, the least normal
+    point = xl.make_space("point", 2.0 ** -3)
+    assert len(xl.opc_disjoint_union([point] * 1020).net) == 1021
+    for count in (0, 1021):
+        with pytest.raises(InvalidArgument, match="1..1020"):
+            xl.opc_disjoint_union([point] * count)
+
+
 def test_opc_oracle_rejects_block_splitting():
     opc = xl.opc_disjoint_union([xl.make_space("interval", 2.0 ** -4)] * 3)
     b = opc.meta["blocks"][0]
