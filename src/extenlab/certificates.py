@@ -38,6 +38,7 @@ ZPositions = tuple                # positions in Z, 1-d
 ZPositionPairs = tuple            # ((a, b), ...) positions in Z
 YPositions = np.ndarray           # positions in Y, 1-d
 Region = dict                     # {"axis": int, "op": str, "value": float}
+NonNegative = float               # a finite number >= 0
 
 
 @dataclass
@@ -90,7 +91,7 @@ class Certificate:
 class PositiveCertificate(Certificate):
     kind = "positive"
     extension: MapSample
-    tolerance: float
+    tolerance: NonNegative
     modulus_slack: float | None = None
 
     def check(self, pair, phi, v: Verdict):

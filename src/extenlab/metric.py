@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.spatial import cKDTree
 
 from .errors import DomainMismatch, InvalidArgument
 
@@ -56,6 +53,13 @@ _SCREEN_MARGIN = 2.0 ** -30
 # there an underflowed term (absolute error 2^-1075 at most) is far below
 # the margin.  A bound outside that range proves nothing.
 _SCREEN_FLOOR = 2.0 ** -900
+
+# A _Grid has at most _GRID_CELLS + 1 cubes per axis (an integer cube
+# coordinate of 21 bits, so three pack into one int64 key), and its cube
+# side exceeds the radius it serves by _GRID_MARGIN, which covers the
+# rounding of the cube coordinates (below 2^-30 of a cube; see _Grid).
+_GRID_CELLS = 1 << 20
+_GRID_MARGIN = 2.0 ** -20
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -209,6 +213,259 @@ def _coded(rows: slice, cols: slice, codes: np.ndarray) -> _CodedBlock:
     return _CodedBlock(rows, cols, codes, _TILE, low, high)
 
 
+def _scan(points: np.ndarray, coords: np.ndarray, dist):
+    """Per coordinate row, the first index of the least dist(row, point)
+    and that least value, a block of whole rows at a time."""
+    idx = np.empty(len(coords), dtype=int)
+    best = np.empty(len(coords))
+    for rows, cols in pair_blocks(len(coords), len(points)):
+        d = dist(coords[rows][:, None, :], points[cols][None, :, :])
+        idx[rows] = d.argmin(axis=1)
+        best[rows] = d.min(axis=1)
+    return idx, best
+
+
+def _square_sums(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sum of the squared coordinate differences of p and q, which hold
+    coordinates on their first axis and broadcast against each other on
+    the rest, added in the order of scipy's cKDTree (up to three
+    coordinates one after another; from four on, four running sums over
+    the coordinates of each residue mod 4, added in turn, then the rest
+    one after another), so its sqrt is cKDTree's distance bit for bit."""
+    def square(k):
+        d = p[k] - q[k]
+        return np.multiply(d, d, out=d)
+    dim = len(p)
+    head = dim - dim % 4 if dim >= 4 else 1
+    acc = [square(k) for k in range(min(4, head))]
+    for k in range(4, head):
+        acc[k % 4] += square(k)
+    s = acc[0]
+    for a in acc[1:]:
+        s += a
+    for k in range(head, dim):
+        s += square(k)
+    return s
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Concatenated np.arange(lo[r], hi[r]) over the ranges r."""
+    count = hi - lo
+    before = np.cumsum(count) - count
+    total = int(before[-1] + count[-1]) if len(count) else 0
+    return np.arange(total) + np.repeat(lo - before, count)
+
+
+def _batches(sizes: np.ndarray):
+    """Consecutive slices of the items whose sizes add up to at most
+    _BLOCK_BYTES of float64 each; an item larger than that goes alone."""
+    total = np.cumsum(sizes)
+    start = 0
+    while start < len(sizes):
+        base = total[start - 1] if start else 0
+        end = int(np.searchsorted(total, base + _BLOCK_BYTES // 8, "right"))
+        end = max(end, start + 1)
+        yield slice(start, end)
+        start = end
+
+
+class _Grid:
+    """A Euclidean net's points sorted by the integer cube that holds
+    their first k = min(3, d) coordinates: the fixed-radius cell grid of
+    Bentley, Stanat & Williams (1977), serving nearest points and pairs
+    within a radius.
+
+    On each of the k axes, x lies in cube c = floor(t) of t = (x/2 -
+    lo/2) / (side/2), lo the least point coordinate; the halves keep the
+    difference finite for any two floats.  side is radius (1 +
+    _GRID_MARGIN), raised to span / _GRID_CELLS (span the largest extent
+    of the points) and to 2^-400, so that side^2 is a normal number.
+    At level F the cubes are F^k fine cubes, with coordinates c // F; a
+    key packs them, each shifted by one and in mixed radix, so that the
+    cubes one step outside the points also have keys of their own, and
+    points with keys K - 1 .. K + 1 lie in one stretch of the sorted
+    order.  A query's c is clipped into the points' range, which moves it
+    no farther from any point's.
+
+    Neighbourhood: rounding moves t by less than 2^-30 for every x within
+    2^21 cubes of the points, so two points within F side (1 -
+    _GRID_MARGIN) of each other have t closer than F on every axis, hence
+    c at most F apart and level-F coordinates at most 1 apart; dropping
+    the coordinates past k never increases a distance.  So every point
+    that far from a query lies in the query's 3^k cubes, and every point
+    outside them has a computed squared distance above (F side)^2 (1 -
+    _GRID_MARGIN).
+
+    The points must be finite (InvalidArgument otherwise).
+    """
+
+    def __init__(self, points: np.ndarray, radius: float):
+        if not np.isfinite(points).all():
+            raise InvalidArgument("a Euclidean net's points must be finite")
+        self.points = points
+        self.k = min(3, points.shape[1])
+        head = np.ascontiguousarray(points[:, :self.k].T)
+        self.half_lo = head.min(axis=1) * 0.5
+        half_span = float((head.max(axis=1) * 0.5 - self.half_lo).max())
+        self.side = max(radius * (1 + _GRID_MARGIN),
+                        2 * half_span / _GRID_CELLS, 2.0 ** -400)
+        self.cells = np.floor(self._position(head)).astype(np.int64)
+        self.m = self.cells.max(axis=1) + 1
+        self._levels: dict = {}
+
+    def _position(self, head: np.ndarray) -> np.ndarray:
+        """t of (k, q) coordinates (axes first, as every per-point array
+        here: numpy reduces across a short last axis slowly)."""
+        return (head * 0.5 - self.half_lo[:, None]) / (self.side * 0.5)
+
+    def _radix(self, F: int) -> list[int]:
+        """Key strides at level F, the last axis's 1."""
+        strides = [1]
+        for size in ((self.m[:0:-1] - 1) // F + 3).tolist():
+            strides.insert(0, strides[0] * size)
+        return strides
+
+    def _keys(self, cells: np.ndarray, F: int) -> np.ndarray:
+        keys = np.zeros(cells.shape[1], dtype=np.int64)
+        for axis, stride in enumerate(self._radix(F)):
+            keys += (cells[axis] // F + 1) * stride
+        return keys
+
+    def _level(self, F: int):
+        """(sorted keys, their point indices, their coordinates as a
+        (d, n) array) at level F, made on first use."""
+        if F not in self._levels:
+            keys = self._keys(self.cells, F)
+            order = np.argsort(keys, kind="stable")
+            self._levels[F] = (keys[order], order,
+                               np.ascontiguousarray(self.points[order].T))
+        return self._levels[F]
+
+    def _rows(self, F: int, upper: bool = False) -> np.ndarray:
+        """Key offsets of the rows of 3 cubes along the last axis that
+        make up a 3^k neighbourhood at level F (upper: only the rows after
+        a cube's own in key order)."""
+        rows = np.zeros(1, dtype=np.int64)
+        for stride in self._radix(F)[:-1]:
+            rows = (rows[:, None] + np.array([-stride, 0, stride])).ravel()
+        return rows[rows > 0] if upper else rows
+
+    @np.errstate(over="ignore")             # squares past the largest float
+    def nearest(self, coords: np.ndarray):
+        """Index and distance of each row's nearest point, as cKDTree
+        gives them bit for bit: the least sum of squared differences
+        (_square_sums), its sqrt, ties to the smallest index, and index n
+        at distance inf where no sum is finite (any non-finite query).
+
+        A query whose t lies room + _GRID_MARGIN inside its own cube on
+        every axis, room >= _GRID_MARGIN, is first matched against that
+        cube alone: every point outside it is farther than room side, as
+        rounding moves t less than the margin, so a least sum of at most
+        (room side)^2 (1 - _GRID_MARGIN) settles it (a query on a net
+        point usually is).  Then each level, from F = 1 up by factors of 4
+        while the points span more than one level-F cube on some axis,
+        settles the queries whose least sum over their 3^k cubes is at
+        most (F side)^2 (1 - _GRID_MARGIN), below that of any point
+        outside them; a blocked scan of every point settles the rest.
+        Each stage reads the queries in key order, so that its searches
+        and reads run through the sorted points in order.
+        """
+        n, d = self.points.shape
+        if coords.ndim != 2 or coords.shape[1] != d:
+            raise InvalidArgument(f"nearest needs (q, {d}) coordinates")
+        idx = np.full(len(coords), n)
+        best = np.full(len(coords), np.inf)
+        axes = np.ascontiguousarray(coords.T)
+        todo = np.flatnonzero(np.isfinite(axes).all(axis=0))
+        t = self._position(axes[:self.k, todo])
+        inside = np.all((t >= 0) & (t < self.m[:, None]), axis=0)
+        np.clip(t, 0, self.m[:, None] - 1, out=t)   # no farther from points
+        cells = np.floor(t)
+        room = np.minimum(t - cells, cells + 1 - t).min(axis=0) - _GRID_MARGIN
+        cells = cells.astype(np.int64)
+        keys = self._level(1)[0]
+        mine = self._keys(cells, 1)
+        alone = np.flatnonzero(inside & (room >= _GRID_MARGIN))
+        alone = alone[np.argsort(mine[alone], kind="stable")]
+        limit = (room[alone] * self.side) ** 2 * (1 - _GRID_MARGIN)
+        settled = np.zeros(len(todo), dtype=bool)
+        settled[alone] = self._settle(
+            axes, todo[alone], np.searchsorted(keys, mine[alone])[None],
+            np.searchsorted(keys, mine[alone] + 1)[None], limit, 1, idx,
+            best)
+        todo, cells, F = todo[~settled], cells[:, ~settled], 1
+        while len(todo) and F < self.m.max():
+            keys = self._level(F)[0]
+            mine = self._keys(cells, F)
+            sort = np.argsort(mine, kind="stable")
+            todo, cells, mine = todo[sort], cells[:, sort], mine[sort]
+            mid = mine + self._rows(F)[:, None]
+            settled = self._settle(
+                axes, todo, np.searchsorted(keys, mid - 1),
+                np.searchsorted(keys, mid + 2),
+                (F * self.side) * (F * self.side) * (1 - _GRID_MARGIN), F,
+                idx, best)
+            todo, cells, F = todo[~settled], cells[:, ~settled], 4 * F
+        if len(todo):
+            idx[todo], best[todo] = _scan(
+                self.points, coords[todo],
+                lambda p, q: _square_sums(np.moveaxis(p, -1, 0),
+                                          np.moveaxis(q, -1, 0)))
+        idx[~(best < np.inf)] = n
+        return idx, np.sqrt(best, out=best)
+
+    def _settle(self, axes, todo, lo, hi, limit, F: int, idx, best):
+        """Settle each query todo[i] (a column of the (d, q) axes) whose
+        least sum of squares over the level-F sorted points lo[r, i] ..
+        hi[r, i] - 1 (every r) is at most limit (one number, or one per
+        query) and finite: idx gets the smallest index of that sum and
+        best the sum.  The mask of those settled."""
+        _, order, cols = self._level(F)
+        limit = np.broadcast_to(limit, len(todo))
+        count = (hi - lo).sum(axis=0)
+        settled = np.zeros(len(todo), dtype=bool)
+        for part in _batches(count):
+            q, size = todo[part], count[part]
+            at = _spans(lo[:, part].T.ravel(), hi[:, part].T.ravel())
+            sq = _square_sums(cols[:, at], np.repeat(axes[:, q], size, 1))
+            some = np.flatnonzero(size)
+            low = np.minimum.reduceat(sq, (np.cumsum(size) - size)[some])
+            ties = np.flatnonzero(sq == np.repeat(low, size[some]))
+            owner = np.repeat(np.arange(len(q)), size)[ties]
+            first = np.flatnonzero(np.diff(owner, prepend=-1))
+            pick = np.minimum.reduceat(order[at[ties]], first)
+            done = np.flatnonzero((low <= limit[part][some]) & (low < np.inf))
+            idx[q[some[done]]] = pick[done]
+            best[q[some[done]]] = low[done]
+            settled[part][some[done]] = True
+        return settled
+
+    @np.errstate(over="ignore")
+    def pairs(self, scale: float) -> np.ndarray:
+        """Every pair i < j with _square_sums(p_i, p_j) <= scale * scale,
+        in lexicographic order: cKDTree.query_pairs bit for bit.  Each
+        point is matched against the later points of its own row of cubes
+        and against the rows after it in its 3^k neighbourhood (level 1),
+        so every unordered pair is read once; side >= scale (1 +
+        _GRID_MARGIN) puts every such pair in one neighbourhood."""
+        keys, order, cols = self._level(1)
+        n = len(keys)
+        mid = keys + self._rows(1, upper=True)[:, None]
+        lo = np.vstack([np.arange(1, n + 1), np.searchsorted(keys, mid - 1)])
+        hi = np.vstack([np.searchsorted(keys, keys + 2),
+                        np.searchsorted(keys, mid + 2)])
+        count = (hi - lo).sum(axis=0)
+        found = []
+        for part in _batches(count):
+            at = _spans(lo[:, part].T.ravel(), hi[:, part].T.ravel())
+            mine = np.repeat(np.arange(part.start, part.stop), count[part])
+            keep = _square_sums(cols[:, mine], cols[:, at]) <= scale * scale
+            i, j = order[mine[keep]], order[at[keep]]
+            found.append(np.minimum(i, j) * n + np.maximum(i, j))
+        code = np.sort(np.concatenate(found)) if found else np.empty(0, int)
+        return np.column_stack(np.divmod(code, n))
+
+
 class _CoordinateMetric:
     """Backend given by dist(p, q) on broadcast coordinate arrays;
     symmetric bit for bit, since a - b is exactly -(b - a) and hypot,
@@ -216,7 +473,8 @@ class _CoordinateMetric:
 
     The protocol all backends share: `block` (a rows x cols grid of
     distances), `pairs` (aligned index arrays), `index` (the query
-    structure `nearest` reads, built once per net) and `nearest`.
+    structure `nearest` reads, built once per net from its points and
+    resolution) and `nearest`.
     """
 
     def block(self, points: np.ndarray, rows, cols) -> np.ndarray:
@@ -225,17 +483,11 @@ class _CoordinateMetric:
     def pairs(self, points: np.ndarray, i, j) -> np.ndarray:
         return self.dist(points[i], points[j])
 
-    def index(self, points: np.ndarray):
+    def index(self, points: np.ndarray, resolution: float):
         return points           # no query structure: nearest scans blocks
 
     def nearest(self, points: np.ndarray, coords: np.ndarray):
-        idx = np.empty(len(coords), dtype=int)
-        dist = np.empty(len(coords))
-        for rows, cols in pair_blocks(len(coords), len(points)):
-            d = self.dist(coords[rows][:, None, :], points[cols][None, :, :])
-            idx[rows] = d.argmin(axis=1)
-            dist[rows] = d.min(axis=1)
-        return idx, dist
+        return _scan(points, coords, self.dist)
 
 
 class EuclideanMetric(_CoordinateMetric):
@@ -244,12 +496,11 @@ class EuclideanMetric(_CoordinateMetric):
     def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return _euclidean(p, q)
 
-    def index(self, points: np.ndarray):
-        return cKDTree(points)
+    def index(self, points: np.ndarray, resolution: float) -> _Grid:
+        return _Grid(points, resolution)
 
-    def nearest(self, index, coords: np.ndarray):
-        d, idx = index.query(coords)
-        return np.atleast_1d(idx), np.atleast_1d(d)
+    def nearest(self, index: _Grid, coords: np.ndarray):
+        return index.nearest(coords)
 
 
 class MatrixMetric:
@@ -276,7 +527,7 @@ class MatrixMetric:
     def pairs(self, points: np.ndarray, i, j) -> np.ndarray:
         return self.matrix[i, j]
 
-    def index(self, points: np.ndarray) -> dict:
+    def index(self, points: np.ndarray, resolution: float) -> dict:
         first: dict = {}
         for i, p in enumerate(map(tuple, points.tolist())):
             first.setdefault(p, i)
@@ -345,7 +596,11 @@ class Net:
                    lowest and highest code of each _TILE x _TILE unit
                    (see _CodedBlock), stored only up to _TABLE_BYTES,
                    else None and computed per call;
-      _index       the backend's nearest-point query structure;
+      _index       the backend's nearest-point query structure: a _Grid
+                   of cubes of side resolution on a Euclidean net (a
+                   query within the resolution of the net settles in its
+                   first 3^k cubes), a dict of first indices on an
+                   explicit-matrix net;
       _graphs      scale -> adjacency of build_epsilon_graph(net, scale).
     """
 
@@ -382,11 +637,13 @@ class Net:
         return self.metric.pairs(self.points, i, j)
 
     def nearest(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and distances of the nearest net points."""
+        """Indices and distances of the nearest net points (on a
+        Euclidean net, index len(self) at distance inf for a query with
+        a non-finite coordinate; see _Grid.nearest)."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         return self.metric.nearest(self._index, coords)
 
-    def adjacency(self, scale: float) -> csr_matrix:
+    def adjacency(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency of build_epsilon_graph(self, scale), built on first
         use and kept with the net."""
         if scale not in self._graphs:
@@ -406,7 +663,7 @@ class Net:
 
     @functools.cached_property
     def _index(self):
-        return self.metric.index(self.points)
+        return self.metric.index(self.points, self.resolution)
 
     @functools.cached_property
     def _graphs(self) -> dict:
@@ -492,23 +749,18 @@ class EpsilonGraph:
         object.__setattr__(self, "edges",
                            _frozen(self.edges, int).reshape(-1, 2))
 
-    def adjacency(self) -> csr_matrix:
-        n = len(self.net)
-        if len(self.edges) == 0:
-            return csr_matrix((n, n))
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        data = np.ones(2 * len(self.edges), dtype=np.int8)
-        return csr_matrix((data, (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges' two ends, as two contiguous read-only arrays."""
+        return _frozen(self.edges[:, 0], int), _frozen(self.edges[:, 1], int)
 
 
 def build_epsilon_graph(net: Net, scale: float) -> EpsilonGraph:
-    """All unordered pairs at distance <= scale (reads d(i, j), i < j)."""
+    """All unordered pairs at distance <= scale (reads d(i, j), i < j);
+    on a Euclidean net, those of a _Grid of cubes of side scale."""
     if not scale > 0:
         raise InvalidArgument("scale must be positive")
     if isinstance(net.metric, EuclideanMetric):
-        pairs = net._index.query_pairs(scale, output_type="ndarray")
-        edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-        return EpsilonGraph(net, scale, edges)
+        return EpsilonGraph(net, scale, _Grid(net.points, scale).pairs(scale))
     found = []
     for rows, cols in net._blocks():
         ii, jj = np.nonzero(net.dist_idx(rows, cols) <= scale)
@@ -519,27 +771,50 @@ def build_epsilon_graph(net: Net, scale: float) -> EpsilonGraph:
     return EpsilonGraph(net, scale, np.vstack(found))
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray, join=None) -> np.ndarray:
+    """Each node's root over the edges (a[e], b[e]): hook and compress
+    (Shiloach & Vishkin 1982).
+
+    Each round hooks the larger root of each edge under the smaller one
+    (where a root has several such edges, any one of them), points every
+    node at its root by pointer jumping and drops the edges whose ends now
+    share a root.  Parents only ever decrease and stay in the component,
+    so each component's smallest member ends as its one root.  join=(s, t)
+    stops at the first round that gives s and t one root.
+    """
+    parent = np.arange(n)
+    ra, rb = a, b                       # every node starts as a root
+    while True:
+        parent[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        if join is not None and parent[join[0]] == parent[join[1]]:
+            return parent
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            return parent
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+
+
 def graph_components(graph: EpsilonGraph) -> np.ndarray:
     """Connected-component labeling; each id is its smallest member index."""
-    n = len(graph.net)
-    _, raw = connected_components(graph.adjacency(), directed=False)
-    first = np.full(raw.max() + 1, n, dtype=int)
-    np.minimum.at(first, raw, np.arange(n))
-    return first[raw]
+    return _components(len(graph.net), *graph.adjacency())
 
 
-def reachable(adj: csr_matrix, allowed: np.ndarray, src: int, dst: int) -> bool:
-    """Is dst reachable from src through allowed nodes only?  One C-level
-    breadth-first search over the edges into allowed nodes."""
+def reachable(adj, allowed: np.ndarray, src: int, dst: int) -> bool:
+    """Is dst reachable from src through allowed nodes only?  adj holds
+    the edges' two ends (EpsilonGraph.adjacency); union-find decides it on
+    the subgraph induced by the allowed nodes."""
     if not (allowed[src] and allowed[dst]):
         return False
-    keep = allowed[adj.indices]
-    indptr = np.r_[0, np.cumsum(keep)][adj.indptr]
-    inward = csr_matrix((np.ones(int(indptr[-1]), dtype=np.int8),
-                         adj.indices[keep], indptr), shape=adj.shape)
-    order = breadth_first_order(inward, src, directed=True,
-                                return_predecessors=False)
-    return bool(np.any(order == dst))
+    a, b = adj
+    keep = allowed[a] & allowed[b]
+    parent = _components(len(allowed), a[keep], b[keep], join=(src, dst))
+    return bool(parent[src] == parent[dst])
 
 
 def widest_path_value(graph: EpsilonGraph, src: int, dst: int,

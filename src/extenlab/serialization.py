@@ -231,6 +231,15 @@ def _finite(value) -> bool:
     return _fits(value, _NUMBER, {}) and math.isfinite(value)
 
 
+def _nonnegative(value) -> bool:
+    """A number not below 0 (NaN and inf are for its reader to refuse)."""
+    return _fits(value, _NUMBER, {}) and not value < 0
+
+
+def _dimension(value) -> bool:
+    return _fits(value, (int,), {}) and value >= 1
+
+
 def _numbers(value) -> bool:
     """A list of JSON numbers or of lists of them, typed in one pass (its
     reader checks the shape)."""
@@ -246,16 +255,21 @@ def _numbers(value) -> bool:
 # codomain; [shape] for a list of shape, [shape, shape] for a pair;
 # {key: shape} for an object, a trailing ? marking a key it may omit; or
 # a test of the value.  Certificate numbers must be finite (a NaN slack
-# passes every check).  A part another reader reads is an object here.
+# passes every check), and the schemas' ranges hold: a tolerance and a
+# Lipschitz constant >= 0, a dimension >= 1.  A part another reader reads
+# is an object here.
 _NUMBER = (int, float)
 _SHAPES = {
-    "MapSample": (dict,), "float": _finite, "int": (int,), "str": (str,),
+    "MapSample": (dict,), "float": _finite,
+    "NonNegative": lambda value: _finite(value) and _nonnegative(value),
+    "int": (int,), "str": (str,),
     "float | None": (type(None), _finite), "np.ndarray": (list,),
     "tuple[str, str]": [(str,), (str,)], "ZPosition": "Z", "ZPositions": ["Z"],
     "ZPositionPairs": [["Z", "Z"]], "YPositions": ["Y"],
     "Region": {"axis": "axis", "op": {"le", "ge", "abs_ge", "abs_le"},
                "value": _finite},
-    "net": ({"dimension": (int,), "points": _numbers, "resolution": _NUMBER,
+    "net": ({"dimension": _dimension, "points": _numbers,
+             "resolution": _NUMBER,
              "metric": ({"euclidean"}, {"matrix": _numbers})},),
     "space": ({"kind": {"catalog"}, "name": (str,), "parameters?": (dict,),
                "resolution": _NUMBER},
@@ -271,7 +285,8 @@ _SHAPES = {
               "z_indices": [(int,)]}),
     "map": ({"codomain": (dict,), "values": _numbers, "modulus": (dict,),
              "name?": (str,)},),
-    "modulus": ({"lipschitz": _NUMBER}, {"steps": [[_NUMBER, _NUMBER]]}),
+    "modulus": ({"lipschitz": _nonnegative},
+                {"steps": [[_NUMBER, _NUMBER]]}),
     "problem": ({"pair": (dict,), "map": (dict,)},)}
 _SHAPES["certificate"] = tuple({"kind": {kind}, "epsilon": _finite, **{
     f.name + "?" * (f.default is not dataclasses.MISSING): _SHAPES[f.type]

@@ -1,10 +1,11 @@
 """Shared fixtures and independent test oracles.
 
 The oracles here deliberately avoid the library's own shortest-path /
-component machinery (scipy's csgraph included): union-find over explicit
-edge lists (chain pairs come from a KD-tree or the net's own distances),
-exhaustive path enumeration for maximin values, and plain BFS over a
-dense distance matrix for reachability.
+component machinery: union-find over explicit edge lists (chain pairs
+come from scipy's KD-tree or the net's own distances; the vectorised
+union-find is checked against a pure-Python loop), exhaustive path
+enumeration for maximin values, and plain BFS over a dense distance
+matrix for reachability.
 """
 
 from __future__ import annotations

@@ -587,7 +587,8 @@ def test_certify_fuzzed_certificate_fields_end_in_an_exit_code(tmp_path):
     run()
     floats = {kind: ["epsilon"] + [
         f.name for f in dataclasses.fields(ser.certs.KINDS[kind])
-        if f.type in ("float", "float | None")] for kind in emitted}
+        if f.type in ("float", "float | None", "NonNegative")]
+        for kind in emitted}
 
     @given(st.sampled_from(sorted(emitted)), st.data())
     @settings(max_examples=40, deadline=None,
@@ -696,6 +697,8 @@ def _extra(*path):
         _extra(),
         _set("map", "modulus", value={"lipschitz": True}),
         _set("map", "modulus", value={"lipschitz": "1"}),
+        _set("map", "modulus", value={"lipschitz": -1e-300}),
+        _set("pair", "space", "net", "dimension", value=0),
         _set("map", "modulus", value=lambda m: {**m, "steps": [[0.0, 0.0]]}),
         _set("map", "name", value=5),
         _set("map", "values", 0, 0, value=True),
@@ -718,7 +721,8 @@ def _extra(*path):
         "space-resolution-string", "clopen-atom-misspelt",
         "net-resolution-string", "net-extra-key", "pair-name-number",
         "pair-extra-key", "z-index-bool", "top-extra-key", "lipschitz-bool",
-        "lipschitz-string", "lipschitz-and-steps", "map-name-number",
+        "lipschitz-string", "lipschitz-negative", "net-dimension-zero",
+        "lipschitz-and-steps", "map-name-number",
         "value-bool", "value-string", "codomain-extra-key",
         "codomain-resolution-string"])
 def test_certify_refuses_a_malformed_problem(tmp_path, capsys, family, n,
@@ -870,8 +874,10 @@ EPS4 = 2.0 ** -4
 @pytest.mark.parametrize("edit", [
     _extra("extension"), _set("extension", "name", value=5),
     _set("extension", "values", 0, 0, value=False),
-    _extra("extension", "codomain")],
-    ids=["extra-key", "name-number", "value-bool", "codomain-extra-key"])
+    _extra("extension", "codomain"), _set("tolerance", value=-1e-300),
+    _set("tolerance", value=-1.0)],
+    ids=["extra-key", "name-number", "value-bool", "codomain-extra-key",
+         "tolerance-below-zero", "tolerance-minus-one"])
 def test_certify_refuses_a_positive_extension_the_schema_rejects(tmp_path,
                                                                  capsys, edit):
     # each of these once verified
@@ -894,11 +900,11 @@ def _validator(name):
 
 def _replacements(value):
     """Values of another JSON type than value: bools and strings for a
-    number, and a float for an int."""
+    number, and a float for an int; and negative numbers for a number."""
     swaps = [v for v in (None, True, "x", 0.5, 3, [], [0], {}, {"kind": "x"})
              if type(v) is not type(value)]
     if type(value) in (int, float):
-        swaps += [str(value), value == 0]
+        swaps += [str(value), value == 0, -1, -1e-300, -abs(value) - 1]
     return swaps + ([value + 0.5] if type(value) is int else [])
 
 
@@ -952,3 +958,27 @@ def test_certify_exits_three_on_every_file_the_schemas_reject(tmp_path,
         assert code == 3 if rejected else code in (0, 2, 3, 4)
 
     run()
+
+
+def test_no_scipy_module_at_runtime(tmp_path):
+    # the package, a reproduction and a certify in a fresh interpreter
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    certs = tmp_path / "certs"
+    script = (
+        "import sys\n"
+        "import extenlab, extenlab.cli\n"
+        "run = extenlab.cli.main\n"
+        f"assert run(['example', 'run', 'comb', '--epsilon', '2^-6',"
+        f" '--n-max', '5', '--emit-certificates', {str(certs)!r}]) == 0\n"
+        f"assert run(['certify', {str(certs / 'problem.json')!r},"
+        f" {str(certs / 'certificate.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(xl.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -75,9 +75,11 @@ def test_net_adjacency_is_its_own_graph_built_once_per_scale():
             ("user",), ClopenAtoms.connected(len(pts)), {}, {}).net)
     for net in nets:
         adj = net.adjacency(2 * eps)
-        assert adj.shape == (len(net), len(net))
+        assert len(adj[0]) == len(adj[1])
+        assert np.all(adj[0] < adj[1]) and np.all(adj[1] < len(net))
         assert net.adjacency(2 * eps) is adj
-        assert (adj != build_epsilon_graph(net, 2 * eps).adjacency()).nnz == 0
+        want = build_epsilon_graph(net, 2 * eps).adjacency()
+        assert all(np.array_equal(a, b) for a, b in zip(adj, want))
     assert [len(n) for n in nets] == [289, 1105, 2, 3]
 
 
@@ -205,19 +207,22 @@ def test_widest_path_symmetric_and_monotone_in_scale(rng):
 
 
 def reachable_loop(adj, allowed, src, dst):
-    """Frontier BFS over CSR slices, as reachable ran before it became
-    one csgraph search; the reference it must agree with."""
+    """Frontier BFS over per-node neighbour lists of the edge arrays; the
+    reference reachable must agree with."""
     if not (allowed[src] and allowed[dst]):
         return False
     if src == dst:
         return True
-    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen = np.zeros(len(allowed), dtype=bool)
     seen[src] = True
     frontier = np.array([src])
-    indptr, indices = adj.indptr, adj.indices
+    nbrs_of = [[] for _ in range(len(allowed))]
+    for a, b in zip(*adj):
+        nbrs_of[a].append(b)
+        nbrs_of[b].append(a)
     while len(frontier):
-        nbrs = np.unique(np.concatenate(
-            [indices[indptr[u]:indptr[u + 1]] for u in frontier]))
+        nbrs = np.unique(np.array(
+            [w for u in frontier for w in nbrs_of[u]], dtype=int))
         nbrs = nbrs[allowed[nbrs] & ~seen[nbrs]]
         if len(nbrs) == 0:
             return False
@@ -763,31 +768,31 @@ def test_pair_grid_is_evaluated_once_per_net(monkeypatch, rng, far,
         assert sum(cells) == grid + sum(sizes[:-1])
 
 
-def test_one_kd_tree_per_net(monkeypatch, rng):
+def test_one_grid_per_net(monkeypatch, rng):
     from scipy.spatial import cKDTree
     from extenlab import metric
     built = []
 
-    class CountingTree(cKDTree):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
+    class CountingGrid(metric._Grid):
+        def __init__(self, points, radius):
+            built.append(radius)
+            super().__init__(points, radius)
 
-    monkeypatch.setattr(metric, "cKDTree", CountingTree)
+    monkeypatch.setattr(metric, "_Grid", CountingGrid)
     pts = rng.random((400, 2))
     net = Net(pts, 0.05)
     queries = rng.random((50, 2))
     for _ in range(3):
         idx, dist = net.nearest(queries)
-        edges = build_epsilon_graph(net, 0.08).edges
-    assert len(built) == 1
+        a, b = net.adjacency(0.08)
+    assert built == [0.05, 0.08]    # the net's index, then its graph's
     want_dist, want_idx = cKDTree(pts).query(queries)
     assert idx.tolist() == want_idx.tolist()
     assert dist.tobytes() == want_dist.tobytes()
     pairs = cKDTree(pts).query_pairs(0.08, output_type="ndarray")
-    assert edges.tolist() == sorted(pairs.tolist())
+    assert np.column_stack([a, b]).tolist() == sorted(pairs.tolist())
     Net(pts.copy(), 0.05).nearest(queries)
-    assert len(built) == 2                      # a tree per net, not shared
+    assert len(built) == 3                      # a grid per net, not shared
 
 
 def test_matrix_net_builds_its_lookup_once(monkeypatch):
@@ -795,7 +800,7 @@ def test_matrix_net_builds_its_lookup_once(monkeypatch):
     calls = []
     index = MatrixMetric.index
     monkeypatch.setattr(MatrixMetric, "index",
-                        lambda self, p: calls.append(1) or index(self, p))
+                        lambda self, *a: calls.append(1) or index(self, *a))
     net = Net(np.array([[0.0], [2.0]]), 1.0, MatrixMetric(1 - np.eye(2)))
     for _ in range(3):
         assert net.nearest([[2.0], [0.0]])[0].tolist() == [1, 0]
