@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse
 from .families import _covered_family, explicit_extension, extends
 from .maps import MapSample, collapse_retraction, winding_number
-from .metric import (_frozen, _same_net, euclidean_rows, pair_blocks,
-                     reachable)
+from .metric import (_frozen, _induced_components, _same_net,
+                     euclidean_rows, pair_blocks)
 from .spaces import AnnotatedSpace, SpacePair, index_cutoff, osc_cutoff
 
 VERIFIED = "verified"
@@ -230,6 +230,7 @@ class MandatoryCrossingObstruction(Certificate):
               f"{self.separation:.6g} > {4 * eps:.6g}")
 
         adj = cod.net.adjacency(2 * eps)
+        chains = {}             # label -> (allowed, roots of its subgraph)
         da_prev = db_prev = math.inf
         z0_pt = pair.z_net.points[self.z0]
         prev_a = None
@@ -243,9 +244,12 @@ class MandatoryCrossingObstruction(Certificate):
             if not v.add(f"bracket{j}-same-component", la == lb,
                          "both images in one codomain component"):
                 continue
-            allowed = (cod.labels == la) & ~mask
-            v.add(f"bracket{j}-crossing-forced",
-                  not reachable(adj, allowed, int(idx[0]), int(idx[1])),
+            if la not in chains:
+                allowed = (cod.labels == la) & ~mask
+                chains[la] = allowed, _induced_components(adj, allowed)
+            allowed, root = chains[la]
+            avoids = allowed[idx].all() and root[idx[0]] == root[idx[1]]
+            v.add(f"bracket{j}-crossing-forced", not avoids,
                   "no chain avoids the region")
             da, db = map(float, euclidean_rows(pair.z_net.points[[a, b]],
                                                z0_pt))

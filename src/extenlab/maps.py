@@ -23,9 +23,10 @@ from .metric import (_SCREEN_MARGIN, Modulus, Net, _Scratch, _euclidean,
                      sup_distance)
 from .spaces import AnnotatedSpace, Retraction, SpacePair, spiked_base_pair
 
-# Rows per weighted-average product in dugundji_extend_partial: BLAS
-# rounding of `w @ values` depends on the row count, so this grouping fixes
-# output bits.
+# Rows per weighted-average product `w @ values` in
+# dugundji_extend_partial.  BLAS rounds that product differently for
+# different row counts, so this grouping fixes the output bits; it fixes
+# nothing else (the weights are filled in pair_blocks blocks).
 _AVERAGE_ROWS = 2048
 
 
@@ -75,9 +76,12 @@ class MapSample:
         """Empty list if valid: values near the codomain net, modulus holds."""
         problems = []
         eps = self.codomain.resolution
-        uniq = self._distinct_values()
-        _, dist = self.codomain.net.nearest(uniq)
-        worst = float(dist.max())
+        # every value queried as it is: sorting out repeats (np.unique)
+        # costs more than the queries it saves
+        vals = self.values
+        if np.all(vals == vals[0]):
+            vals = vals[:1]
+        worst = float(self.codomain.net.nearest(vals)[1].max())
         if worst > eps + 1e-9:
             problems.append(f"value {worst:.3g} away from the codomain net "
                             f"(allowed {eps:.3g})")
@@ -159,6 +163,12 @@ def dugundji_extend_partial(pair: SpacePair, f: MapSample,
     Points whose weighted average escapes the retraction neighborhood are
     flagged False instead of raising; slice-wise consumers (the cylinder
     demos) decide which slices survive.
+
+    The points off Z go in groups of _AVERAGE_ROWS rows, which fix only
+    the bits of the product `w @ values`.  A group's weights are written
+    into one reused _AVERAGE_ROWS x |Z| array a pair_blocks block at a
+    time, so the distances and their differences never exist at group
+    size; every weight is the same elementwise value either way.
     """
     if len(f.values) != len(pair.z_net):
         raise DomainMismatch("extension wants a map on the pair's Z")
@@ -177,11 +187,14 @@ def dugundji_extend_partial(pair: SpacePair, f: MapSample,
     in_z = np.zeros(n, dtype=bool)
     in_z[z] = True
     rows = np.nonzero(~in_z)[0]
+    weights = np.empty((min(len(rows), _AVERAGE_ROWS), len(z)))
     for lo in range(0, len(rows), _AVERAGE_ROWS):
         idx = rows[lo:lo + _AVERAGE_ROWS]
-        d = net.dist_idx(idx, z)
-        d_z = d.min(axis=1)
-        w = np.maximum(0.0, 2.0 * d_z[:, None] - d)
+        w = weights[:len(idx)]
+        for part, _ in pair_blocks(len(idx), len(z)):
+            d = net.dist_idx(idx[part], z)
+            np.subtract(2.0 * d.min(axis=1, keepdims=True), d, out=w[part])
+            np.maximum(0.0, w[part], out=w[part])
         total = w.sum(axis=1)
         avg = (w @ f.values) / total[:, None]
         inside = retr.contains(avg)

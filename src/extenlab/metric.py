@@ -805,15 +805,22 @@ def graph_components(graph: EpsilonGraph) -> np.ndarray:
     return _components(len(graph.net), *graph.adjacency())
 
 
+def _induced_components(adj, allowed: np.ndarray, join=None) -> np.ndarray:
+    """_components over the edges of adj (EpsilonGraph.adjacency) whose
+    two ends are allowed: the subgraph induced by the allowed nodes, in
+    which every other node is its own root."""
+    a, b = adj
+    keep = allowed[a] & allowed[b]
+    return _components(len(allowed), a[keep], b[keep], join)
+
+
 def reachable(adj, allowed: np.ndarray, src: int, dst: int) -> bool:
     """Is dst reachable from src through allowed nodes only?  adj holds
     the edges' two ends (EpsilonGraph.adjacency); union-find decides it on
     the subgraph induced by the allowed nodes."""
     if not (allowed[src] and allowed[dst]):
         return False
-    a, b = adj
-    keep = allowed[a] & allowed[b]
-    parent = _components(len(allowed), a[keep], b[keep], join=(src, dst))
+    parent = _induced_components(adj, allowed, join=(src, dst))
     return bool(parent[src] == parent[dst])
 
 

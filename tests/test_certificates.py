@@ -164,6 +164,90 @@ def test_crossing_blocked_by_the_region_not_by_accident():
     assert reachable(adj, lab & ~mask, int(ia[0]), int(ib[0]))
 
 
+def _per_bracket_check(self, pair, phi, v):
+    """MandatoryCrossingObstruction.check with one reachable() call per
+    bracket: the reference for the one union-find per label."""
+    import math
+    eps = pair.resolution
+    cod = phi.codomain
+    mask = region_mask(cod.net.points, self.region)
+    if not v.add("region-nonempty", bool(mask.any()), "",
+                 fails=certs_mod.INVALID):
+        return
+    sep = float(euclidean_rows(phi.values[self.z0],
+                               cod.net.points[mask]).min())
+    v.add("separation", sep >= self.separation - 1e-12,
+          f"d(phi(z0), region) = {sep:.6g}")
+    v.add("separation-above-4eps", self.separation > 4 * eps,
+          f"{self.separation:.6g} > {4 * eps:.6g}")
+    adj = cod.net.adjacency(2 * eps)
+    da_prev = db_prev = math.inf
+    z0_pt = pair.z_net.points[self.z0]
+    prev_a = None
+    for j, (a, b) in enumerate(self.brackets):
+        idx, dist = cod.net.nearest(phi.values[[a, b]])
+        if not v.add(f"bracket{j}-images-on-net",
+                     float(dist.max()) <= 1e-9,
+                     "bracket images are codomain net points"):
+            continue
+        la, lb = cod.labels[idx[0]], cod.labels[idx[1]]
+        if not v.add(f"bracket{j}-same-component", la == lb,
+                     "both images in one codomain component"):
+            continue
+        allowed = (cod.labels == la) & ~mask
+        v.add(f"bracket{j}-crossing-forced",
+              not reachable(adj, allowed, int(idx[0]), int(idx[1])),
+              "no chain avoids the region")
+        da, db = map(float, euclidean_rows(pair.z_net.points[[a, b]],
+                                           z0_pt))
+        monotone = da < da_prev - 1e-15 and db < db_prev - 1e-15
+        nested = prev_a is None or db <= da_prev + 1e-12
+        v.add(f"bracket{j}-approaches-z0", monotone and nested,
+              f"d(a,z0)={da:.4g}, d(b,z0)={db:.4g}")
+        da_prev, db_prev, prev_a = da, db, a
+    v.add("brackets-present", len(self.brackets) > 0, "")
+    v.margins["separation_margin"] = self.separation - 4 * eps
+    if math.isfinite(da_prev):
+        v.margins["final_bracket_gap"] = da_prev
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+@pytest.mark.parametrize("name", ["comb", "sine-eclosed"])
+def test_crossing_check_keeps_the_per_bracket_verdict_bytes(
+        monkeypatch, name, k):
+    # one union-find per label instead of one reachable() per bracket
+    eps = 2.0 ** -k
+    fam = xl.example_family(name, eps)
+    cert = build_negative_certificate(name, None, eps)
+    b = cert.brackets[0][1]
+    image = fam.limit.values[[b]]
+    edited = MandatoryCrossingObstruction(   # bracket images in the region,
+        brackets=((b, b), *cert.brackets),   # both ends of the first
+        region={"axis": 0, "op": "ge", "value": float(image[0, 0])},
+        z0=cert.z0, separation=cert.separation)
+    cases = [(fam.limit, cert), (fam.member(1), cert), (fam.limit, edited)]
+    got = [dumps(check_certificate(fam.pair, phi, c).as_dict())
+           for phi, c in cases]
+    monkeypatch.setattr(MandatoryCrossingObstruction, "check",
+                        _per_bracket_check)
+    want = [dumps(check_certificate(fam.pair, phi, c).as_dict())
+            for phi, c in cases]
+    assert got == want
+    limit, member, tampered = (check_certificate(fam.pair, phi, c)
+                               for phi, c in cases)
+    assert limit.ok and member.status == "refuted"
+    # an image in the region is not allowed, so no chain from it avoids
+    # the region: that bracket's crossing entry passes, as it did with
+    # reachable() (False whenever an end is not allowed)
+    assert region_mask(image, edited.region).all()
+    trace = {c["check"]: c["ok"] for c in tampered.checks}
+    assert trace["bracket0-crossing-forced"]
+    assert trace["bracket1-crossing-forced"]
+    # and a chain that avoids the region still refutes a bracket
+    assert not all(c["ok"] for c in member.checks
+                   if c["check"].endswith("crossing-forced"))
+
+
 def test_bracket_counts_grow_with_refinement():
     counts = [(len(build_negative_certificate("sine-eclosed", None, 2.0 ** -k).brackets),
                len(build_negative_certificate("comb", None, 2.0 ** -k).brackets))

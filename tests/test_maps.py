@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,17 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import extenlab as xl
+from extenlab import maps
 from extenlab.errors import (DiameterTooLarge, DomainMismatch,
                              EpsilonTooLarge, GluingMismatch, InvalidArgument,
                              LoopTooCoarse)
 from extenlab.maps import (MapSample, collapse_retraction, cone_contraction,
                            constant_map, dugundji_extend,
+                           dugundji_extend_partial,
                            equiconnect_homotopy, glue_homotopy_extension,
                            homotopy_between, restrict, small_diameter_extend,
                            winding_number)
 from extenlab.metric import Modulus, Net, check_modulus, euclidean_rows, \
     sup_distance
-from extenlab.spaces import SpacePair, subspace
+from extenlab.spaces import ClopenAtoms, SpacePair, product_with, subspace
+
+from test_metric import _random_nets
 
 EPS6 = 2.0 ** -6
 
@@ -128,6 +133,120 @@ def test_dugundji_circle_antipodal_fails(circle, interval):
         dugundji_extend(pair, f, "radial")
 
 
+def _reference_partial(pair, f, retraction):
+    """dugundji_extend_partial as one expression per group of
+    _AVERAGE_ROWS rows, every array at group size: the reference for the
+    operator's blockwise filling of the weights."""
+    retr = f.codomain.retractions[retraction]
+    net, z = pair.space.net, pair.z_indices
+    out = np.empty((len(net), f.values.shape[1]))
+    ok = np.ones(len(net), dtype=bool)
+    rows = np.setdiff1d(np.arange(len(net)), z)
+    for lo in range(0, len(rows), maps._AVERAGE_ROWS):
+        idx = rows[lo:lo + maps._AVERAGE_ROWS]
+        d = net.dist_idx(idx, z)
+        w = np.maximum(0.0, 2.0 * d.min(axis=1)[:, None] - d)
+        avg = (w @ f.values) / w.sum(axis=1)[:, None]
+        inside = retr.contains(avg)
+        out[idx] = np.where(inside[:, None], retr.apply(avg), avg)
+        ok[idx] = inside
+    out[z] = f.values
+    return out, ok
+
+
+def _space_on(template, net):
+    """template's annotations over another net: one component, one atom."""
+    return dataclasses.replace(
+        template, name="test-space", params=(), net=net,
+        labels=np.zeros(len(net), dtype=int), label_names=("all",),
+        clopen=ClopenAtoms.connected(len(net)), basepoints={}, recipe=None)
+
+
+def _cylinder_pair():
+    """anr-eopen's pair at 2^-6: the ndagger cylinder over [0, 1] (max
+    metric), Z its 0 slice and both ends of every other slice; 4,225
+    points, 193 in Z, so the 4,032 rows off Z make two groups."""
+    ends = xl.make_pair("interval-ends", EPS6)
+    prod = product_with(ends.space, "ndagger")
+    n = len(ends.space.net)
+    levels = np.nonzero(np.asarray(prod.meta["factor_values"]))[0]
+    z = np.concatenate([np.arange(n), *(i * n + ends.z_indices
+                                        for i in levels)])
+    return SpacePair.build("cylinder", prod, z)
+
+
+def _circle_map(pair, circle, angles):
+    return MapSample(pair.z_net, circle,
+                     np.column_stack([np.cos(angles), np.sin(angles)]),
+                     Modulus.lip(1e6))
+
+
+def _operator_cases(rng, circle, interval):
+    """(name, pair, map) on every metric backend: random Z and values on
+    the circle, so some averages leave the radial retraction's domain."""
+    n = 300
+    for name, net in _random_nets(rng, n).items():
+        pair = SpacePair.build(name, _space_on(interval, net),
+                               np.sort(rng.choice(n, 40, replace=False)))
+        yield name, pair, _circle_map(pair, circle,
+                                      rng.uniform(-math.pi, math.pi, 40))
+    disk = xl.make_space("disk", 2.0 ** -5)      # 2-d, past one group
+    pair = SpacePair.build("disk-ring", disk, np.nonzero(
+        np.hypot(*disk.net.points.T) > 0.95)[0])
+    yield "disk", pair, _circle_map(pair, circle, np.arctan2(
+        *pair.z_net.points.T[::-1]) * 3)
+    pair = _cylinder_pair()
+    yield "cylinder", pair, _circle_map(pair, circle, math.pi / 2 * (
+        pair.z_net.points[:, 1] + pair.z_net.points[:, 0]))
+
+
+# a duplicate of a Z point off Z has all weights 0: a NaN average
+_ZERO_WEIGHTS = "ignore:invalid value encountered in divide:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(_ZERO_WEIGHTS)
+@pytest.mark.parametrize("rows_per_block, group", [
+    (None, None), (3, None), (1, None), (None, 64)])
+def test_dugundji_blocks_keep_the_group_expression_bits(
+        monkeypatch, rng, circle, interval, rows_per_block, group):
+    # the weights fill a group a pair_blocks block at a time; only
+    # `w @ values` needs the whole group, so every bit must stay.  Groups
+    # of 64 rows give many boundaries and a short last group reusing the
+    # front of the weight array
+    from extenlab import metric
+    shipped = metric._BLOCK_BYTES
+    if group is not None:
+        monkeypatch.setattr(maps, "_AVERAGE_ROWS", group)
+    for name, pair, f in _operator_cases(rng, circle, interval):
+        want = _reference_partial(pair, f, "radial")
+        if rows_per_block is not None:
+            monkeypatch.setattr(metric, "_BLOCK_BYTES",
+                                8 * len(pair.z_indices) * rows_per_block)
+        got = dugundji_extend_partial(pair, f, "radial")
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", shipped)
+        assert got[0].tobytes() == want[0].tobytes(), name
+        assert got[1].tobytes() == want[1].tobytes(), name
+        assert not want[1].all() or name in ("cylinder", "disk"), name
+
+
+def test_dugundji_holds_one_group_of_weights(circle):
+    # 15.0 MiB traced when each group built its distances, differences
+    # and weights as whole 2048 x |Z| arrays; now one such array plus the
+    # metric's 1 MiB blocks
+    import tracemalloc
+    pair = _cylinder_pair()
+    f = _circle_map(pair, circle, math.pi / 2 * pair.z_net.points[:, 1])
+    weights = maps._AVERAGE_ROWS * len(pair.z_indices) * 8
+    tracemalloc.start()
+    try:
+        _, ok = dugundji_extend_partial(pair, f, "radial")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    assert peak <= weights + (5 << 20), peak
+
+
 def test_small_diameter_extension_interval(interval):
     idx = np.nonzero(np.isin(interval.net.points[:, 0], [0.0, 1.0]))[0]
     pair = SpacePair.build("ends", interval, idx)
@@ -185,6 +304,24 @@ def test_constant_map_allocates_its_values_once(circle, value):
     assert f.values.shape == (len(domain), np.size(value))
     assert np.all(f.values == np.ravel(value)) and not f.values.flags.writeable
     assert peak <= 1.1 * f.values.nbytes
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3, np.nan])
+def test_validity_report_reads_as_over_the_distinct_values(rng, circle,
+                                                          shift):
+    # each value is queried as it is; the worst distance, so the message,
+    # is the one over np.unique's rows
+    values = circle.net.points[rng.integers(0, len(circle.net), 400)]
+    values[::7] *= 1.0 + np.float64(shift)
+    f = MapSample(Net(np.arange(400.0)[:, None], 1.0), circle, values,
+                  Modulus.lip(1e6))
+    worst = float(circle.net.nearest(np.unique(values, axis=0))[1].max())
+    problems = f.validity_report()
+    if shift == 0.0:
+        assert not problems and worst == 0.0
+    else:
+        assert problems == [f"value {worst:.3g} away from the codomain net "
+                            f"(allowed {circle.resolution:.3g})"]
 
 
 # ---------------------------------------------------------------------------
