@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse
 from .families import _covered_family, explicit_extension, extends
 from .maps import MapSample, collapse_retraction, winding_number
-from .metric import (_frozen, _induced_components, _same_net,
-                     euclidean_rows, pair_blocks)
+from .metric import (_frozen, _induced_components, _largest_distance,
+                     _same_net, euclidean_rows, pair_blocks)
 from .spaces import AnnotatedSpace, SpacePair, index_cutoff, osc_cutoff
 
 VERIFIED = "verified"
@@ -248,8 +248,10 @@ class MandatoryCrossingObstruction(Certificate):
                 allowed = (cod.labels == la) & ~mask
                 chains[la] = allowed, _induced_components(adj, allowed)
             allowed, root = chains[la]
-            avoids = allowed[idx].all() and root[idx[0]] == root[idx[1]]
-            v.add(f"bracket{j}-crossing-forced", not avoids,
+            # forced only between two images outside the region that no
+            # chain outside it joins: an image in the region proves nothing
+            forced = allowed[idx].all() and root[idx[0]] != root[idx[1]]
+            v.add(f"bracket{j}-crossing-forced", bool(forced),
                   "no chain avoids the region")
             da, db = map(float, euclidean_rows(pair.z_net.points[[a, b]],
                                                z0_pt))
@@ -332,7 +334,7 @@ def _witness_escapes_and_longest_edge(y: AnnotatedSpace,
     coordinates, so the temporaries are a few blocks whatever r is; its
     radial and diagonal edges reach into the next block's first ring.
     The longest edge is the max of the same np.hypot values as over the
-    whole array.
+    whole array, screened by sums of squares (metric._largest_distance).
     """
     escaped, worst = 0, 0.0
     for rows, _ in pair_blocks(len(rings), rings[0].size):
@@ -343,8 +345,7 @@ def _witness_escapes_and_longest_edge(y: AnnotatedSpace,
         for p, q in ((block, turned), (block[:len(after)], after),
                      (turned[:len(after)], after)):
             if p.size:
-                worst = max(worst, float(euclidean_rows(
-                    p.reshape(-1, 2), q.reshape(-1, 2)).max()))
+                worst = max(worst, _largest_distance(p, q))
     return escaped, worst
 
 

@@ -25,9 +25,9 @@ from .certificates import certificate_for, check_certificate
 from .errors import ExtenlabError, InvalidArgument, UnknownName
 from .families import example_family
 from .runs import list_examples, run_example
-from .serialization import (certificate_from_json, certificate_to_json,
-                            dumps, map_to_json, pair_to_ref,
-                            problem_from_json, space_to_ref)
+from .serialization import (_gc_paused, certificate_from_json,
+                            certificate_to_json, dumps, map_to_json,
+                            pair_to_ref, problem_from_json, space_to_ref)
 from .spaces import OPC_MAX_BLOCKS, catalog_names, cone, make_space, \
     opc_disjoint_union, product_with
 
@@ -100,8 +100,10 @@ def _cmd_example_list(args) -> int:
 
 def _cmd_certify(args) -> int:
     try:
-        problem = json.loads(_data_path(args.problem).read_text("utf-8"))
-        cert_data = json.loads(_data_path(args.certificate).read_text("utf-8"))
+        with _gc_paused():
+            problem = json.loads(_data_path(args.problem).read_text("utf-8"))
+            cert_data = json.loads(
+                _data_path(args.certificate).read_text("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         sys.stderr.write(f"cannot read inputs: {exc}\n")
         return EXIT_INVALID

@@ -290,7 +290,8 @@ def _angles(values: np.ndarray) -> np.ndarray:
 
 def _arc_bound(f, g, a0, delta, fixed):
     """measured_modulus_multi's bound for a geodesic-circle homotopy: is a
-    pair's largest slice distance below limit[code]?  From the endpoints.
+    pair's largest slice distance below limit[code]?  From the endpoints
+    (the squared limits that the pair screen reads go unused here).
 
     Row i's slice t is u(a0_i + t delta_i), u(x) = (cos x, sin x), but
     f_i at t = 0, g_i at t = 1 and f_i throughout on a fixed row.  Its
@@ -316,7 +317,7 @@ def _arc_bound(f, g, a0, delta, fixed):
     off[fixed] += np.abs(delta[fixed])
     sep, spread = _Scratch(), _Scratch()
 
-    def below(rows, cols, codes, limit):
+    def below(rows, cols, codes, limit, square):
         room = (limit * (1.0 - _SCREEN_MARGIN) - _SCREEN_MARGIN
                 - off[rows].max() - off[cols].max())
         theta = 2.0 * np.arcsin(np.clip(room / 2.0, 0.0, 1.0)) - _SCREEN_MARGIN

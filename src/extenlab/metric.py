@@ -41,8 +41,9 @@ _TILE = 32
 _CHECK_TOLERANCE = 1e-12
 
 # The modulus kernels skip a pair only where a bound (the tile boxes of
-# _box_squares, or maps._arc_bound) proves it below a limit; each bound
-# shrinks its room by _SCREEN_MARGIN.  With u = 2^-53,
+# _box_squares, a pair's own sum of squares in _pair_screen, or
+# maps._arc_bound) proves it below a limit; each bound shrinks its room
+# by _SCREEN_MARGIN.  With u = 2^-53,
 # fl(sum of k squares) is within a relative k*u of the exact sum of the
 # squared (computed) differences, np.hypot within 1 ulp of the exact norm
 # and sqrt(einsum) within (k/2 + 1)*u; the margin is far more than any of
@@ -124,22 +125,17 @@ class _Scratch:
         return self.buf[:shape[0] * shape[1]].reshape(shape)
 
 
-def _exact(a, columns, i, j, out=None, tmp=None) -> np.ndarray:
+def _exact(a, columns, i, j) -> np.ndarray:
     """_euclidean(a[..., i, :], a[..., j, :]) bit for bit, i and j
     broadcast against each other: from the columns (see _columns; the
     same differences, then the same abs or hypot) when a has one or two
-    coordinates, in the storage of out and tmp (see _Scratch) if given;
-    else the expression itself."""
+    coordinates, else the expression itself."""
     if len(columns) > 2:
         return _euclidean(a[..., i, :], a[..., j, :])
-
-    def diff(c, scratch):
-        return np.subtract(c[..., i], c[..., j],
-                           out=None if scratch is None else scratch.block(i, j))
-    d = diff(columns[0], out)
+    d = np.subtract(columns[0][..., i], columns[0][..., j])
     if len(columns) == 1:
         return np.abs(d, out=d)
-    return np.hypot(d, diff(columns[1], tmp), out=d)
+    return np.hypot(d, columns[1][..., i] - columns[1][..., j], out=d)
 
 
 def _square_limit(allowed: np.ndarray) -> np.ndarray:
@@ -159,6 +155,57 @@ def _square_limit(allowed: np.ndarray) -> np.ndarray:
     lim *= 1.0 - _SCREEN_MARGIN
     lim[~((lim >= _SCREEN_FLOOR) & (lim < np.inf))] = -1.0
     return lim
+
+
+def _square_excess(allowed: np.ndarray) -> np.ndarray:
+    """The other side of _square_limit: a bound ex per entry such that a
+    pair whose squares sum to s >= ex has exact distance (as _euclidean
+    computes it) above allowed: ex = allowed^2 (1 + _SCREEN_MARGIN), or
+    NaN, which no s meets, where that is not a finite number >=
+    _SCREEN_FLOOR.
+
+    Proof: s is at most (D + 2^-1075 k)(1 + k u), D the exact sum of the
+    squared differences, and ex is at least allowed^2 (1 + 2^-30)(1 - 2u),
+    so D > allowed^2 (1 + 2^-31) for ex >= _SCREEN_FLOOR; the computed
+    distance is within (k/2 + 1) u of sqrt(D), hence above allowed.  An
+    s of inf comes from differences whose D reaches the largest float,
+    above every finite ex, so the conclusion holds for it too.  allowed
+    must not be negative.
+    """
+    with np.errstate(over="ignore"):
+        ex = allowed * allowed
+        ex *= 1.0 + _SCREEN_MARGIN
+    ex[~((ex >= _SCREEN_FLOOR) & (ex < np.inf))] = np.nan
+    return ex
+
+
+@np.errstate(over="ignore")             # squares past the largest float
+def _largest_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """float(_euclidean(p, q).max()) bit for bit, p and q broadcast
+    against each other, coordinates on the last axis.
+
+    With two coordinates, only the pairs whose sum of squares s is within
+    _SCREEN_MARGIN of the largest, smax, get np.hypot: any other pair's
+    distance lies below that of the pair attaining smax (the argument of
+    _square_limit, run with the exact sums of both pairs).  Every pair is
+    evaluated where smax is not a number in [_SCREEN_FLOOR, inf).  The
+    temporaries are three arrays of the pair count, as _euclidean's are,
+    however many pairs tie near smax.
+    """
+    if p.shape[-1] != 2:
+        return float(_euclidean(p, q).max())
+    s = np.subtract(p[..., 0], q[..., 0])
+    np.multiply(s, s, out=s)
+    d = np.subtract(p[..., 1], q[..., 1])
+    s += np.multiply(d, d, out=d)
+    smax = s.max()
+    if not _SCREEN_FLOOR <= smax < math.inf:
+        del s, d
+        return float(_euclidean(p, q).max())
+    near = s >= smax * (1.0 - _SCREEN_MARGIN)
+    dx = np.subtract(p[..., 0], q[..., 0], out=s)
+    dy = np.subtract(p[..., 1], q[..., 1], out=d)
+    return float(np.hypot(dx, dy, out=np.zeros_like(s), where=near).max())
 
 
 def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
@@ -945,62 +992,112 @@ def _box_squares(boxes, row_tiles, col_tiles) -> np.ndarray:
     return s
 
 
+def _seed_runs(block: _CodedBlock, limit):
+    """The first row of each row tile of block over all its columns, as
+    runs (see _unit_runs): the net's first row alone, then the others,
+    which a caller may screen against it."""
+    rows, cols, codes, tile = block[:4]
+    firsts = _tile_edges(rows, tile)[:-1]
+    for at in np.split(firsts, [1] if rows.start == 0 else []):
+        if len(at):
+            lim = limit()
+            yield at + rows.start, cols, codes[at], lim, _square_limit(lim)
+
+
 def _unit_runs(net: Net, maps: np.ndarray, limit, seed: bool = False):
     """The visited pairs of net that no tile bound proves, as runs
-    (rows, cols, codes): an array of row indices, a column slice and the
-    run's codes, block by block.
+    (rows, cols, codes, lim, square): an array of row indices, a column
+    slice, the run's codes, the per-code limit() read for the run and
+    its _square_limit, block by block.
 
     Each block of net._pair_codes() is cut into units (see _CodedBlock).
     A unit is skipped when its _box_squares bound s over the maps is
-    at most _square_limit(limit())[c] at both its lowest and its highest
-    code c: its pairs' value distances then lie below limit() at the
-    lowest code, hence at every code of the unit, provided the limit does
-    not decrease from one code to the next where it is a number.  A limit
-    outside [_SCREEN_FLOOR, inf) squared, NaN included, proves nothing.
-    The rows of consecutive row tiles whose surviving units match share
-    one run per stretch of contiguous surviving columns.  limit() is read
-    once per block, after the block's seed runs.
+    at most square[c] at both its lowest and its highest code c: its
+    pairs' value distances then lie below lim at the lowest code, hence
+    at every code of the unit, provided the limit does not decrease from
+    one code to the next where it is a number.  A limit outside
+    [_SCREEN_FLOOR, inf) squared, NaN included, proves nothing.  Each row
+    tile with a surviving unit is one run, over the columns from its
+    first surviving unit to its last.  limit() is read once per block,
+    when its units are screened.
 
-    seed=True first yields, per block, the first row of each row tile over
-    all the block's columns, as one run (two in the first block: the
-    net's first row, then the others, which a caller may screen against
-    it), and leaves these rows out of the units, so that limits taken
-    from pairs already evaluated meet the units early.
+    seed=True first yields the first row of each row tile (see
+    _seed_runs), reading limit() afresh per run, and leaves these rows
+    out of the units, so that limits taken from pairs already evaluated
+    meet the units early.  On a net with a stored code table the seeds
+    of every block come before any unit is screened; past the table cap
+    each block's seeds come first in that block, so that its distances
+    are computed once per call.
     """
+    stored = net._pair_table[1]
+    if seed and stored is not None:
+        for block in stored:
+            yield from _seed_runs(block, limit)
     boxes = None
-    for rows, cols, codes, tile, low, high in net._pair_codes():
+    for block in net._pair_codes():
+        rows, cols, codes, tile, low, high = block
         if boxes is None:
             boxes = _tile_boxes(maps, tile)
+        if seed and stored is None:
+            yield from _seed_runs(block, limit)
         r_at, c_at = _tile_edges(rows, tile), _tile_edges(cols, tile)
         s = _box_squares(boxes, rows.start // tile + np.arange(len(low)),
                          cols.start // tile + np.arange(len(c_at) - 1))
-        in_units = np.ones(len(codes), dtype=bool)
-        if seed:                        # the net's first row goes alone
-            in_units[r_at[:-1]] = False
-            for at in np.split(r_at[:-1], [1] if rows.start == 0 else []):
-                if len(at):
-                    yield at + rows.start, cols, codes[at]
-        lim = _square_limit(limit())
-        keep = np.zeros((len(low), len(c_at) + 1), dtype=bool)
-        keep[:, 1:-1] = ~((s <= lim[low]) & (s <= lim[high]))
-        new = np.ones(len(low), dtype=bool)     # row tiles starting a run
-        new[1:] = (keep[1:] != keep[:-1]).any(axis=1)
-        firsts = np.flatnonzero(new)
-        for a, b in zip(firsts, [*firsts[1:], len(low)]):
-            at = r_at[a] + np.flatnonzero(in_units[r_at[a]:r_at[b]])
-            if not len(at):
-                continue
-            ends = np.flatnonzero(keep[a, 1:] != keep[a, :-1])
-            for c0, c1 in zip(c_at[ends[::2]], c_at[ends[1::2]]):
-                yield (at + rows.start,
+        lim = limit()
+        square = _square_limit(lim)
+        tiles, units = np.nonzero(~((s <= square[low]) & (s <= square[high])))
+        first = np.ones(len(units) + 1, dtype=bool)     # of a run
+        first[1:-1] = np.diff(tiles) != 0
+        for a, u0, u1 in zip(tiles[first[:-1]].tolist(),
+                             units[first[:-1]].tolist(),
+                             units[first[1:]].tolist()):
+            r0, r1 = r_at[a] + seed, r_at[a + 1]    # past the seed row
+            if r0 < r1:
+                c0, c1 = c_at[u0], c_at[u1 + 1]
+                yield (np.arange(r0 + rows.start, r1 + rows.start),
                        slice(cols.start + c0, cols.start + c1),
-                       codes[at, c0:c1])
+                       codes[r0:r1, c0:c1], lim, square)
+
+
+def _pair_screen(columns: list[np.ndarray]):
+    """The default bound of measured_modulus_multi and the screen of
+    check_modulus, for the maps whose coordinate columns (see _columns)
+    are columns, each (maps, n): is a pair's largest value distance at
+    most lim[code]?  From the differences the exact distance would take.
+
+    One coordinate: |difference| is the distance itself, compared with
+    lim directly.  More: the sum of the squared differences is compared
+    with square = _square_limit(lim), which proves the distance below
+    lim (see there).  The maps' values are folded with np.maximum, so a
+    NaN in any map proves nothing for the pair.
+    """
+    first, more, part = _Scratch(), _Scratch(), _Scratch()
+
+    def below(rows, cols, codes, lim, square):
+        i = rows[:, None]
+        top = None
+        for m in range(len(columns[0])):
+            s = (first if top is None else more).block(rows, cols)
+            np.subtract(columns[0][m, i], columns[0][m, cols], out=s)
+            if len(columns) == 1:
+                np.abs(s, out=s)
+            else:
+                np.multiply(s, s, out=s)
+                for c in columns[1:]:
+                    d = np.subtract(c[m, i], c[m, cols],
+                                    out=part.block(rows, cols))
+                    s += np.multiply(d, d, out=d)
+            top = s if top is None else np.maximum(top, s, out=top)
+        return top <= (lim if len(columns) == 1 else square).take(codes)
+    return below
 
 
 def _largest_over_maps(dv: np.ndarray) -> np.ndarray:
     """functools.reduce(np.maximum, dv) bit for bit, for (maps, pairs)
     distances: a NaN pair keeps the first NaN in map order, as the fold
     does, whatever the sign bit a reduction would give it."""
+    if len(dv) == 1:
+        return dv[0]
     top = dv.max(axis=0)
     nan = np.isnan(top)
     if nan.any():
@@ -1032,12 +1129,14 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
     already attained cannot change it.  That prefix maximum, per code,
     is the limit of _unit_runs, which skips the units its tile bound
     proves below it; the first row of each row tile is evaluated first
-    to seed it.  In the runs left, every map gets every pair's value
-    distance, block by block, and the maps are folded in stack order with
-    np.maximum.  bound(rows, cols, codes, limit), over a run of an index
-    array of rows by a slice of columns, is True where it proves a pair's
-    largest value distance below limit[code], as a homotopy's endpoint
-    bound does; with it, only the other pairs get their exact distances.
+    to seed it.  In each run left, bound(rows, cols, codes, limit,
+    square), over an index array of rows by a slice of columns, is True
+    where it proves a pair's largest value distance at most limit[code]
+    (square is _square_limit(limit)); only the other pairs get their
+    exact distances, the maps folded in stack order as np.maximum folds
+    them (see _largest_over_maps).  The bound is _pair_screen, the sums
+    of squares of each pair's differences, unless the caller passes one,
+    as a geodesic homotopy passes its endpoint bound.
     """
     radii, bounds = _measured_bounds(net, values_list, n_buckets, bound)
     return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
@@ -1059,27 +1158,20 @@ def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
     bucket = _bucket_of_code(n_buckets)
     last = np.searchsorted(bucket, bucket, side="right") - 1  # of its bucket
     maps = np.asarray(values_list, dtype=float)
-    columns = [_columns(a) for a in maps] if bound is None else _columns(maps)
-    out, tmp, more = _Scratch(), _Scratch(), _Scratch()
+    columns = _columns(maps)
+    bound = bound or _pair_screen(columns)
     peaks = np.zeros(_RADII + 2)                # per code
 
     def limit():                                # attained prefix maxima
         return np.maximum.accumulate(peaks)[last]
 
-    for rows, cols, codes in _unit_runs(net, maps, limit, seed=True):
-        if bound is None:                       # every pair of every map
-            i = rows[:, None]
-            dv = _exact(maps[0], columns[0], i, cols, out, tmp)
-            for a, c in zip(maps[1:], columns[1:]):
-                np.maximum(dv, _exact(a, c, i, cols, more, tmp), out=dv)
-            np.maximum.at(peaks, codes.ravel(), dv.ravel())
-            continue
-        ii, jj = np.nonzero(~bound(rows, cols, codes, limit()))
-        if not len(ii):
-            continue
-        i, j = rows[ii], jj + cols.start
-        dv = _largest_over_maps(_exact(maps, columns, i, j))
-        np.maximum.at(peaks, codes[ii, jj], dv)
+    for rows, cols, codes, lim, square in _unit_runs(net, maps, limit,
+                                                     seed=True):
+        ii, jj = np.divmod(np.flatnonzero(
+            ~bound(rows, cols, codes, lim, square)), cols.stop - cols.start)
+        if len(ii):
+            dv = _exact(maps, columns, rows[ii], jj + cols.start)
+            np.maximum.at(peaks, codes[ii, jj], _largest_over_maps(dv))
     per_bucket = np.zeros(n_buckets)
     np.maximum.at(per_bucket, bucket, peaks)
     return radii, np.maximum.accumulate(per_bucket)
@@ -1145,12 +1237,13 @@ def check_modulus(f, slack: float) -> bool:
     _unit_runs skips the units whose tile bound lies below the lower
     bound lo[code] of each pair's allowance (see _allowances) at their
     lowest code, which holds only for units whose codes all lie in
-    1..254, where lo does not decrease.  In the runs left, every pair
-    gets its exact value distance; one at most lo[code] passes, and
-    every other pair, NaN and infinite values included, gets the exact
-    test np.hypot(...) > omega(d) + slack + _CHECK_TOLERANCE of the
-    unscreened pass, its allowance read from lo where its code is tight
-    and else evaluated on its net distance.  A step table over the
+    1..254, where lo does not decrease.  In the runs left, _pair_screen
+    passes the pairs whose sums of squares prove them at most lo[code];
+    every other pair gets its exact value distance.  One at most lo[code]
+    passes, and every other pair, NaN and infinite values included, gets
+    the exact test np.hypot(...) > omega(d) + slack + _CHECK_TOLERANCE of
+    the unscreened pass, its allowance read from lo where its code is
+    tight and else evaluated on its net distance.  A step table over the
     domain net's own dyadic radii (as measured_modulus_multi declares) is
     tight on every code from 1 to 254, so it computes net distances only
     for pairs at distance 0.
@@ -1169,16 +1262,21 @@ def check_modulus(f, slack: float) -> bool:
             and modulus.kind == "lipschitz" and modulus.lipschitz >= 1.0
             and np.array_equal(values, net.points)):
         return True  # the identity proof above
-    columns = _columns(values)
+    maps = values[None]
+    columns = _columns(maps)
+    screen = _pair_screen(columns)
     lo, tight = _allowances(net, modulus, slack)
-    out, tmp = _Scratch(), _Scratch()
-    for rows, cols, codes in _unit_runs(net, values[None], lambda: lo):
-        dv = _exact(values, columns, rows[:, None], cols, out, tmp)
-        ii, jj = np.nonzero(~(dv <= lo[codes]))
+    for rows, cols, codes, _, square in _unit_runs(net, maps, lambda: lo):
+        ii, jj = np.divmod(np.flatnonzero(
+            ~screen(rows, cols, codes, lo, square)), cols.stop - cols.start)
+        if not len(ii):
+            continue
         i, j, c = rows[ii], jj + cols.start, codes[ii, jj]
-        allowed, loose = lo[c], ~tight[c]
+        dv = _exact(maps, columns, i, j)[0]
+        allowed = lo[c]
+        loose = ~(dv <= allowed) & ~tight[c]
         allowed[loose] = (modulus(net.dist_pairs(i[loose], j[loose]))
                           + slack + _CHECK_TOLERANCE)
-        if np.any(dv[ii, jj] > allowed):
+        if np.any(dv > allowed):
             return False
     return True

@@ -25,9 +25,8 @@ from .maps import (Homotopy, MapSample, constant_map, cone_contraction,
                    dugundji_extend_partial, equiconnect_homotopy,
                    glue_homotopy_extension, homotopy_between, restrict,
                    small_diameter_extend)
-from .metric import (_SCREEN_FLOOR, _SCREEN_MARGIN, Modulus, _columns,
-                     euclidean_rows, measured_modulus, measured_modulus_multi,
-                     sup_distance)
+from .metric import (Modulus, _largest_distance, euclidean_rows,
+                     measured_modulus, measured_modulus_multi, sup_distance)
 from .spaces import SpacePair, make_pair, make_space, product_with, \
     subspace, urysohn
 
@@ -470,27 +469,9 @@ def _run_cone_contraction(report: Report):
 
 def _largest_slice_distance(values: np.ndarray) -> float:
     """max over a of float(euclidean_rows(values[a], values[a + 1:]).max()),
-    bit for bit.  Per slice a, only the pairs whose sum of squares s is
-    within _SCREEN_MARGIN of the largest, smax, get their distance: any
-    other pair's lies below that of the pair attaining smax (the argument
-    of metric._square_limit).  Every pair is evaluated where smax is not
-    a number in [_SCREEN_FLOOR, inf)."""
-    columns = _columns(values)
-    largest = []
-    for a in range(len(values) - 1):
-        s = np.zeros((len(values) - a - 1, values.shape[1]))
-        for c in columns:
-            d = np.subtract(c[a], c[a + 1:])
-            s += np.multiply(d, d, out=d)
-        smax = s.max()
-        if _SCREEN_FLOOR <= smax < math.inf:
-            near = np.flatnonzero(s >= smax * (1.0 - _SCREEN_MARGIN))
-            b, j = np.divmod(near, values.shape[1])
-            dist = euclidean_rows(values[a, j], values[a + 1 + b, j])
-        else:
-            dist = euclidean_rows(values[a], values[a + 1:])
-        largest.append(float(dist.max()))
-    return max(largest)
+    bit for bit (see metric._largest_distance)."""
+    return max(_largest_distance(values[a], values[a + 1:])
+               for a in range(len(values) - 1))
 
 
 def _run_equiconnected(report: Report):

@@ -6,10 +6,13 @@ so identical objects always serialize to identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import threading
 from importlib import resources
 from itertools import chain
 
@@ -23,10 +26,42 @@ from .maps import MapSample
 from . import certificates as certs
 
 
+# Pauses of the collector nest, across threads too: the first to enter
+# disables it and the last to leave enables it again if it was enabled
+# when the first entered.
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector for a bulk (de)serialization,
+    and enable it again after only if it was enabled before.  JSON trees
+    and the arrays read from them hold no reference cycles, so reference
+    counting frees them all; the collector would only walk every list
+    built so far, again and again, as the tree grows.  The collector is
+    one per process, so it stays off while any thread is inside."""
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_was_enabled:
+                gc.enable()
+
+
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@_gc_paused()
 def net_to_json(net: Net) -> dict:
     metric = "euclidean" if isinstance(net.metric, EuclideanMetric) else \
         {"matrix": net.metric.matrix.tolist()} if isinstance(net.metric, MatrixMetric) \
@@ -37,6 +72,7 @@ def net_to_json(net: Net) -> dict:
             "resolution": net.resolution, "metric": metric}
 
 
+@_gc_paused()
 def net_from_json(data: dict) -> Net:
     pts = np.asarray(_read(data, "net")["points"], dtype=float)
     if pts.ndim != 2 or pts.shape[1] != data["dimension"]:
@@ -145,6 +181,7 @@ def modulus_from_json(data: dict) -> Modulus:
     return Modulus.step(data["steps"])
 
 
+@_gc_paused()
 def map_to_json(f: MapSample, codomain_ref: dict | None = None) -> dict:
     return {"codomain": codomain_ref or space_to_ref(f.codomain),
             "values": f.values.tolist(),
@@ -152,6 +189,7 @@ def map_to_json(f: MapSample, codomain_ref: dict | None = None) -> dict:
             "name": f.name}
 
 
+@_gc_paused()
 def map_from_json(data: dict, domain: Net) -> MapSample:
     cod = space_from_ref(_read(data, "map")["codomain"])
     values = np.asarray(data["values"], dtype=float)
@@ -169,6 +207,7 @@ def problem_from_json(data: dict) -> tuple[SpacePair, MapSample]:
     return pair, map_from_json(data["map"], pair.z_net)
 
 
+@_gc_paused()
 def certificate_to_json(cert, epsilon: float) -> dict:
     """kind, epsilon and every dataclass field under its own name."""
     out = {f.name: _plain(getattr(cert, f.name))
@@ -191,6 +230,7 @@ def _plain(value):
     return value
 
 
+@_gc_paused()
 def certificate_from_json(data: dict, pair: SpacePair,
                           codomain: AnnotatedSpace):
     """The certificate a file holds.  It must fit its kind's row of

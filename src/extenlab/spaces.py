@@ -34,7 +34,8 @@ import numpy as np
 from . import dyadic
 from .errors import InvalidArgument, UnknownName
 from .metric import (ConeMetric, EuclideanMetric, MaxProductMetric, Modulus,
-                     Net, _frozen, euclidean_rows, pair_blocks)
+                     Net, _frozen, _square_excess, _square_limit,
+                     euclidean_rows, pair_blocks)
 
 
 def index_cutoff(eps: float) -> int:
@@ -348,8 +349,25 @@ def _build_disk(eps, params, extra=None):
     net = Net(pts, eps)
     n = len(net)
 
+    reach = radius + 1e-9
+    inside, outside = (float(f(np.array([reach]))[0])
+                       for f in (_square_limit, _square_excess))
+
+    @np.errstate(over="ignore")
     def member(p):
-        return euclidean_rows(p, center) <= radius + 1e-9
+        """euclidean_rows(p, center) <= reach, bit for bit: decided by the
+        sum of squares s of the same differences outside the band
+        (inside, outside) (see metric._square_limit and _square_excess),
+        and by np.hypot in it."""
+        if p.shape[1] != 2:
+            return euclidean_rows(p, center) <= reach
+        dx, dy = p[:, 0] - center[0], p[:, 1] - center[1]
+        s = dx * dx
+        s += dy * dy
+        within = s <= inside
+        band = np.flatnonzero(~within & ~(s >= outside))
+        within[band] = np.hypot(dx[band], dy[band]) <= reach
+        return within
 
     return AnnotatedSpace(
         "disk", params, net, np.zeros(n, dtype=int), ("disk",),

@@ -166,7 +166,8 @@ def test_crossing_blocked_by_the_region_not_by_accident():
 
 def _per_bracket_check(self, pair, phi, v):
     """MandatoryCrossingObstruction.check with one reachable() call per
-    bracket: the reference for the one union-find per label."""
+    bracket: the reference for the one union-find per label.  A bracket
+    forces a crossing only if both its images lie outside the region."""
     import math
     eps = pair.resolution
     cod = phi.codomain
@@ -196,7 +197,8 @@ def _per_bracket_check(self, pair, phi, v):
             continue
         allowed = (cod.labels == la) & ~mask
         v.add(f"bracket{j}-crossing-forced",
-              not reachable(adj, allowed, int(idx[0]), int(idx[1])),
+              bool(allowed[idx].all())
+              and not reachable(adj, allowed, int(idx[0]), int(idx[1])),
               "no chain avoids the region")
         da, db = map(float, euclidean_rows(pair.z_net.points[[a, b]],
                                            z0_pt))
@@ -236,13 +238,13 @@ def test_crossing_check_keeps_the_per_bracket_verdict_bytes(
     limit, member, tampered = (check_certificate(fam.pair, phi, c)
                                for phi, c in cases)
     assert limit.ok and member.status == "refuted"
-    # an image in the region is not allowed, so no chain from it avoids
-    # the region: that bracket's crossing entry passes, as it did with
-    # reachable() (False whenever an end is not allowed)
+    # a bracket with an image in the region forces no crossing: both
+    # brackets that end at that image fail their crossing entries
     assert region_mask(image, edited.region).all()
     trace = {c["check"]: c["ok"] for c in tampered.checks}
-    assert trace["bracket0-crossing-forced"]
-    assert trace["bracket1-crossing-forced"]
+    assert not trace["bracket0-crossing-forced"]
+    assert not trace["bracket1-crossing-forced"]
+    assert tampered.status == "refuted"
     # and a chain that avoids the region still refutes a bracket
     assert not all(c["ok"] for c in member.checks
                    if c["check"].endswith("crossing-forced"))

@@ -189,6 +189,26 @@ def test_emitted_files_fit_the_schemas_and_certify(tmp_path, family, n, form):
     assert _certify(tmp_path, path, ser.dumps(cert)) == 0
 
 
+def test_certify_refutes_a_crossing_whose_bracket_images_lie_in_the_region(
+        tmp_path):
+    # sine-eclosed's member 3 extends (its positive certificate verifies),
+    # so no crossing of the region x >= 0.5 is forced; the images of the
+    # bracket (63, 64) lie in that region, 0.16 away from phi(z0)
+    eps = 2.0 ** -6
+    fam = xl.example_family("sine-eclosed", eps)
+    problem = tmp_path / "problem.json"
+    problem.write_text(ser.dumps({"pair": ser.pair_to_ref(fam.pair),
+                                  "map": ser.map_to_json(fam.member(3))}))
+    positive = xl.certificate_for("sine-eclosed", 3, eps)
+    assert _certify(tmp_path, problem,
+                    ser.dumps(ser.certificate_to_json(positive, eps))) == 0
+    crossing = dataclasses.replace(
+        xl.certificate_for("sine-eclosed", None, eps), brackets=((63, 64),),
+        region={"axis": 0, "op": "ge", "value": 0.5}, separation=0.16)
+    assert _certify(tmp_path, problem,
+                    ser.dumps(ser.certificate_to_json(crossing, eps))) == 2
+
+
 def _registry():
     from referencing import Registry, Resource
     resources = []

@@ -563,8 +563,8 @@ def _counted_geodesic(monkeypatch, f, g):
     def counting(*args):
         below = make(*args)
 
-        def count(rows, cols, codes, limit):
-            skip = below(rows, cols, codes, limit)
+        def count(rows, cols, codes, *limits):
+            skip = below(rows, cols, codes, *limits)
             seen[0] += skip.size
             seen[1] += skip.size - np.count_nonzero(skip)
             return skip

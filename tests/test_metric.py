@@ -719,15 +719,12 @@ def test_exact_is_the_euclidean_expression_bit_for_bit(rng):
                 want.tobytes(), (dim, maps)
             if maps:
                 continue
-            out, tmp = metric._Scratch(), metric._Scratch()
             for rows, cols in ((np.arange(n), slice(0, n)),
                                (np.array([7, 0, 3]), slice(2, 9)),
                                (np.arange(2, n, 5), slice(5, 6))):
                 want = metric._euclidean(a[rows[:, None], :], a[cols, :])
-                for scratch in ((), (out, tmp)):
-                    got = metric._exact(a, columns, rows[:, None], cols,
-                                        *scratch)
-                    assert got.tobytes() == want.tobytes(), (dim, rows)
+                got = metric._exact(a, columns, rows[:, None], cols)
+                assert got.tobytes() == want.tobytes(), (dim, rows)
 
 
 @pytest.mark.parametrize("far, table_bytes", [(0, None), (-2, None),
@@ -1302,8 +1299,8 @@ def test_comb_member_measure_evaluates_few_pairs(monkeypatch):
     evaluated = [0]
     exact = metric._exact
 
-    def counting(a, columns, i, j, out=None, tmp=None):
-        dv = exact(a, columns, i, j, out, tmp)
+    def counting(a, columns, i, j):
+        dv = exact(a, columns, i, j)
         evaluated[0] += dv.size
         return dv
 
@@ -1311,7 +1308,9 @@ def test_comb_member_measure_evaluates_few_pairs(monkeypatch):
     seen = _count_skips(monkeypatch)
     got = metric._measured_bounds(ext.domain, [ext.values], 24)
     assert seen[0] == 631167
-    assert evaluated[0] == seen[1] <= 0.3 * seen[0]
+    assert seen[1] <= 0.3 * seen[0]
+    # the pair screen leaves exact distances to few of the visited pairs
+    assert evaluated[0] <= 0.03 * seen[0]
     want = unscreened_bounds(ext.domain, [ext.values])
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -1433,3 +1432,124 @@ def test_writes_through_a_base_array_reach_no_space_pair_graph_or_certificate(
     for a in (pair.z_indices, space.labels, graph.edges,
               path.witness_path, winding.loop, winding.witness_rings):
         assert not a.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the pair screen: each run's pairs settled from their sums of squares
+
+
+def _differences_at(rng, targets, dim, ulps=3):
+    """(pairs, dim) differences whose sums of squares (one coordinate:
+    whose absolute values) lie within a few ulps either side of each
+    target, in the order the screen adds the squares."""
+    out = []
+    for t in targets:
+        u = rng.normal(size=dim)
+        d = np.sqrt(t) * u / np.linalg.norm(u) if dim > 1 else np.array([t])
+        for k in range(-ulps, ulps + 1):
+            e = d.copy()
+            for _ in range(abs(k)):
+                e[0] = np.nextafter(e[0], np.inf if k > 0 else 0.0)
+            out.append(e)
+    return np.array(out)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_maps", [1, 3])
+def test_pair_screen_decides_sums_of_squares_ulps_from_the_limit(rng, dim,
+                                                                n_maps):
+    from extenlab import metric
+    lim = np.r_[np.nan, 2.0 ** rng.uniform(-40, 8, 254), np.nan]
+    # squares that underflow below the floor, and that overflow
+    lim[1:5] = 1e-300, 1e-170, 1e200, 1e160
+    square = metric._square_limit(lim)
+    codes = np.repeat(np.arange(256), 7).astype(np.uint8)
+    targets = lim if dim == 1 else np.where(square > 0, square, lim * lim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = _differences_at(rng, np.nan_to_num(targets, nan=1.0), dim)
+    # the other maps of a stack stay below the one that reaches the target
+    carrier = rng.integers(0, n_maps, len(diffs))
+    maps = rng.random((n_maps, len(diffs), 1)) * diffs[None]
+    maps[carrier, np.arange(len(diffs))] = diffs
+    values = np.concatenate([np.zeros((n_maps, 1, dim)), maps], axis=1)
+    below = metric._pair_screen(metric._columns(values))
+    got = below(np.array([0]), slice(1, len(diffs) + 1), codes[None],
+                lim, square)[0]
+    with np.errstate(over="ignore"):
+        if dim == 1:
+            want = np.abs(maps[..., 0]).max(axis=0) <= lim[codes]
+        else:
+            s = functools.reduce(np.add, (maps[..., k] * maps[..., k]
+                                          for k in range(dim)))
+            want = s.max(axis=0) <= square[codes]
+    assert np.array_equal(got, want)
+    # sound: a settled pair's exact distance in every map is within lim
+    exact = metric._euclidean(values[:, :1], values[:, 1:]).max(axis=0)
+    assert np.all(exact[got] <= lim[codes][got])
+    # the ulps either side of the limits reach both decisions, and the
+    # limits that NaN, the floor or an overflow make unusable settle none
+    assert got.any() and not got.all()
+    unusable = np.isin(codes, [0, 255] if dim == 1 else [0, 255, 1, 2, 3, 4])
+    assert not got[unusable].any()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+def test_seeds_of_every_block_come_first_on_a_stored_table(monkeypatch, rng):
+    # seeding first reorders the runs, and every table stays the same
+    from extenlab import metric
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * 900)   # many blocks
+    seeds = []
+    seed_runs = metric._seed_runs
+
+    def tagging(block, limit):
+        for run in seed_runs(block, limit):
+            seeds.append(run)
+            yield run
+
+    monkeypatch.setattr(metric, "_seed_runs", tagging)
+    n = 90
+    for table_bytes, stored in ((metric._TABLE_BYTES, True), (0, False)):
+        monkeypatch.setattr(metric, "_TABLE_BYTES", table_bytes)
+        for kind, net in _random_nets(rng, n).items():
+            values = rng.random((n, 2))
+            seeds.clear()
+            runs = list(metric._unit_runs(net, values[None],
+                                          lambda: np.zeros(256), seed=True))
+            kinds = [any(r is s for s in seeds) for r in runs]
+            first_unit = kinds.index(False)
+            assert all(kinds[:first_unit]), kind
+            assert (True not in kinds[first_unit:]) is stored, kind
+            for name, v in _screen_value_sets(rng, net, 2).items():
+                _assert_bounds_equal(net, [v], 24)
+                _assert_bounds_equal(net, [v, values, v[::-1]], 24)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_largest_distance_is_the_plain_maximum(rng):
+    from extenlab import metric
+    for special in (None, np.nan, np.inf, 1e300, 1e-170, -0.0):
+        for dim in (1, 2, 3):
+            p = np.round(rng.random((30, dim)), 2)      # ties
+            q = np.round(rng.random((5, 30, dim)), 2)
+            if special is not None:
+                q[rng.integers(0, 5, 2), rng.integers(0, 30, 2)] = special
+            for a, b in ((p, q), (q, p), (p, p[::-1]), (q[0], q[1:])):
+                want = float(metric._euclidean(a, b).max())
+                got = metric._largest_distance(a, b)
+                assert np.array_equal(got, want, equal_nan=True), \
+                    (special, dim)
+    # squares that order two pairs against np.hypot's order (see
+    # test_multi_map_screen_keeps_a_pair_whose_squares_order_lower)
+    for pq in ([(0.5071617982701625, 0.8442094826243638),
+                (0.924700775453757, 0.33886754942416897)],
+               [(1.6e-162, 0.0), (1.5e-162, 1.5e-162)]):
+        b = np.array(pq)
+        assert metric._largest_distance(np.zeros(2), b) == \
+            float(np.hypot(*b[1])) > float(np.hypot(*b[0]))
+    # a regular polygon: every chord ties, so every pair is near the max
+    turn = np.exp(2j * np.pi * np.arange(64) / 64)
+    ring = np.column_stack([turn.real, turn.imag])
+    assert metric._largest_distance(ring, np.roll(ring, -1, axis=0)) == \
+        float(metric._euclidean(ring, np.roll(ring, -1, axis=0)).max())

@@ -394,3 +394,73 @@ def test_numpy_scalar_fields_write_the_plain_bytes(name, n):
     back = ser.certificate_from_json(json.loads(blob), fam.pair,
                                      fam.codomain)
     assert ser.dumps(ser.certificate_to_json(back, EPS6)) == blob
+
+
+def test_bulk_json_pauses_the_collector_and_restores_its_state(monkeypatch):
+    import gc
+    phi = xl.example_family("comb", EPS6).member(1)
+    seen = []
+    to_ref = ser.space_to_ref
+
+    def recording(space):               # called inside map_to_json
+        seen.append(gc.isenabled())
+        return to_ref(space)
+
+    monkeypatch.setattr(ser, "space_to_ref", recording)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            data = ser.map_to_json(phi)
+            back = ser.map_from_json(json.loads(ser.dumps(data)), phi.domain)
+            assert gc.isenabled() is enabled
+            assert np.array_equal(back.values, phi.values)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+
+
+def test_collector_pauses_nest_across_threads():
+    import gc
+    import threading
+    inside, release = threading.Event(), threading.Event()
+
+    def hold():
+        with ser._gc_paused():
+            inside.set()
+            release.wait(10)
+
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        for thread_leaves_first in (False, True):
+            inside.clear()
+            release.clear()
+            other = threading.Thread(target=hold)
+            other.start()
+            assert inside.wait(10)
+            with ser._gc_paused():      # enters while the other is inside
+                assert not gc.isenabled()
+                if thread_leaves_first:
+                    release.set()
+                    other.join(10)
+                    assert not gc.isenabled()
+            assert gc.isenabled() is thread_leaves_first
+            release.set()
+            other.join(10)
+            assert gc.isenabled()
+        phi = xl.example_family("comb", EPS6).member(1)
+        workers = [threading.Thread(
+            target=lambda: [ser.map_to_json(phi) for _ in range(20)])
+            for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+        assert gc.isenabled()
+        gc.disable()
+        with ser._gc_paused():
+            pass
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -561,3 +561,30 @@ def test_sine_net_sizes_from_epsilon_one_to_2_9():
     # reproduction has used
     sizes = [len(xl.make_space("sine", 2.0 ** -k).net) for k in range(10)]
     assert sizes == [6, 10, 19, 48, 119, 326, 836, 2225, 6268, 17662]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("center, radius", [((0.0, 0.0), 1.0),
+                                            ((1.0, -0.25), 0.5),
+                                            ((0.5, 0.5), 0.0)])
+def test_disk_membership_from_squares_is_the_hypot_test(rng, center, radius):
+    # squares decide away from the boundary, np.hypot in a band around it
+    disk = spaces_mod._build_disk(EPS6, (("center", center),
+                                         ("radius", radius)))
+    c, reach = np.array(center), radius + 1e-9
+    angle = rng.uniform(0, 2 * math.pi, 400)
+    u = np.column_stack([np.cos(angle), np.sin(angle)])
+    # relative offsets around the band's edges (2^-30) and within ulps
+    rel = np.r_[np.arange(-8, 9) * 2.0 ** -32, np.arange(-4, 5) * 2.0 ** -52]
+    pts = c + reach * (1 + rel[:, None, None]) * u
+    pts = pts.reshape(-1, 2)
+    pts[:9] = [[np.nan, 0.0], [np.inf, 0.0], [-np.inf, np.nan], [1e300, 0.0],
+               [1e200, 1e200], [1e-300, 0.0], center, [c[0], np.inf],
+               [-0.0, -0.0]]
+    want = euclidean_rows(pts, c) <= reach
+    got = disk.contains(pts)
+    assert np.array_equal(got, want)
+    assert got.any() and not got.all()
+    one = rng.random((20, 1))              # one coordinate: as before
+    assert np.array_equal(disk.contains(one), euclidean_rows(one, c) <= reach)
