@@ -24,7 +24,7 @@ from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse
 from .families import _covered_family, explicit_extension, extends
 from .maps import MapSample, collapse_retraction, winding_number
 from .metric import (_frozen, _induced_components, _largest_distance,
-                     _same_net, euclidean_rows, pair_blocks)
+                     _same_net, _unique, euclidean_rows, pair_blocks)
 from .spaces import AnnotatedSpace, SpacePair, index_cutoff, osc_cutoff
 
 VERIFIED = "verified"
@@ -146,7 +146,7 @@ class PathComponentObstruction(Certificate):
                          .max(initial=0.0))
         v.add("witness-steps", max_step <= 2 * pair.resolution + 1e-12,
               f"max step {max_step:.3g} vs 2 eps")
-        v.add("witness-one-component", len(np.unique(y.labels[witness])) == 1,
+        v.add("witness-one-component", len(_unique(y.labels[witness])) == 1,
               "witness stays in one Y component")
         cod = phi.codomain
         imgs = phi.values[[self.z1, self.z2]]
@@ -197,7 +197,7 @@ class ClopenObstruction(Certificate):
         exists = pair.space.clopen.trace_extends(pair.z_indices, trace_y)
         v.add("no-clopen-extension", not exists,
               "Y's clopen oracle finds no set with this trace")
-        others = np.unique(vals[vals != self.value_ambient])
+        others = _unique(vals[vals != self.value_ambient])
         if len(others):
             v.margins["value_isolation"] = float(
                 np.abs(others - self.value_ambient).min())

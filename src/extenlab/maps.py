@@ -18,9 +18,9 @@ from .errors import (DiameterTooLarge, DomainMismatch, EpsilonTooLarge,
                      ExtensionFailure, GluingMismatch, InvalidArgument,
                      LoopTooCoarse)
 from .metric import (_SCREEN_MARGIN, Modulus, Net, _Scratch, _euclidean,
-                     _frozen, _same_net, check_modulus, euclidean_rows,
-                     measured_modulus, measured_modulus_multi, pair_blocks,
-                     sup_distance)
+                     _frozen, _same_net, _unique, check_modulus,
+                     euclidean_rows, measured_modulus, measured_modulus_multi,
+                     pair_blocks, sup_distance)
 from .spaces import AnnotatedSpace, Retraction, SpacePair, spiked_base_pair
 
 # Rows per weighted-average product `w @ values` in
@@ -58,10 +58,11 @@ class MapSample:
         return self.codomain.key
 
     def _distinct_values(self) -> np.ndarray:
-        """np.unique(values, axis=0), in O(n) when the map is constant."""
+        """np.unique(values, axis=0) (metric._unique), in O(n) when the
+        map is constant."""
         if np.all(self.values == self.values[0]):
             return self.values[:1]
-        return np.unique(self.values, axis=0)
+        return _unique(self.values, rows=True)
 
     def value_diameter(self) -> float:
         """Largest Euclidean distance between two values (exact maximum)."""

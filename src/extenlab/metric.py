@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -64,22 +65,75 @@ _GRID_MARGIN = 2.0 ** -20
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
-    """a as a read-only, C-contiguous array of dtype (float64 by default).
+    """a as a read-only, C-contiguous array of dtype (float64 by default),
+    in numpy's own instance of that dtype (an array read back by pickle
+    carries an equal one, which sends np.maximum.at down a path ten times
+    slower).
 
     Ownership passes: an array that owns its data is frozen in place, and
     the caller must not write to it again.  A view is kept only if its
     root array owns its data and is read-only; any other view is copied,
-    so no write through another name reaches what the result holds.
+    so no write through another name reaches what the result holds.  An
+    array that already meets all this comes back as it is, unconverted.
     """
-    out = np.ascontiguousarray(np.asarray(a, dtype=dtype))
-    root = out
-    while isinstance(root.base, np.ndarray):
-        root = root.base
-    if out.base is not None and (root.base is not None
-                                 or root.flags.writeable):
+    want = np.dtype(dtype)
+    if type(a) is np.ndarray and a.dtype is want and _unwritable(a):
+        return a
+    out = np.ascontiguousarray(np.asarray(a, dtype=want))
+    if out.base is not None and not _unwritable(out):
         out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def _unwritable(a: np.ndarray) -> bool:
+    """Is a a read-only C-contiguous array that owns its data, or a view
+    whose root array owns its data and is read-only?"""
+    root = a
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    return (a.flags.c_contiguous and not a.flags.writeable
+            and root.base is None and not root.flags.writeable)
+
+
+def _unique(a, rows: bool = False) -> np.ndarray:
+    """np.unique(a) of a real array, or np.unique(a, axis=0) of a 2-d one
+    with rows=True, bit for bit, without numpy.ma: numpy's unique asks
+    numpy.ma whether its input is masked, and so imports it (10-19 ms)
+    on its first call in a process.
+
+    The same steps as numpy's sorting route: a's elements (its rows,
+    viewed as records of their fields) sorted by np.sort's default kind,
+    then the first of each run of equal ones, so the zero kept is the
+    sign numpy keeps.  One NaN stays of the elements (the first after
+    the sort), and every row that holds a NaN, as numpy does.  Integer
+    inputs take numpy's hash route there, which gives the same sorted
+    values.
+    """
+    a = np.asanyarray(a)
+    if not rows:
+        return _sorted_firsts(a.ravel())
+    if a.shape[1] == 0:
+        return a[:1].copy()
+    flat = np.ascontiguousarray(a)
+    records = flat.view([(f"f{k}", flat.dtype) for k in range(a.shape[1])])
+    firsts = _sorted_firsts(records.ravel())
+    return firsts.view(a.dtype).reshape(-1, a.shape[1])
+
+
+def _sorted_firsts(ar: np.ndarray) -> np.ndarray:
+    aux = np.sort(ar)
+    keep = np.empty(aux.shape, dtype=bool)
+    keep[:1] = True
+    if len(aux) and aux.dtype.kind == "f" and np.isnan(aux[-1]):
+        nan = np.searchsorted(aux, aux[-1], side="left")
+        if nan > 0:
+            keep[1:nan] = aux[1:nan] != aux[:nan - 1]
+        keep[nan] = True
+        keep[nan + 1:] = False
+    else:
+        keep[1:] = aux[1:] != aux[:-1]
+    return aux[keep]
 
 
 def _euclidean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -888,7 +942,7 @@ def widest_path_value(graph: EpsilonGraph, src: int, dst: int,
         return float(h[src])
     adj = graph.adjacency()
     cap = min(h[src], h[dst])
-    levels = np.unique(h[h <= cap])
+    levels = _unique(h[h <= cap])
     if len(levels) == 0 or not reachable(adj, h >= levels[0], src, dst):
         return float("-inf")
     lo, hi = 0, len(levels) - 1  # reachable at levels[lo], search upward
@@ -901,7 +955,6 @@ def widest_path_value(graph: EpsilonGraph, src: int, dst: int,
     return float(levels[lo])
 
 
-@dataclass(frozen=True)
 class Modulus:
     """Declared modulus of continuity.
 
@@ -909,12 +962,39 @@ class Modulus:
     kind "step": omega(t) = bound of the smallest tabulated radius >= t;
     the table is nondecreasing and starts at (0, 0).  Beyond the last
     radius the last bound applies.
+
+    Immutable.  A step modulus from measured_modulus_multi holds the
+    measure of its table instead of the table until the first read: a
+    call, table(), radii, bounds, == (or hash), repr or pickling.  That
+    read measures the table once, under the instance's lock, keeps it and
+    drops the measure and the inputs it holds.
     """
 
-    kind: str
-    lipschitz: float = 0.0
-    radii: np.ndarray | None = None
-    bounds: np.ndarray | None = None
+    __slots__ = ("kind", "lipschitz", "_steps", "_measure", "_lock")
+
+    def __init__(self, kind: str, lipschitz: float = 0.0,
+                 radii: np.ndarray | None = None,
+                 bounds: np.ndarray | None = None):
+        steps = None if radii is None else (_frozen(radii), _frozen(bounds))
+        for name, value in (("kind", kind), ("lipschitz", lipschitz),
+                            ("_steps", steps), ("_measure", None),
+                            ("_lock", None)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _measured(measure) -> "Modulus":
+        """A step modulus whose table is measure(), a step Modulus, made
+        on the first read."""
+        m = Modulus("step")
+        object.__setattr__(m, "_measure", measure)
+        object.__setattr__(m, "_lock", threading.Lock())
+        return m
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @staticmethod
     def lip(constant: float) -> "Modulus":
@@ -932,19 +1012,61 @@ class Modulus:
             raise InvalidArgument("step table must start at (0, 0)")
         if np.any(np.diff(radii) <= 0) or np.any(np.diff(bounds) < 0):
             raise InvalidArgument("step table must be increasing/nondecreasing")
-        return Modulus("step", radii=_frozen(radii), bounds=_frozen(bounds))
+        return Modulus("step", radii=radii, bounds=bounds)
+
+    def _read(self) -> tuple | None:
+        """(radii, bounds), measured here on the first read; None for a
+        Lipschitz modulus."""
+        if self._measure is not None:
+            with self._lock:
+                if self._measure is not None:
+                    object.__setattr__(self, "_steps", self._measure()._steps)
+                    object.__setattr__(self, "_measure", None)
+        return self._steps
+
+    @property
+    def radii(self) -> np.ndarray | None:
+        steps = self._read()
+        return None if steps is None else steps[0]
+
+    @property
+    def bounds(self) -> np.ndarray | None:
+        steps = self._read()
+        return None if steps is None else steps[1]
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if self.kind == "lipschitz":
             return self.lipschitz * t
-        pos = np.searchsorted(self.radii, t, side="left")
-        return self.bounds[np.minimum(pos, len(self.bounds) - 1)]
+        radii, bounds = self._read()
+        pos = np.searchsorted(radii, t, side="left")
+        return bounds[np.minimum(pos, len(bounds) - 1)]
 
     def table(self) -> list[tuple[float, float]]:
         if self.kind != "step":
             raise InvalidArgument("only step moduli have tables")
-        return list(zip(self.radii.tolist(), self.bounds.tolist()))
+        radii, bounds = self._read()
+        return list(zip(radii.tolist(), bounds.tolist()))
+
+    def _key(self) -> tuple:
+        steps = self._read()
+        return (self.kind, self.lipschitz,
+                None if steps is None else tuple(map(bytes, steps)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Modulus:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Modulus(kind={self.kind!r}, lipschitz={self.lipschitz!r}, "
+                f"radii={self.radii!r}, bounds={self.bounds!r})")
+
+    def __reduce__(self):
+        return Modulus, (self.kind, self.lipschitz, self.radii, self.bounds)
 
 
 def _bucket_of_code(n_buckets: int) -> np.ndarray:
@@ -1137,27 +1259,95 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
     them (see _largest_over_maps).  The bound is _pair_screen, the sums
     of squares of each pair's differences, unless the caller passes one,
     as a geodesic homotopy passes its endpoint bound.
+
+    The checks of n_buckets and of the shapes are made here; the table
+    is measured on its first read (see Modulus), from a snapshot of the
+    maps taken here (_snapshot), so a later write to the caller's arrays
+    does not reach it.  Where _accepted cannot prove that Modulus.step
+    will accept the table, it is measured here, so an invalid table (a
+    NaN or infinite value, say) raises InvalidArgument from this call.
     """
-    radii, bounds = _measured_bounds(net, values_list, n_buckets, bound)
-    return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
+    maps = _snapshot(net, values_list, n_buckets)
+    modulus = Modulus._measured(functools.partial(
+        _measured_table, net, maps, n_buckets, bound))
+    if not _accepted(net, maps, n_buckets):
+        modulus.table()
+    return modulus
 
 
-def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
-    """The radii and bounds of measured_modulus_multi's table, empty on a
-    net of diameter 0; a bound is NaN or infinite where a value is, which
-    Modulus.step then rejects."""
+def _snapshot(net: Net, values_list, n_buckets: int) -> np.ndarray:
+    """measured_modulus_multi's checks, then its maps as one frozen
+    (maps, n, d) float64 stack (see _frozen: a list is stacked into a new
+    array, an array that owns its data is frozen in place, a stack this
+    made comes back unconverted)."""
     if not 1 <= n_buckets <= _RADII:
         raise InvalidArgument(f"n_buckets must be in 1..{_RADII}")
     shapes = {np.shape(v) for v in values_list}
     if len(shapes) != 1 or shapes.pop()[:-1] != (len(net),):
         raise InvalidArgument("the maps need one (n, d) shape, n = len(net)")
+    return _frozen(values_list)
+
+
+def _measured_table(net: Net, maps: np.ndarray, n_buckets: int,
+                    bound) -> Modulus:
+    radii, bounds = _measured_bounds(net, maps, n_buckets, bound)
+    return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _accepted(net: Net, maps: np.ndarray, n_buckets: int) -> bool:
+    """Will Modulus.step accept the table measured_modulus_multi measures
+    of the (maps, n, d) stack on net?  True only where it is proven here,
+    in O(n d) and without the net's pair table:
+
+    - each bound is a value distance or 0, and every value distance is
+      finite where the squared spans (max - min) of the value coordinates
+      over all maps add up to below 2^1000: each computed difference is
+      at most its coordinate's span (rounding is monotone), so no sum of
+      squares comes near overflow;
+    - the radii dmax 2^-k, k < n_buckets, are finite and increasing where
+      the net has a coordinate backend whose points are spanned the same
+      way: every net distance is then below inf (a cone's route through
+      the apex may give -inf, which raises no maximum), so dmax is
+      finite.  Points all equal make every distance at most 0, so dmax is
+      0 and the table (0, 0) alone.  Else dmax is at least the distance
+      of each pair of points that hold the least and the largest value of
+      a coordinate (dist_pairs, bit for bit the distances it folds), and
+      from 2^(n_buckets - 1000) up every radius is a normal number, so
+      exact.
+    """
+    if maps.size == 0 or not isinstance(net.metric, _CoordinateMetric):
+        return False
+    values, points = _extents(maps), _extents(net.points)
+    if not (values @ values < 2.0 ** 1000 and points @ points < 2.0 ** 1000):
+        return False
+    if not points.any():
+        return True
+    ends = net.dist_pairs(net.points.argmin(axis=0), net.points.argmax(axis=0))
+    return float(ends.max()) >= 2.0 ** (n_buckets - 1000)
+
+
+def _extents(a: np.ndarray) -> np.ndarray:
+    """max - min of each coordinate of a, on its last axis, over all the
+    rest: NaN or inf where a value is not finite or a span overflows, and
+    0 only where every value of the coordinate is equal.  One coordinate
+    at a time: numpy reduces across a short last axis slowly."""
+    return np.array([a[..., k].max() - a[..., k].min()
+                     for k in range(a.shape[-1])])
+
+
+def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
+    """The radii and bounds of measured_modulus_multi's table, empty on a
+    net of diameter 0; a bound is NaN or infinite where a value is, which
+    Modulus.step then rejects.  values_list as measured_modulus_multi
+    takes it; its snapshot is read as it is."""
+    maps = _snapshot(net, values_list, n_buckets)
     dmax = net._dmax
     if dmax == 0.0:
         return np.empty(0), np.empty(0)
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
     bucket = _bucket_of_code(n_buckets)
     last = np.searchsorted(bucket, bucket, side="right") - 1  # of its bucket
-    maps = np.asarray(values_list, dtype=float)
     columns = _columns(maps)
     bound = bound or _pair_screen(columns)
     peaks = np.zeros(_RADII + 2)                # per code

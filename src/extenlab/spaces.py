@@ -34,7 +34,7 @@ import numpy as np
 from . import dyadic
 from .errors import InvalidArgument, UnknownName
 from .metric import (ConeMetric, EuclideanMetric, MaxProductMetric, Modulus,
-                     Net, _frozen, _square_excess, _square_limit,
+                     Net, _frozen, _square_excess, _square_limit, _unique,
                      euclidean_rows, pair_blocks)
 
 
@@ -84,14 +84,14 @@ class ClopenAtoms:
                 for a, b in zip(cuts[:-1], cuts[1:])]
 
     def extends(self, subset: frozenset) -> bool:
-        part = np.unique(np.fromiter(subset, dtype=np.int64))
+        part = _unique(np.fromiter(subset, dtype=np.int64))
         if len(part) and (part[0] < 0 or part[-1] >= len(self.ids)):
             return False
         return self._covers(part, slice(None))
 
     def trace_extends(self, z_indices, trace: frozenset) -> bool:
-        z = np.unique(np.asarray(z_indices, dtype=np.int64))
-        part = np.unique(np.fromiter(trace, dtype=np.int64))
+        z = _unique(np.asarray(z_indices, dtype=np.int64))
+        part = _unique(np.fromiter(trace, dtype=np.int64))
         return bool(np.isin(part, z).all()) and self._covers(part, z)
 
     def _covers(self, part, pool) -> bool:
@@ -201,7 +201,7 @@ class AnnotatedSpace:
         return d <= self.net.resolution + 1e-9
 
     def component_count(self) -> int:
-        return len(np.unique(self.labels))
+        return len(_unique(self.labels))
 
     def basepoint(self, name: str) -> int:
         if name not in self.basepoints:
@@ -269,7 +269,7 @@ def _build_point(eps, params):
 def _build_interval(eps, params, extra=()):
     pts = dyadic.grid(eps)
     if len(extra):
-        pts = np.unique(np.concatenate([pts, np.asarray(extra, dtype=float)]))
+        pts = _unique(np.concatenate([pts, np.asarray(extra, dtype=float)]))
     net = Net(pts[:, None], eps)
     n = len(pts)
     return AnnotatedSpace(
@@ -418,10 +418,7 @@ def _disk_points(eps, center, radius, extra):
     index = np.full(len(arr), -1, dtype=int)
     index[hit] = idx2d[ix, iy]
     del idx2d
-    fresh: dict = {}
-    for i in np.flatnonzero(index < 0).tolist():
-        p = (float(arr[i, 0]), float(arr[i, 1]))
-        index[i] = fresh.setdefault(p, n_grid + len(fresh))
+    fresh = _first_occurrences(arr, np.flatnonzero(index < 0), index, n_grid)
 
     pts = np.empty((n_grid + len(fresh), 2))
     stop = 0
@@ -430,9 +427,27 @@ def _disk_points(eps, center, radius, extra):
         start, stop = stop, stop + int(np.count_nonzero(m))
         pts[start:stop, 0] = np.broadcast_to(xs[rows, None], m.shape)[m]
         pts[start:stop, 1] = np.broadcast_to(ys, m.shape)[m]
-    if fresh:
-        pts[n_grid:] = list(fresh)
+    pts[n_grid:] = fresh
     return pts, n_grid, index[3 * count:].copy()
+
+
+def _first_occurrences(arr, rows, index, start):
+    """The distinct points among arr[rows], each at its first occurrence,
+    in the order of those; index[r] gets start plus the position of
+    arr[r]'s.  Points compare as Python float pairs do (-0.0 equals 0.0,
+    a NaN nothing), and a point keeps the bits of its first occurrence.
+    """
+    points = arr[rows]
+    key = points + 0.0                  # -0.0 to 0.0; NaN stays
+    order = np.lexsort((key[:, 1], key[:, 0]))      # stable: firsts first
+    key = key[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    first = order[new]                  # per run of equal points
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    index[rows[order]] = start + rank[np.cumsum(new) - 1]
+    return points[np.sort(first)]
 
 
 def _nearest_row(pts, target) -> int:
@@ -541,7 +556,7 @@ def _comb_teeth(eps) -> list[float]:
 def _build_comb(eps, params):
     teeth = _comb_teeth(eps)
     ygrid = dyadic.grid(eps)
-    base_x = np.unique(np.concatenate([dyadic.grid(eps), np.asarray(teeth)]))
+    base_x = _unique(np.concatenate([dyadic.grid(eps), np.asarray(teeth)]))
     base = np.column_stack([base_x, np.zeros(len(base_x))])
     cols = [np.column_stack([np.full(len(ygrid) - 1, x), ygrid[1:]])
             for x in teeth]
@@ -776,7 +791,7 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
 def subspace(space: AnnotatedSpace, indices, name: str) -> AnnotatedSpace:
     """Connected sub-net of a catalog space, reusing the parent's metric."""
     idx = _net_indices(indices, space, "subspace")
-    labs = np.unique(space.labels[idx])
+    labs = _unique(space.labels[idx])
     if len(labs) != 1:
         raise InvalidArgument("subspace must sit inside one path component")
     net = space.net.subnet(idx)

@@ -470,6 +470,78 @@ def test_every_example_at_coarse_epsilon_ends_in_an_exit_code(capsys):
     assert codes["anr-eopen", "2^-3"] == 0
 
 
+# sha256 of each example's JSON report at the coarse resolutions (standard
+# output, a NUL, standard error) with its exit code, as recorded before
+# measured moduli became lazy: an error deferred to a later read would
+# move a report.fail path and show here
+COARSE_REPORTS = {
+    ("anr-eclosed", "1"): (3, "6450758716ba0c2715c165a3fde942f8b825910cfdf217824bded6ea2195ed77"),
+    ("anr-eclosed", "2^-1"): (3, "6450758716ba0c2715c165a3fde942f8b825910cfdf217824bded6ea2195ed77"),
+    ("anr-eclosed", "2^-2"): (3, "6450758716ba0c2715c165a3fde942f8b825910cfdf217824bded6ea2195ed77"),
+    ("anr-eclosed", "2^-3"): (3, "6450758716ba0c2715c165a3fde942f8b825910cfdf217824bded6ea2195ed77"),
+    ("anr-eopen", "1"): (3, "f91ea5a1de88d6ac40afb2f9cbc9178aade2c0491ee018f40a01a364f64d2a83"),
+    ("anr-eopen", "2^-1"): (3, "7b76372ad896fd9d210ca39721053b351a01c44cfe57c10ac8e856968ae60d9e"),
+    ("anr-eopen", "2^-2"): (3, "4444acdaabdb83fc3efa8c13abf564c08ccd9f88e283b8942ee4a77c26bfcfe8"),
+    ("anr-eopen", "2^-3"): (0, "77fc6bb0682e4bb672a8e6f1cadec4412d0e66a8f4c5750c943d376607f42580"),
+    ("comb", "1"): (3, "b36e1ccda1b4d2bca9c1f405e0cbcaa491b289da5fe3f20629473c374ce1c9fc"),
+    ("comb", "2^-1"): (3, "95c7f31b14409f3eb50ece81bdf78f802774772a9cfe06486b064b539052c737"),
+    ("comb", "2^-2"): (3, "c67d1ab2442cb4381d2d8397da6dd2373f83286b96dbf39f29970d96bd1465bb"),
+    ("comb", "2^-3"): (3, "ca4ccb73122ca43e6e21bfe582892b69119178332948b6f34d5d8c2db68cab34"),
+    ("cone-contraction", "1"): (0, "75a34841e442f4547b028aef77ef1ba4e9ccd6180de39cd2af6a4d35d6f2f048"),
+    ("cone-contraction", "2^-1"): (0, "214037e33d9d764674fb91efb2ede5f0f06207b94bd523bab959a33bf1234ace"),
+    ("cone-contraction", "2^-2"): (0, "5ff2b116f3e45ff34a755293e0069df319e3f7b4daadeca4e77475f7f070ed66"),
+    ("cone-contraction", "2^-3"): (0, "35898706162d05a3299969ad3c8b5ca6d7c65ad0b79e907580767a9dd05e5684"),
+    ("eop-homotopy", "1"): (0, "cd0d85677ee30a2550770e9d8d7a198db9349b2fc7391c6d9dff92669df60d0b"),
+    ("eop-homotopy", "2^-1"): (0, "aa429864c92dda1907d7f1436761d2ae2045ce3a169516c61e5a96558677883f"),
+    ("eop-homotopy", "2^-2"): (0, "7358ccccbf3e213156a73f947d12cefcaab692589dc92f7c202bc55e691e4437"),
+    ("eop-homotopy", "2^-3"): (0, "236984da2620075517e071f2d79b96761af599393260607672da809a66189519"),
+    ("equiconnected", "1"): (0, "ca144b926d5f884e09a7f39eccf12b78d0bc62589753981fab0dbfc661710ed5"),
+    ("equiconnected", "2^-1"): (0, "f7a86bb93f8b52002b41f254d85e14fadb218c0f4c98ee678fd98ae1742e82f3"),
+    ("equiconnected", "2^-2"): (0, "2b75a420bb1c49b1081de2515cb6f30eb1ab736ed5e6c40b43b25ffaa8847b57"),
+    ("equiconnected", "2^-3"): (0, "8fa319f7f11361e9fe3b23c0b82882560e9bc8a66e8db5c02a60813a3ab37e3f"),
+    ("hawaii", "1"): (3, "226752dc97b852c03aa470222b920f5d4287e5cb428478322300f3c8781fd97b"),
+    ("hawaii", "2^-1"): (3, "393c87105adb041fc6c3e513c13867a32fcc020c4b0bcf0bf2b8ebde93f30058"),
+    ("hawaii", "2^-2"): (3, "58ce8574d514062c80a825e17805007251e0dcf5ccd623fdd0286a841aa7e5ea"),
+    ("hawaii", "2^-3"): (3, "795673f0dfb3c58cb1a22c987549447b6b8a565d4060a32dc9f3264b3d4e571b"),
+    ("loc-ext", "1"): (0, "f34df97fe260a2d75452365a0140b13f5a9f4ddcd54f6e480b1ab5c7776f0f99"),
+    ("loc-ext", "2^-1"): (0, "122b0563f7cbb0591bdf9088962db6052f7a9afd5e62670fc085cbe441475a42"),
+    ("loc-ext", "2^-2"): (0, "3f0546f50eedc821884efc6315d57b3c3e9460ccf0050c4fbd5a28589c11b854"),
+    ("loc-ext", "2^-3"): (0, "e8ae68193d43060980d903e9070bb4549211818cb8ec8417cee62c24b0bbda0c"),
+    ("ndagger-eclosed", "1"): (0, "54271778c70166a488bdd59793672002070308624b900a34bec4fc6ceeac954f"),
+    ("ndagger-eclosed", "2^-1"): (0, "f0a27300ddf8484bd2596fecb94a342b98bf56fd5c79bad0f830ba3fa284a9e1"),
+    ("ndagger-eclosed", "2^-2"): (0, "33363c2e2aacc39f5d201c0dc55c7c97cedc09cd2a414adb7c8199d60d1d5cca"),
+    ("ndagger-eclosed", "2^-3"): (0, "b6024dfb76bfdc328e3dc4bc9a6b0a77209afa266c49f3c1221734508b7823cc"),
+    ("ndagger-not-eopen", "1"): (2, "69e3145ce749a4423d52b38c09a3523f1f3d562ae4beff558d7c702fe626109d"),
+    ("ndagger-not-eopen", "2^-1"): (2, "63b0159d8d0287593835f2b1e420c04688a92e08cd952d9034a57282a2030b47"),
+    ("ndagger-not-eopen", "2^-2"): (2, "fca7697c59ff927ca1e171b58b20dab0847a44d263dc3e7dedb6354e2d6a6e3b"),
+    ("ndagger-not-eopen", "2^-3"): (2, "ec30fc2b567e5cb5742db22c6c18299db6cb2eb250c9814cd0a2a852e2f68807"),
+    ("pathcomp", "1"): (3, "75b71b9916341c94072a6493268b04a18d74948c363742b761657d89f1f0772f"),
+    ("pathcomp", "2^-1"): (3, "6575bf332fb7824fcb2f5fb71ea2e86a87ad49c7ad5421eadadd0cd2e1502f17"),
+    ("pathcomp", "2^-2"): (3, "a3011fce76d7666809cb48eeb481feee6c89750367681ff88b7e896938bf590a"),
+    ("pathcomp", "2^-3"): (3, "e0e9e6f5e5aafd2abb54d6d620a098b0ce8ceb155ad09112bdbf82952c55c9d4"),
+    ("sine-not-eclosed", "1"): (3, "75b71b9916341c94072a6493268b04a18d74948c363742b761657d89f1f0772f"),
+    ("sine-not-eclosed", "2^-1"): (3, "6575bf332fb7824fcb2f5fb71ea2e86a87ad49c7ad5421eadadd0cd2e1502f17"),
+    ("sine-not-eclosed", "2^-2"): (3, "a3011fce76d7666809cb48eeb481feee6c89750367681ff88b7e896938bf590a"),
+    ("sine-not-eclosed", "2^-3"): (3, "e0e9e6f5e5aafd2abb54d6d620a098b0ce8ceb155ad09112bdbf82952c55c9d4"),
+    ("sine-not-eopen", "1"): (3, "75b71b9916341c94072a6493268b04a18d74948c363742b761657d89f1f0772f"),
+    ("sine-not-eopen", "2^-1"): (3, "6575bf332fb7824fcb2f5fb71ea2e86a87ad49c7ad5421eadadd0cd2e1502f17"),
+    ("sine-not-eopen", "2^-2"): (3, "a3011fce76d7666809cb48eeb481feee6c89750367681ff88b7e896938bf590a"),
+    ("sine-not-eopen", "2^-3"): (3, "e0e9e6f5e5aafd2abb54d6d620a098b0ce8ceb155ad09112bdbf82952c55c9d4"),
+}
+
+
+def test_every_example_at_coarse_epsilon_keeps_its_report_bytes(capsys):
+    import hashlib
+    got = {}
+    for entry in xl.list_examples():
+        for eps in ("1", "2^-1", "2^-2", "2^-3"):
+            code, out, err = run_cli(capsys, "example", "run", entry["name"],
+                                     "--epsilon", eps, "--format", "json")
+            got[entry["name"], eps] = (code, hashlib.sha256(
+                (out + "\0" + err).encode()).hexdigest())
+    assert got == COARSE_REPORTS
+
+
 def test_space_info_sine_at_epsilon_one(capsys):
     code, out, _ = run_cli(capsys, "space", "info", "sine", "--epsilon", "1")
     assert code == 0 and "net_size: 6" in out
@@ -997,6 +1069,35 @@ def test_no_scipy_module_at_runtime(tmp_path):
         f" {str(certs / 'certificate.json')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(xl.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_numpy_ma_module_at_runtime(tmp_path):
+    # numpy's unique imports numpy.ma on its first call; the package's
+    # sort-based unique does not: the 13 reproductions at their pinned
+    # resolutions and a certify in a fresh interpreter
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    certs = tmp_path / "certs"
+    script = (
+        "import contextlib, io, sys\n"
+        "import extenlab, extenlab.cli\n"
+        "run = extenlab.cli.main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for entry in extenlab.list_examples():\n"
+        "        run(['example', 'run', entry['name']])\n"
+        f"    assert run(['example', 'run', 'comb', '--epsilon', '2^-6',"
+        f" '--n-max', '5', '--emit-certificates', {str(certs)!r}]) == 0\n"
+        f"    assert run(['certify', {str(certs / 'problem.json')!r},"
+        f" {str(certs / 'certificate.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(xl.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)

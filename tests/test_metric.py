@@ -753,7 +753,7 @@ def test_pair_grid_is_evaluated_once_per_net(monkeypatch, rng, far,
     grid = sum(sizes)
     values = rng.random((n, 1))
     declared = measured_modulus(net, values)
-    metric.measured_modulus_multi(net, [values, rng.random((n, 1))])
+    metric.measured_modulus_multi(net, [values, rng.random((n, 1))]).table()
     assert check_modulus(MapSample(net, None, values, declared), 0.0)
     if table_bytes == 0:
         # nothing stored: the diameter once, then the codes in each call
@@ -1553,3 +1553,227 @@ def test_largest_distance_is_the_plain_maximum(rng):
     ring = np.column_stack([turn.real, turn.imag])
     assert metric._largest_distance(ring, np.roll(ring, -1, axis=0)) == \
         float(metric._euclidean(ring, np.roll(ring, -1, axis=0)).max())
+
+
+# ---------------------------------------------------------------------------
+# a measured modulus is measured on its first read
+
+
+def _count_measures(monkeypatch):
+    """Patch metric._measured_bounds and Net._pair_table to record the net
+    of each measure and of each pair table built: (measures, tables)."""
+    import time
+    from extenlab import metric
+    measures, tables = [], []
+    measure = metric._measured_bounds
+
+    def counting(net, *args, **kwargs):
+        measures.append(net)
+        time.sleep(0.01)                # a window for concurrent readers
+        return measure(net, *args, **kwargs)
+
+    build = Net.__dict__["_pair_table"].func
+    table = functools.cached_property(
+        lambda self: tables.append(self) or build(self))
+    table.__set_name__(Net, "_pair_table")
+    monkeypatch.setattr(metric, "_measured_bounds", counting)
+    monkeypatch.setattr(Net, "_pair_table", table)
+    return measures, tables
+
+
+def test_an_unread_modulus_measures_nothing(monkeypatch):
+    from extenlab.maps import cone_contraction, equiconnect_homotopy
+    from extenlab.metric import ConeMetric, euclidean_rows
+    from extenlab.spaces import subspace
+    circle = xl.make_space("circle", 2.0 ** -7)
+    net = circle.net
+    measures, tables = _count_measures(monkeypatch)
+    # the j = 2 contraction of the cone-contraction reproduction
+    d = euclidean_rows(net.points, net.points[0])
+    ball = subspace(circle, np.flatnonzero(d <= 2.0 ** -5), "ball")
+    h = cone_contraction(ball, 0, 2.0 ** -2)
+    # a geodesic homotopy of equiconnected
+    ang = np.arctan2(net.points[:, 1], net.points[:, 0])
+    bump = np.where(ang >= 0, 0.01 * np.sin(np.maximum(ang, 0.0)), 0.0)
+    vals = np.column_stack([np.cos(ang + bump), np.sin(ang + bump)])
+    vals[bump == 0.0] = net.points[bump == 0.0]
+    g = equiconnect_homotopy(MapSample(net, circle, net.points,
+                                       Modulus.lip(1.0)),
+                             MapSample(net, circle, vals, Modulus.lip(2.0)),
+                             delta=0.05)
+    assert measures == []
+    assert not any(isinstance(t.metric, ConeMetric) for t in tables)
+    cone_table, geodesic_table = h.modulus.table(), g.modulus.table()
+    assert [m.metric.__class__ for m in measures] == [ConeMetric,
+                                                       EuclideanMetric]
+    assert measures[0] in tables and 385 <= len(measures[0]) <= 2689
+    # read again: kept, not measured again
+    assert (h.modulus.table(), g.modulus.table()) == (cone_table,
+                                                      geodesic_table)
+    assert len(measures) == 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+def test_every_read_of_a_measured_modulus_is_the_eager_table(rng):
+    import pickle
+    from extenlab import metric
+    from extenlab.serialization import modulus_to_json
+    n = 40
+    t = np.r_[-1.0, -0.0, 0.0, np.nan, -np.nan, np.inf, 3 * rng.random(9)]
+    for kind, net in _random_nets(rng, n).items():
+        for dim in (1, 2):
+            for name, values in _screen_value_sets(rng, net, dim).items():
+                for values_list in ([values],
+                                    [values, np.roll(values, 1, axis=0)]):
+                    radii, bounds = metric._measured_bounds(net, values_list,
+                                                            24)
+                    try:
+                        want = Modulus.step([(0.0, 0.0)] + list(zip(
+                            radii.tolist(), bounds.tolist())))
+                    except InvalidArgument:
+                        assert np.isnan(bounds).any() or \
+                            np.isinf(bounds).any(), (kind, dim, name)
+                        with pytest.raises(InvalidArgument):
+                            measured_modulus_multi(net, values_list)
+                        continue
+                    probe = np.r_[t, want.radii,
+                                  np.nextafter(want.radii, np.inf)]
+                    reads = {
+                        "call": lambda m: m(probe).tobytes(),
+                        "table": lambda m: m.table(),
+                        "radii": lambda m: m.radii.tobytes(),
+                        "bounds": lambda m: m.bounds.tobytes(),
+                        "json": modulus_to_json,
+                        "check": lambda m: check_modulus(
+                            MapSample(net, None, values, m), 0.0),
+                        "repr": repr,
+                        "eq": lambda m: (m == want, hash(m) == hash(want)),
+                        "pickle": lambda m: pickle.loads(pickle.dumps(m))
+                        .bounds.tobytes()}
+                    for read, of in reads.items():
+                        # a fresh modulus each, so that this is its first read
+                        got = measured_modulus_multi(net, values_list)
+                        assert of(got) == of(want), (kind, dim, name, read)
+
+
+def test_writes_after_the_call_leave_the_table(rng):
+    n = 50
+    net = Net(rng.random((n, 2)), 0.1)
+    values = rng.random((n, 2))
+    want = measured_modulus(net, values.copy()).table()
+    listed = measured_modulus(net, values)              # stacked anew
+    rows = np.concatenate([values, values])
+    stacks = np.stack([values, values])
+    viewed = measured_modulus_multi(net, stacks[:1])    # a view: copied
+    owned = stacks[1:].copy()
+    passed = measured_modulus_multi(net, owned)         # frozen in place
+    values[:] = 0.0
+    rows[:] = 0.0
+    stacks[:] = 0.0
+    with pytest.raises(ValueError):
+        owned[0, 0, 0] = 5.0
+    assert listed.table() == viewed.table() == passed.table() == want
+
+
+def test_snapshots_hold_numpy_own_float64_and_maps_survive_pickle(rng):
+    import pickle
+    from extenlab import metric
+    n = 60
+    net = Net(rng.random((n, 2)), 0.1)
+    values = rng.random((n, 2))
+    thawed = pickle.loads(pickle.dumps(values))
+    assert thawed.dtype == np.dtype(float) and \
+        thawed.dtype is not np.dtype(float)     # equal, not numpy's own
+    for values_list in ([thawed], thawed[None], np.stack([thawed, thawed])):
+        assert metric._snapshot(net, values_list, 24).dtype is \
+            np.dtype(float)
+    f = MapSample(net, None, values, measured_modulus(net, values))
+    g = pickle.loads(pickle.dumps(f))           # a read: the table goes along
+    for a, b in ((f.modulus.radii, g.modulus.radii),
+                 (f.modulus.bounds, g.modulus.bounds)):
+        assert a.tobytes() == b.tobytes()
+        assert b.dtype is np.dtype(float) and not b.flags.writeable
+    assert g.modulus == f.modulus
+    assert measured_modulus(g.domain, g.values).table() == f.modulus.table()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_invalid_tables_still_raise_at_construction(rng):
+    from extenlab.metric import ConeMetric, MaxProductMetric
+    n = 30
+    nets = [Net(rng.random((n, 2)), 0.1),
+            Net(rng.random((n, 3)), 0.1, ConeMetric()),
+            Net(rng.random((n, 3)), 0.1, MaxProductMetric(1))]
+    for net in nets:
+        for bad in (np.nan, np.inf, -np.inf):
+            values = rng.random((n, 2))
+            values[7, 1] = bad
+            with pytest.raises(InvalidArgument):
+                measured_modulus(net, values)
+        wide = rng.random((n, 1))
+        wide[3], wide[4] = 1e308, -1e308        # the span overflows
+        with pytest.raises(InvalidArgument):
+            measured_modulus(net, wide)
+        with pytest.raises(InvalidArgument):     # squares overflow
+            measured_modulus(net, 1e160 * rng.random((n, 3)))
+    far = np.zeros((n, 1))
+    far[1], far[2] = 1e308, -1e308              # the diameter overflows
+    with pytest.raises(InvalidArgument):
+        measured_modulus(Net(far, 0.1), rng.random((n, 1)))
+    # a valid table needs no read to be accepted
+    assert measured_modulus(Net(np.zeros((n, 2)), 0.1),
+                            rng.random((n, 1))).table() == [(0.0, 0.0)]
+
+
+def test_four_first_reads_at_once_measure_once(monkeypatch, rng):
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+    n = 400
+    points, values = rng.random((n, 2)), rng.random((n, 2))
+    want = measured_modulus(Net(points.copy(), 0.1), values).table()
+    measures, _ = _count_measures(monkeypatch)
+    start = threading.Barrier(4, timeout=60)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            modulus = measured_modulus(Net(points, 0.1), values)
+
+            def first_read(_):
+                start.wait()
+                return modulus.table()
+
+            with ThreadPoolExecutor(4) as pool:
+                tables = list(pool.map(first_read, range(4), timeout=60))
+            assert all(table == want for table in tables)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(measures) == 5           # one per modulus, not per thread
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_unique_is_numpy_unique_bit_for_bit(rng):
+    from extenlab.metric import _unique
+    specials = np.array([0.0, -0.0, 1.0, 2.5, np.nan, -np.nan, np.inf,
+                         -np.inf, 1e-300, 5e-324])
+    for n in (0, 1, 2, 7, 40, 3000):
+        for trial in range(4):
+            flat = rng.choice(specials, n)
+            flat[rng.random(n) < 0.2] = np.nan * rng.choice([1, -1])
+            ints = rng.integers(-5, 5, n)
+            for a in (flat, ints, flat.reshape(-1, 1), np.abs(flat)):
+                want, got = np.unique(a), _unique(a)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), a
+            for dim in (1, 2, 3):
+                rows = rng.choice(specials[:5], (n, dim))
+                want, got = np.unique(rows, axis=0), _unique(rows, rows=True)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), rows
+    for shape in ((3, 0), (0, 2)):
+        empty = np.empty(shape)
+        assert _unique(empty, rows=True).shape == \
+            np.unique(empty, axis=0).shape

@@ -514,6 +514,65 @@ def test_disk_builder_matches_the_meshgrid_builder(k):
                                       injected)
 
 
+def _dict_loop_disk_points(eps, center, radius, extra):
+    """spaces._disk_points with its non-lattice points resolved one at a
+    time through a dict of float pairs (first occurrences kept): the
+    reference for the sort-based dedup."""
+    cx, cy = center
+    xs = dyadic.grid(eps, cx - radius, cx + radius)
+    ys = dyadic.grid(eps, cy - radius, cy + radius)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    mask = (gx - cx) ** 2 + (gy - cy) ** 2 <= radius ** 2
+    n_grid = int(np.count_nonzero(mask))
+    idx2d = np.full(mask.shape, -1, dtype=np.int32)
+    idx2d[mask] = np.arange(n_grid, dtype=np.int32)
+    count = int(math.ceil(2 * math.pi * radius / (0.5 * eps)))
+    ang = 2 * math.pi * np.arange(count) / count
+    queries = [np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)])
+               for r in (radius, radius - 0.5 * eps, radius - eps)]
+    if extra is not None and len(extra):
+        queries.append(np.asarray(extra, dtype=float))
+    arr = np.concatenate(queries)
+    f = (arr - (xs[0], ys[0])) / eps
+    hit = np.all((f == np.round(f)) & (f >= 0) & (f < mask.shape), axis=1)
+    ix, iy = f[hit].astype(int).T
+    index = np.full(len(arr), -1, dtype=int)
+    index[hit] = idx2d[ix, iy]
+    fresh: dict = {}
+    for i in np.flatnonzero(index < 0).tolist():
+        p = (float(arr[i, 0]), float(arr[i, 1]))
+        index[i] = fresh.setdefault(p, n_grid + len(fresh))
+    pts = np.concatenate([np.column_stack([gx[mask], gy[mask]]),
+                          np.reshape(list(fresh), (-1, 2))])
+    return pts, n_grid, index[3 * count:].copy()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_disk_points_match_the_dict_loop(rng):
+    eps = 2.0 ** -4
+    # signed zeros (both orders), repeats, lattice points, NaN rows (a
+    # NaN equals nothing, so each is its own point) and random points
+    extra = np.array([[-0.0, 0.3], [0.0, 0.3], [0.3, 0.0], [0.3, -0.0],
+                      [0.25, 0.5], [0.25, 0.5], [0.1, 0.1], [0.1, 0.1],
+                      [np.nan, 0.2], [np.nan, 0.2], [0.2, np.nan],
+                      [-0.0, -0.0], [0.0, 0.0]])
+    extra = np.vstack([extra, 0.6 * rng.random((20, 2)), extra[::-1]])
+    for center, radius in (((0.0, 0.0), 1.0), ((0.5, -0.25), 0.3),
+                           ((0.3, 0.1), 0.7)):
+        for added in (None, extra[:0], extra, extra[:8]):
+            want = _dict_loop_disk_points(eps, center, radius, added)
+            got = spaces_mod._disk_points(eps, center, radius, added)
+            assert got[1] == want[1]
+            for g, w in ((got[0], want[0]), (got[2], want[2])):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+    # the first occurrence's bits: -0.0 where it came before 0.0
+    pts, n_grid, index = spaces_mod._disk_points(eps, (0.0, 0.0), 1.0, extra)
+    assert np.signbit(pts[index[0], 0]) and index[1] == index[0]
+    assert not np.signbit(pts[index[2], 1]) and index[3] == index[2]
+    assert index[4] == index[5] < n_grid and index[8] != index[9]
+
+
 def test_disk_earring_pair_peaks_near_its_points():
     # the lattice mask and index table are the only lattice-sized
     # temporaries; the meshgrid builder peaked at 6.6 times the points
