@@ -11,8 +11,8 @@ from .errors import (DegenerateSeparation, DiameterTooLarge, DomainMismatch,
                      GluingMismatch, InvalidArgument, LoopTooCoarse,
                      NotCoveredRefusal, UnknownName)
 from .metric import (EpsilonGraph, Modulus, Net, build_epsilon_graph,
-                     check_modulus, graph_components, measured_modulus,
-                     sup_distance, sup_distance_interval, widest_path_value)
+                     check_modulus, measured_modulus, sup_distance,
+                     widest_path_value)
 from .spaces import (AnnotatedSpace, SpacePair, catalog_names, cone,
                      index_cutoff, make_pair, make_space, opc_disjoint_union,
                      osc_cutoff, pair_names, product_with, spiked_base_pair,

@@ -18,9 +18,9 @@ from .errors import (DiameterTooLarge, DomainMismatch, EpsilonTooLarge,
                      ExtensionFailure, GluingMismatch, InvalidArgument,
                      LoopTooCoarse)
 from .metric import (_SCREEN_MARGIN, Modulus, Net, _Scratch, _euclidean,
-                     _frozen, _same_net, _unique, check_modulus,
-                     euclidean_rows, measured_modulus, measured_modulus_multi,
-                     pair_blocks, sup_distance)
+                     _frozen, _same_net, _through_constructor, _unique,
+                     check_modulus, euclidean_rows, measured_modulus,
+                     measured_modulus_multi, pair_blocks, sup_distance)
 from .spaces import AnnotatedSpace, Retraction, SpacePair, spiked_base_pair
 
 # Rows per weighted-average product `w @ values` in
@@ -52,6 +52,8 @@ class MapSample:
         if len(v) != len(self.domain):
             raise InvalidArgument("one value per domain net point required")
         object.__setattr__(self, "values", v)
+
+    __reduce__ = _through_constructor
 
     @property
     def codomain_name(self) -> str:
@@ -131,6 +133,8 @@ class Homotopy:
         object.__setattr__(self, "values", v)
         if v.shape[0] != len(t) or v.shape[1] != len(self.base):
             raise InvalidArgument("homotopy values must be (times, base, dim)")
+
+    __reduce__ = _through_constructor
 
     def slice(self, t: float) -> MapSample:
         i = int(np.abs(self.times - t).argmin())

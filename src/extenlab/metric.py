@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +31,10 @@ _TABLE_BYTES = 64 << 20
 # dmax * 2^-253 ... dmax, so one table serves every bucket count up to
 # _RADII; searchsorted over these 255 edges gives codes 0..255.
 _RADII = 254
+
+# The buckets of a measured modulus: its radii are dmax * 2^-(_BUCKETS-1)
+# ... dmax, for a count in 1.._RADII.
+_BUCKETS = 24
 
 # Net points per tile.  The modulus kernels cut each block of pairs into
 # units, a row tile by a column tile clipped to the block, and skip a
@@ -84,6 +88,14 @@ def _frozen(a, dtype=float) -> np.ndarray:
         out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def _through_constructor(self):
+    """__reduce__ of a frozen dataclass whose __post_init__ freezes its
+    arrays: unpickling calls the constructor on the fields, so the arrays
+    come back read-only in numpy's own dtype, and derived data is built
+    anew."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _unwritable(a: np.ndarray) -> bool:
@@ -716,6 +728,8 @@ class Net:
         if not 0 < self.resolution < math.inf:
             raise InvalidArgument("net resolution must be positive and finite")
 
+    __reduce__ = _through_constructor
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -899,11 +913,6 @@ def _components(n: int, a: np.ndarray, b: np.ndarray, join=None) -> np.ndarray:
         if not split.any():
             return parent
         a, b, ra, rb = a[split], b[split], ra[split], rb[split]
-
-
-def graph_components(graph: EpsilonGraph) -> np.ndarray:
-    """Connected-component labeling; each id is its smallest member index."""
-    return _components(len(graph.net), *graph.adjacency())
 
 
 def _induced_components(adj, allowed: np.ndarray, join=None) -> np.ndarray:
@@ -1227,8 +1236,7 @@ def _largest_over_maps(dv: np.ndarray) -> np.ndarray:
     return top
 
 
-def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
-                           bound=None) -> Modulus:
+def measured_modulus_multi(net: Net, values_list, bound=None) -> Modulus:
     """Tightest dyadic-bucket step modulus all the sampled maps obey.
 
     Used to declare moduli for constructed extensions (and homotopy
@@ -1237,14 +1245,14 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
     values_list holds maps of one (n, d) shape, n the net's size, as a
     list or a (maps, n, d) stack; InvalidArgument otherwise.
 
-    The radii are dmax * 2^-(n_buckets-1) ... dmax, n_buckets <= 254.
-    Distances come from the net's derived pair data (see Net): its
-    diameter and each visited pair's code, from which a pair's bucket is
-    a table lookup.  A net with a stored code table computes no pair
-    distance here; a larger one computes its codes block by block in the
-    same loop.  Maxima are taken per code, then folded into buckets, and
-    ignore visiting order; every maximum is of np.hypot value distances,
-    so the table is bit for bit that of a full n x n pass.
+    The radii are dmax * 2^-(_BUCKETS-1) ... dmax.  Distances come from
+    the net's derived pair data (see Net): its diameter and each visited
+    pair's code, from which a pair's bucket is a table lookup.  A net
+    with a stored code table computes no pair distance here; a larger one
+    computes its codes block by block in the same loop.  Maxima are taken
+    per code, then folded into buckets, and ignore visiting order; every
+    maximum is of np.hypot value distances, so the table is bit for bit
+    that of a full n x n pass.
 
     The table is the prefix maximum over the buckets of the per-bucket
     maxima, so a pair no larger than the prefix maximum its bucket has
@@ -1260,28 +1268,26 @@ def measured_modulus_multi(net: Net, values_list, n_buckets: int = 24,
     of squares of each pair's differences, unless the caller passes one,
     as a geodesic homotopy passes its endpoint bound.
 
-    The checks of n_buckets and of the shapes are made here; the table
-    is measured on its first read (see Modulus), from a snapshot of the
-    maps taken here (_snapshot), so a later write to the caller's arrays
-    does not reach it.  Where _accepted cannot prove that Modulus.step
-    will accept the table, it is measured here, so an invalid table (a
-    NaN or infinite value, say) raises InvalidArgument from this call.
+    The check of the shapes is made here; the table is measured on its
+    first read (see Modulus), from a snapshot of the maps taken here
+    (_snapshot), so a later write to the caller's arrays does not reach
+    it.  Where _accepted cannot prove that Modulus.step will accept the
+    table, it is measured here, so an invalid table (a NaN or infinite
+    value, say) raises InvalidArgument from this call.
     """
-    maps = _snapshot(net, values_list, n_buckets)
+    maps = _snapshot(net, values_list)
     modulus = Modulus._measured(functools.partial(
-        _measured_table, net, maps, n_buckets, bound))
-    if not _accepted(net, maps, n_buckets):
+        _measured_table, net, maps, _BUCKETS, bound))
+    if not _accepted(net, maps, _BUCKETS):
         modulus.table()
     return modulus
 
 
-def _snapshot(net: Net, values_list, n_buckets: int) -> np.ndarray:
-    """measured_modulus_multi's checks, then its maps as one frozen
+def _snapshot(net: Net, values_list) -> np.ndarray:
+    """measured_modulus_multi's check, then its maps as one frozen
     (maps, n, d) float64 stack (see _frozen: a list is stacked into a new
     array, an array that owns its data is frozen in place, a stack this
     made comes back unconverted)."""
-    if not 1 <= n_buckets <= _RADII:
-        raise InvalidArgument(f"n_buckets must be in 1..{_RADII}")
     shapes = {np.shape(v) for v in values_list}
     if len(shapes) != 1 or shapes.pop()[:-1] != (len(net),):
         raise InvalidArgument("the maps need one (n, d) shape, n = len(net)")
@@ -1341,7 +1347,7 @@ def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
     net of diameter 0; a bound is NaN or infinite where a value is, which
     Modulus.step then rejects.  values_list as measured_modulus_multi
     takes it; its snapshot is read as it is."""
-    maps = _snapshot(net, values_list, n_buckets)
+    maps = _snapshot(net, values_list)
     dmax = net._dmax
     if dmax == 0.0:
         return np.empty(0), np.empty(0)
@@ -1367,8 +1373,8 @@ def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
     return radii, np.maximum.accumulate(per_bucket)
 
 
-def measured_modulus(net: Net, values: np.ndarray, n_buckets: int = 24) -> Modulus:
-    return measured_modulus_multi(net, [values], n_buckets)
+def measured_modulus(net: Net, values: np.ndarray) -> Modulus:
+    return measured_modulus_multi(net, [values])
 
 
 def _same_net(a: Net, b: Net) -> bool:
@@ -1386,14 +1392,6 @@ def sup_distance(f, g) -> float:
     if f.codomain_name != g.codomain_name:
         raise DomainMismatch("sup_distance needs a shared codomain")
     return float(euclidean_rows(f.values, g.values).max())
-
-
-def sup_distance_interval(f, g) -> tuple[float, float]:
-    """Certified bracket [net value, net value + (omega_f+omega_g)(eps)]."""
-    value = sup_distance(f, g)
-    eps = f.domain.resolution
-    slack = float(f.modulus(eps) + g.modulus(eps))
-    return value, value + slack
 
 
 def _allowances(net: Net, modulus: Modulus, slack: float):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import gc
-import hashlib
 import json
 import math
 import threading
@@ -129,13 +128,8 @@ def space_from_ref(data: dict) -> AnnotatedSpace:
                                                range(labels.max() + 1)]))
     if labels.min() < 0 or labels.max() >= len(names):
         raise InvalidArgument("path_components must index component_names")
-    # the parameters keep the key apart from every catalog key and from
-    # explicit spaces on other points (+ 0.0 folds -0.0 into 0.0)
-    digest = hashlib.sha256(repr(net.points.shape).encode()
-                            + (net.points + 0.0).tobytes()).hexdigest()
     return AnnotatedSpace(
-        data.get("name", "explicit"),
-        (("kind", "explicit"), ("points", digest[:16])), net, labels, names,
+        data.get("name", "explicit"), net, labels, names,
         _clopen_atoms(data["clopen_atoms"], len(net)), {}, {})
 
 
@@ -182,8 +176,8 @@ def modulus_from_json(data: dict) -> Modulus:
 
 
 @_gc_paused()
-def map_to_json(f: MapSample, codomain_ref: dict | None = None) -> dict:
-    return {"codomain": codomain_ref or space_to_ref(f.codomain),
+def map_to_json(f: MapSample) -> dict:
+    return {"codomain": space_to_ref(f.codomain),
             "values": f.values.tolist(),
             "modulus": modulus_to_json(f.modulus),
             "name": f.name}

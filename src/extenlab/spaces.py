@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -169,7 +170,6 @@ class AnnotatedSpace:
     """
 
     name: str
-    params: tuple
     net: Net
     labels: np.ndarray
     label_names: tuple
@@ -187,10 +187,21 @@ class AnnotatedSpace:
     def resolution(self) -> float:
         return self.net.resolution
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
-        par = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.name}[{par}]@{dyadic.format_epsilon(self.resolution)}"
+        """The space's one identity, which maps compare to tell whether
+        they share a codomain: its name, a digest and its resolution.  A
+        space with a recipe is known by the recipe, each base space in it
+        by its key; one without by its points (+ 0.0 folds -0.0 into
+        0.0), so an explicit reload keeps the key of what it reloads."""
+        if self.recipe is not None:
+            data = json.dumps(self.recipe, sort_keys=True,
+                              default=lambda base: base.key).encode()
+        else:
+            pts = self.net.points
+            data = repr(pts.shape).encode() + (pts + 0.0).tobytes()
+        digest = hashlib.sha256(data).hexdigest()[:16]
+        return f"{self.name}#{digest}@{dyadic.format_epsilon(self.resolution)}"
 
     def contains(self, pts) -> np.ndarray:
         """Membership in the true space (analytic where available)."""
@@ -258,22 +269,22 @@ def _net_indices(indices, space: AnnotatedSpace, what: str) -> np.ndarray:
 # catalog builders
 
 
-def _build_point(eps, params):
+def _build_point(eps):
     net = Net(np.array([[0.0]]), eps)
     return AnnotatedSpace(
-        "point", params, net, np.zeros(1, dtype=int), ("point",),
+        "point", net, np.zeros(1, dtype=int), ("point",),
         ClopenAtoms.connected(1), {}, {"origin": 0},
         contains_fn=lambda p: euclidean_rows(p, np.zeros_like(p)) <= 1e-12)
 
 
-def _build_interval(eps, params, extra=()):
+def _build_interval(eps, extra=()):
     pts = dyadic.grid(eps)
     if len(extra):
         pts = _unique(np.concatenate([pts, np.asarray(extra, dtype=float)]))
     net = Net(pts[:, None], eps)
     n = len(pts)
     return AnnotatedSpace(
-        "interval", params, net, np.zeros(n, dtype=int), ("interval",),
+        "interval", net, np.zeros(n, dtype=int), ("interval",),
         ClopenAtoms.connected(n), {"clamp": _interval_retraction()},
         {"left": 0, "right": n - 1},
         contains_fn=lambda p: (p[:, 0] >= -1e-12) & (p[:, 0] <= 1 + 1e-12))
@@ -285,7 +296,7 @@ def _ndagger_values(eps) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _build_ndagger(eps, params):
+def _build_ndagger(eps):
     vals = _ndagger_values(eps)
     n = len(vals)
     net = Net(vals[:, None], eps)
@@ -293,11 +304,11 @@ def _build_ndagger(eps, params):
     names = tuple("singleton-0" if v == 0.0 else f"singleton-1/{round(1 / v)}"
                   for v in vals)
     return AnnotatedSpace(
-        "ndagger", params, net, labels, names, ClopenAtoms(labels), {},
+        "ndagger", net, labels, names, ClopenAtoms(labels), {},
         {"zero": 0, "one": n - 1})
 
 
-def _build_circle(eps, params):
+def _build_circle(eps):
     count = 8
     while 2 * math.pi / count > 1.4 * eps:
         count *= 2
@@ -308,7 +319,7 @@ def _build_circle(eps, params):
         pts[j] = exact
     net = Net(pts, eps)
     return AnnotatedSpace(
-        "circle", params, net, np.zeros(count, dtype=int), ("circle",),
+        "circle", net, np.zeros(count, dtype=int), ("circle",),
         ClopenAtoms.connected(count), {"radial": _circle_retraction()},
         {"angle0": 0},
         contains_fn=lambda p: np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0) <= 1e-9)
@@ -331,12 +342,10 @@ def _finite_number(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _build_disk(eps, params, extra=None):
-    lookup = dict(params)
-    center = lookup.get("center", (0.0, 0.0))
+def _build_disk(eps, center=(0.0, 0.0), radius=1.0, extra=None):
     coords = [_finite_number(c) for c in center] \
         if isinstance(center, tuple) else []
-    radius = _finite_number(lookup.get("radius", 1.0))
+    radius = _finite_number(radius)
     if len(coords) != 2 or None in coords or radius is None or radius < 0:
         raise InvalidArgument("disk needs a center of two finite numbers "
                               "and a finite radius >= 0")
@@ -370,7 +379,7 @@ def _build_disk(eps, params, extra=None):
         return within
 
     return AnnotatedSpace(
-        "disk", params, net, np.zeros(n, dtype=int), ("disk",),
+        "disk", net, np.zeros(n, dtype=int), ("disk",),
         ClopenAtoms.connected(n),
         {"radial-clamp": _disk_retraction(center, radius)},
         {"center": _nearest_row(net.points[:n_grid], center)},
@@ -482,7 +491,7 @@ def _sample_monotone_arc(theta_a, theta_b, step, endpoints):
     return out
 
 
-def _build_sine(eps, params):
+def _build_sine(eps):
     k_osc = osc_cutoff(eps)
     m_tail = round(1.0 / eps)
     step = 1.4 * eps
@@ -530,7 +539,7 @@ def _build_sine(eps, params):
         return on_seg | on_curve
 
     return AnnotatedSpace(
-        "sine", params, net, labels, ("curve", "segment"),
+        "sine", net, labels, ("curve", "segment"),
         ClopenAtoms.connected(n), {}, {"origin": origin, "corner": 0},
         meta={"zero_index": zero_pos},
         contains_fn=member)
@@ -553,7 +562,7 @@ def _comb_teeth(eps) -> list[float]:
     return teeth
 
 
-def _build_comb(eps, params):
+def _build_comb(eps):
     teeth = _comb_teeth(eps)
     ygrid = dyadic.grid(eps)
     base_x = _unique(np.concatenate([dyadic.grid(eps), np.asarray(teeth)]))
@@ -575,12 +584,12 @@ def _build_comb(eps, params):
 
     # base_x starts at 0.0; the limit tooth's column comes last, tip on top
     return AnnotatedSpace(
-        "comb", params, net, np.zeros(n, dtype=int), ("comb",),
+        "comb", net, np.zeros(n, dtype=int), ("comb",),
         ClopenAtoms.connected(n), {}, {"limit-tip": n - 1, "origin": 0},
         contains_fn=member)
 
 
-def _build_hawaii(eps, params):
+def _build_hawaii(eps):
     k_max = round(1.0 / eps)
     pts = [np.array([[0.0, 0.0]])]
     circle_indices = {}
@@ -615,7 +624,7 @@ def _build_hawaii(eps, params):
         return ok
 
     return AnnotatedSpace(
-        "hawaii", params, net, np.zeros(n, dtype=int), ("earring",),
+        "hawaii", net, np.zeros(n, dtype=int), ("earring",),
         ClopenAtoms.connected(n), {}, {"origin": 0},
         meta={"circles": circle_indices},
         contains_fn=member)
@@ -655,7 +664,7 @@ def make_space(name: str, resolution: float, **params) -> AnnotatedSpace:
 def _catalog_space(name: str, resolution: float, params: tuple):
     recipe = {"kind": "catalog", "name": name, "parameters": dict(params),
               "resolution": resolution}
-    return dataclasses.replace(_BUILDERS[name](resolution, params),
+    return dataclasses.replace(_BUILDERS[name](resolution, **dict(params)),
                                recipe=recipe)
 
 
@@ -682,10 +691,10 @@ def product_with(space: AnnotatedSpace, factor: str,
         if not dyadic.is_dyadic(step) or step > eps + 1e-15:
             raise InvalidArgument("grid step must be dyadic and <= resolution")
         fvals = dyadic.grid(step)
-        grid = (("step", step),)
+        grid = {"step": step}
     elif factor == "ndagger":
         fvals = _ndagger_values(eps)
-        grid = ()
+        grid = {}
     else:
         raise InvalidArgument(f"unknown product factor {factor!r}")
     if not isinstance(space.net.metric, EuclideanMetric):
@@ -711,12 +720,11 @@ def product_with(space: AnnotatedSpace, factor: str,
                                             base.ids + i * base.count)
                                    for i in range(nF)])
     return AnnotatedSpace(
-        f"product({factor},{space.name})",
-        (("factor", factor), *grid, ("base", space.key)),
-        net, labels, names, ClopenAtoms(atom_ids), {}, {},
+        f"product({factor},{space.name})", net, labels, names,
+        ClopenAtoms(atom_ids), {}, {},
         meta={"factor_values": _frozen(fvals)},
         recipe={"kind": "construct", "op": "product", "factor": factor,
-                "base": space, **dict(grid)})
+                "base": space, **grid})
 
 
 def cone(space: AnnotatedSpace) -> AnnotatedSpace:
@@ -734,8 +742,7 @@ def cone(space: AnnotatedSpace) -> AnnotatedSpace:
     net = Net(pts, eps, ConeMetric())
     n = len(pts)
     return AnnotatedSpace(
-        f"cone({space.name})", (("base", space.key),),
-        net, np.zeros(n, dtype=int), ("cone",),
+        f"cone({space.name})", net, np.zeros(n, dtype=int), ("cone",),
         ClopenAtoms.connected(n), {}, {"apex": n - 1},
         meta={"levels": levels},
         recipe={"kind": "construct", "op": "cone", "base": space})
@@ -781,8 +788,7 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
         offset += len(p)
     net = Net(np.vstack(pts), eps)
     return AnnotatedSpace(
-        "opc", tuple((f"block{i + 1}", b.key) for i, b in enumerate(blocks)),
-        net, np.concatenate(labels), tuple(names),
+        "opc", net, np.concatenate(labels), tuple(names),
         ClopenAtoms(np.concatenate(atom_ids)), {},
         {"infinity": 0}, meta={"blocks": meta_blocks},
         recipe={"kind": "construct", "op": "opc", "blocks": list(blocks)})
@@ -796,11 +802,8 @@ def subspace(space: AnnotatedSpace, indices, name: str) -> AnnotatedSpace:
         raise InvalidArgument("subspace must sit inside one path component")
     net = space.net.subnet(idx)
     n = len(idx)
-    # the digest keeps subspaces of one base on other indices apart
-    digest = hashlib.sha256(idx.tobytes()).hexdigest()
     return AnnotatedSpace(
-        name, (("base", space.key), ("indices", digest[:16])), net,
-        np.zeros(n, dtype=int), (space.label_names[labs[0]],),
+        name, net, np.zeros(n, dtype=int), (space.label_names[labs[0]],),
         ClopenAtoms.connected(n), {}, {},
         contains_fn=space.contains_fn,
         recipe={"kind": "construct", "op": "subspace", "base": space,
@@ -870,7 +873,7 @@ def _named_pair(name: str, eps: float) -> SpacePair:
 def _build_named_pair(name: str, eps: float) -> SpacePair:
     if name == "interval-N":
         members = _ndagger_values(eps)
-        y = _build_interval(eps, (("with", "N"),), extra=members)
+        y = _build_interval(eps, extra=members)
         z = np.searchsorted(y.net.points[:, 0], members)
         member_ids = _frozen([0] + list(range(round(1 / eps), 0, -1)), int)
         return SpacePair.build(name, y, z, meta={"z_members": member_ids})
@@ -886,8 +889,7 @@ def _build_named_pair(name: str, eps: float) -> SpacePair:
                                meta={"z_members": _frozen(ms + [0], int)})
     if name == "disk-earring":
         ear = make_space("hawaii", eps)
-        y = _build_disk(eps, (("center", (1.0, 0.0)), ("radius", 1.0),
-                              ("with", "earring")), extra=ear.net.points)
+        y = _build_disk(eps, (1.0, 0.0), extra=ear.net.points)
         z = y.meta["injected_indices"]
         return SpacePair.build(name, y, z, meta={"z_space": ear})
     if name == "opc-intervals":

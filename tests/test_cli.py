@@ -329,9 +329,9 @@ def test_certify_rejects_a_parameter_no_builder_reads(tmp_path, capsys):
     cod_ref = {"kind": "catalog", "name": "interval",
                "parameters": {"with": "N"}, "resolution": eps}
     problem = tmp_path / "problem.json"
-    problem.write_text(ser.dumps({"pair": ser.pair_to_ref(fam.pair),
-                                  "map": ser.map_to_json(fam.member(1),
-                                                         cod_ref)}))
+    problem.write_text(ser.dumps({
+        "pair": ser.pair_to_ref(fam.pair),
+        "map": {**ser.map_to_json(fam.member(1)), "codomain": cod_ref}}))
     certificate = tmp_path / "certificate.json"
     cert = xl.build_negative_certificate("sine-eopen", 1, eps)
     certificate.write_text(ser.dumps(ser.certificate_to_json(cert, eps)))
@@ -376,8 +376,9 @@ def _certify_into_matrix_codomain(tmp_path, capsys, matrix_of):
                "component_names": list(cod.label_names),
                "clopen_atoms": [every.tolist()]}
     problem = tmp_path / "problem.json"
-    problem.write_text(ser.dumps({"pair": ser.pair_to_ref(fam.pair),
-                                  "map": ser.map_to_json(phi, cod_ref)}))
+    problem.write_text(ser.dumps({
+        "pair": ser.pair_to_ref(fam.pair),
+        "map": {**ser.map_to_json(phi), "codomain": cod_ref}}))
     certificate = tmp_path / "certificate.json"
     cert = xl.build_negative_certificate("sine-eopen", 1, eps)
     certificate.write_text(ser.dumps(ser.certificate_to_json(cert, eps)))

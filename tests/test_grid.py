@@ -15,8 +15,8 @@ from scipy.spatial import cKDTree
 
 import extenlab as xl
 from extenlab import metric
-from extenlab.metric import (Net, _GRID_CELLS, build_epsilon_graph,
-                             graph_components, reachable)
+from extenlab.metric import (Net, _GRID_CELLS, _components,
+                             build_epsilon_graph, reachable)
 from extenlab.spaces import AnnotatedSpace, ClopenAtoms
 
 from conftest import components_by_unionfind
@@ -89,7 +89,7 @@ def test_non_finite_queries_resolve_to_no_point():
     assert idx[:4].tolist() == [80] * 4
     assert dist[:4].tolist() == [np.inf] * 4
     assert dist[4] == cKDTree(points).query(bad[4])[0]
-    space = AnnotatedSpace("user", (), net, np.zeros(80, dtype=int),
+    space = AnnotatedSpace("user", net, np.zeros(80, dtype=int),
                            ("user",), ClopenAtoms.connected(80), {}, {})
     assert space.contains(bad).tolist() == [False] * 4 + [
         bool(dist[4] <= 0.05 + 1e-9)]
@@ -195,4 +195,4 @@ def test_graph_components_match_the_union_find_oracle(rng):
         net = Net(rng.random((n, 2)), 0.05)
         g = build_epsilon_graph(net, float(rng.uniform(0.01, 0.2)))
         want = components_by_unionfind(n, g.edges)
-        assert graph_components(g).tolist() == want.tolist()
+        assert _components(n, *g.adjacency()).tolist() == want.tolist()

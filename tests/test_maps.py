@@ -157,7 +157,7 @@ def _reference_partial(pair, f, retraction):
 def _space_on(template, net):
     """template's annotations over another net: one component, one atom."""
     return dataclasses.replace(
-        template, name="test-space", params=(), net=net,
+        template, name="test-space", net=net,
         labels=np.zeros(len(net), dtype=int), label_names=("all",),
         clopen=ClopenAtoms.connected(len(net)), basepoints={}, recipe=None)
 
@@ -671,3 +671,29 @@ def test_arc_margin_leaves_room_for_the_rounding():
     from extenlab import metric
     # the bound's rounding reaches 2^-44 (1 + limit); hypot adds 2 ulps
     assert 2.0 ** -43 < metric._SCREEN_MARGIN < 2.0 ** -20
+
+
+def test_pickled_nets_maps_and_homotopies_come_back_frozen(rng):
+    # pickle goes through the constructors, so the arrays are read-only
+    # in numpy's own float64 again and a net's derived data is built anew
+    import pickle
+    from extenlab.maps import Homotopy
+    net = Net(rng.random((5, 2)), 0.5)
+    net._pair_table
+    f = MapSample(net, None, rng.random((5, 2)), Modulus.lip(1.0), name="f")
+    h = Homotopy(net, None, np.linspace(0.0, 1.0, 3), rng.random((3, 5, 2)),
+                 Modulus.lip(2.0))
+    for obj, fields in ((net, ("points",)), (f, ("values",)),
+                        (h, ("times", "values"))):
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj)
+        for name in fields:
+            a, b = getattr(obj, name), getattr(back, name)
+            assert b.tobytes() == a.tobytes() and b.shape == a.shape
+            assert b.dtype is np.dtype(float) and not b.flags.writeable
+    back = pickle.loads(pickle.dumps(net))
+    assert back.resolution == net.resolution
+    assert "_pair_table" not in vars(back)
+    g = pickle.loads(pickle.dumps(f))
+    assert not g.domain.points.flags.writeable and g.name == "f"
+    assert g.modulus == f.modulus

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import extenlab as xl
 from extenlab.errors import DomainMismatch, InvalidArgument
+from extenlab import metric
 from extenlab.metric import (EuclideanMetric, Modulus, Net,
                              build_epsilon_graph, check_modulus,
-                             graph_components, measured_modulus,
-                             measured_modulus_multi, sup_distance,
-                             sup_distance_interval, widest_path_value)
+                             measured_modulus, measured_modulus_multi,
+                             sup_distance, widest_path_value)
 from extenlab.maps import MapSample
 
 from conftest import (components_by_unionfind, exhaustive_widest_path,
@@ -71,7 +71,7 @@ def test_net_adjacency_is_its_own_graph_built_once_per_scale():
             xl.product_with(base, "interval", grid_step=2.0 ** -6).net]
     for pts in (np.array([[0.0], [0.5]]), np.array([[0.0], [0.25], [0.5]])):
         nets.append(AnnotatedSpace(
-            "user", (), Net(pts, 0.25), np.zeros(len(pts), dtype=int),
+            "user", Net(pts, 0.25), np.zeros(len(pts), dtype=int),
             ("user",), ClopenAtoms.connected(len(pts)), {}, {}).net)
     for net in nets:
         adj = net.adjacency(2 * eps)
@@ -83,21 +83,27 @@ def test_net_adjacency_is_its_own_graph_built_once_per_scale():
     assert [len(n) for n in nets] == [289, 1105, 2, 3]
 
 
+def components_of(g):
+    """Each node's component id, its smallest member: the union-find
+    metric._components runs over the graph's edges."""
+    return metric._components(len(g.net), *g.adjacency())
+
+
 def test_graph_components_two_points_apart():
     g = build_epsilon_graph(line_net([0.0, 1.0]), 0.5)
-    assert graph_components(g).tolist() == [0, 1]
+    assert components_of(g).tolist() == [0, 1]
 
 
 def test_graph_components_interval_one_piece():
     iv = xl.make_space("interval", EPS6)
     g = build_epsilon_graph(iv.net, EPS6)
-    assert len(np.unique(graph_components(g))) == 1
+    assert len(np.unique(components_of(g))) == 1
 
 
 def test_graph_components_sine_chains_to_segment():
     sine = xl.make_space("sine", EPS8)
     g = build_epsilon_graph(sine.net, 2 * EPS8)
-    labels = graph_components(g)
+    labels = components_of(g)
     assert len(np.unique(labels)) == 1
     oracle = components_by_unionfind(len(sine.net), g.edges)
     assert np.array_equal(labels, oracle)
@@ -105,7 +111,7 @@ def test_graph_components_sine_chains_to_segment():
 
 def test_graph_components_canonical_ids_are_smallest_members():
     g = build_epsilon_graph(line_net([0.0, 10.0, 0.4, 10.3]), 0.5)
-    labels = graph_components(g)
+    labels = components_of(g)
     for lab in np.unique(labels):
         members = np.nonzero(labels == lab)[0]
         assert lab == members.min()
@@ -148,8 +154,8 @@ def test_matrix_metric_refuses_a_matrix_no_metric_has():
 def test_components_refine_under_smaller_scale(rng):
     pts = rng.random((60, 2))
     net = Net(pts, 0.25)
-    fine = graph_components(build_epsilon_graph(net, 0.08))
-    coarse = graph_components(build_epsilon_graph(net, 0.2))
+    fine = components_of(build_epsilon_graph(net, 0.08))
+    coarse = components_of(build_epsilon_graph(net, 0.2))
     # same fine class -> same coarse class
     for lab in np.unique(fine):
         members = np.nonzero(fine == lab)[0]
@@ -358,13 +364,6 @@ def test_sup_distance_domain_mismatch():
     sine = xl.example_family("sine-eopen", EPS8)
     with pytest.raises(DomainMismatch):
         sup_distance(comb.member(1), sine.member(1))
-
-
-def test_sup_distance_interval_adds_modulus_slack():
-    fam = xl.example_family("comb", EPS8)
-    lo, hi = sup_distance_interval(fam.member(2), fam.limit)
-    assert lo == 1.0 / 3.0
-    assert hi == lo + (fam.member(2).modulus(EPS8) + fam.limit.modulus(EPS8))
 
 
 def test_sup_metric_axioms_on_random_triples(rng):
@@ -592,9 +591,17 @@ def test_vectorised_unionfind_matches_the_loop(rng):
 # derived pair data: diameter, pair codes, nearest-point index
 
 
+def measured_at(buckets, net, values_list):
+    """measured_modulus_multi with metric._BUCKETS set to buckets (the
+    count is read at the call, so later reads of the table keep it)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metric, "_BUCKETS", buckets)
+        return measured_modulus_multi(net, values_list)
+
+
 def _check_moduli(net, values, other):
     """(modulus, read through the pair codes?) covering both check paths."""
-    own = [measured_modulus(net, v, k) for v in (values, other)
+    own = [measured_at(k, net, [v]) for v in (values, other)
            for k in (1, 24, 254)]
     table = own[1].table()
     halved = Modulus.step([(r, b / 2) for r, b in table])
@@ -627,7 +634,7 @@ def test_pair_codes_match_reference_cold_and_warm(monkeypatch, rng, before,
         for values in values_list:
             values[-4:] = values[:4]          # maps agree on duplicates
         monkeypatch.setattr(metric, "_BLOCK_BYTES", before)
-        cold = {k: metric.measured_modulus_multi(net, values_list, k).table()
+        cold = {k: measured_at(k, net, values_list).table()
                 for k in (1, 24, 254)}
         assert (net._pair_table[1] is None) == (table_bytes == 0), kind
         monkeypatch.setattr(metric, "_BLOCK_BYTES", after)
@@ -635,7 +642,7 @@ def test_pair_codes_match_reference_cold_and_warm(monkeypatch, rng, before,
             want = reference_measured_modulus_multi(net, values_list, k)
             assert cold[k] == want.table(), kind
             for vl in (values_list, values_list[1:]):
-                assert metric.measured_modulus_multi(net, vl, k).table() == \
+                assert measured_at(k, net, vl).table() == \
                     reference_measured_modulus_multi(net, vl, k).table(), kind
         values, other = values_list
         for modulus, coded in _check_moduli(net, values, other):
@@ -683,14 +690,6 @@ def test_pair_codes_from_exponents_match_searchsorted(rng):
                             np.nextafter(edges, -np.inf), specials])
         assert np.array_equal(metric._codes(d, dmax),
                               _searchsorted_codes(d, dmax)), dmax
-
-
-def test_measured_modulus_bucket_count_range():
-    net = line_net([0.0, 1.0, 3.0])
-    values = np.array([[0.0], [1.0], [2.0]])
-    for k in (0, 255):
-        with pytest.raises(InvalidArgument):
-            measured_modulus(net, values, k)
 
 
 def test_measured_modulus_needs_maps_of_one_shape():
@@ -1124,7 +1123,7 @@ def test_allowances_bound_every_pair_and_are_exact_where_tight(monkeypatch,
     loose_codes = set()
     for kind, net in _random_nets(rng, n).items():
         values = rng.random((n, 2))
-        own = [measured_modulus(net, values, k) for k in (1, 24, 254)]
+        own = [measured_at(k, net, [values]) for k in (1, 24, 254)]
         table = own[1].table()
         off_edge = [_sqrt_step_modulus(1.3),
                     Modulus.step([(2 * r, b) for r, b in table]),
@@ -1411,7 +1410,7 @@ def test_writes_through_a_base_array_reach_no_space_pair_graph_or_certificate(
     z = np.arange(6)
     pair = xl.SpacePair.build("x", iv, z[1:3])
     labels, edges = np.zeros(12, dtype=int), np.arange(12)
-    space = xl.AnnotatedSpace("s", (), iv.net, labels[:9], ("only",),
+    space = xl.AnnotatedSpace("s", iv.net, labels[:9], ("only",),
                               iv.clopen, {}, {})
     graph = EpsilonGraph(iv.net, 0.25, edges[:8])
     path = PathComponentObstruction(0, 1, z[2:5], ("a", "b"))
@@ -1686,7 +1685,7 @@ def test_snapshots_hold_numpy_own_float64_and_maps_survive_pickle(rng):
     assert thawed.dtype == np.dtype(float) and \
         thawed.dtype is not np.dtype(float)     # equal, not numpy's own
     for values_list in ([thawed], thawed[None], np.stack([thawed, thawed])):
-        assert metric._snapshot(net, values_list, 24).dtype is \
+        assert metric._snapshot(net, values_list).dtype is \
             np.dtype(float)
     f = MapSample(net, None, values, measured_modulus(net, values))
     g = pickle.loads(pickle.dumps(f))           # a read: the table goes along

@@ -89,7 +89,7 @@ def test_construct_space_ref_round_trip():
 def test_explicit_space_round_trip():
     from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     net = Net(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5)
-    sp = AnnotatedSpace("user", (), net, np.zeros(2, dtype=int), ("user",),
+    sp = AnnotatedSpace("user", net, np.zeros(2, dtype=int), ("user",),
                         ClopenAtoms.connected(2), {}, {})
     ref = json.loads(ser.dumps(ser.space_to_ref(sp)))
     _validate("space", ref)
@@ -117,7 +117,7 @@ def test_pair_spaces_reload_with_their_points():
 def test_explicit_space_with_a_catalog_name_stays_explicit():
     from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     net = Net(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), 0.5)
-    sp = AnnotatedSpace("circle", (), net, np.zeros(3, dtype=int),
+    sp = AnnotatedSpace("circle", net, np.zeros(3, dtype=int),
                         ("circle",), ClopenAtoms.connected(3), {}, {})
     ref = json.loads(ser.dumps(ser.space_to_ref(sp)))
     assert ref["kind"] == "explicit"

@@ -252,7 +252,7 @@ def test_label_oracle_rejects_a_split_label():
     iv = xl.make_space("interval", 2.0 ** -4)
     labels = np.zeros(len(iv.net), dtype=int)
     labels[4:-4] = 1
-    split = xl.AnnotatedSpace("split", (), iv.net, labels, ("ends", "middle"),
+    split = xl.AnnotatedSpace("split", iv.net, labels, ("ends", "middle"),
                               iv.clopen, {}, {})
     with pytest.raises(AssertionError):
         assert_labels_chain_connected(split)
@@ -272,7 +272,7 @@ def test_cone_two_points_single_component():
     from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     from extenlab.metric import Net
     two = AnnotatedSpace(
-        "two-points", (), Net(np.array([[0.0], [1.0]]), 2.0 ** -4),
+        "two-points", Net(np.array([[0.0], [1.0]]), 2.0 ** -4),
         np.array([0, 1]), ("a", "b"), ClopenAtoms.connected(2), {}, {})
     c = xl.cone(two)
     assert c.component_count() == 1
@@ -361,10 +361,10 @@ def test_constructors_preserve_net_quality(rng):
 
 
 def test_cone_single_component_in_two_eps_graph():
-    from extenlab.metric import build_epsilon_graph, graph_components
+    from extenlab.metric import _components, build_epsilon_graph
     c = xl.cone(xl.make_space("ndagger", 2.0 ** -4))
     g = build_epsilon_graph(c.net, 2 * 2.0 ** -4)
-    assert len(np.unique(graph_components(g))) == 1
+    assert len(np.unique(_components(len(c.net), *g.adjacency()))) == 1
 
 
 def test_spiked_base_pair_shapes():
@@ -406,7 +406,7 @@ def test_urysohn_degenerate_separation():
     from extenlab.spaces import AnnotatedSpace, ClopenAtoms
     from extenlab.metric import Net
     net = Net(np.array([[0.0], [0.0], [1.0]]), 1.0)
-    sp = AnnotatedSpace("dup", (), net, np.zeros(3, dtype=int), ("dup",),
+    sp = AnnotatedSpace("dup", net, np.zeros(3, dtype=int), ("dup",),
                         ClopenAtoms.connected(3), {}, {})
     with pytest.raises(DegenerateSeparation):
         xl.urysohn(sp, [0], [0, 2])
@@ -500,11 +500,10 @@ def test_disk_builder_matches_the_meshgrid_builder(k):
             moved = np.asarray(center) + radius * (ear - (1.0, 0.0))
             extra = np.vstack([moved, lattice[[0, len(lattice) // 2, -1]],
                                moved[:3]])
-            params = (("center", center), ("radius", radius))
             for added in (None, extra):
                 pts, center_row, injected = _meshgrid_disk(eps, center,
                                                            radius, added)
-                disk = spaces_mod._build_disk(eps, params, extra=added)
+                disk = spaces_mod._build_disk(eps, center, radius, added)
                 got = disk.net.points
                 assert got.shape == pts.shape
                 assert got.tobytes() == pts.tobytes()
@@ -597,7 +596,119 @@ def test_make_space_rejects_parameters_its_builder_does_not_read():
     with pytest.raises(InvalidArgument):
         xl.make_space("disk", eps, center=(0.0, 0.0), colour="red")
     disk = xl.make_space("disk", eps, center=(0.5, 0.5), radius=0.25)
-    assert disk.key == "disk[center=(0.5, 0.5),radius=0.25]@2^-5"
+    # the key follows the parameters the builder read, and only them
+    spaces_mod.clear_caches()
+    again = xl.make_space("disk", eps, radius=0.25, center=(0.5, 0.5))
+    assert again is not disk and again.key == disk.key
+    assert disk.key != xl.make_space("disk", eps, center=(0.5, 0.5)).key
+    assert disk.key != xl.make_space("disk", eps, radius=0.25).key
+
+
+EPS5 = 2.0 ** -5
+
+
+def _explicit(name, points):
+    """A space read from an explicit reference on 1-d points."""
+    from extenlab import serialization as ser
+    return ser.space_from_ref({
+        "kind": "explicit", "name": name,
+        "net": {"dimension": 1, "points": [[p] for p in points],
+                "resolution": EPS5, "metric": "euclidean"},
+        "path_components": [0] * len(points), "component_names": ["only"],
+        "clopen_atoms": [list(range(len(points)))]})
+
+
+def _reloaded(space):
+    from extenlab import serialization as ser
+    return ser.space_from_ref(ser.space_to_ref(space))
+
+
+def _disk(**params):
+    return xl.make_space("disk", EPS5, **params)
+
+
+def _product(step=None, base=None):
+    return xl.product_with(base or xl.make_space("interval", EPS5),
+                           "interval", grid_step=step)
+
+
+def _arc(indices):
+    return xl.subspace(xl.make_space("circle", EPS5), indices, "arc")
+
+
+# (case, first space, second space, do they share a key?)
+IDENTITY_CASES = [
+    ("catalog-equal-parameters",
+     lambda: _disk(center=(0.5, 0.5), radius=0.25),
+     lambda: _disk(radius=0.25, center=(0.5, 0.5)), True),
+    ("catalog-other-center", lambda: _disk(center=(0.5, 0.5)),
+     lambda: _disk(center=(0.5, 0.25)), False),
+    ("catalog-other-radius", lambda: _disk(radius=0.5), lambda: _disk(),
+     False),
+    ("catalog-other-resolution", lambda: xl.make_space("interval", EPS5),
+     lambda: xl.make_space("interval", EPS6), False),
+    ("product-equal-steps", lambda: _product(),
+     lambda: _product(EPS5), True),
+    ("product-other-steps", lambda: _product(),
+     lambda: _product(2.0 ** -6), False),
+    ("subspace-equal-indices", lambda: _arc([0, 1, 2]),
+     lambda: _arc([0, 1, 2]), True),
+    ("subspace-other-indices", lambda: _arc([0, 1, 2]),
+     lambda: _arc([5, 6, 7]), False),
+    ("interval-N-y-against-catalog-interval",
+     lambda: xl.make_pair("interval-N", EPS5).space,
+     lambda: xl.make_space("interval", EPS5), False),
+    ("disk-earring-y-against-catalog-disk",
+     lambda: xl.make_pair("disk-earring", EPS5).space,
+     lambda: _disk(center=(1.0, 0.0), radius=1.0), False),
+    ("explicit-equal-points", lambda: _explicit("user", [0.0, 1.0]),
+     lambda: _explicit("user", [0.0, 1.0]), True),
+    ("explicit-signed-zero", lambda: _explicit("user", [-0.0, 1.0]),
+     lambda: _explicit("user", [0.0, 1.0]), True),
+    ("explicit-other-points", lambda: _explicit("user", [0.0, 1.0]),
+     lambda: _explicit("user", [0.0, 0.5, 1.0]), False),
+    ("explicit-other-names", lambda: _explicit("user", [0.0, 1.0]),
+     lambda: _explicit("other", [0.0, 1.0]), False),
+    ("explicit-against-catalog-on-its-points",
+     lambda: _explicit("interval", dyadic.grid(EPS5).tolist()),
+     lambda: xl.make_space("interval", EPS5), False),
+    ("recipe-less-against-its-reload",
+     lambda: xl.make_pair("interval-N", EPS5).space,
+     lambda: _reloaded(xl.make_pair("interval-N", EPS5).space), True),
+    ("cone-over-explicit-equal-points",
+     lambda: xl.cone(_explicit("user", [0.0, 1.0])),
+     lambda: xl.cone(_explicit("user", [-0.0, 1.0])), True),
+    ("cone-over-explicit-other-points",
+     lambda: xl.cone(_explicit("user", [0.0, 1.0])),
+     lambda: xl.cone(_explicit("user", [0.0, 0.5])), False),
+    ("product-over-explicit-other-points",
+     lambda: _product(base=_explicit("user", [0.0, 1.0])),
+     lambda: _product(base=_explicit("user", [0.0, 0.5])), False),
+    ("opc-over-explicit-other-points",
+     lambda: xl.opc_disjoint_union([_explicit("user", [0.0, 1.0])] * 2),
+     lambda: xl.opc_disjoint_union([_explicit("user", [0.0, 1.0]),
+                                    _explicit("user", [0.0, 0.5])]), False),
+]
+
+
+@pytest.mark.parametrize("case, first, second, same", IDENTITY_CASES,
+                         ids=[case for case, *_ in IDENTITY_CASES])
+def test_space_identity(case, first, second, same):
+    # each side is built afresh, so a shared key is never a shared object;
+    # maps into the two compare exactly when their keys agree
+    a = first()
+    spaces_mod.clear_caches()
+    b = second()
+    assert a is not b
+    assert (a.key == b.key) is same
+    point = xl.make_space("point", EPS5).net
+    f, g = (MapSample(point, s, s.net.points[:1], Modulus.lip(1.0))
+            for s in (a, b))
+    if same:
+        assert sup_distance(f, g) == 0.0
+    else:
+        with pytest.raises(DomainMismatch):
+            sup_distance(f, g)
 
 
 def test_clear_caches_builds_fresh_instances():
@@ -629,8 +740,7 @@ def test_sine_net_sizes_from_epsilon_one_to_2_9():
                                             ((0.5, 0.5), 0.0)])
 def test_disk_membership_from_squares_is_the_hypot_test(rng, center, radius):
     # squares decide away from the boundary, np.hypot in a band around it
-    disk = spaces_mod._build_disk(EPS6, (("center", center),
-                                         ("radius", radius)))
+    disk = spaces_mod._build_disk(EPS6, center, radius)
     c, reach = np.array(center), radius + 1e-9
     angle = rng.uniform(0, 2 * math.pi, 400)
     u = np.column_stack([np.cos(angle), np.sin(angle)])
