@@ -17,10 +17,10 @@ from .dyadic import grid
 from .errors import (DiameterTooLarge, DomainMismatch, EpsilonTooLarge,
                      ExtensionFailure, GluingMismatch, InvalidArgument,
                      LoopTooCoarse)
-from .metric import (_SCREEN_MARGIN, Modulus, Net, _Scratch, _euclidean,
-                     _frozen, _same_net, _through_constructor, _unique,
-                     check_modulus, euclidean_rows, measured_modulus,
-                     measured_modulus_multi, pair_blocks, sup_distance)
+from .metric import (Modulus, Net, _euclidean, _frozen, _same_net,
+                     _through_constructor, _unique, check_modulus,
+                     euclidean_rows, measured_modulus, measured_modulus_multi,
+                     pair_blocks, sup_distance)
 from .spaces import AnnotatedSpace, Retraction, SpacePair, spiked_base_pair
 
 # Rows per weighted-average product `w @ values` in
@@ -289,51 +289,6 @@ def glue_homotopy_extension(pair: SpacePair, vbar_indices, phibar: MapSample,
 # homotopies
 
 
-def _angles(values: np.ndarray) -> np.ndarray:
-    return np.arctan2(values[:, 1], values[:, 0])
-
-
-def _arc_bound(f, g, a0, delta, fixed):
-    """measured_modulus_multi's bound for a geodesic-circle homotopy: is a
-    pair's largest slice distance below limit[code]?  From the endpoints
-    (the squared limits that the pair screen reads go unused here).
-
-    Row i's slice t is u(a0_i + t delta_i), u(x) = (cos x, sin x), but
-    f_i at t = 0, g_i at t = 1 and f_i throughout on a fixed row.  Its
-    separation from row j is m_i - m_j + (2t - 1)(h_i - h_j), h = delta/2
-    and m = a0 + h wrapped to [-pi, pi]; a chord 2 |sin(x / 2)| ignores
-    multiples of 2 pi, so it is at most 2 sin(min(pi, M) / 2) for
-    M = min(|m_i - m_j|, 2 pi - |m_i - m_j|) + |h_i - h_j|.  The values
-    lie within off_i of these points: |r - 1| for an endpoint of norm r,
-    plus |delta_i| on a fixed row; a run of rows takes its largest off_i.
-
-    Rounding: arctan2, t delta, cos, sin and the wraps cost a few ulps of
-    2 pi, so values lie within 2^-46 (1 + r) of their points, M and
-    arcsin are off by 2^-46 at most and np.hypot adds 2 ulps.  A pair
-    skipped, M < 2 arcsin(min(1, room / 2)) - c with c = _SCREEN_MARGIN and
-    room = limit (1 - c) - c - off_i - off_j > 0, so has computed
-    distances below limit - c (1 + limit) + 2^-44 (1 + limit) <= limit,
-    as r_i + r_j <= off_i + off_j + 2 < limit + 2.  NaN never skips.
-    """
-    half = delta / 2
-    mid = np.remainder(a0 + half + math.pi, 2 * math.pi) - math.pi
-    off = np.maximum(np.abs(np.hypot(*f.T) - 1.0),
-                     np.abs(np.hypot(*g.T) - 1.0))
-    off[fixed] += np.abs(delta[fixed])
-    sep, spread = _Scratch(), _Scratch()
-
-    def below(rows, cols, codes, limit, square):
-        room = (limit * (1.0 - _SCREEN_MARGIN) - _SCREEN_MARGIN
-                - off[rows].max() - off[cols].max())
-        theta = 2.0 * np.arcsin(np.clip(room / 2.0, 0.0, 1.0)) - _SCREEN_MARGIN
-        s, h = sep.block(rows, cols), spread.block(rows, cols)
-        np.abs(np.subtract.outer(mid[rows], mid[cols], out=s), out=s)
-        np.minimum(s, np.subtract(2 * math.pi, s, out=h), out=s)
-        s += np.abs(np.subtract.outer(half[rows], half[cols], out=h), out=h)
-        return s < theta[codes]
-    return below
-
-
 def homotopy_between(f: MapSample, g: MapSample, mode: str) -> Homotopy:
     """Straight-line or shorter-arc homotopy with exact endpoint slices."""
     if not _same_net(f.domain, g.domain):
@@ -347,19 +302,17 @@ def homotopy_between(f: MapSample, g: MapSample, mode: str) -> Homotopy:
         if f.codomain.name not in ("interval", "disk", "point"):
             raise InvalidArgument("straight-line homotopy needs a convex codomain")
         slices = [(1 - t) * f.values + t * g.values for t in times]
-        bound = None
     elif mode == "geodesic-circle":
         if f.codomain.name != "circle":
             raise InvalidArgument("geodesic mode is for the circle codomain")
         if not sup_distance(f, g) < 2.0 - 1e-12:
             raise EpsilonTooLarge("antipodal values: no shorter arc")
-        a0, a1 = _angles(f.values), _angles(g.values)
+        a0, a1 = (np.arctan2(v[:, 1], v[:, 0]) for v in (f.values, g.values))
         delta = np.mod(a1 - a0 + math.pi, 2 * math.pi) - math.pi
         if np.any(np.abs(np.abs(delta) - math.pi) < 1e-9):
             raise EpsilonTooLarge("antipodal values: no shorter arc")
         slices = [np.column_stack([np.cos(a0 + t * delta),
                                    np.sin(a0 + t * delta)]) for t in times]
-        bound = _arc_bound(f.values, g.values, a0, delta, equal_rows)
     else:
         raise InvalidArgument(f"unknown homotopy mode {mode!r}")
 
@@ -367,7 +320,7 @@ def homotopy_between(f: MapSample, g: MapSample, mode: str) -> Homotopy:
     values[0] = f.values
     values[-1] = g.values
     values[:, equal_rows, :] = f.values[equal_rows]  # fixed rows stay put
-    modulus = measured_modulus_multi(f.domain, values, bound=bound)
+    modulus = measured_modulus_multi(f.domain, values)
     return Homotopy(f.domain, f.codomain, times, values, modulus)
 
 

@@ -46,14 +46,12 @@ _TILE = 32
 _CHECK_TOLERANCE = 1e-12
 
 # The modulus kernels skip a pair only where a bound (the tile boxes of
-# _box_squares, a pair's own sum of squares in _pair_screen, or
-# maps._arc_bound) proves it below a limit; each bound shrinks its room
-# by _SCREEN_MARGIN.  With u = 2^-53,
-# fl(sum of k squares) is within a relative k*u of the exact sum of the
-# squared (computed) differences, np.hypot within 1 ulp of the exact norm
-# and sqrt(einsum) within (k/2 + 1)*u; the margin is far more than any of
-# these for fewer than 2^20 coordinates, and than the 2^-44 (1 + limit)
-# that maps._arc_bound's rounding reaches.
+# _box_squares or a pair's own sum of squares in _pair_screen) proves it
+# below a limit; each bound shrinks its room by _SCREEN_MARGIN.  With
+# u = 2^-53, fl(sum of k squares) is within a relative k*u of the exact
+# sum of the squared (computed) differences, np.hypot within 1 ulp of the
+# exact norm and sqrt(einsum) within (k/2 + 1)*u; the margin is far more
+# than any of these for fewer than 2^20 coordinates.
 _SCREEN_MARGIN = 2.0 ** -30
 # Squares are trusted from _SCREEN_FLOOR up to the largest finite float:
 # there an underflowed term (absolute error 2^-1075 at most) is far below
@@ -470,18 +468,13 @@ class _Grid:
         (_square_sums), its sqrt, ties to the smallest index, and index n
         at distance inf where no sum is finite (any non-finite query).
 
-        A query whose t lies room + _GRID_MARGIN inside its own cube on
-        every axis, room >= _GRID_MARGIN, is first matched against that
-        cube alone: every point outside it is farther than room side, as
-        rounding moves t less than the margin, so a least sum of at most
-        (room side)^2 (1 - _GRID_MARGIN) settles it (a query on a net
-        point usually is).  Then each level, from F = 1 up by factors of 4
-        while the points span more than one level-F cube on some axis,
-        settles the queries whose least sum over their 3^k cubes is at
-        most (F side)^2 (1 - _GRID_MARGIN), below that of any point
-        outside them; a blocked scan of every point settles the rest.
-        Each stage reads the queries in key order, so that its searches
-        and reads run through the sorted points in order.
+        Each level, from F = 1 up by factors of 4 while the points span
+        more than one level-F cube on some axis, settles the queries whose
+        least sum over their 3^k cubes is at most (F side)^2 (1 -
+        _GRID_MARGIN), below that of any point outside them; a blocked
+        scan of every point settles the rest.  Each level reads the
+        queries in key order, so that its searches and reads run through
+        the sorted points in order.
         """
         n, d = self.points.shape
         if coords.ndim != 2 or coords.shape[1] != d:
@@ -491,22 +484,8 @@ class _Grid:
         axes = np.ascontiguousarray(coords.T)
         todo = np.flatnonzero(np.isfinite(axes).all(axis=0))
         t = self._position(axes[:self.k, todo])
-        inside = np.all((t >= 0) & (t < self.m[:, None]), axis=0)
         np.clip(t, 0, self.m[:, None] - 1, out=t)   # no farther from points
-        cells = np.floor(t)
-        room = np.minimum(t - cells, cells + 1 - t).min(axis=0) - _GRID_MARGIN
-        cells = cells.astype(np.int64)
-        keys = self._level(1)[0]
-        mine = self._keys(cells, 1)
-        alone = np.flatnonzero(inside & (room >= _GRID_MARGIN))
-        alone = alone[np.argsort(mine[alone], kind="stable")]
-        limit = (room[alone] * self.side) ** 2 * (1 - _GRID_MARGIN)
-        settled = np.zeros(len(todo), dtype=bool)
-        settled[alone] = self._settle(
-            axes, todo[alone], np.searchsorted(keys, mine[alone])[None],
-            np.searchsorted(keys, mine[alone] + 1)[None], limit, 1, idx,
-            best)
-        todo, cells, F = todo[~settled], cells[:, ~settled], 1
+        cells, F = np.floor(t).astype(np.int64), 1
         while len(todo) and F < self.m.max():
             keys = self._level(F)[0]
             mine = self._keys(cells, F)
@@ -530,11 +509,10 @@ class _Grid:
     def _settle(self, axes, todo, lo, hi, limit, F: int, idx, best):
         """Settle each query todo[i] (a column of the (d, q) axes) whose
         least sum of squares over the level-F sorted points lo[r, i] ..
-        hi[r, i] - 1 (every r) is at most limit (one number, or one per
-        query) and finite: idx gets the smallest index of that sum and
-        best the sum.  The mask of those settled."""
+        hi[r, i] - 1 (every r) is at most limit and finite: idx gets the
+        smallest index of that sum and best the sum.  The mask of those
+        settled."""
         _, order, cols = self._level(F)
-        limit = np.broadcast_to(limit, len(todo))
         count = (hi - lo).sum(axis=0)
         settled = np.zeros(len(todo), dtype=bool)
         for part in _batches(count):
@@ -547,7 +525,7 @@ class _Grid:
             owner = np.repeat(np.arange(len(q)), size)[ties]
             first = np.flatnonzero(np.diff(owner, prepend=-1))
             pick = np.minimum.reduceat(order[at[ties]], first)
-            done = np.flatnonzero((low <= limit[part][some]) & (low < np.inf))
+            done = np.flatnonzero((low <= limit) & (low < np.inf))
             idx[q[some[done]]] = pick[done]
             best[q[some[done]]] = low[done]
             settled[part][some[done]] = True
@@ -1191,10 +1169,10 @@ def _unit_runs(net: Net, maps: np.ndarray, limit, seed: bool = False):
 
 
 def _pair_screen(columns: list[np.ndarray]):
-    """The default bound of measured_modulus_multi and the screen of
-    check_modulus, for the maps whose coordinate columns (see _columns)
-    are columns, each (maps, n): is a pair's largest value distance at
-    most lim[code]?  From the differences the exact distance would take.
+    """The screen of measured_modulus_multi and check_modulus, for the
+    maps whose coordinate columns (see _columns) are columns, each (maps,
+    n): is a pair's largest value distance at most lim[code]?  From the
+    differences the exact distance would take.
 
     One coordinate: |difference| is the distance itself, compared with
     lim directly.  More: the sum of the squared differences is compared
@@ -1236,7 +1214,7 @@ def _largest_over_maps(dv: np.ndarray) -> np.ndarray:
     return top
 
 
-def measured_modulus_multi(net: Net, values_list, bound=None) -> Modulus:
+def measured_modulus_multi(net: Net, values_list) -> Modulus:
     """Tightest dyadic-bucket step modulus all the sampled maps obey.
 
     Used to declare moduli for constructed extensions (and homotopy
@@ -1259,14 +1237,11 @@ def measured_modulus_multi(net: Net, values_list, bound=None) -> Modulus:
     already attained cannot change it.  That prefix maximum, per code,
     is the limit of _unit_runs, which skips the units its tile bound
     proves below it; the first row of each row tile is evaluated first
-    to seed it.  In each run left, bound(rows, cols, codes, limit,
-    square), over an index array of rows by a slice of columns, is True
-    where it proves a pair's largest value distance at most limit[code]
-    (square is _square_limit(limit)); only the other pairs get their
-    exact distances, the maps folded in stack order as np.maximum folds
-    them (see _largest_over_maps).  The bound is _pair_screen, the sums
-    of squares of each pair's differences, unless the caller passes one,
-    as a geodesic homotopy passes its endpoint bound.
+    to seed it.  In each run left, _pair_screen proves pairs' largest
+    value distances at most the limit from the sums of squares of their
+    differences; only the other pairs get their exact distances, the maps
+    folded in stack order as np.maximum folds them (see
+    _largest_over_maps).
 
     The check of the shapes is made here; the table is measured on its
     first read (see Modulus), from a snapshot of the maps taken here
@@ -1277,7 +1252,7 @@ def measured_modulus_multi(net: Net, values_list, bound=None) -> Modulus:
     """
     maps = _snapshot(net, values_list)
     modulus = Modulus._measured(functools.partial(
-        _measured_table, net, maps, _BUCKETS, bound))
+        _measured_table, net, maps, _BUCKETS))
     if not _accepted(net, maps, _BUCKETS):
         modulus.table()
     return modulus
@@ -1294,9 +1269,8 @@ def _snapshot(net: Net, values_list) -> np.ndarray:
     return _frozen(values_list)
 
 
-def _measured_table(net: Net, maps: np.ndarray, n_buckets: int,
-                    bound) -> Modulus:
-    radii, bounds = _measured_bounds(net, maps, n_buckets, bound)
+def _measured_table(net: Net, maps: np.ndarray, n_buckets: int) -> Modulus:
+    radii, bounds = _measured_bounds(net, maps, n_buckets)
     return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
 
 
@@ -1342,7 +1316,7 @@ def _extents(a: np.ndarray) -> np.ndarray:
                      for k in range(a.shape[-1])])
 
 
-def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
+def _measured_bounds(net: Net, values_list, n_buckets: int):
     """The radii and bounds of measured_modulus_multi's table, empty on a
     net of diameter 0; a bound is NaN or infinite where a value is, which
     Modulus.step then rejects.  values_list as measured_modulus_multi
@@ -1355,7 +1329,7 @@ def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
     bucket = _bucket_of_code(n_buckets)
     last = np.searchsorted(bucket, bucket, side="right") - 1  # of its bucket
     columns = _columns(maps)
-    bound = bound or _pair_screen(columns)
+    screen = _pair_screen(columns)
     peaks = np.zeros(_RADII + 2)                # per code
 
     def limit():                                # attained prefix maxima
@@ -1364,7 +1338,7 @@ def _measured_bounds(net: Net, values_list, n_buckets: int, bound=None):
     for rows, cols, codes, lim, square in _unit_runs(net, maps, limit,
                                                      seed=True):
         ii, jj = np.divmod(np.flatnonzero(
-            ~bound(rows, cols, codes, lim, square)), cols.stop - cols.start)
+            ~screen(rows, cols, codes, lim, square)), cols.stop - cols.start)
         if len(ii):
             dv = _exact(maps, columns, rows[ii], jj + cols.start)
             np.maximum.at(peaks, codes[ii, jj], _largest_over_maps(dv))

@@ -332,28 +332,39 @@ _DISK_CELLS = 1 << 25
 
 
 def _finite_number(value) -> float | None:
-    """value as a finite float if it is an int or a float, else None."""
+    """value as a finite float (-0.0 as 0.0, which equals it) if it is an
+    int or a float, else None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     try:
         value = float(value)
     except OverflowError:
         return None
-    return value if math.isfinite(value) else None
+    return value + 0.0 if math.isfinite(value) else None
 
 
-def _build_disk(eps, center=(0.0, 0.0), radius=1.0, extra=None):
-    coords = [_finite_number(c) for c in center] \
-        if isinstance(center, tuple) else []
+def _disk_parameters(**given) -> dict:
+    """The disk's parameters as _build_disk reads them (two floats and a
+    float), less those equal to their defaults: make_space's memo key and
+    recipe.  InvalidArgument on a value the builder cannot read."""
+    defaults = _PARAMETERS["disk"]
+    center, radius = {**defaults, **given}.values()
+    coords = tuple(map(_finite_number, center)) \
+        if isinstance(center, tuple) else ()
     radius = _finite_number(radius)
     if len(coords) != 2 or None in coords or radius is None or radius < 0:
         raise InvalidArgument("disk needs a center of two finite numbers "
                               "and a finite radius >= 0")
+    params = {"center": coords, "radius": radius}
+    return {k: v for k, v in params.items() if v != defaults[k]}
+
+
+def _build_disk(eps, center=(0.0, 0.0), radius=1.0, extra=None):
     side = 2 * radius / eps + 1
     if side * side > _DISK_CELLS:
         raise InvalidArgument(f"disk lattice of about {side * side:.3g} "
                               f"cells is past the cap of {_DISK_CELLS}")
-    center = np.array(coords)
+    center = np.array(center)
     pts, n_grid, injected = _disk_points(eps, center, radius, extra)
     net = Net(pts, eps)
     n = len(net)
@@ -641,8 +652,9 @@ _BUILDERS = {
     "hawaii": _build_hawaii,
 }
 
-# The parameters each builder reads; make_space refuses any other.
-_PARAMETERS = {"disk": ("center", "radius")}
+# The parameters each builder reads, with their defaults; make_space
+# refuses any other.
+_PARAMETERS = {"disk": {"center": (0.0, 0.0), "radius": 1.0}}
 
 
 def catalog_names() -> list[str]:
@@ -657,6 +669,8 @@ def make_space(name: str, resolution: float, **params) -> AnnotatedSpace:
         raise InvalidArgument(f"resolution {resolution!r} is not dyadic")
     if unread := sorted(set(params) - set(_PARAMETERS.get(name, ()))):
         raise InvalidArgument(f"{name} reads no parameter {unread}")
+    if name == "disk":
+        params = _disk_parameters(**params)
     return _catalog_space(name, resolution, tuple(sorted(params.items())))
 
 

@@ -604,6 +604,40 @@ def test_make_space_rejects_parameters_its_builder_does_not_read():
     assert disk.key != xl.make_space("disk", eps, radius=0.25).key
 
 
+def test_disk_parameters_are_canonical_before_the_memo():
+    from extenlab import serialization as ser
+    eps = 2.0 ** -3
+
+    def written(**params):
+        return ser.dumps(ser.space_to_ref(xl.make_space("disk", eps,
+                                                        **params)))
+    # the recipe a disk writes does not depend on what was built before
+    spaces_mod.clear_caches()
+    fresh = written(center=(0.5, 0), radius=2)
+    spaces_mod.clear_caches()
+    written(center=(0.5, 0.0), radius=2.0)
+    assert written(center=(0.5, 0), radius=2) == fresh
+    assert '"radius":2.0' in fresh and '"center":[0.5,0.0]' in fresh
+    spaces_mod.clear_caches()
+    assert written(center=(-0.0, 0.5), radius=-0.0) == written(
+        center=(0.0, 0.5), radius=0.0)
+    assert "-0.0" not in written(center=(-0.0, 0.5), radius=-0.0)
+    # defaults spelled out are the default disk: one space, no parameters
+    plain = xl.make_space("disk", eps)
+    for spelled in ({"center": (0.0, 0.0), "radius": 1.0},
+                    {"center": (0, 0)}, {"radius": 1}):
+        assert xl.make_space("disk", eps, **spelled) is plain
+        assert '"parameters":{}' in written(**spelled)
+    f = MapSample(plain.net, plain, plain.net.points, Modulus.lip(1.0))
+    g = xl.make_space("disk", eps, center=(0.0, 0.0), radius=1.0)
+    assert sup_distance(f, MapSample(g.net, g, g.net.points,
+                                     Modulus.lip(1.0))) == 0.0
+    for bad in ({"radius": -1.0}, {"radius": "1"}, {"radius": True},
+                {"center": [0.0, 0.0]}, {"center": (0.0, math.nan)}):
+        with pytest.raises(InvalidArgument):
+            xl.make_space("disk", eps, **bad)
+
+
 EPS5 = 2.0 ** -5
 
 
