@@ -25,8 +25,9 @@ from .maps import (Homotopy, MapSample, constant_map, cone_contraction,
                    dugundji_extend_partial, equiconnect_homotopy,
                    glue_homotopy_extension, homotopy_between, restrict,
                    small_diameter_extend)
-from .metric import (Modulus, _largest_distance, euclidean_rows,
-                     measured_modulus, measured_modulus_multi, sup_distance)
+from .metric import (Modulus, _largest_distance, _square_limit,
+                     euclidean_rows, measured_modulus, measured_modulus_multi,
+                     sup_distance)
 from .spaces import SpacePair, make_pair, make_space, product_with, \
     subspace, urysohn
 
@@ -467,11 +468,40 @@ def _run_cone_contraction(report: Report):
                          "every stage")
 
 
-def _largest_slice_distance(values: np.ndarray) -> float:
+def _all_slice_pairs(values: np.ndarray) -> float:
     """max over a of float(euclidean_rows(values[a], values[a + 1:]).max()),
     bit for bit (see metric._largest_distance)."""
     return max(_largest_distance(values[a], values[a + 1:])
                for a in range(len(values) - 1))
+
+
+def _largest_slice_distance(values: np.ndarray) -> float:
+    """_all_slice_pairs(values) bit for bit, a (T, n, d) stack, with only
+    the rows that may hold the maximum sent through it.
+
+    best, the largest distance of slices 0 and T - 1, is the distance of
+    a slice pair, so it is one of the values the maximum is taken over.
+    A row whose box over all slices has widths w (hi - lo) with squares
+    summing to s <= _square_limit(best) has every slice pair's computed
+    distance below best: the exact difference of two of its slices is at
+    most the box's in each coordinate, and rounding is monotone, so each
+    |fl(p_k - q_k)| <= fl(w_k), and the _square_limit argument carries
+    over (as in metric._box_squares).  The other rows, an s of inf among
+    them, go through the loop; the maximum is that of best and theirs.
+    With every value finite, every distance is a number, so the maximum
+    does not depend on the order it is taken in.  Python's max over NaN
+    does, so a NaN or infinite value sends the whole stack through the
+    loop."""
+    if not np.isfinite(values).all():
+        return _all_slice_pairs(values)
+    best = _largest_distance(values[0], values[-1])
+    with np.errstate(over="ignore"):
+        w = values.max(axis=0) - values.min(axis=0)
+        s = np.einsum("ik,ik->i", w, w)
+    rows = s > _square_limit(np.array([best]))
+    if not rows.any():
+        return best
+    return max(best, _all_slice_pairs(values[:, rows]))
 
 
 def _run_equiconnected(report: Report):

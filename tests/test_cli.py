@@ -543,6 +543,25 @@ def test_every_example_at_coarse_epsilon_keeps_its_report_bytes(capsys):
     assert got == COARSE_REPORTS
 
 
+# the same digest for equiconnected at two fine resolutions, as recorded
+# before its largest slice distance was screened by per-row boxes
+FINE_EQUICONNECTED = {
+    "2^-8": (0, "a9a56d937b8df0cf217f1e849e00881b0c373888b9eed68876525fe0e6ba5f8f"),
+    "2^-10": (0, "561c98d8d9d0b842cb4783f5ff87244f60982a953c6cf4a9ef95128b79f431bb"),
+}
+
+
+def test_equiconnected_at_fine_epsilon_keeps_its_report_bytes(capsys):
+    import hashlib
+    got = {}
+    for eps in FINE_EQUICONNECTED:
+        code, out, err = run_cli(capsys, "example", "run", "equiconnected",
+                                 "--epsilon", eps, "--format", "json")
+        got[eps] = (code, hashlib.sha256(
+            (out + "\0" + err).encode()).hexdigest())
+    assert got == FINE_EQUICONNECTED
+
+
 def test_space_info_sine_at_epsilon_one(capsys):
     code, out, _ = run_cli(capsys, "space", "info", "sine", "--epsilon", "1")
     assert code == 0 and "net_size: 6" in out

@@ -59,6 +59,92 @@ def test_screened_slice_distance_is_the_plain_maximum(rng):
             assert np.array_equal(got, want, equal_nan=True), (special, dim)
 
 
+def _plain_slice_maximum(values):
+    from extenlab.metric import euclidean_rows
+    return max(float(euclidean_rows(values[a], values[a + 1:]).max())
+               for a in range(len(values) - 1))
+
+
+def _arcs(a0, delta, slices=65):
+    # slice t of row i at angle a0_i + t delta_i on the unit circle
+    ang = a0 + np.linspace(0.0, 1.0, slices)[:, None] * delta
+    return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+
+def _structured_stacks(rng):
+    n = 300
+    a0 = rng.uniform(-np.pi, np.pi, n)
+    arcs = _arcs(a0, rng.uniform(-0.2, 0.2, n))
+    out_and_back = arcs.copy()
+    bump = 0.5 * np.sin(np.linspace(0.0, np.pi, 65))
+    out_and_back[:, 7] = arcs[0, 7] * (1.0 + bump)[:, None]
+    yield "inner-maximum", out_and_back
+    ulps = np.arange(1, 7) * np.spacing(np.pi)
+    near_pi = np.concatenate([np.pi - ulps, ulps - np.pi])
+    yield "delta-near-pi", _arcs(rng.uniform(-np.pi, np.pi, 12), near_pi)
+    yield "equal-delta", _arcs(a0, np.full(n, 0.3))
+    # one row of equal delta passes its end by a relative 2^-40 at an
+    # inner slice: its box ties best far closer than _SCREEN_MARGIN
+    overshoot = _arcs(np.where(np.arange(n) == 9, 0.5, a0), np.full(n, 0.3))
+    overshoot[40, 9] = _arcs(0.5, 0.3 * (1.0 + 2.0 ** -40), 2)[-1]
+    yield "equal-delta-overshoot", overshoot
+    off = arcs.copy()
+    off[0, ::2] *= 0.5
+    off[-1, ::2] *= 3.0
+    off[0, 1::2] *= 3.0
+    off[-1, 1::2] *= 0.5
+    yield "off-the-circle", off
+    fixed = arcs.copy()
+    fixed[:, ::3] = arcs[0, ::3]
+    yield "fixed-rows", fixed
+    yield "all-constant", np.broadcast_to(arcs[0], arcs.shape).copy()
+    yield "below-the-floor", arcs * 1e-140
+    for dim in (1, 3):
+        box = np.round(rng.random((11, 40, dim)), 2)
+        box[:, ::4] = box[0, ::4]
+        yield f"dim-{dim}", box
+    yield "two-slices", arcs[[0, -1]]
+    for special in (np.nan, np.inf, -np.inf):
+        lone = arcs.copy()
+        lone[32, 5, 1] = special
+        yield f"lone-{special}", lone
+
+
+def test_largest_slice_distance_matches_the_slice_loop_on_structured_stacks(
+        rng):
+    from extenlab.metric import _largest_distance
+    from extenlab.runs import _largest_slice_distance
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, values in _structured_stacks(rng):
+            want = _plain_slice_maximum(values)
+            got = _largest_slice_distance(values)
+            assert float.hex(got) == float.hex(want), name
+            if name in ("inner-maximum", "equal-delta-overshoot"):
+                # (0, T - 1) is not the maximum
+                assert want > _largest_distance(values[0], values[-1])
+
+
+def test_box_screen_sends_few_rows_through_the_slice_loop(monkeypatch):
+    # a screen that proves nothing would give the same bits, only slower
+    from extenlab import runs
+    screened, loop = runs._largest_slice_distance, runs._all_slice_pairs
+    seen, looped = [], []
+
+    def count_seen(values):
+        seen.append(values.shape[1])
+        return screened(values)
+
+    def count_looped(values):
+        looped.append(values.shape[1])
+        return loop(values)
+
+    monkeypatch.setattr(runs, "_largest_slice_distance", count_seen)
+    monkeypatch.setattr(runs, "_all_slice_pairs", count_looped)
+    run_example("equiconnected")
+    assert len(seen) == 6
+    assert sum(looped) <= 0.01 * sum(seen)
+
+
 def test_unknown_example_raises():
     with pytest.raises(UnknownName):
         run_example("nosuch")
