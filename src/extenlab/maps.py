@@ -301,7 +301,9 @@ def homotopy_between(f: MapSample, g: MapSample, mode: str) -> Homotopy:
     if mode == "straight-line":
         if f.codomain.name not in ("interval", "disk", "point"):
             raise InvalidArgument("straight-line homotopy needs a convex codomain")
-        slices = [(1 - t) * f.values + t * g.values for t in times]
+        t = times[:, None, None]
+        values = (1 - t) * f.values
+        values += t * g.values
     elif mode == "geodesic-circle":
         if f.codomain.name != "circle":
             raise InvalidArgument("geodesic mode is for the circle codomain")
@@ -311,12 +313,11 @@ def homotopy_between(f: MapSample, g: MapSample, mode: str) -> Homotopy:
         delta = np.mod(a1 - a0 + math.pi, 2 * math.pi) - math.pi
         if np.any(np.abs(np.abs(delta) - math.pi) < 1e-9):
             raise EpsilonTooLarge("antipodal values: no shorter arc")
-        slices = [np.column_stack([np.cos(a0 + t * delta),
-                                   np.sin(a0 + t * delta)]) for t in times]
+        angles = a0 + times[:, None] * delta
+        values = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     else:
         raise InvalidArgument(f"unknown homotopy mode {mode!r}")
 
-    values = np.stack(slices)
     values[0] = f.values
     values[-1] = g.values
     values[:, equal_rows, :] = f.values[equal_rows]  # fixed rows stay put

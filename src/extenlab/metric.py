@@ -107,43 +107,12 @@ def _unwritable(a: np.ndarray) -> bool:
 
 
 def _unique(a, rows: bool = False) -> np.ndarray:
-    """np.unique(a) of a real array, or np.unique(a, axis=0) of a 2-d one
-    with rows=True, bit for bit, without numpy.ma: numpy's unique asks
-    numpy.ma whether its input is masked, and so imports it (10-19 ms)
-    on its first call in a process.
-
-    The same steps as numpy's sorting route: a's elements (its rows,
-    viewed as records of their fields) sorted by np.sort's default kind,
-    then the first of each run of equal ones, so the zero kept is the
-    sign numpy keeps.  One NaN stays of the elements (the first after
-    the sort), and every row that holds a NaN, as numpy does.  Integer
-    inputs take numpy's hash route there, which gives the same sorted
-    values.
-    """
-    a = np.asanyarray(a)
-    if not rows:
-        return _sorted_firsts(a.ravel())
-    if a.shape[1] == 0:
-        return a[:1].copy()
-    flat = np.ascontiguousarray(a)
-    records = flat.view([(f"f{k}", flat.dtype) for k in range(a.shape[1])])
-    firsts = _sorted_firsts(records.ravel())
-    return firsts.view(a.dtype).reshape(-1, a.shape[1])
-
-
-def _sorted_firsts(ar: np.ndarray) -> np.ndarray:
-    aux = np.sort(ar)
-    keep = np.empty(aux.shape, dtype=bool)
-    keep[:1] = True
-    if len(aux) and aux.dtype.kind == "f" and np.isnan(aux[-1]):
-        nan = np.searchsorted(aux, aux[-1], side="left")
-        if nan > 0:
-            keep[1:nan] = aux[1:nan] != aux[:nan - 1]
-        keep[nan] = True
-        keep[nan + 1:] = False
-    else:
-        keep[1:] = aux[1:] != aux[:-1]
-    return aux[keep]
+    """np.unique(a), or np.unique(a, axis=0) of a 2-d array with
+    rows=True, without numpy.ma: asked for no counts, numpy 2.x's unique
+    asks numpy.ma whether its input is masked, and so imports it
+    (10-19 ms) on its first call in a process.  Asked for counts, it
+    takes its sorting route, which gives the same values bit for bit."""
+    return np.unique(a, axis=0 if rows else None, return_counts=True)[0]
 
 
 def _euclidean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -172,21 +141,6 @@ def _columns(a: np.ndarray) -> list[np.ndarray]:
     """Each coordinate of an (..., n, d) array as its own contiguous
     (..., n) column."""
     return [np.ascontiguousarray(a[..., k]) for k in range(a.shape[-1])]
-
-
-class _Scratch:
-    """Float64 storage reused by the blocks of one kernel call, grown to
-    the largest block: a fresh 1 MiB array per block costs more page
-    faults than the arithmetic it holds."""
-
-    def __init__(self):
-        self.buf = np.empty(0)
-
-    def block(self, rows: np.ndarray, cols: slice) -> np.ndarray:
-        shape = (len(rows), cols.stop - cols.start)
-        if self.buf.size < shape[0] * shape[1]:
-            self.buf = np.empty(shape[0] * shape[1])
-        return self.buf[:shape[0] * shape[1]].reshape(shape)
 
 
 def _exact(a, columns, i, j) -> np.ndarray:
@@ -219,28 +173,6 @@ def _square_limit(allowed: np.ndarray) -> np.ndarray:
     lim *= 1.0 - _SCREEN_MARGIN
     lim[~((lim >= _SCREEN_FLOOR) & (lim < np.inf))] = -1.0
     return lim
-
-
-def _square_excess(allowed: np.ndarray) -> np.ndarray:
-    """The other side of _square_limit: a bound ex per entry such that a
-    pair whose squares sum to s >= ex has exact distance (as _euclidean
-    computes it) above allowed: ex = allowed^2 (1 + _SCREEN_MARGIN), or
-    NaN, which no s meets, where that is not a finite number >=
-    _SCREEN_FLOOR.
-
-    Proof: s is at most (D + 2^-1075 k)(1 + k u), D the exact sum of the
-    squared differences, and ex is at least allowed^2 (1 + 2^-30)(1 - 2u),
-    so D > allowed^2 (1 + 2^-31) for ex >= _SCREEN_FLOOR; the computed
-    distance is within (k/2 + 1) u of sqrt(D), hence above allowed.  An
-    s of inf comes from differences whose D reaches the largest float,
-    above every finite ex, so the conclusion holds for it too.  allowed
-    must not be negative.
-    """
-    with np.errstate(over="ignore"):
-        ex = allowed * allowed
-        ex *= 1.0 + _SCREEN_MARGIN
-    ex[~((ex >= _SCREEN_FLOOR) & (ex < np.inf))] = np.nan
-    return ex
 
 
 @np.errstate(over="ignore")             # squares past the largest float
@@ -1180,21 +1112,17 @@ def _pair_screen(columns: list[np.ndarray]):
     lim (see there).  The maps' values are folded with np.maximum, so a
     NaN in any map proves nothing for the pair.
     """
-    first, more, part = _Scratch(), _Scratch(), _Scratch()
-
     def below(rows, cols, codes, lim, square):
         i = rows[:, None]
         top = None
         for m in range(len(columns[0])):
-            s = (first if top is None else more).block(rows, cols)
-            np.subtract(columns[0][m, i], columns[0][m, cols], out=s)
+            s = columns[0][m, i] - columns[0][m, cols]
             if len(columns) == 1:
                 np.abs(s, out=s)
             else:
-                np.multiply(s, s, out=s)
+                s *= s
                 for c in columns[1:]:
-                    d = np.subtract(c[m, i], c[m, cols],
-                                    out=part.block(rows, cols))
+                    d = c[m, i] - c[m, cols]
                     s += np.multiply(d, d, out=d)
             top = s if top is None else np.maximum(top, s, out=top)
         return top <= (lim if len(columns) == 1 else square).take(codes)

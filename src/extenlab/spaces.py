@@ -35,7 +35,7 @@ import numpy as np
 from . import dyadic
 from .errors import InvalidArgument, UnknownName
 from .metric import (ConeMetric, EuclideanMetric, MaxProductMetric, Modulus,
-                     Net, _frozen, _square_excess, _square_limit, _unique,
+                     Net, _frozen, _square_limit, _unique,
                      euclidean_rows, pair_blocks)
 
 
@@ -204,8 +204,12 @@ class AnnotatedSpace:
         return f"{self.name}#{digest}@{dyadic.format_epsilon(self.resolution)}"
 
     def contains(self, pts) -> np.ndarray:
-        """Membership in the true space (analytic where available)."""
+        """Membership in the true space (analytic where available);
+        InvalidArgument unless the points have the net's dimension."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if pts.shape[1] != self.net.dimension:
+            raise InvalidArgument(f"{self.name} holds points of dimension "
+                                  f"{self.net.dimension}, not {pts.shape[1]}")
         if self.contains_fn is not None:
             return self.contains_fn(pts)
         _, d = self.net.nearest(pts)
@@ -325,10 +329,17 @@ def _build_circle(eps):
         contains_fn=lambda p: np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0) <= 1e-9)
 
 
-# The largest lattice a disk builds, in cells.  The unit disk at 2^-11
-# (4,097^2 cells, about 13.2M points) fits; a larger one is refused before
-# any allocation.
-_DISK_CELLS = 1 << 25
+# The largest net a builder makes, in points (a disk: in lattice cells).
+# The unit disk at 2^-11 (4,097^2 cells, about 13.2M points) fits; a
+# larger net is refused before its arrays are allocated.
+_MAX_POINTS = 1 << 25
+
+
+def _check_size(size: float, what: str):
+    """InvalidArgument if size is past _MAX_POINTS."""
+    if size > _MAX_POINTS:
+        raise InvalidArgument(f"{what}: about {size:.3g}, past the cap of "
+                              f"{_MAX_POINTS}")
 
 
 def _finite_number(value) -> float | None:
@@ -361,32 +372,26 @@ def _disk_parameters(**given) -> dict:
 
 def _build_disk(eps, center=(0.0, 0.0), radius=1.0, extra=None):
     side = 2 * radius / eps + 1
-    if side * side > _DISK_CELLS:
-        raise InvalidArgument(f"disk lattice of about {side * side:.3g} "
-                              f"cells is past the cap of {_DISK_CELLS}")
+    _check_size(side * side, "disk lattice cells")
     center = np.array(center)
     pts, n_grid, injected = _disk_points(eps, center, radius, extra)
     net = Net(pts, eps)
     n = len(net)
 
     reach = radius + 1e-9
-    inside, outside = (float(f(np.array([reach]))[0])
-                       for f in (_square_limit, _square_excess))
+    inside = float(_square_limit(np.array([reach]))[0])
 
     @np.errstate(over="ignore")
     def member(p):
-        """euclidean_rows(p, center) <= reach, bit for bit: decided by the
-        sum of squares s of the same differences outside the band
-        (inside, outside) (see metric._square_limit and _square_excess),
-        and by np.hypot in it."""
-        if p.shape[1] != 2:
-            return euclidean_rows(p, center) <= reach
+        """euclidean_rows(p, center) <= reach, bit for bit: true where the
+        sum of squares s of the same differences is at most inside (see
+        metric._square_limit), else decided by np.hypot."""
         dx, dy = p[:, 0] - center[0], p[:, 1] - center[1]
         s = dx * dx
         s += dy * dy
         within = s <= inside
-        band = np.flatnonzero(~within & ~(s >= outside))
-        within[band] = np.hypot(dx[band], dy[band]) <= reach
+        rest = np.flatnonzero(~within)
+        within[rest] = np.hypot(dx[rest], dy[rest]) <= reach
         return within
 
     return AnnotatedSpace(
@@ -458,16 +463,15 @@ def _first_occurrences(arr, rows, index, start):
     a NaN nothing), and a point keeps the bits of its first occurrence.
     """
     points = arr[rows]
-    key = points + 0.0                  # -0.0 to 0.0; NaN stays
-    order = np.lexsort((key[:, 1], key[:, 0]))      # stable: firsts first
-    key = key[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(key[1:] != key[:-1], axis=1)
-    first = order[new]                  # per run of equal points
+    # + 0.0 folds -0.0 into 0.0; rows compare as records, so a NaN row
+    # equals no other
+    _, first, inverse = np.unique(points + 0.0, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
     rank = np.empty(len(first), dtype=int)
-    rank[np.argsort(first)] = np.arange(len(first))
-    index[rows[order]] = start + rank[np.cumsum(new) - 1]
-    return points[np.sort(first)]
+    rank[order] = np.arange(len(first))
+    index[rows] = start + rank[inverse.ravel()]
+    return points[first[order]]
 
 
 def _nearest_row(pts, target) -> int:
@@ -715,6 +719,7 @@ def product_with(space: AnnotatedSpace, factor: str,
         raise InvalidArgument("product base must carry the ambient metric")
 
     nA, nF = len(space.net), len(fvals)
+    _check_size(nA * nF, "product points")
     rep = np.repeat(fvals, nA)
     tiled = np.tile(space.net.points, (nF, 1))
     pts = np.column_stack([rep, tiled])
@@ -748,6 +753,7 @@ def cone(space: AnnotatedSpace) -> AnnotatedSpace:
     eps = space.resolution
     levels = _frozen(dyadic.grid(eps)[:-1])   # 0 .. 1-eps; apex stands for 1
     nA, nL = len(space.net), len(levels)
+    _check_size(nA * nL + 1, "cone points")
     rep = np.repeat(levels, nA)
     tiled = np.tile(space.net.points, (nL, 1))
     pts = np.column_stack([tiled, rep])
@@ -775,6 +781,7 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
     """
     if not 1 <= len(blocks) <= OPC_MAX_BLOCKS:
         raise InvalidArgument(f"opc takes 1..{OPC_MAX_BLOCKS} blocks")
+    _check_size(1 + sum(len(b.net) for b in blocks), "opc points")
     eps = blocks[0].resolution
     dim = max(b.net.dimension for b in blocks)
     pts = [np.zeros((1, dim))]

@@ -1123,3 +1123,15 @@ def test_no_numpy_ma_module_at_runtime(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [("cone", "interval", "--epsilon", "2^-16"),
+                                  ("opc", "disk", "--blocks", "1020",
+                                   "--epsilon", "2^-8"),
+                                  ("product-interval", "disk",
+                                   "--epsilon", "2^-8")])
+def test_construct_refuses_nets_past_the_cap(capsys, argv):
+    # 65,537 x 65,536 cone points, 1,020 disks of about 206k points, 257
+    # copies of that disk: each refused before any array of that size
+    code, _, err = run_cli(capsys, "construct", *argv)
+    assert code == 3 and "past the cap" in err

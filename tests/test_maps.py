@@ -666,3 +666,34 @@ def test_pickled_nets_maps_and_homotopies_come_back_frozen(rng):
     g = pickle.loads(pickle.dumps(f))
     assert not g.domain.points.flags.writeable and g.name == "f"
     assert g.modulus == f.modulus
+
+
+@pytest.mark.parametrize("n", [1, 7, 512])
+def test_homotopy_stack_is_the_per_slice_construction(n):
+    # the (T, n, d) stack is built in one broadcast; each slice keeps the
+    # bytes of its own per-slice expression
+    rng = np.random.default_rng(n)
+    eps = 2.0 ** -3
+    domain = Net(np.arange(n, dtype=float)[:, None], eps)
+    times = xl.dyadic.grid(2.0 ** -6)
+    interval, circle = (xl.make_space(name, eps)
+                        for name in ("interval", "circle"))
+    a, b = rng.random((2, n, 1))
+    f, g = (MapSample(domain, interval, v, Modulus.lip(1e9)) for v in (a, b))
+    want = np.stack([(1 - t) * a + t * b for t in times])
+    want[0], want[-1] = a, b
+    h = homotopy_between(f, g, "straight-line")
+    assert h.values.tobytes() == want.tobytes()
+
+    a0 = rng.uniform(-math.pi, math.pi, n)
+    delta = rng.uniform(-3.0, 3.0, n)
+    ends = [np.column_stack([np.cos(x), np.sin(x)]) for x in (a0, a0 + delta)]
+    f, g = (MapSample(domain, circle, v, Modulus.lip(1e9)) for v in ends)
+    a0, a1 = (np.arctan2(v[:, 1], v[:, 0]) for v in ends)
+    delta = np.mod(a1 - a0 + math.pi, 2 * math.pi) - math.pi
+    want = np.stack([np.column_stack([np.cos(a0 + t * delta),
+                                      np.sin(a0 + t * delta)])
+                     for t in times])
+    want[0], want[-1] = ends
+    h = homotopy_between(f, g, "geodesic-circle")
+    assert h.values.tobytes() == want.tobytes()

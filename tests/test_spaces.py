@@ -789,5 +789,46 @@ def test_disk_membership_from_squares_is_the_hypot_test(rng, center, radius):
     got = disk.contains(pts)
     assert np.array_equal(got, want)
     assert got.any() and not got.all()
-    one = rng.random((20, 1))              # one coordinate: as before
-    assert np.array_equal(disk.contains(one), euclidean_rows(one, c) <= reach)
+    with pytest.raises(xl.InvalidArgument, match="dimension"):
+        disk.contains(rng.random((20, 1)))
+
+
+@pytest.mark.parametrize("name, dim", [(name, dim) for name in
+                                       ("point", "interval", "circle", "disk",
+                                        "sine", "comb", "hawaii")
+                                       for dim in (1, 2, 3)])
+def test_contains_refuses_points_of_another_dimension(name, dim):
+    space = xl.make_space(name, EPS6)
+    pts = np.zeros((4, dim))
+    if dim == space.net.dimension:
+        assert space.contains(pts).shape == (4,)
+    else:
+        with pytest.raises(xl.InvalidArgument, match="dimension"):
+            space.contains(pts)
+
+
+def _first_occurrences_oracle(arr, rows, start):
+    seen, index, points = {}, {}, []
+    for r in rows.tolist():
+        key = tuple(float(x) for x in arr[r])
+        found = next((k for k in seen if k == key), None)   # NaN: no match
+        if found is None:
+            seen[key] = start + len(points)
+            points.append(arr[r])
+            found = key
+        index[r] = seen[found]
+    return np.array(points).reshape(-1, arr.shape[1]), index
+
+
+@pytest.mark.parametrize("start", [0, 7])
+def test_first_occurrences_match_a_python_oracle(rng, start):
+    values = np.array([0.0, -0.0, 1.0, 0.5, np.nan])
+    for n in (0, 1, 5, 60):
+        arr = rng.choice(values, (n, 2))
+        for rows in (np.flatnonzero(rng.random(n) < 0.7),
+                     np.arange(0), np.arange(n)):
+            index = np.full(n, -1)
+            got = spaces_mod._first_occurrences(arr, rows, index, start)
+            want, want_index = _first_occurrences_oracle(arr, rows, start)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert {r: int(index[r]) for r in rows.tolist()} == want_index
