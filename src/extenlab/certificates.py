@@ -23,14 +23,16 @@ import numpy as np
 from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse
 from .families import _covered_family, explicit_extension, extends
 from .maps import MapSample, collapse_retraction, winding_number
-from .metric import (_frozen, _induced_components, _largest_distance,
-                     _same_net, _unique, euclidean_rows, pair_blocks)
+from .metric import (_EXACT_SLACK, _ON_NET_SLACK, _ORDER_SLACK, _frozen,
+                     _induced_components, _largest_distance, _same_net,
+                     _unique, euclidean_rows, pair_blocks)
 from .spaces import AnnotatedSpace, SpacePair, index_cutoff, osc_cutoff
 
 VERIFIED = "verified"
 REFUTED = "refuted"
 INVALID = "invalid-certificate"
 INCONSISTENT = "inconsistent-input"
+_CHAIN_SLACK = 1e-9     # a chain step of 2 eps may be 2 eps (1 + this)
 
 # Positions in the pair's nets, which the file reader checks are in range.
 ZPosition = int                   # one position in Z
@@ -104,13 +106,11 @@ class PositiveCertificate(Certificate):
             v.add("codomain", False, "extension and map codomains differ",
                   fails=INCONSISTENT)
             return
-        slack = self.modulus_slack if self.modulus_slack is not None \
-            else 2 * ext.codomain.resolution
-        problems = ext.validity_report(slack=slack)
+        problems = ext.validity_report(slack=self.modulus_slack)
         v.add("extension-valid", not problems, "; ".join(problems))
         gap = float(euclidean_rows(ext.values[pair.z_indices],
                                    phi.values).max())
-        v.add("restriction-agreement", gap <= self.tolerance + 1e-15,
+        v.add("restriction-agreement", gap <= self.tolerance + _ORDER_SLACK,
               f"sup over Z = {gap:.3g}, tolerance {self.tolerance:g}")
         v.margins["restriction_gap"] = self.tolerance - gap
 
@@ -144,7 +144,7 @@ class PathComponentObstruction(Certificate):
             return
         max_step = float(y.net.dist_pairs(witness[:-1], witness[1:])
                          .max(initial=0.0))
-        v.add("witness-steps", max_step <= 2 * pair.resolution + 1e-12,
+        v.add("witness-steps", max_step <= 2 * pair.resolution + _EXACT_SLACK,
               f"max step {max_step:.3g} vs 2 eps")
         v.add("witness-one-component", len(_unique(y.labels[witness])) == 1,
               "witness stays in one Y component")
@@ -152,7 +152,7 @@ class PathComponentObstruction(Certificate):
         imgs = phi.values[[self.z1, self.z2]]
         idx, dist = cod.net.nearest(imgs)
         if not v.add("images-on-net",
-                     float(dist.max()) <= cod.resolution + 1e-9,
+                     float(dist.max()) <= cod.resolution + _ON_NET_SLACK,
                      "images resolve to codomain net points"):
             return
         names = tuple(cod.label_names[cod.labels[i]] for i in idx)
@@ -224,7 +224,7 @@ class MandatoryCrossingObstruction(Certificate):
             return
         sep = float(euclidean_rows(phi.values[self.z0],
                                    cod.net.points[mask]).min())
-        v.add("separation", sep >= self.separation - 1e-12,
+        v.add("separation", sep >= self.separation - _EXACT_SLACK,
               f"d(phi(z0), region) = {sep:.6g}")
         v.add("separation-above-4eps", self.separation > 4 * eps,
               f"{self.separation:.6g} > {4 * eps:.6g}")
@@ -237,7 +237,7 @@ class MandatoryCrossingObstruction(Certificate):
         for j, (a, b) in enumerate(self.brackets):
             idx, dist = cod.net.nearest(phi.values[[a, b]])
             if not v.add(f"bracket{j}-images-on-net",
-                         float(dist.max()) <= 1e-9,
+                         float(dist.max()) <= _ON_NET_SLACK,
                          "bracket images are codomain net points"):
                 continue
             la, lb = cod.labels[idx[0]], cod.labels[idx[1]]
@@ -255,8 +255,9 @@ class MandatoryCrossingObstruction(Certificate):
                   "no chain avoids the region")
             da, db = map(float, euclidean_rows(pair.z_net.points[[a, b]],
                                                z0_pt))
-            monotone = da < da_prev - 1e-15 and db < db_prev - 1e-15
-            nested = prev_a is None or db <= da_prev + 1e-12
+            monotone = (da < da_prev - _ORDER_SLACK
+                        and db < db_prev - _ORDER_SLACK)
+            nested = prev_a is None or db <= da_prev + _EXACT_SLACK
             v.add(f"bracket{j}-approaches-z0", monotone and nested,
                   f"d(a,z0)={da:.4g}, d(b,z0)={db:.4g}")
             da_prev, db_prev, prev_a = da, db, a
@@ -298,17 +299,17 @@ class WindingObstruction(Certificate):
                   "nonempty loop", fails=INVALID)
             return
         ring0_gap = float(euclidean_rows(rings[0], y.net.points[loop_y]).max())
-        if not v.add("witness-starts-at-loop", ring0_gap <= 1e-12,
+        if not v.add("witness-starts-at-loop", ring0_gap <= _EXACT_SLACK,
                      "first ring equals the loop", fails=INVALID):
             return
         spread = float(euclidean_rows(rings[-1], rings[-1][0]).max())
-        if not v.add("witness-ends-constant", spread <= 1e-12,
+        if not v.add("witness-ends-constant", spread <= _EXACT_SLACK,
                      "last ring is a single point", fails=INVALID):
             return
         escaped, worst = _witness_escapes_and_longest_edge(y, rings)
         v.add("witness-inside-Y", escaped == 0,
               f"{escaped} vertices escape Y")
-        v.add("witness-triangles-small", worst <= 2 * eps * (1 + 1e-9),
+        v.add("witness-triangles-small", worst <= 2 * eps * (1 + _CHAIN_SLACK),
               f"max witness edge {worst:.4g} vs 2 eps")
         retr = collapse_retraction(phi.codomain, self._k)
         loop_vals = retr.apply(phi.values[self.loop])
@@ -378,7 +379,7 @@ def check_certificate(pair: SpacePair, phi: MapSample,
 
 def _comb_bracket_count(eps: float) -> int:
     j = 0
-    while (1.0 / ((j + 1) * (j + 2))) > 2 * eps * (1 + 1e-9) \
+    while (1.0 / ((j + 1) * (j + 2))) > 2 * eps * (1 + _CHAIN_SLACK) \
             and (j + 2) <= index_cutoff(eps):
         j += 1
     return j
@@ -393,7 +394,8 @@ def _sine_bracket_count(eps: float) -> int:
         theta = (j + 0.5) * math.pi
         gap = 2 * math.pi * u / (theta * theta - u * u)
         spacing = 1.0 / (j * (j + 1))
-        if gap > 2 * eps * (1 + 1e-9) and spacing > 2 * eps * (1 + 1e-9):
+        if gap > 2 * eps * (1 + _CHAIN_SLACK) \
+                and spacing > 2 * eps * (1 + _CHAIN_SLACK):
             count += 1
         else:
             break

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all verdicts verified, 2 a verification refuted,
-3 invalid input (bad flags, unknown names, malformed files,
-invalid certificates), 4 internal inconsistency (an input that
-contradicts itself, or a fault of the checker).
+3 invalid input (bad flags, unknown names, malformed files, invalid
+certificates, requests too large for memory), 4 internal inconsistency
+(an input that contradicts itself, or a fault of the checker).
 
 Epsilon flags use the exact syntax 2^-k; output is deterministic, with
 timings withheld unless --timings is passed (so repeat runs are
@@ -169,10 +169,8 @@ def _cmd_construct(args) -> int:
     eps = dyadic.parse_epsilon(args.epsilon)
     if args.op == "cone":
         space = cone(make_space(args.base, eps))
-    elif args.op == "product-interval":
-        space = product_with(make_space(args.base, eps), "interval")
-    elif args.op == "product-ndagger":
-        space = product_with(make_space(args.base, eps), "ndagger")
+    elif args.op.startswith("product-"):
+        space = product_with(make_space(args.base, eps), args.op[8:])
     elif args.op == "opc":
         if not 1 <= args.blocks <= OPC_MAX_BLOCKS:
             raise InvalidArgument(f"opc takes 1..{OPC_MAX_BLOCKS} blocks")
@@ -262,6 +260,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except OSError as exc:
         sys.stderr.write(f"cannot write output: {exc}\n")
+        return EXIT_INVALID
+    except MemoryError:     # a backstop: sizes are refused before allocation
+        sys.stderr.write("error: out of memory\n")
         return EXIT_INVALID
     except ExtenlabError as exc:
         sys.stderr.write(f"inconsistency: {exc}\n")

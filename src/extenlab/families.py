@@ -133,10 +133,7 @@ def _ndagger_eclosed_family(eps: float) -> MapFamily:
     ndag = make_space("ndagger", eps)
     n_blocks = len(pair.space.meta["blocks"])
     # z layout: infinity first, then (left, right) per block
-    block_of = np.zeros(len(pair.z_net), dtype=int)
-    for b in range(n_blocks):
-        block_of[1 + 2 * b] = b + 1
-        block_of[2 + 2 * b] = b + 1
+    block_of = np.r_[0, np.repeat(np.arange(1, n_blocks + 1), 2)]
 
     def values_for(cut: int) -> np.ndarray:
         vals = np.where((block_of >= 1) & (block_of <= cut),

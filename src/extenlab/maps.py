@@ -17,8 +17,9 @@ from .dyadic import grid
 from .errors import (DiameterTooLarge, DomainMismatch, EpsilonTooLarge,
                      ExtensionFailure, GluingMismatch, InvalidArgument,
                      LoopTooCoarse)
-from .metric import (Modulus, Net, _euclidean, _frozen, _same_net,
-                     _through_constructor, _unique, check_modulus,
+from .metric import (_ANGLE_SLACK, _EXACT_SLACK, _INTEGER_SLACK,
+                     _ON_NET_SLACK, Modulus, Net, _euclidean, _frozen,
+                     _same_net, _through_constructor, _unique, check_modulus,
                      euclidean_rows, measured_modulus, measured_modulus_multi,
                      pair_blocks, sup_distance)
 from .spaces import AnnotatedSpace, Retraction, SpacePair, spiked_base_pair
@@ -60,10 +61,7 @@ class MapSample:
         return self.codomain.key
 
     def _distinct_values(self) -> np.ndarray:
-        """np.unique(values, axis=0) (metric._unique), in O(n) when the
-        map is constant."""
-        if np.all(self.values == self.values[0]):
-            return self.values[:1]
+        """np.unique(values, axis=0) (metric._unique)."""
         return _unique(self.values, rows=True)
 
     def value_diameter(self) -> float:
@@ -85,7 +83,7 @@ class MapSample:
         if np.all(vals == vals[0]):
             vals = vals[:1]
         worst = float(self.codomain.net.nearest(vals)[1].max())
-        if worst > eps + 1e-9:
+        if worst > eps + _ON_NET_SLACK:
             problems.append(f"value {worst:.3g} away from the codomain net "
                             f"(allowed {eps:.3g})")
         use = 2 * eps if slack is None else slack
@@ -274,7 +272,7 @@ def glue_homotopy_extension(pair: SpacePair, vbar_indices, phibar: MapSample,
         raise DomainMismatch("glue: phibar and f must live on Y")
     start_gap = float(euclidean_rows(psi.values[0],
                                      phibar.values[vbar]).max())
-    if start_gap > 1e-9:
+    if start_gap > _ON_NET_SLACK:
         raise GluingMismatch(
             f"psi slice 0 differs from phibar by {start_gap:.3g} on closure(V)")
     out = np.array(phibar.values)
@@ -307,11 +305,11 @@ def homotopy_between(f: MapSample, g: MapSample, mode: str) -> Homotopy:
     elif mode == "geodesic-circle":
         if f.codomain.name != "circle":
             raise InvalidArgument("geodesic mode is for the circle codomain")
-        if not sup_distance(f, g) < 2.0 - 1e-12:
+        if not sup_distance(f, g) < 2.0 - _EXACT_SLACK:
             raise EpsilonTooLarge("antipodal values: no shorter arc")
         a0, a1 = (np.arctan2(v[:, 1], v[:, 0]) for v in (f.values, g.values))
         delta = np.mod(a1 - a0 + math.pi, 2 * math.pi) - math.pi
-        if np.any(np.abs(np.abs(delta) - math.pi) < 1e-9):
+        if np.any(np.abs(np.abs(delta) - math.pi) < _ANGLE_SLACK):
             raise EpsilonTooLarge("antipodal values: no shorter arc")
         angles = a0 + times[:, None] * delta
         values = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
@@ -383,11 +381,11 @@ def winding_number(loop_points, center=(0.0, 0.0)) -> int:
     ang = np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
     step = np.diff(np.concatenate([ang, ang[:1]]))
     step = np.mod(step + math.pi, 2 * math.pi) - math.pi
-    if np.any(np.abs(step) >= math.pi - 1e-9):
+    if np.any(np.abs(step) >= math.pi - _ANGLE_SLACK):
         raise LoopTooCoarse("angular step >= pi")
     total = float(step.sum()) / (2 * math.pi)
     rounded = round(total)
-    if abs(total - rounded) > 1e-6:
+    if abs(total - rounded) > _INTEGER_SLACK:
         raise InvalidArgument(f"winding sum {total} is not an integer")
     return int(rounded)
 
@@ -408,7 +406,7 @@ def collapse_retraction(earring: AnnotatedSpace, k: int) -> Retraction:
         rr = x * x + y * y
         with np.errstate(divide="ignore", invalid="ignore"):
             k_est = np.where(rr > 0, 2 * np.maximum(x, 0.0) / np.where(rr > 0, rr, 1.0), 0.0)
-        keep = (np.abs(k_est - k) <= 1e-6 * k) & (rr > 0)
+        keep = (np.abs(k_est - k) <= _INTEGER_SLACK * k) & (rr > 0)
         out = np.zeros_like(p)
         out[keep] = p[keep]
         return out

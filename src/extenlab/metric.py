@@ -45,6 +45,13 @@ _TILE = 32
 # distance is at most omega(d) + slack + _CHECK_TOLERANCE.
 _CHECK_TOLERANCE = 1e-12
 
+# The tolerances of the other modules' comparisons, one per rule:
+_ON_NET_SLACK = 1e-9    # this far past a net's resolution is on the net
+_EXACT_SLACK = 1e-12    # agreement of what is equal in exact arithmetic
+_ORDER_SLACK = 1e-15    # an order of two floats is decided beyond this
+_INTEGER_SLACK = 1e-6   # this near an integer (relative, if scaled) is it
+_ANGLE_SLACK = 1e-9     # two angles (radians) this near are equal
+
 # The modulus kernels skip a pair only where a bound (the tile boxes of
 # _box_squares or a pair's own sum of squares in _pair_screen) proves it
 # below a limit; each bound shrinks its room by _SCREEN_MARGIN.  With
@@ -1129,19 +1136,6 @@ def _pair_screen(columns: list[np.ndarray]):
     return below
 
 
-def _largest_over_maps(dv: np.ndarray) -> np.ndarray:
-    """functools.reduce(np.maximum, dv) bit for bit, for (maps, pairs)
-    distances: a NaN pair keeps the first NaN in map order, as the fold
-    does, whatever the sign bit a reduction would give it."""
-    if len(dv) == 1:
-        return dv[0]
-    top = dv.max(axis=0)
-    nan = np.isnan(top)
-    if nan.any():
-        top[nan] = dv[np.isnan(dv[:, nan]).argmax(axis=0), nan]
-    return top
-
-
 def measured_modulus_multi(net: Net, values_list) -> Modulus:
     """Tightest dyadic-bucket step modulus all the sampled maps obey.
 
@@ -1168,8 +1162,8 @@ def measured_modulus_multi(net: Net, values_list) -> Modulus:
     to seed it.  In each run left, _pair_screen proves pairs' largest
     value distances at most the limit from the sums of squares of their
     differences; only the other pairs get their exact distances, the maps
-    folded in stack order as np.maximum folds them (see
-    _largest_over_maps).
+    folded with np.maximum in stack order, so a NaN pair keeps the first
+    NaN it meets.
 
     The check of the shapes is made here; the table is measured on its
     first read (see Modulus), from a snapshot of the maps taken here
@@ -1269,7 +1263,8 @@ def _measured_bounds(net: Net, values_list, n_buckets: int):
             ~screen(rows, cols, codes, lim, square)), cols.stop - cols.start)
         if len(ii):
             dv = _exact(maps, columns, rows[ii], jj + cols.start)
-            np.maximum.at(peaks, codes[ii, jj], _largest_over_maps(dv))
+            np.maximum.at(peaks, codes[ii, jj],
+                          functools.reduce(np.maximum, dv))
     per_bucket = np.zeros(n_buckets)
     np.maximum.at(per_bucket, bucket, peaks)
     return radii, np.maximum.accumulate(per_bucket)

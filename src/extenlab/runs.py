@@ -25,9 +25,9 @@ from .maps import (Homotopy, MapSample, constant_map, cone_contraction,
                    dugundji_extend_partial, equiconnect_homotopy,
                    glue_homotopy_extension, homotopy_between, restrict,
                    small_diameter_extend)
-from .metric import (Modulus, _largest_distance, _square_limit,
-                     euclidean_rows, measured_modulus, measured_modulus_multi,
-                     sup_distance)
+from .metric import (_ANGLE_SLACK, _EXACT_SLACK, Modulus, _largest_distance,
+                     _square_limit, euclidean_rows, measured_modulus,
+                     measured_modulus_multi, sup_distance)
 from .spaces import SpacePair, make_pair, make_space, product_with, \
     subspace, urysohn
 
@@ -271,8 +271,8 @@ def _run_eop_homotopy(report: Report):
     def chain_ok(n):
         # the geodesic chain breaks only at an exactly antipodal pair
         return not any(
-            abs(abs(angle_shift(k) - angle_shift(k + 1)) - math.pi) < 1e-9
-            for k in range(n, k_cap))
+            abs(abs(angle_shift(k) - angle_shift(k + 1)) - math.pi)
+            < _ANGLE_SLACK for k in range(n, k_cap))
 
     first = None
     for n in range(1, report.n_max + 1):
@@ -393,21 +393,13 @@ def _run_loc_ext(report: Report):
         idx = np.arange(b["start"], b["start"] + b["size"])
         far = float(np.abs(pair.space.net.points[idx, 0]).max())
         worst = max(worst, far - 2.0 ** (-b["n"]))
-    report.expect(worst <= 1e-12,
+    report.expect(worst <= _EXACT_SLACK,
                   "a block escapes its 2^-n ball around infinity")
-    # the assembled extension of the n_demo family member
-    fam_vals = []
-    for i, yi in enumerate(pair.z_indices):
-        blk = 0
-        for b in blocks:
-            if b["start"] <= yi < b["start"] + b["size"]:
-                blk = b["n"]
-        if blk <= n_demo:
-            fam_vals.append(p)
-        else:
-            fam_vals.append(full_vals[yi])
-    member = MapSample(pair.z_net, circle, np.asarray(fam_vals),
-                       measured_modulus(pair.z_net, np.asarray(fam_vals)),
+    # the assembled extension of the n_demo family member: full_vals is p
+    # at infinity, on blocks up to n_demo and on any block that failed
+    fam_vals = full_vals[pair.z_indices]
+    member = MapSample(pair.z_net, circle, fam_vals,
+                       measured_modulus(pair.z_net, fam_vals),
                        name=f"loc-ext-{n_demo}")
     assembled = MapSample(pair.space.net, circle, full_vals,
                           measured_modulus(pair.space.net, full_vals),

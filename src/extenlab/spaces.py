@@ -34,9 +34,15 @@ import numpy as np
 
 from . import dyadic
 from .errors import InvalidArgument, UnknownName
-from .metric import (ConeMetric, EuclideanMetric, MaxProductMetric, Modulus,
-                     Net, _frozen, _square_limit, _unique,
-                     euclidean_rows, pair_blocks)
+from .metric import (_EXACT_SLACK, _INTEGER_SLACK, _ON_NET_SLACK,
+                     _ORDER_SLACK, ConeMetric, EuclideanMetric,
+                     MaxProductMetric, Modulus, Net, _frozen, _square_limit,
+                     _unique, euclidean_rows, pair_blocks)
+
+# Catalog membership: within _MEMBER_SLACK of a curve, disk or comb; the
+# sine's height within _SINE_SLACK, as sin(pi / x) magnifies x's rounding.
+_MEMBER_SLACK = 1e-9
+_SINE_SLACK = 1e-6
 
 
 def index_cutoff(eps: float) -> int:
@@ -213,7 +219,7 @@ class AnnotatedSpace:
         if self.contains_fn is not None:
             return self.contains_fn(pts)
         _, d = self.net.nearest(pts)
-        return d <= self.net.resolution + 1e-9
+        return d <= self.net.resolution + _ON_NET_SLACK
 
     def component_count(self) -> int:
         return len(_unique(self.labels))
@@ -278,7 +284,7 @@ def _build_point(eps):
     return AnnotatedSpace(
         "point", net, np.zeros(1, dtype=int), ("point",),
         ClopenAtoms.connected(1), {}, {"origin": 0},
-        contains_fn=lambda p: euclidean_rows(p, np.zeros_like(p)) <= 1e-12)
+        contains_fn=lambda p: euclidean_rows(p, np.zeros_like(p)) <= _EXACT_SLACK)
 
 
 def _build_interval(eps, extra=()):
@@ -291,7 +297,8 @@ def _build_interval(eps, extra=()):
         "interval", net, np.zeros(n, dtype=int), ("interval",),
         ClopenAtoms.connected(n), {"clamp": _interval_retraction()},
         {"left": 0, "right": n - 1},
-        contains_fn=lambda p: (p[:, 0] >= -1e-12) & (p[:, 0] <= 1 + 1e-12))
+        contains_fn=lambda p: ((p[:, 0] >= -_EXACT_SLACK)
+                               & (p[:, 0] <= 1 + _EXACT_SLACK)))
 
 
 def _ndagger_values(eps) -> np.ndarray:
@@ -326,7 +333,8 @@ def _build_circle(eps):
         "circle", net, np.zeros(count, dtype=int), ("circle",),
         ClopenAtoms.connected(count), {"radial": _circle_retraction()},
         {"angle0": 0},
-        contains_fn=lambda p: np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0) <= 1e-9)
+        contains_fn=lambda p: (np.abs(np.hypot(p[:, 0], p[:, 1]) - 1.0)
+                               <= _MEMBER_SLACK))
 
 
 # The largest net a builder makes, in points (a disk: in lattice cells).
@@ -378,7 +386,7 @@ def _build_disk(eps, center=(0.0, 0.0), radius=1.0, extra=None):
     net = Net(pts, eps)
     n = len(net)
 
-    reach = radius + 1e-9
+    reach = radius + _MEMBER_SLACK
     inside = float(_square_limit(np.array([reach]))[0])
 
     @np.errstate(over="ignore")
@@ -546,11 +554,12 @@ def _build_sine(eps):
 
     def member(p):
         x, y = p[:, 0], p[:, 1]
-        on_seg = (np.abs(x) <= 1e-9) & (np.abs(y) <= 1 + 1e-9)
-        good = (x > 1e-12) & (x <= 1 + 1e-9)
+        on_seg = (np.abs(x) <= _MEMBER_SLACK) & (np.abs(y) <= 1 + _MEMBER_SLACK)
+        # 1e-12 is a floor, not a tolerance: on_seg decides every x below it
+        good = (x > 1e-12) & (x <= 1 + _MEMBER_SLACK)
         on_curve = np.zeros(len(p), dtype=bool)
         xs = np.where(good, x, 1.0)
-        on_curve[good] = np.abs(np.sin(math.pi / xs) - y)[good] <= 1e-6
+        on_curve[good] = np.abs(np.sin(math.pi / xs) - y)[good] <= _SINE_SLACK
         return on_seg | on_curve
 
     return AnnotatedSpace(
@@ -581,6 +590,7 @@ def _build_comb(eps):
     teeth = _comb_teeth(eps)
     ygrid = dyadic.grid(eps)
     base_x = _unique(np.concatenate([dyadic.grid(eps), np.asarray(teeth)]))
+    _check_size(len(base_x) + len(teeth) * (len(ygrid) - 1), "comb points")
     base = np.column_stack([base_x, np.zeros(len(base_x))])
     cols = [np.column_stack([np.full(len(ygrid) - 1, x), ygrid[1:]])
             for x in teeth]
@@ -590,11 +600,12 @@ def _build_comb(eps):
 
     def member(p):
         x, y = p[:, 0], p[:, 1]
-        on_base = (np.abs(y) <= 1e-9) & (x >= -1e-9) & (x <= 1 + 1e-9)
-        inv = np.round(1.0 / np.maximum(x, 1e-300))
-        on_tooth = ((np.abs(x) <= 1e-9) |
-                    ((inv >= 1) & (np.abs(x * inv - 1.0) <= 1e-9)))
-        on_tooth &= (y >= -1e-9) & (y <= 1 + 1e-9)
+        on_base = ((np.abs(y) <= _MEMBER_SLACK) & (x >= -_MEMBER_SLACK)
+                   & (x <= 1 + _MEMBER_SLACK))
+        inv = np.round(1.0 / np.maximum(x, 1e-300))   # a floor: no 1 / 0
+        on_tooth = ((np.abs(x) <= _MEMBER_SLACK) |
+                    ((inv >= 1) & (np.abs(x * inv - 1.0) <= _MEMBER_SLACK)))
+        on_tooth &= (y >= -_MEMBER_SLACK) & (y <= 1 + _MEMBER_SLACK)
         return on_base | on_tooth
 
     # base_x starts at 0.0; the limit tooth's column comes last, tip on top
@@ -635,7 +646,7 @@ def _build_hawaii(eps):
         with np.errstate(divide="ignore", invalid="ignore"):
             k_est = np.where(pos & (x > 0), 2 * x / np.where(pos, rr, 1.0), 0.0)
         k_round = np.round(k_est)
-        ok |= pos & (k_round >= 1) & (np.abs(k_est - k_round) <= 1e-6 * np.maximum(1, k_round))
+        ok |= pos & (k_round >= 1) & (np.abs(k_est - k_round) <= _INTEGER_SLACK * np.maximum(1, k_round))
         return ok
 
     return AnnotatedSpace(
@@ -706,7 +717,7 @@ def product_with(space: AnnotatedSpace, factor: str,
     eps = space.resolution
     if factor == "interval":
         step = float(grid_step if grid_step is not None else eps)
-        if not dyadic.is_dyadic(step) or step > eps + 1e-15:
+        if not dyadic.is_dyadic(step) or step > eps + _ORDER_SLACK:
             raise InvalidArgument("grid step must be dyadic and <= resolution")
         fvals = dyadic.grid(step)
         grid = {"step": step}
@@ -796,7 +807,7 @@ def opc_disjoint_union(blocks: list[AnnotatedSpace]) -> AnnotatedSpace:
         p = b.net.points
         lo = p.min(axis=0)
         extent = float(np.linalg.norm(p.max(axis=0) - lo))  # >= true diameter
-        scale = (2.0 ** (-n - 2)) / max(extent, 1e-12)
+        scale = (2.0 ** (-n - 2)) / max(extent, 1e-12)  # floor: extent 0
         shifted = np.zeros((len(p), dim))
         shifted[:, :p.shape[1]] = (p - lo) * scale
         shifted[:, 0] += 0.75 * 2.0 ** (-n)

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
 import extenlab as xl
+from extenlab import cli
 from extenlab import serialization as ser
 from extenlab.cli import main
 
@@ -866,14 +868,17 @@ def test_certify_refuses_a_winding_witness_of_one_ring(tmp_path, capsys):
                                          "nonempty loop"}]
 
 
+# a family and member whose certificate is of each kind
+_ONE_OF_KIND = {"positive": ("comb", 2), "path-component": ("pathcomp", None),
+                "clopen": ("ndagger-eopen", 2),
+                "mandatory-crossing": ("comb", None),
+                "winding": ("hawaii", 1)}
+
+
 @pytest.mark.parametrize("kind", sorted(ser.certs.KINDS))
 def test_a_fault_of_the_checker_exits_four(tmp_path, capsys, monkeypatch,
                                            kind):
-    family, n = {"positive": ("comb", 2), "path-component": ("pathcomp", None),
-                 "clopen": ("ndagger-eopen", 2),
-                 "mandatory-crossing": ("comb", None),
-                 "winding": ("hawaii", 1)}[kind]
-    problem, cert = _emitted(tmp_path, family, n)
+    problem, cert = _emitted(tmp_path, *_ONE_OF_KIND[kind])
     assert cert["kind"] == kind
 
     def fault(self, pair, phi, v):
@@ -885,6 +890,68 @@ def test_a_fault_of_the_checker_exits_four(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "IndexError" in err
     assert "Traceback" not in err
+
+
+# What certify may not run: the builders of families, runs, measured
+# moduli, extensions and certificates.  The checker re-verifies a file
+# with code of its own, so a defect in a builder cannot make its output
+# and the check agree.
+_BUILDER_FUNCTIONS = {"measured_modulus_multi", "measured_modulus",
+                      "_measured_bounds", "_measured_table", "_accepted",
+                      "explicit_extension", "build_negative_certificate",
+                      "certificate_for"}
+
+
+@pytest.mark.parametrize("kind", sorted(ser.certs.KINDS))
+def test_certify_runs_no_builder(tmp_path, capsys, kind):
+    problem, cert = _emitted(tmp_path, *_ONE_OF_KIND[kind])
+    assert cert["kind"] == kind
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_globals.get("__name__"),
+                        frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        code = _certify(tmp_path, problem, json.dumps(cert))
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    ours = {(m, f) for m, f in called if m and m.startswith("extenlab")}
+    assert ("extenlab.certificates", "check_certificate") in ours
+    reached = {(m, f) for m, f in ours
+               if m in ("extenlab.families", "extenlab.runs")
+               or f in _BUILDER_FUNCTIONS or f.startswith("dugundji_extend")}
+    assert not reached
+
+
+def test_running_out_of_memory_exits_three(capsys, monkeypatch):
+    # a backstop only: sizes past the cap are refused before allocation
+    def exhaust(args):
+        raise MemoryError("Unable to allocate 550. MiB")
+
+    monkeypatch.setitem(cli._DISPATCH, ("space", "info"), exhaust)
+    code, _, err = run_cli(capsys, "space", "info", "comb",
+                           "--epsilon", "2^-6")
+    assert code == 3 and err == "error: out of memory\n"
+    assert "Traceback" not in err
+
+
+def test_running_out_of_memory_while_checking_exits_four(tmp_path, capsys,
+                                                         monkeypatch):
+    # in the check phase a MemoryError is a fault of the checker
+    problem, cert = _emitted(tmp_path, *_ONE_OF_KIND["clopen"])
+
+    def exhaust(self, pair, phi, v):
+        raise MemoryError
+
+    monkeypatch.setattr(ser.certs.KINDS["clopen"], "check", exhaust)
+    capsys.readouterr()
+    assert _certify(tmp_path, problem, json.dumps(cert)) == 4
+    err = capsys.readouterr().err
+    assert "MemoryError" in err and "Traceback" not in err
 
 
 def test_output_that_cannot_be_written_exits_three(tmp_path, capsys):
@@ -1135,3 +1202,13 @@ def test_construct_refuses_nets_past_the_cap(capsys, argv):
     # copies of that disk: each refused before any array of that size
     code, _, err = run_cli(capsys, "construct", *argv)
     assert code == 3 and "past the cap" in err
+
+
+@pytest.mark.parametrize("argv", [("example", "run", "comb"),
+                                  ("space", "info", "comb"),
+                                  ("space", "sketch", "comb"),
+                                  ("construct", "cone", "comb")])
+def test_the_comb_past_the_cap_is_refused(capsys, argv):
+    # 36,045,340 comb points at 2^-16, refused before any array of that size
+    code, _, err = run_cli(capsys, *argv, "--epsilon", "2^-16")
+    assert code == 3 and "comb points" in err and "past the cap" in err
