@@ -53,7 +53,7 @@ _INTEGER_SLACK = 1e-6   # this near an integer (relative, if scaled) is it
 _ANGLE_SLACK = 1e-9     # two angles (radians) this near are equal
 
 # The modulus kernels skip a pair only where a bound (the tile boxes of
-# _box_squares or a pair's own sum of squares in _pair_screen) proves it
+# _box_squares or a pair's own sum of squares in _undecided_pairs) proves it
 # below a limit; each bound shrinks its room by _SCREEN_MARGIN.  With
 # u = 2^-53, fl(sum of k squares) is within a relative k*u of the exact
 # sum of the squared (computed) differences, np.hypot within 1 ulp of the
@@ -144,25 +144,6 @@ def euclidean_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _euclidean(np.atleast_2d(p), np.atleast_2d(q))
 
 
-def _columns(a: np.ndarray) -> list[np.ndarray]:
-    """Each coordinate of an (..., n, d) array as its own contiguous
-    (..., n) column."""
-    return [np.ascontiguousarray(a[..., k]) for k in range(a.shape[-1])]
-
-
-def _exact(a, columns, i, j) -> np.ndarray:
-    """_euclidean(a[..., i, :], a[..., j, :]) bit for bit, i and j
-    broadcast against each other: from the columns (see _columns; the
-    same differences, then the same abs or hypot) when a has one or two
-    coordinates, else the expression itself."""
-    if len(columns) > 2:
-        return _euclidean(a[..., i, :], a[..., j, :])
-    d = np.subtract(columns[0][..., i], columns[0][..., j])
-    if len(columns) == 1:
-        return np.abs(d, out=d)
-    return np.hypot(d, columns[1][..., i] - columns[1][..., j], out=d)
-
-
 def _square_limit(allowed: np.ndarray) -> np.ndarray:
     """A bound lim per entry such that a pair whose squares sum to
     s <= lim has exact distance (as _euclidean computes it) below
@@ -231,36 +212,35 @@ def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
         r0 = r1
 
 
-def _tile_edges(s: slice, tile: int) -> np.ndarray:
+def _tile_edges(s: slice) -> np.ndarray:
     """Offsets into s, from 0 to its length, where the tiles
-    [k tile, (k + 1) tile) of the net order cut it; the piece between
-    edges p and p + 1 lies in tile s.start // tile + p."""
-    inner = np.arange(s.start // tile + 1, -(-s.stop // tile)) * tile
+    [k _TILE, (k + 1) _TILE) of the net order cut it; the piece between
+    edges p and p + 1 lies in tile s.start // _TILE + p."""
+    inner = np.arange(s.start // _TILE + 1, -(-s.stop // _TILE)) * _TILE
     return np.concatenate(([0], inner - s.start, [s.stop - s.start]))
 
 
 class _CodedBlock(NamedTuple):
     """A block of a net's visited pairs with each pair's code, cut into
-    units: row tile x column tile of `tile` net points, clipped to the
+    units: row tile x column tile of _TILE net points, clipped to the
     block (see _tile_edges).  low and high hold each unit's lowest and
     highest code, one uint8 each."""
 
     rows: slice
     cols: slice
     codes: np.ndarray
-    tile: int
     low: np.ndarray
     high: np.ndarray
 
 
 def _coded(rows: slice, cols: slice, codes: np.ndarray) -> _CodedBlock:
     """The block's codes with their unit summary, all frozen."""
-    at = _tile_edges(rows, _TILE)[:-1], _tile_edges(cols, _TILE)[:-1]
+    at = _tile_edges(rows)[:-1], _tile_edges(cols)[:-1]
     low = np.minimum.reduceat(np.minimum.reduceat(codes, at[0]), at[1], 1)
     high = np.maximum.reduceat(np.maximum.reduceat(codes, at[0]), at[1], 1)
     for a in (codes, low, high):
         a.setflags(write=False)
-    return _CodedBlock(rows, cols, codes, _TILE, low, high)
+    return _CodedBlock(rows, cols, codes, low, high)
 
 
 def _scan(points: np.ndarray, coords: np.ndarray, dist):
@@ -668,6 +648,16 @@ class Net:
         j = np.atleast_1d(np.asarray(j, dtype=int))
         return self.metric.pairs(self.points, i, j)
 
+    def dist_to_set(self, indices) -> np.ndarray:
+        """Per net point, its least distance to the points at indices:
+        dist_idx(all points, indices).min(axis=1) bit for bit, a block of
+        whole rows at a time (see pair_blocks)."""
+        indices = np.atleast_1d(np.asarray(indices, dtype=int))
+        out = np.empty(len(self))
+        for rows, _ in pair_blocks(len(self), max(1, len(indices))):
+            out[rows] = self.dist_idx(rows, indices).min(axis=1)
+        return out
+
     def nearest(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the nearest net points (on a
         Euclidean net, index len(self) at distance inf for a query with
@@ -995,18 +985,11 @@ class Modulus:
         return Modulus, (self.kind, self.lipschitz, self.radii, self.bounds)
 
 
-def _bucket_of_code(n_buckets: int) -> np.ndarray:
-    """Bucket among the top n_buckets dyadic radii of a net, per code:
-    searchsorted(radii, d, "left") clipped to [0, n_buckets - 1]."""
-    return np.clip(np.arange(_RADII + 2) - 1 - (_RADII - n_buckets),
-                   0, n_buckets - 1)
-
-
-def _tile_boxes(maps: np.ndarray, tile: int):
-    """(lo, hi): per tile of `tile` net points and coordinate, the lowest
+def _tile_boxes(maps: np.ndarray):
+    """(lo, hi): per tile of _TILE net points and coordinate, the lowest
     and the highest value over the tile's points and over all the maps of
     the (maps, n, d) stack, NaN where one is."""
-    starts = np.arange(0, maps.shape[1], tile)
+    starts = np.arange(0, maps.shape[1], _TILE)
     return (np.minimum.reduceat(maps, starts, axis=1).min(axis=0),
             np.maximum.reduceat(maps, starts, axis=1).max(axis=0))
 
@@ -1044,8 +1027,8 @@ def _seed_runs(block: _CodedBlock, limit):
     """The first row of each row tile of block over all its columns, as
     runs (see _unit_runs): the net's first row alone, then the others,
     which a caller may screen against it."""
-    rows, cols, codes, tile = block[:4]
-    firsts = _tile_edges(rows, tile)[:-1]
+    rows, cols, codes = block[:3]
+    firsts = _tile_edges(rows)[:-1]
     for at in np.split(firsts, [1] if rows.start == 0 else []):
         if len(at):
             lim = limit()
@@ -1081,16 +1064,14 @@ def _unit_runs(net: Net, maps: np.ndarray, limit, seed: bool = False):
     if seed and stored is not None:
         for block in stored:
             yield from _seed_runs(block, limit)
-    boxes = None
+    boxes = _tile_boxes(maps)
     for block in net._pair_codes():
-        rows, cols, codes, tile, low, high = block
-        if boxes is None:
-            boxes = _tile_boxes(maps, tile)
+        rows, cols, codes, low, high = block
         if seed and stored is None:
             yield from _seed_runs(block, limit)
-        r_at, c_at = _tile_edges(rows, tile), _tile_edges(cols, tile)
-        s = _box_squares(boxes, rows.start // tile + np.arange(len(low)),
-                         cols.start // tile + np.arange(len(c_at) - 1))
+        r_at, c_at = _tile_edges(rows), _tile_edges(cols)
+        s = _box_squares(boxes, rows.start // _TILE + np.arange(len(low)),
+                         cols.start // _TILE + np.arange(len(c_at) - 1))
         lim = limit()
         square = _square_limit(lim)
         tiles, units = np.nonzero(~((s <= square[low]) & (s <= square[high])))
@@ -1107,33 +1088,43 @@ def _unit_runs(net: Net, maps: np.ndarray, limit, seed: bool = False):
                        codes[r0:r1, c0:c1], lim, square)
 
 
-def _pair_screen(columns: list[np.ndarray]):
-    """The screen of measured_modulus_multi and check_modulus, for the
-    maps whose coordinate columns (see _columns) are columns, each (maps,
-    n): is a pair's largest value distance at most lim[code]?  From the
-    differences the exact distance would take.
+def _undecided_pairs(net: Net, maps: np.ndarray, limit, seed: bool = False):
+    """The visited pairs of net whose largest value distance over the
+    (maps, n, d) stack is not proven at most lim[code], neither by the
+    tile rule (see _unit_runs, whose arguments these are) nor by the pair
+    screen, run by run as (i, j, codes, dv): row and column indices, the
+    pairs' codes and dv = _euclidean(maps[:, i], maps[:, j]), the exact
+    value distances in each map (gathered with take, which numpy does
+    several times faster than that indexing).
 
+    The screen works from the differences the exact distance would take.
     One coordinate: |difference| is the distance itself, compared with
     lim directly.  More: the sum of the squared differences is compared
-    with square = _square_limit(lim), which proves the distance below
-    lim (see there).  The maps' values are folded with np.maximum, so a
-    NaN in any map proves nothing for the pair.
+    with square = _square_limit(lim), which proves the distance below lim
+    (see there).  The maps' values are folded with np.maximum, so a NaN
+    in any map proves nothing for the pair.
     """
-    def below(rows, cols, codes, lim, square):
-        i = rows[:, None]
+    columns = [np.ascontiguousarray(maps[..., k])
+               for k in range(maps.shape[-1])]
+    for rows, cols, codes, lim, square in _unit_runs(net, maps, limit, seed):
+        r = rows[:, None]
         top = None
-        for m in range(len(columns[0])):
-            s = columns[0][m, i] - columns[0][m, cols]
+        for m in range(len(maps)):
+            s = columns[0][m, r] - columns[0][m, cols]
             if len(columns) == 1:
                 np.abs(s, out=s)
             else:
                 s *= s
                 for c in columns[1:]:
-                    d = c[m, i] - c[m, cols]
+                    d = c[m, r] - c[m, cols]
                     s += np.multiply(d, d, out=d)
             top = s if top is None else np.maximum(top, s, out=top)
-        return top <= (lim if len(columns) == 1 else square).take(codes)
-    return below
+        below = top <= (lim if len(columns) == 1 else square).take(codes)
+        ii, jj = np.divmod(np.flatnonzero(~below), cols.stop - cols.start)
+        if len(ii):
+            i, j = rows[ii], jj + cols.start
+            yield i, j, codes[ii, jj], _euclidean(maps.take(i, axis=1),
+                                                  maps.take(j, axis=1))
 
 
 def measured_modulus_multi(net: Net, values_list) -> Modulus:
@@ -1157,13 +1148,12 @@ def measured_modulus_multi(net: Net, values_list) -> Modulus:
     The table is the prefix maximum over the buckets of the per-bucket
     maxima, so a pair no larger than the prefix maximum its bucket has
     already attained cannot change it.  That prefix maximum, per code,
-    is the limit of _unit_runs, which skips the units its tile bound
-    proves below it; the first row of each row tile is evaluated first
-    to seed it.  In each run left, _pair_screen proves pairs' largest
-    value distances at most the limit from the sums of squares of their
-    differences; only the other pairs get their exact distances, the maps
-    folded with np.maximum in stack order, so a NaN pair keeps the first
-    NaN it meets.
+    is the limit of _undecided_pairs, whose tile rule skips the units
+    proven below it and whose pair screen the pairs proven below it from
+    the sums of squares of their differences; the first row of each row
+    tile is evaluated first to seed it.  Only the pairs left get their
+    exact distances, the maps folded with np.maximum in stack order, so
+    a NaN pair keeps the first NaN it meets.
 
     The check of the shapes is made here; the table is measured on its
     first read (see Modulus), from a snapshot of the maps taken here
@@ -1173,9 +1163,8 @@ def measured_modulus_multi(net: Net, values_list) -> Modulus:
     value, say) raises InvalidArgument from this call.
     """
     maps = _snapshot(net, values_list)
-    modulus = Modulus._measured(functools.partial(
-        _measured_table, net, maps, _BUCKETS))
-    if not _accepted(net, maps, _BUCKETS):
+    modulus = Modulus._measured(functools.partial(_measured_table, net, maps))
+    if not _accepted(net, maps):
         modulus.table()
     return modulus
 
@@ -1191,13 +1180,13 @@ def _snapshot(net: Net, values_list) -> np.ndarray:
     return _frozen(values_list)
 
 
-def _measured_table(net: Net, maps: np.ndarray, n_buckets: int) -> Modulus:
-    radii, bounds = _measured_bounds(net, maps, n_buckets)
+def _measured_table(net: Net, maps: np.ndarray) -> Modulus:
+    radii, bounds = _measured_bounds(net, maps)
     return Modulus.step([(0.0, 0.0)] + list(zip(radii.tolist(), bounds.tolist())))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _accepted(net: Net, maps: np.ndarray, n_buckets: int) -> bool:
+def _accepted(net: Net, maps: np.ndarray) -> bool:
     """Will Modulus.step accept the table measured_modulus_multi measures
     of the (maps, n, d) stack on net?  True only where it is proven here,
     in O(n d) and without the net's pair table:
@@ -1207,7 +1196,7 @@ def _accepted(net: Net, maps: np.ndarray, n_buckets: int) -> bool:
       over all maps add up to below 2^1000: each computed difference is
       at most its coordinate's span (rounding is monotone), so no sum of
       squares comes near overflow;
-    - the radii dmax 2^-k, k < n_buckets, are finite and increasing where
+    - the radii dmax 2^-k, k < _BUCKETS, are finite and increasing where
       the net has a coordinate backend whose points are spanned the same
       way: every net distance is then below inf (a cone's route through
       the apex may give -inf, which raises no maximum), so dmax is
@@ -1215,7 +1204,7 @@ def _accepted(net: Net, maps: np.ndarray, n_buckets: int) -> bool:
       0 and the table (0, 0) alone.  Else dmax is at least the distance
       of each pair of points that hold the least and the largest value of
       a coordinate (dist_pairs, bit for bit the distances it folds), and
-      from 2^(n_buckets - 1000) up every radius is a normal number, so
+      from 2^(_BUCKETS - 1000) up every radius is a normal number, so
       exact.
     """
     if maps.size == 0 or not isinstance(net.metric, _CoordinateMetric):
@@ -1226,7 +1215,7 @@ def _accepted(net: Net, maps: np.ndarray, n_buckets: int) -> bool:
     if not points.any():
         return True
     ends = net.dist_pairs(net.points.argmin(axis=0), net.points.argmax(axis=0))
-    return float(ends.max()) >= 2.0 ** (n_buckets - 1000)
+    return float(ends.max()) >= 2.0 ** (_BUCKETS - 1000)
 
 
 def _extents(a: np.ndarray) -> np.ndarray:
@@ -1238,34 +1227,27 @@ def _extents(a: np.ndarray) -> np.ndarray:
                      for k in range(a.shape[-1])])
 
 
-def _measured_bounds(net: Net, values_list, n_buckets: int):
-    """The radii and bounds of measured_modulus_multi's table, empty on a
-    net of diameter 0; a bound is NaN or infinite where a value is, which
-    Modulus.step then rejects.  values_list as measured_modulus_multi
-    takes it; its snapshot is read as it is."""
-    maps = _snapshot(net, values_list)
+def _measured_bounds(net: Net, maps: np.ndarray):
+    """The radii and bounds of measured_modulus_multi's table of the
+    (maps, n, d) stack, empty on a net of diameter 0; a bound is NaN or
+    infinite where a value is, which Modulus.step then rejects."""
     dmax = net._dmax
     if dmax == 0.0:
         return np.empty(0), np.empty(0)
-    radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
-    bucket = _bucket_of_code(n_buckets)
-    last = np.searchsorted(bucket, bucket, side="right") - 1  # of its bucket
-    columns = _columns(maps)
-    screen = _pair_screen(columns)
+    radii = dmax * 2.0 ** np.arange(-(_BUCKETS - 1), 1.0)
+    # per code, its bucket: searchsorted(radii, d, "left") clipped to
+    # [0, _BUCKETS - 1], and the last code of that bucket
+    bucket = np.clip(np.arange(_RADII + 2) - 1 - (_RADII - _BUCKETS),
+                     0, _BUCKETS - 1)
+    last = np.searchsorted(bucket, bucket, side="right") - 1
     peaks = np.zeros(_RADII + 2)                # per code
 
     def limit():                                # attained prefix maxima
         return np.maximum.accumulate(peaks)[last]
 
-    for rows, cols, codes, lim, square in _unit_runs(net, maps, limit,
-                                                     seed=True):
-        ii, jj = np.divmod(np.flatnonzero(
-            ~screen(rows, cols, codes, lim, square)), cols.stop - cols.start)
-        if len(ii):
-            dv = _exact(maps, columns, rows[ii], jj + cols.start)
-            np.maximum.at(peaks, codes[ii, jj],
-                          functools.reduce(np.maximum, dv))
-    per_bucket = np.zeros(n_buckets)
+    for _, _, codes, dv in _undecided_pairs(net, maps, limit, seed=True):
+        np.maximum.at(peaks, codes, functools.reduce(np.maximum, dv))
+    per_bucket = np.zeros(_BUCKETS)
     np.maximum.at(per_bucket, bucket, peaks)
     return radii, np.maximum.accumulate(per_bucket)
 
@@ -1319,19 +1301,19 @@ def check_modulus(f, slack: float) -> bool:
     distances may come from the domain's derived data (see Net), which
     never depends on a map or a modulus.
 
-    _unit_runs skips the units whose tile bound lies below the lower
-    bound lo[code] of each pair's allowance (see _allowances) at their
-    lowest code, which holds only for units whose codes all lie in
-    1..254, where lo does not decrease.  In the runs left, _pair_screen
-    passes the pairs whose sums of squares prove them at most lo[code];
-    every other pair gets its exact value distance.  One at most lo[code]
-    passes, and every other pair, NaN and infinite values included, gets
-    the exact test np.hypot(...) > omega(d) + slack + _CHECK_TOLERANCE of
-    the unscreened pass, its allowance read from lo where its code is
-    tight and else evaluated on its net distance.  A step table over the
-    domain net's own dyadic radii (as measured_modulus_multi declares) is
-    tight on every code from 1 to 254, so it computes net distances only
-    for pairs at distance 0.
+    _undecided_pairs skips the units whose tile bound lies below the
+    lower bound lo[code] of each pair's allowance (see _allowances) at
+    their lowest code, which holds only for units whose codes all lie in
+    1..254, where lo does not decrease, and the pairs whose sums of
+    squares prove them at most lo[code]; every other pair gets its exact
+    value distance.  One at most lo[code] passes, and every other pair,
+    NaN and infinite values included, gets the exact test np.hypot(...)
+    > omega(d) + slack + _CHECK_TOLERANCE of the unscreened pass, its
+    allowance read from lo where its code is tight and else evaluated on
+    its net distance.  A step table over the domain net's own dyadic
+    radii (as measured_modulus_multi declares) is tight on every code
+    from 1 to 254, so it computes net distances only for pairs at
+    distance 0.
 
     Identity maps take O(n): on a Euclidean net, values array_equal to the
     points give each value distance by the same _euclidean on the same
@@ -1347,18 +1329,9 @@ def check_modulus(f, slack: float) -> bool:
             and modulus.kind == "lipschitz" and modulus.lipschitz >= 1.0
             and np.array_equal(values, net.points)):
         return True  # the identity proof above
-    maps = values[None]
-    columns = _columns(maps)
-    screen = _pair_screen(columns)
     lo, tight = _allowances(net, modulus, slack)
-    for rows, cols, codes, _, square in _unit_runs(net, maps, lambda: lo):
-        ii, jj = np.divmod(np.flatnonzero(
-            ~screen(rows, cols, codes, lo, square)), cols.stop - cols.start)
-        if not len(ii):
-            continue
-        i, j, c = rows[ii], jj + cols.start, codes[ii, jj]
-        dv = _exact(maps, columns, i, j)[0]
-        allowed = lo[c]
+    for i, j, c, dv in _undecided_pairs(net, values[None], lambda: lo):
+        dv, allowed = dv[0], lo[c]
         loose = ~(dv <= allowed) & ~tight[c]
         allowed[loose] = (modulus(net.dist_pairs(i[loose], j[loose]))
                           + slack + _CHECK_TOLERANCE)

@@ -249,10 +249,13 @@ def _run_anr_eopen(report: Report):
 
 def _run_eop_homotopy(report: Report):
     eps = report.epsilon
+    k_cap = 64
+    if report.n_max > k_cap:
+        raise InvalidArgument(f"n_max {report.n_max} beyond the truncation "
+                              f"bound {k_cap} at {dyadic.format_epsilon(eps)}")
     circle = make_space("circle", eps)
     net = circle.net
     ang = np.arctan2(net.points[:, 1], net.points[:, 0])
-    k_cap = 64
 
     def angle_shift(k):
         if k == 1:
@@ -321,8 +324,7 @@ def _run_anr_eclosed(report: Report):
     phibar_limit = global_ext(0.0)
     phi = restrict(phibar_limit, pair)
     rho = 4 * eps
-    d_z = np.min(y_space.net.dist_idx(np.arange(len(y)), pair.z_indices),
-                 axis=1)
+    d_z = y_space.net.dist_to_set(pair.z_indices)
     v_idx = np.nonzero(d_z < rho)[0]
     vbar_idx = np.nonzero(d_z <= rho)[0]
     f = urysohn(y_space, pair.z_indices, v_idx)

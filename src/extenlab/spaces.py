@@ -865,9 +865,7 @@ def urysohn(space: AnnotatedSpace, z_indices, v_indices):
     comp = np.flatnonzero(~in_v)
     if len(comp) == 0:
         raise InvalidArgument("urysohn requires a nonempty complement")
-    all_idx = np.arange(len(space.net))
-    d_comp = space.net.dist_idx(all_idx, comp).min(axis=1)
-    d_z = space.net.dist_idx(all_idx, z).min(axis=1)
+    d_comp, d_z = space.net.dist_to_set(comp), space.net.dist_to_set(z)
     sep = float(d_comp[z].min())
     if sep <= 0:
         from .errors import DegenerateSeparation

@@ -147,6 +147,14 @@ def test_construct_opc_refuses_a_block_count_before_building(capsys, blocks):
     assert "1..1020" in err and "Traceback" not in err
 
 
+def test_eop_homotopy_refuses_n_max_beyond_its_members(capsys):
+    # --n-max 65 read a member past the 64 built: KeyError, exit 1
+    code, out, err = run_cli(capsys, "example", "run", "eop-homotopy",
+                             "--n-max", "65")
+    assert code == 3 and out == ""
+    assert "truncation bound 64" in err and "Traceback" not in err
+
+
 def test_unknown_flags_rejected(capsys):
     code, _, _ = run_cli(capsys, "example", "run", "comb", "--bogus")
     assert code == 3

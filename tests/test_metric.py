@@ -592,11 +592,13 @@ def test_vectorised_unionfind_matches_the_loop(rng):
 
 
 def measured_at(buckets, net, values_list):
-    """measured_modulus_multi with metric._BUCKETS set to buckets (the
-    count is read at the call, so later reads of the table keep it)."""
+    """measured_modulus_multi with metric._BUCKETS set to buckets, its
+    table read under the patch, so later reads keep that count."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metric, "_BUCKETS", buckets)
-        return measured_modulus_multi(net, values_list)
+        modulus = measured_modulus_multi(net, values_list)
+        modulus.table()
+        return modulus
 
 
 def _check_moduli(net, values, other):
@@ -699,31 +701,6 @@ def test_measured_modulus_needs_maps_of_one_shape():
                         [np.zeros((2, 1))], [np.zeros(3)], []):
         with pytest.raises(InvalidArgument):
             measured_modulus_multi(net, values_list)
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_exact_is_the_euclidean_expression_bit_for_bit(rng):
-    from extenlab import metric
-    n = 40
-    for dim in (1, 2, 3):
-        for maps in ((), (3,)):                 # one map, a stack of maps
-            a = rng.random((*maps, n, dim))
-            a[..., :6, 0] = [np.nan, np.inf, -np.inf, -0.0, 0.0, -0.0]
-            a[..., 6:9, -1] = [0.0, -0.0, np.inf]
-            columns = metric._columns(a)
-            i, j = rng.integers(0, n, 300), rng.integers(0, n, 300)
-            i[:36], j[:36] = np.divmod(np.arange(36), 6)    # every special
-            want = metric._euclidean(a[..., i, :], a[..., j, :])
-            assert metric._exact(a, columns, i, j).tobytes() == \
-                want.tobytes(), (dim, maps)
-            if maps:
-                continue
-            for rows, cols in ((np.arange(n), slice(0, n)),
-                               (np.array([7, 0, 3]), slice(2, 9)),
-                               (np.arange(2, n, 5), slice(5, 6))):
-                want = metric._euclidean(a[rows[:, None], :], a[cols, :])
-                got = metric._exact(a, columns, rows[:, None], cols)
-                assert got.tobytes() == want.tobytes(), (dim, rows)
 
 
 @pytest.mark.parametrize("far, table_bytes", [(0, None), (-2, None),
@@ -865,6 +842,15 @@ def test_owned_arrays_are_frozen_in_place_and_frozen_views_kept(rng):
 # screened kernels against the unscreened per-block kernels they replaced
 
 
+def bucket_of_code(k):
+    """Per pair code, the bucket among a net's top k dyadic radii of each
+    distance the code holds: code c in 1..254 holds (edges[c-1], edges[c]]
+    (see metric._edges) and the radii are edges[255-k:255], so
+    searchsorted(radii, d, "left") is c - 255 + k, clipped to [0, k - 1];
+    code 0 (d <= 0) is bucket 0 and code 255 the last."""
+    return np.clip(np.arange(256) - 255 + k, 0, k - 1)
+
+
 def unscreened_bounds(net, values_list, n_buckets=24):
     """measured_modulus_multi's radii and bounds from every pair's
     np.hypot, as the per-block kernel computed them before the screen."""
@@ -873,7 +859,7 @@ def unscreened_bounds(net, values_list, n_buckets=24):
     if dmax == 0.0:
         return np.empty(0), np.empty(0)
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
-    bucket = metric._bucket_of_code(n_buckets)
+    bucket = bucket_of_code(n_buckets)
     peaks = np.zeros(len(radii))
     for rows, cols, codes, *_ in net._pair_codes():
         dv = functools.reduce(np.maximum,
@@ -908,7 +894,7 @@ def unscreened_check_modulus(f, slack):
         return True
     k = own_bucket_count(net, modulus)
     if k:
-        step = np.r_[0, 1 + metric._bucket_of_code(k)[1:]]
+        step = np.r_[0, 1 + bucket_of_code(k)[1:]]
         table = (modulus.bounds + slack + 1e-12)[step]
         blocks = ((rows, cols, table[codes])
                   for rows, cols, codes, *_ in net._pair_codes())
@@ -954,7 +940,9 @@ def _screen_value_sets(rng, net, dim):
 
 def _assert_bounds_equal(net, values_list, n_buckets):
     from extenlab import metric
-    got = metric._measured_bounds(net, values_list, n_buckets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metric, "_BUCKETS", n_buckets)
+        got = metric._measured_bounds(net, np.array(values_list, dtype=float))
     want = unscreened_bounds(net, values_list, n_buckets)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -1296,16 +1284,16 @@ def test_comb_member_measure_evaluates_few_pairs(monkeypatch):
     from extenlab.families import explicit_extension
     ext = explicit_extension("comb", 3, 2.0 ** -9)
     evaluated = [0]
-    exact = metric._exact
+    undecided_pairs = metric._undecided_pairs
 
-    def counting(a, columns, i, j):
-        dv = exact(a, columns, i, j)
-        evaluated[0] += dv.size
-        return dv
+    def counting(*args, **kwargs):
+        for i, j, codes, dv in undecided_pairs(*args, **kwargs):
+            evaluated[0] += dv.size
+            yield i, j, codes, dv
 
-    monkeypatch.setattr(metric, "_exact", counting)
+    monkeypatch.setattr(metric, "_undecided_pairs", counting)
     seen = _count_skips(monkeypatch)
-    got = metric._measured_bounds(ext.domain, [ext.values], 24)
+    got = metric._measured_bounds(ext.domain, ext.values[None])
     assert seen[0] == 631167
     assert seen[1] <= 0.3 * seen[0]
     # the pair screen leaves exact distances to few of the visited pairs
@@ -1391,10 +1379,10 @@ def test_sine_identity_at_2_10_calls_no_pair_kernel(monkeypatch):
     from extenlab import metric
     from extenlab.families import explicit_extension
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("a pair kernel ran")
 
-    monkeypatch.setattr(metric, "_exact", refuse)
+    monkeypatch.setattr(metric, "_undecided_pairs", refuse)
     eps = 2.0 ** -10
     ext = explicit_extension("sine-eopen", None, eps)
     assert len(ext.domain) == 48507
@@ -1456,8 +1444,8 @@ def _differences_at(rng, targets, dim, ulps=3):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n_maps", [1, 3])
-def test_pair_screen_decides_sums_of_squares_ulps_from_the_limit(rng, dim,
-                                                                n_maps):
+def test_pair_screen_decides_sums_of_squares_ulps_from_the_limit(
+        monkeypatch, rng, dim, n_maps):
     from extenlab import metric
     lim = np.r_[np.nan, 2.0 ** rng.uniform(-40, 8, 254), np.nan]
     # squares that underflow below the floor, and that overflow
@@ -1472,9 +1460,19 @@ def test_pair_screen_decides_sums_of_squares_ulps_from_the_limit(rng, dim,
     maps = rng.random((n_maps, len(diffs), 1)) * diffs[None]
     maps[carrier, np.arange(len(diffs))] = diffs
     values = np.concatenate([np.zeros((n_maps, 1, dim)), maps], axis=1)
-    below = metric._pair_screen(metric._columns(values))
-    got = below(np.array([0]), slice(1, len(diffs) + 1), codes[None],
-                lim, square)[0]
+    # one run of the tile rule: row 0 against every other point
+    run = (np.array([0]), slice(1, len(diffs) + 1), codes[None], lim, square)
+    monkeypatch.setattr(metric, "_unit_runs", lambda *args: iter([run]))
+    per_map = metric._euclidean(values[:, :1], values[:, 1:])
+    got = np.ones(len(diffs), dtype=bool)         # settled by the screen
+    yielded = []
+    for i, j, c, dv in metric._undecided_pairs(None, values, None):
+        assert (i == 0).all() and np.array_equal(c, codes[j - 1])
+        assert dv.tobytes() == per_map[:, j - 1].tobytes()
+        got[j - 1] = False
+        yielded.extend(j.tolist())
+    # a pair is yielded once, in run order, exactly when it is not settled
+    assert yielded == sorted(set(yielded))
     with np.errstate(over="ignore"):
         if dim == 1:
             want = np.abs(maps[..., 0]).max(axis=0) <= lim[codes]
@@ -1484,7 +1482,7 @@ def test_pair_screen_decides_sums_of_squares_ulps_from_the_limit(rng, dim,
             want = s.max(axis=0) <= square[codes]
     assert np.array_equal(got, want)
     # sound: a settled pair's exact distance in every map is within lim
-    exact = metric._euclidean(values[:, :1], values[:, 1:]).max(axis=0)
+    exact = per_map.max(axis=0)
     assert np.all(exact[got] <= lim[codes][got])
     # the ulps either side of the limits reach both decisions, and the
     # limits that NaN, the floor or an overflow make unusable settle none
@@ -1625,8 +1623,8 @@ def test_every_read_of_a_measured_modulus_is_the_eager_table(rng):
             for name, values in _screen_value_sets(rng, net, dim).items():
                 for values_list in ([values],
                                     [values, np.roll(values, 1, axis=0)]):
-                    radii, bounds = metric._measured_bounds(net, values_list,
-                                                            24)
+                    radii, bounds = metric._measured_bounds(
+                        net, np.array(values_list))
                     try:
                         want = Modulus.step([(0.0, 0.0)] + list(zip(
                             radii.tolist(), bounds.tolist())))
@@ -1776,3 +1774,16 @@ def test_unique_is_numpy_unique_bit_for_bit(rng):
         empty = np.empty(shape)
         assert _unique(empty, rows=True).shape == \
             np.unique(empty, axis=0).shape
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_distances_to_a_set_are_the_row_minima(monkeypatch, rng, budget):
+    from extenlab import metric
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", budget)
+    n = 60
+    for kind, net in _random_nets(rng, n).items():
+        for indices in ([0], rng.choice(n, 7, replace=False),
+                        np.arange(n)):
+            want = net.dist_idx(np.arange(n), indices).min(axis=1)
+            got = net.dist_to_set(indices)
+            assert got.tobytes() == want.tobytes(), kind

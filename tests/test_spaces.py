@@ -832,3 +832,17 @@ def test_first_occurrences_match_a_python_oracle(rng, start):
             want, want_index = _first_occurrences_oracle(arr, rows, start)
             assert got.tobytes() == want.tobytes() and got.shape == want.shape
             assert {r: int(index[r]) for r in rows.tolist()} == want_index
+
+
+def test_urysohn_takes_its_distance_minima_a_block_at_a_time():
+    # full n x |Y - V| and n x |Z| matrices peaked at about 250 MB here
+    space = xl.make_space("interval", 2.0 ** -12)
+    z, v = [0], range(101)
+    tracemalloc.start()
+    try:
+        f = spaces_mod.urysohn(space, z, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert f.values[0, 0] == 1.0 and (f.values[101:] == 0.0).all()
