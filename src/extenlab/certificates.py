@@ -23,9 +23,10 @@ import numpy as np
 from .errors import ExtenlabError, InvalidArgument, LoopTooCoarse
 from .families import _covered_family, explicit_extension, extends
 from .maps import MapSample, collapse_retraction, winding_number
-from .metric import (_EXACT_SLACK, _ON_NET_SLACK, _ORDER_SLACK, _frozen,
-                     _induced_components, _largest_distance, _same_net,
-                     _unique, euclidean_rows, pair_blocks)
+from .metric import (_EXACT_SLACK, _ON_NET_SLACK, _ORDER_SLACK,
+                     _SCREEN_FLOOR, _SCREEN_MARGIN, _euclidean, _frozen,
+                     _induced_components, _same_net, _unique, euclidean_rows,
+                     pair_blocks)
 from .spaces import AnnotatedSpace, SpacePair, index_cutoff, osc_cutoff
 
 VERIFIED = "verified"
@@ -334,20 +335,47 @@ def _witness_escapes_and_longest_edge(y: AnnotatedSpace,
     A block is as many whole rings as pair_blocks fits in _BLOCK_BYTES of
     coordinates, so the temporaries are a few blocks whatever r is; its
     radial and diagonal edges reach into the next block's first ring.
-    The longest edge is the max of the same np.hypot values as over the
-    whole array, screened by sums of squares (metric._largest_distance).
+    The edges of each family are slices of the block and of the next
+    rings, the cyclic edge of the last vertex apart (see _longest_edge).
     """
     escaped, worst = 0, 0.0
     for rows, _ in pair_blocks(len(rings), rings[0].size):
         block = rings[rows]
         escaped += int(np.count_nonzero(~y.contains(block.reshape(-1, 2))))
-        turned = np.roll(block, -1, axis=1)
         after = rings[rows.start + 1:rows.stop + 1]
-        for p, q in ((block, turned), (block[:len(after)], after),
-                     (turned[:len(after)], after)):
-            if p.size:
-                worst = max(worst, _largest_distance(p, q))
+        k = len(after)
+        worst = _longest_edge(worst, (
+            ((block[:, :-1], block[:, 1:]), (block[:, -1:], block[:, :1])),
+            ((block[:k], after),),
+            ((block[:k, 1:], after[:, :-1]), (block[:k, :1], after[:, -1:]))))
     return escaped, worst
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _longest_edge(worst: float, families) -> float:
+    """worst folded with max() over the families in turn, each the largest
+    np.hypot(p - q) of its (p, q) pieces of (..., 2) points: NaN if one is
+    NaN, which max() passes over.  Where the largest squared length smax
+    of all pieces is a number in [_SCREEN_FLOOR, inf), every length is
+    finite and only those within _SCREEN_MARGIN of smax are evaluated
+    (the argument of metric._largest_distance); else every one is."""
+    sums = []
+    for family in families:
+        sums.append([])
+        for p, q in family:
+            d = np.subtract(p, q)
+            d *= d
+            sums[-1].append(d[..., 0] + d[..., 1])
+    smax = np.max([s.max(initial=0.0) for squares in sums for s in squares])
+    near = (smax * (1.0 - _SCREEN_MARGIN) if _SCREEN_FLOOR <= smax < math.inf
+            else -math.inf)
+    for family, squares in zip(families, sums):
+        lengths = [0.0]
+        for (p, q), s in zip(family, squares):
+            at = ~(s < near)                    # NaN included
+            lengths.append(_euclidean(p[at], q[at]).max(initial=0.0))
+        worst = max(worst, float(np.max(lengths)))
+    return worst
 
 
 KINDS = {cls.kind: cls for cls in (

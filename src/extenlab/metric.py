@@ -12,7 +12,7 @@ import functools
 import math
 import threading
 from dataclasses import FrozenInstanceError, dataclass, field, fields
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ _BLOCK_BYTES = 1 << 20
 
 # Largest pair-code table a Net stores, in bytes (one uint8 per visited
 # pair, so n(n+1)/2 and a little: n up to about 11,500).  Larger nets
-# recompute their codes block by block per call.
+# recompute their codes batch by batch per call.
 _TABLE_BYTES = 64 << 20
 
 # A net's codes place each distance d among [0] and the dyadic radii
@@ -36,10 +36,11 @@ _RADII = 254
 # ... dmax, for a count in 1.._RADII.
 _BUCKETS = 24
 
-# Net points per tile.  The modulus kernels cut each block of pairs into
-# units, a row tile by a column tile clipped to the block, and skip a
-# unit whole when the boxes of its tiles' values prove every pair of it.
-_TILE = 32
+# Net points per tile.  The modulus kernels read the visited pairs a
+# unit at a time, the _TILE x _TILE pairs of a row tile and a column tile
+# (see Net._pair_codes), and skip a unit whole when the boxes of its
+# tiles' values prove every pair of it.
+_TILE = 16
 
 # The additive tolerance of check_modulus: a pair passes when its value
 # distance is at most omega(d) + slack + _CHECK_TOLERANCE.
@@ -212,35 +213,11 @@ def pair_blocks(n_rows: int, n_cols: int, upper: bool = False):
         r0 = r1
 
 
-def _tile_edges(s: slice) -> np.ndarray:
-    """Offsets into s, from 0 to its length, where the tiles
-    [k _TILE, (k + 1) _TILE) of the net order cut it; the piece between
-    edges p and p + 1 lies in tile s.start // _TILE + p."""
-    inner = np.arange(s.start // _TILE + 1, -(-s.stop // _TILE)) * _TILE
-    return np.concatenate(([0], inner - s.start, [s.stop - s.start]))
-
-
-class _CodedBlock(NamedTuple):
-    """A block of a net's visited pairs with each pair's code, cut into
-    units: row tile x column tile of _TILE net points, clipped to the
-    block (see _tile_edges).  low and high hold each unit's lowest and
-    highest code, one uint8 each."""
-
-    rows: slice
-    cols: slice
-    codes: np.ndarray
-    low: np.ndarray
-    high: np.ndarray
-
-
-def _coded(rows: slice, cols: slice, codes: np.ndarray) -> _CodedBlock:
-    """The block's codes with their unit summary, all frozen."""
-    at = _tile_edges(rows)[:-1], _tile_edges(cols)[:-1]
-    low = np.minimum.reduceat(np.minimum.reduceat(codes, at[0]), at[1], 1)
-    high = np.maximum.reduceat(np.maximum.reduceat(codes, at[0]), at[1], 1)
-    for a in (codes, low, high):
-        a.setflags(write=False)
-    return _CodedBlock(rows, cols, codes, low, high)
+def _coded(codes: np.ndarray):
+    """(codes, low, high): the (k, _TILE, _TILE) codes of k units and each
+    unit's lowest and highest code."""
+    flat = codes.reshape(len(codes), -1)
+    return codes, flat.min(axis=1), flat.max(axis=1)
 
 
 def _scan(points: np.ndarray, coords: np.ndarray, dist):
@@ -488,10 +465,13 @@ class _CoordinateMetric:
     """
 
     def block(self, points: np.ndarray, rows, cols) -> np.ndarray:
-        return self.dist(points[rows][:, None, :], points[cols][None, :, :])
+        # take gathers points[idx] bit for bit, several times faster
+        p, q = (points[x] if isinstance(x, slice) else points.take(x, axis=0)
+                for x in (rows, cols))
+        return self.dist(p[:, None, :], q[None, :, :])
 
     def pairs(self, points: np.ndarray, i, j) -> np.ndarray:
-        return self.dist(points[i], points[j])
+        return self.dist(points.take(i, axis=0), points.take(j, axis=0))
 
     def index(self, points: np.ndarray, resolution: float):
         return points           # no query structure: nearest scans blocks
@@ -598,14 +578,17 @@ class Net:
     Derived data, computed on first use from the points and the metric
     alone (never from a map or a modulus), kept on the instance and
     freed with it:
-      _pair_table  dmax, the largest distance over the visited pairs of
-                   pair_blocks(upper=True), each unordered pair once, and
-                   each visited pair's code, the position of its distance
-                   among [0] + dmax * 2^-253 ... dmax: one uint8 per pair in
-                   pair_blocks layout (about n^2/2 bytes), with the
-                   lowest and highest code of each _TILE x _TILE unit
-                   (see _CodedBlock), stored only up to _TABLE_BYTES,
-                   else None and computed per call;
+      _pair_table  dmax, the largest distance over the visited pairs,
+                   and each one's code, the position of its distance
+                   among [0] + dmax * 2^-253 ... dmax.  The visited
+                   pairs are the units (a, b), a <= b: the row tile a by
+                   the column tile b of _TILE net points (an index past
+                   the net stands for its last point), so each unordered
+                   pair is visited once at least.  Stored only up to
+                   _TABLE_BYTES (else None and computed per call), one
+                   uint8 per visited pair (about n^2/2 bytes), each
+                   unit's _TILE^2 codes contiguous, in tile-major order
+                   (see _unit_batches), with its lowest and highest code;
       _index       the backend's nearest-point query structure: a _Grid
                    of cubes of side resolution on a Euclidean net (a
                    query within the resolution of the net settles in its
@@ -691,43 +674,71 @@ class Net:
     def _graphs(self) -> dict:
         return {}
 
-    def _blocks(self):
-        return pair_blocks(len(self), len(self), upper=True)
+    def _unit_batches(self, unit_bytes: int):
+        """(part, a, b) per run of as many units as fit in _BLOCK_BYTES of
+        unit_bytes each (at least one), in tile-major order: every a <= b,
+        by a, then b.  part is the run's slice of that order, a and b its
+        units' tile indices."""
+        m = -(-len(self) // _TILE)
+        first = np.arange(m) * m - np.arange(m) * np.arange(-1, m - 1) // 2
+        step = max(1, _BLOCK_BYTES // unit_bytes)
+        for u in range(0, m * (m + 1) // 2, step):
+            u = np.arange(u, min(u + step, m * (m + 1) // 2))
+            a = np.searchsorted(first, u, side="right") - 1
+            yield slice(u[0], u[-1] + 1), a, u - first[a] + a
+
+    def _unit_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(k, _TILE, _TILE) distances of the units (a[k], b[k]): the rows
+        of tile a[k] by the columns of tile b[k], an index past the net
+        taken as its last point; bit for bit those of dist_idx."""
+        t = np.arange(_TILE)
+        i = np.minimum(a[:, None] * _TILE + t, len(self) - 1)
+        j = np.minimum(b[:, None] * _TILE + t, len(self) - 1)
+        return self.dist_pairs(i[:, :, None], j[:, None, :])
 
     @functools.cached_property
     def _pair_table(self):
-        """(dmax, stored _CodedBlocks or None)."""
-        blocks = list(self._blocks())
-        cells = sum((r.stop - r.start) * (c.stop - c.start) for r, c in blocks)
-        # One pass codes each block against the running maximum (NaN
-        # ignored), which is dmax from the block holding the diameter on;
-        # only blocks coded before it are evaluated again.
-        dmax, coded = 0.0, []
-        for rows, cols in blocks:
-            d = self.dist_idx(rows, cols)
+        """(dmax, the stored (codes, low, high) of every unit or None)."""
+        m = -(-len(self) // _TILE)
+        store = m * (m + 1) // 2 * _TILE * _TILE <= _TABLE_BYTES
+        codes = np.empty((m * (m + 1) // 2 if store else 0, _TILE, _TILE),
+                         np.uint8)
+        # One pass codes each batch against the running maximum (NaN
+        # ignored), which is dmax from the batch holding the diameter on;
+        # only batches coded before it are evaluated again.
+        dmax, scales = 0.0, []
+        for part, a, b in self._unit_batches(8 * _TILE ** 2):
+            d = self._unit_distances(a, b)
             dmax = max(dmax, float(np.fmax.reduce(d, axis=None)))
-            if cells <= _TABLE_BYTES:
-                coded.append((rows, cols, dmax, _codes(d, dmax)))
-        if cells > _TABLE_BYTES:
+            if store:
+                codes[part] = _codes(d, dmax)
+                scales.append(dmax)
+        if not store:
             return dmax, None
-        return dmax, [_coded(rows, cols, codes if scale == dmax else
-                             _codes(self.dist_idx(rows, cols), dmax))
-                      for rows, cols, scale, codes in coded]
+        for (part, a, b), scale in zip(self._unit_batches(8 * _TILE ** 2),
+                                       scales):
+            if scale != dmax:
+                codes[part] = _codes(self._unit_distances(a, b), dmax)
+        table = _coded(codes)
+        for x in table:
+            x.setflags(write=False)
+        return dmax, table
 
     @property
     def _dmax(self) -> float:
         """Largest distance over the visited pairs, NaN ignored, folded
-        block by block with max() in pair_blocks order."""
+        batch by batch with max() in tile-major order."""
         return self._pair_table[0]
 
     def _pair_codes(self):
-        """_CodedBlocks over the visited pairs; the stored table if the
-        net has one, else codes and units computed block by block."""
+        """The units in chunks (a, b, codes, low, high): their tile indices
+        and _coded, read from a stored table in chunks of one float64 per
+        unit, else computed in chunks of float64 pair values (see
+        _unit_batches)."""
         dmax, stored = self._pair_table
-        if stored is not None:
-            return iter(stored)
-        return (_coded(rows, cols, _codes(self.dist_idx(rows, cols), dmax))
-                for rows, cols in self._blocks())
+        for part, a, b in self._unit_batches(8 if stored else 8 * _TILE ** 2):
+            yield (a, b, *([x[part] for x in stored] if stored else _coded(
+                _codes(self._unit_distances(a, b), dmax))))
 
 
 def _edges(dmax: float) -> np.ndarray:
@@ -784,7 +795,7 @@ def build_epsilon_graph(net: Net, scale: float) -> EpsilonGraph:
     if isinstance(net.metric, EuclideanMetric):
         return EpsilonGraph(net, scale, _Grid(net.points, scale).pairs(scale))
     found = []
-    for rows, cols in net._blocks():
+    for rows, cols in pair_blocks(len(net), len(net), upper=True):
         ii, jj = np.nonzero(net.dist_idx(rows, cols) <= scale)
         ii += rows.start
         jj += cols.start
@@ -986,18 +997,18 @@ class Modulus:
 
 
 def _tile_boxes(maps: np.ndarray):
-    """(lo, hi): per tile of _TILE net points and coordinate, the lowest
+    """(lo, hi): per coordinate and tile of _TILE net points, the lowest
     and the highest value over the tile's points and over all the maps of
-    the (maps, n, d) stack, NaN where one is."""
+    the (maps, n, d) stack, NaN where one is, as (d, tiles) arrays."""
     starts = np.arange(0, maps.shape[1], _TILE)
-    return (np.minimum.reduceat(maps, starts, axis=1).min(axis=0),
-            np.maximum.reduceat(maps, starts, axis=1).max(axis=0))
+    return (np.minimum.reduceat(maps, starts, axis=1).min(axis=0).T,
+            np.maximum.reduceat(maps, starts, axis=1).max(axis=0).T)
 
 
-def _box_squares(boxes, row_tiles, col_tiles) -> np.ndarray:
-    """Per row tile x column tile, the sum over coordinates of w^2, w the
-    largest difference of the two tiles' boxes (see _tile_boxes):
-    max(hi_row - lo_col, hi_col - lo_row).
+def _box_squares(boxes, a, b) -> np.ndarray:
+    """Per unit k, the sum over coordinates of w^2, w the largest
+    difference of the boxes (see _tile_boxes) of the tiles a[k] and b[k]:
+    max(hi_a - lo_b, hi_b - lo_a).
 
     For any pair of the two tiles and any map, the exact value
     differences are at most those of the box corners, and rounding is
@@ -1012,119 +1023,103 @@ def _box_squares(boxes, row_tiles, col_tiles) -> np.ndarray:
     pairs at value distance 0 exactly in every map; the sum is then -1,
     which every limit meets, as 0 raises no measured maximum (they start
     at 0) and fails no allowance (each is positive or NaN)."""
-    lo, hi = boxes
+    s, zero = np.zeros(len(a)), np.ones(len(a), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.maximum(hi[row_tiles, None] - lo[None, col_tiles],
-                       hi[None, col_tiles] - lo[row_tiles, None])
-        s = np.einsum("...k,...k->...", w, w)
-    zero = s == 0.0                     # w >= 0: an underflow, or every w 0
-    zero[zero] = ~w[zero].any(axis=-1)
+        for lo, hi in zip(*boxes):
+            w = np.maximum(hi.take(a) - lo.take(b), hi.take(b) - lo.take(a))
+            zero &= w == 0.0
+            s += np.multiply(w, w, out=w)
     s[zero] = -1.0
     return s
 
 
-def _seed_runs(block: _CodedBlock, limit):
-    """The first row of each row tile of block over all its columns, as
-    runs (see _unit_runs): the net's first row alone, then the others,
-    which a caller may screen against it."""
-    rows, cols, codes = block[:3]
-    firsts = _tile_edges(rows)[:-1]
-    for at in np.split(firsts, [1] if rows.start == 0 else []):
-        if len(at):
-            lim = limit()
-            yield at + rows.start, cols, codes[at], lim, _square_limit(lim)
+def _surviving_units(net: Net, maps: np.ndarray, limit, seed: bool = False):
+    """The units of net's visited pairs (see Net._pair_codes) that no tile
+    bound proves, in batches of as many units as fit in _BLOCK_BYTES / 8
+    of float64 pair values: (rows, cols, codes, lim, square), the (k, r)
+    rows and (k, c) columns of k units (past the net: its last point),
+    their codes and the limit() read for the batch with _square_limit.
 
+    A unit is skipped when its _box_squares bound s over the maps is at
+    most square[c] at both its lowest and its highest code c: its pairs'
+    value distances then lie below lim at the lowest code, hence at every
+    code of the unit, provided the limit does not decrease from one code
+    to the next where it is a number (a limit squared outside
+    [_SCREEN_FLOOR, inf), NaN included, proves nothing).  Each batch
+    screens the units of its chunk left by the batches before it.
 
-def _unit_runs(net: Net, maps: np.ndarray, limit, seed: bool = False):
-    """The visited pairs of net that no tile bound proves, as runs
-    (rows, cols, codes, lim, square): an array of row indices, a column
-    slice, the run's codes, the per-code limit() read for the run and
-    its _square_limit, block by block.
-
-    Each block of net._pair_codes() is cut into units (see _CodedBlock).
-    A unit is skipped when its _box_squares bound s over the maps is
-    at most square[c] at both its lowest and its highest code c: its
-    pairs' value distances then lie below lim at the lowest code, hence
-    at every code of the unit, provided the limit does not decrease from
-    one code to the next where it is a number.  A limit outside
-    [_SCREEN_FLOOR, inf) squared, NaN included, proves nothing.  Each row
-    tile with a surviving unit is one run, over the columns from its
-    first surviving unit to its last.  limit() is read once per block,
-    when its units are screened.
-
-    seed=True first yields the first row of each row tile (see
-    _seed_runs), reading limit() afresh per run, and leaves these rows
-    out of the units, so that limits taken from pairs already evaluated
-    meet the units early.  On a net with a stored code table the seeds
-    of every block come before any unit is screened; past the table cap
-    each block's seeds come first in that block, so that its distances
-    are computed once per call.
+    seed=True first yields one pair of each unit (its first row and
+    column) as a unit of one pair, a batch per chunk, so that limits from
+    pairs already evaluated meet the units early: on a stored table the
+    seeds of every chunk come first, past the cap each chunk's seeds
+    come first in that chunk (whose codes are computed once a call).
     """
-    stored = net._pair_table[1]
-    if seed and stored is not None:
-        for block in stored:
-            yield from _seed_runs(block, limit)
-    boxes = _tile_boxes(maps)
-    for block in net._pair_codes():
-        rows, cols, codes, low, high = block
-        if seed and stored is None:
-            yield from _seed_runs(block, limit)
-        r_at, c_at = _tile_edges(rows), _tile_edges(cols)
-        s = _box_squares(boxes, rows.start // _TILE + np.arange(len(low)),
-                         cols.start // _TILE + np.arange(len(c_at) - 1))
+    def seeds(a, b, codes):
         lim = limit()
-        square = _square_limit(lim)
-        tiles, units = np.nonzero(~((s <= square[low]) & (s <= square[high])))
-        first = np.ones(len(units) + 1, dtype=bool)     # of a run
-        first[1:-1] = np.diff(tiles) != 0
-        for a, u0, u1 in zip(tiles[first[:-1]].tolist(),
-                             units[first[:-1]].tolist(),
-                             units[first[1:]].tolist()):
-            r0, r1 = r_at[a] + seed, r_at[a + 1]    # past the seed row
-            if r0 < r1:
-                c0, c1 = c_at[u0], c_at[u1 + 1]
-                yield (np.arange(r0 + rows.start, r1 + rows.start),
-                       slice(cols.start + c0, cols.start + c1),
-                       codes[r0:r1, c0:c1], lim, square)
+        return (a[:, None] * _TILE, b[:, None] * _TILE, codes[:, :1, :1], lim,
+                _square_limit(lim))
+
+    stored = net._pair_table[1] is not None
+    if seed and stored:
+        yield from (seeds(*chunk[:3]) for chunk in net._pair_codes())
+    boxes = _tile_boxes(maps)
+    t = np.arange(_TILE)
+    step = max(1, _BLOCK_BYTES // (64 * _TILE ** 2))
+    for a, b, codes, low, high in net._pair_codes():
+        if seed and not stored:
+            yield seeds(a, b, codes)
+        s, left = _box_squares(boxes, a, b), np.arange(len(a))
+        while len(left):
+            lim = limit()
+            square = _square_limit(lim)
+            left = left[~((s[left] <= square[low[left]])
+                          & (s[left] <= square[high[left]]))]
+            u, left = left[:step], left[step:]
+            if len(u):
+                yield (a[u, None] * _TILE + t, b[u, None] * _TILE + t,
+                       codes[u], lim, square)
 
 
 def _undecided_pairs(net: Net, maps: np.ndarray, limit, seed: bool = False):
     """The visited pairs of net whose largest value distance over the
     (maps, n, d) stack is not proven at most lim[code], neither by the
-    tile rule (see _unit_runs, whose arguments these are) nor by the pair
-    screen, run by run as (i, j, codes, dv): row and column indices, the
-    pairs' codes and dv = _euclidean(maps[:, i], maps[:, j]), the exact
-    value distances in each map (gathered with take, which numpy does
-    several times faster than that indexing).
+    tile rule (see _surviving_units, whose arguments these are) nor by the
+    pair screen, each pair once, batch by batch in (i, j) order as
+    (i, j, codes, dv): indices i <= j, the pairs' codes and the exact
+    value distances in each map, dv = _euclidean(maps[:, i], maps[:, j])
+    (gathered with take, several times faster than that indexing).
 
-    The screen works from the differences the exact distance would take.
-    One coordinate: |difference| is the distance itself, compared with
-    lim directly.  More: the sum of the squared differences is compared
-    with square = _square_limit(lim), which proves the distance below lim
-    (see there).  The maps' values are folded with np.maximum, so a NaN
-    in any map proves nothing for the pair.
+    The screen works from the differences the exact distance would take,
+    over all the units of a batch in one (k, r, c) broadcast.  One
+    coordinate: |difference| is the distance itself, compared with lim
+    directly.  More: the sum of the squared differences is compared with
+    square = _square_limit(lim), which proves the distance below lim (see
+    there).  The maps' values are folded with np.maximum, so a NaN in any
+    map proves nothing for the pair.
     """
+    n = maps.shape[1]
     columns = [np.ascontiguousarray(maps[..., k])
                for k in range(maps.shape[-1])]
-    for rows, cols, codes, lim, square in _unit_runs(net, maps, limit, seed):
-        r = rows[:, None]
+    for rows, cols, codes, lim, square in _surviving_units(net, maps, limit,
+                                                           seed):
         top = None
         for m in range(len(maps)):
-            s = columns[0][m, r] - columns[0][m, cols]
-            if len(columns) == 1:
-                np.abs(s, out=s)
-            else:
-                s *= s
-                for c in columns[1:]:
-                    d = c[m, r] - c[m, cols]
-                    s += np.multiply(d, d, out=d)
+            d = [c[m].take(rows, mode="clip")[:, :, None]
+                 - c[m].take(cols, mode="clip")[:, None, :] for c in columns]
+            s = np.abs(d[0]) if len(d) == 1 else functools.reduce(
+                np.add, [np.multiply(x, x, out=x) for x in d])
             top = s if top is None else np.maximum(top, s, out=top)
-        below = top <= (lim if len(columns) == 1 else square).take(codes)
-        ii, jj = np.divmod(np.flatnonzero(~below), cols.stop - cols.start)
-        if len(ii):
-            i, j = rows[ii], jj + cols.start
-            yield i, j, codes[ii, jj], _euclidean(maps.take(i, axis=1),
-                                                  maps.take(j, axis=1))
+        at = np.flatnonzero(~(top <= (lim if len(columns) == 1
+                                      else square).take(codes)))
+        code = codes.reshape(-1)[at]
+        k, r, c = np.unravel_index(at, codes.shape)
+        i, j = rows[k, r], cols[k, c]
+        keep = np.flatnonzero((i <= j) & (j < n))   # each pair once, in net
+        keep = keep[np.lexsort((j[keep], i[keep]))]
+        if len(keep):
+            i, j = i[keep], j[keep]
+            yield i, j, code[keep], _euclidean(maps.take(i, axis=1),
+                                               maps.take(j, axis=1))
 
 
 def measured_modulus_multi(net: Net, values_list) -> Modulus:
@@ -1140,7 +1135,7 @@ def measured_modulus_multi(net: Net, values_list) -> Modulus:
     the net's derived pair data (see Net): its diameter and each visited
     pair's code, from which a pair's bucket is a table lookup.  A net
     with a stored code table computes no pair distance here; a larger one
-    computes its codes block by block in the same loop.  Maxima are taken
+    computes its codes batch by batch in the same loop.  Maxima are taken
     per code, then folded into buckets, and ignore visiting order; every
     maximum is of np.hypot value distances, so the table is bit for bit
     that of a full n x n pass.
@@ -1148,12 +1143,10 @@ def measured_modulus_multi(net: Net, values_list) -> Modulus:
     The table is the prefix maximum over the buckets of the per-bucket
     maxima, so a pair no larger than the prefix maximum its bucket has
     already attained cannot change it.  That prefix maximum, per code,
-    is the limit of _undecided_pairs, whose tile rule skips the units
-    proven below it and whose pair screen the pairs proven below it from
-    the sums of squares of their differences; the first row of each row
-    tile is evaluated first to seed it.  Only the pairs left get their
-    exact distances, the maps folded with np.maximum in stack order, so
-    a NaN pair keeps the first NaN it meets.
+    is the limit of _undecided_pairs (seeded by one pair of each unit),
+    which skips the units and pairs proven below it.  Only the pairs left
+    get their exact distances, the maps folded with np.maximum in stack
+    order, so a NaN pair keeps the first NaN it meets.
 
     The check of the shapes is made here; the table is measured on its
     first read (see Modulus), from a snapshot of the maps taken here
@@ -1294,7 +1287,7 @@ def check_modulus(f, slack: float) -> bool:
     """Does f satisfy its declared modulus up to additive slack on all pairs?
 
     One pass over the visited pairs, stopping at the first violating
-    run; each unordered pair is tested once, with the per-pair test of
+    batch; each unordered pair is tested once, with the per-pair test of
     a full n x n pass, and every metric is symmetric, so the answer is
     the same.
     Every pair's value distance is compared with omega; only the pair

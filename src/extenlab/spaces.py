@@ -858,6 +858,8 @@ def urysohn(space: AnnotatedSpace, z_indices, v_indices):
     from .maps import MapSample  # local import to avoid a cycle
 
     z = np.asarray(z_indices, dtype=int)
+    if z.size == 0:
+        raise InvalidArgument("urysohn requires a nonempty Z")
     in_v = np.zeros(len(space.net), dtype=bool)
     in_v[np.asarray(v_indices, dtype=int)] = True
     if not in_v[z].all():

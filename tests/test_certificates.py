@@ -478,6 +478,54 @@ def test_blocked_winding_check_matches_the_whole_array_rule(monkeypatch):
         assert blocked.ok == (name == "emitted")
 
 
+def _rolled_fold(y, rings):
+    """The blocked check with each family's edges taken against an
+    np.roll copy and folded with max() in turn, one family's plain
+    maximum at a time: the reference for the one screen over all three
+    families."""
+    escaped, worst = 0, 0.0
+    for rows, _ in metric_mod.pair_blocks(len(rings), rings[0].size):
+        block = rings[rows]
+        escaped += int(np.count_nonzero(~y.contains(block.reshape(-1, 2))))
+        turned = np.roll(block, -1, axis=1)
+        after = rings[rows.start + 1:rows.stop + 1]
+        for p, q in ((block, turned), (block[:len(after)], after),
+                     (turned[:len(after)], after)):
+            if p.size:
+                worst = max(worst, float(metric_mod._euclidean(p, q).max()))
+    return escaped, worst
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+def test_one_edge_screen_matches_the_family_fold(monkeypatch, rng):
+    # NaN lengths drop a whole family from the fold, inf and huge values
+    # overflow the squares, equal points square below the floor: each of
+    # these must give the family-by-family answer, block by block
+    y = xl.example_family("hawaii", EPS6).pair.space
+    for loop in (1, 2, 9):
+        rings = rng.random((23, loop, 2)) * 0.2
+        cases = {"plain": rings, "constant": np.zeros_like(rings),
+                 "huge": rings * 1e300}
+        for name, special in (("nan", np.nan), ("inf", np.inf),
+                              ("-inf", -np.inf)):
+            for at in ((0, 0, 0), (5, loop - 1, 1), (22, 0, 1)):
+                bad = rings.copy()
+                bad[at] = special
+                cases[f"{name}{at}"] = bad
+        both = rings.copy()
+        both[7, 0] = (np.inf, np.nan)            # np.hypot(inf, nan) is inf
+        cases["inf-nan"] = both
+        for rows_per_block in (None, 1, 4):
+            if rows_per_block is not None:
+                monkeypatch.setattr(metric_mod, "_BLOCK_BYTES",
+                                    8 * rows_per_block * rings[0].size)
+            for name, witness in cases.items():
+                got = certs_mod._witness_escapes_and_longest_edge(y, witness)
+                assert got == _rolled_fold(y, witness), (loop, name)
+            monkeypatch.undo()
+
+
 def test_winding_check_memory_does_not_grow_with_the_rings():
     fam = xl.example_family("hawaii", EPS8)
     phi = fam.member(1)

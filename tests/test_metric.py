@@ -672,14 +672,62 @@ def _searchsorted_codes(d, dmax):
     return np.searchsorted(_edges(dmax), d, side="left").astype(np.uint8)
 
 
+def code_matrix(net):
+    """The net's pair codes as an n x n matrix, read from its tile-major
+    units (Net._pair_codes): unit (a, b) holds the rows of tile a by the
+    columns of tile b, its transpose the mirrored pairs.  Checks each
+    unit's lowest and highest code on the way."""
+    from extenlab import metric
+    t, n = metric._TILE, len(net)
+    m = -(-n // t)
+    full = np.zeros((m, t, m, t), dtype=np.uint8)
+    for a, b, codes, low, high in net._pair_codes():
+        full[b, :, a, :] = codes.transpose(0, 2, 1)
+        full[a, :, b, :] = codes
+        per_unit = codes.reshape(len(codes), -1)
+        assert np.array_equal(low, per_unit.min(axis=1))
+        assert np.array_equal(high, per_unit.max(axis=1))
+    return full.reshape(m * t, m * t)[:n, :n]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("tile", [1, 16])
+@pytest.mark.parametrize("table_bytes", [None, 0])
+def test_tile_major_codes_are_the_codes_of_every_pair(monkeypatch, rng, tile,
+                                                      table_bytes):
+    # n = 37 is no multiple of 16; table_bytes = 0 puts every net past
+    # the cap, so each call computes its codes batch by batch
+    from extenlab import metric
+    monkeypatch.setattr(metric, "_TILE", tile)
+    if table_bytes is not None:
+        monkeypatch.setattr(metric, "_TABLE_BYTES", table_bytes)
+    for n in (1, 5, 37):
+        nets = _random_nets(rng, n) if n > 1 else {}
+        nets["euclidean-5d"] = Net(rng.random((n, 5)), 0.1)
+        for kind, net in nets.items():
+            every = slice(0, n)
+            d = net.dist_idx(every, every)
+            dmax = 0.0
+            for rows, cols in metric.pair_blocks(n, n, upper=True):
+                dmax = max(dmax, float(np.fmax.reduce(
+                    net.dist_idx(rows, cols), axis=None)))
+            assert net._dmax == dmax, kind
+            assert np.array_equal(code_matrix(net), metric._codes(d, dmax))
+            assert (net._pair_table[1] is None) == (table_bytes == 0), kind
+            if table_bytes is None:
+                m = -(-n // tile)
+                assert net._pair_table[1][0].nbytes == \
+                    m * (m + 1) // 2 * tile * tile, kind
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_pair_codes_from_exponents_match_searchsorted(rng):
     from extenlab import metric
     for kind, net in _random_nets(rng, 60).items():
-        for rows, cols, codes, *_ in net._pair_codes():
-            want = _searchsorted_codes(net.dist_idx(rows, cols), net._dmax)
-            assert np.array_equal(codes, want), kind
+        every = slice(0, len(net))
+        want = _searchsorted_codes(net.dist_idx(every, every), net._dmax)
+        assert np.array_equal(code_matrix(net), want), kind
     specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
                          -5e-324, 1e-310, 1e308])
     # normal dmax take the exponents; 2^-770, 0, inf and NaN searchsorted
@@ -711,21 +759,22 @@ def test_pair_grid_is_evaluated_once_per_net(monkeypatch, rng, far,
     if table_bytes is not None:
         monkeypatch.setattr(metric, "_TABLE_BYTES", table_bytes)
     n = 300
-    monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * 10 * n)   # ~10 rows
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * 10 * n)   # 11 units
     cells = []
-    dist_idx = Net.dist_idx
+    unit_distances = Net._unit_distances
 
-    def counting(self, i, j):
-        d = dist_idx(self, i, j)
+    def counting(self, a, b):
+        d = unit_distances(self, a, b)
         cells.append(d.size)
         return d
 
-    monkeypatch.setattr(Net, "dist_idx", counting)
+    monkeypatch.setattr(Net, "_unit_distances", counting)
     pts = rng.random((n, 2))
     pts[far], pts[far + 1] = (-1.0, -1.0), (2.0, 2.0)   # the diameter pair
     net = Net(pts, 0.1)
-    blocks = list(metric.pair_blocks(n, n, upper=True))
-    sizes = [(r.stop - r.start) * (c.stop - c.start) for r, c in blocks]
+    sizes = [(part.stop - part.start) * metric._TILE ** 2
+             for part, *_ in net._unit_batches(8 * metric._TILE ** 2)]
+    assert len(sizes) == 18         # 19 tiles, 190 units
     grid = sum(sizes)
     values = rng.random((n, 1))
     declared = measured_modulus(net, values)
@@ -737,7 +786,7 @@ def test_pair_grid_is_evaluated_once_per_net(monkeypatch, rng, far,
     elif far == 0:
         assert sum(cells) == grid
     else:
-        # blocks coded before the one holding the diameter, coded again
+        # batches coded before the one holding the diameter, coded again
         assert sum(cells) == grid + sum(sizes[:-1])
 
 
@@ -788,6 +837,10 @@ def test_dist_pairs_is_the_diagonal_bit_for_bit(rng):
     for kind, net in nets.items():
         want = np.diagonal(net.dist_idx(i, j))
         assert net.dist_pairs(i, j).tobytes() == want.tobytes(), kind
+        if hasattr(net.metric, "dist"):     # gathered with take: the same
+            p = net.points
+            assert want.tobytes() == net.metric.dist(
+                p[i][:, None, :], p[j][None, :, :]).diagonal().tobytes(), kind
 
 
 def test_writes_through_a_base_array_reach_no_net_or_map(rng):
@@ -861,7 +914,8 @@ def unscreened_bounds(net, values_list, n_buckets=24):
     radii = dmax * 2.0 ** np.arange(-(n_buckets - 1), 1.0)
     bucket = bucket_of_code(n_buckets)
     peaks = np.zeros(len(radii))
-    for rows, cols, codes, *_ in net._pair_codes():
+    for rows, cols in metric.pair_blocks(len(net), len(net), upper=True):
+        codes = metric._codes(net.dist_idx(rows, cols), dmax)
         dv = functools.reduce(np.maximum,
                               (metric._euclidean(v[rows][:, None, :],
                                                  v[cols][None, :, :])
@@ -893,15 +947,14 @@ def unscreened_check_modulus(f, slack):
     if np.all(values == values[0]):
         return True
     k = own_bucket_count(net, modulus)
-    if k:
-        step = np.r_[0, 1 + bucket_of_code(k)[1:]]
-        table = (modulus.bounds + slack + 1e-12)[step]
-        blocks = ((rows, cols, table[codes])
-                  for rows, cols, codes, *_ in net._pair_codes())
-    else:
-        blocks = ((rows, cols, modulus(net.dist_idx(rows, cols)) + slack
-                   + 1e-12) for rows, cols in net._blocks())
-    for rows, cols, allowed in blocks:
+    step = np.r_[0, 1 + bucket_of_code(k)[1:]] if k else None
+    for rows, cols in metric.pair_blocks(len(net), len(net), upper=True):
+        d = net.dist_idx(rows, cols)
+        if k:
+            allowed = (modulus.bounds + slack + 1e-12)[step][
+                metric._codes(d, net._dmax)]
+        else:
+            allowed = modulus(d) + slack + 1e-12
         if np.any(metric._euclidean(values[rows][:, None, :],
                                     values[cols][None, :, :]) > allowed):
             return False
@@ -1125,18 +1178,18 @@ def test_allowances_bound_every_pair_and_are_exact_where_tight(monkeypatch,
                 lo, tight = metric._allowances(net, modulus, slack)
                 assert np.isnan(lo[[0, -1]]).all() and not tight[[0, -1]].any()
                 held = np.zeros(len(lo), dtype=bool)
-                for rows, cols, codes, *_ in net._pair_codes():
-                    c = codes.ravel()
-                    inner = (c > 0) & (c < len(lo) - 1)
-                    d = net.dist_idx(rows, cols).ravel()[inner]
-                    allowed = modulus(d) + slack + 1e-12
-                    c = c[inner]
-                    assert np.all(allowed >= lo[c]), (kind, slack)
-                    assert np.array_equal(allowed[tight[c]],
-                                          lo[c][tight[c]]), (kind, slack)
-                    held[c] = True
-                    loose_codes.update((modulus.kind, int(k))
-                                       for k in c[~tight[c]])
+                c = code_matrix(net).ravel()
+                inner = (c > 0) & (c < len(lo) - 1)
+                every = slice(0, n)
+                d = net.dist_idx(every, every).ravel()[inner]
+                allowed = modulus(d) + slack + 1e-12
+                c = c[inner]
+                assert np.all(allowed >= lo[c]), (kind, slack)
+                assert np.array_equal(allowed[tight[c]],
+                                      lo[c][tight[c]]), (kind, slack)
+                held[c] = True
+                loose_codes.update((modulus.kind, int(k))
+                                   for k in c[~tight[c]])
                 if is_own:
                     assert tight[held].all(), (kind, slack)
     # the exact fallback has work: off-edge tables and Lipschitz moduli
@@ -1168,18 +1221,20 @@ def test_eop_homotopy_frames_leave_few_candidates(monkeypatch):
 
 
 def _count_skips(monkeypatch):
-    """Patch metric._unit_runs to count [visited, yielded] pairs."""
+    """Patch metric._surviving_units to count [visited, yielded] pairs:
+    those of every unit of the net, and those of the units (seeds
+    included) it yields."""
     from extenlab import metric
     seen = [0, 0]
-    unit_runs = metric._unit_runs
+    surviving_units = metric._surviving_units
 
     def counting(net, values_list, limit, seed=False):
-        seen[0] += sum(block.codes.size for block in net._pair_codes())
-        for run in unit_runs(net, values_list, limit, seed):
-            seen[1] += run[2].size
-            yield run
+        seen[0] += sum(chunk[2].size for chunk in net._pair_codes())
+        for batch in surviving_units(net, values_list, limit, seed):
+            seen[1] += batch[2].size
+            yield batch
 
-    monkeypatch.setattr(metric, "_unit_runs", counting)
+    monkeypatch.setattr(metric, "_surviving_units", counting)
     return seen
 
 
@@ -1217,7 +1272,7 @@ def test_tiled_kernels_match_the_unscreened_ones(monkeypatch, rng, tile,
     holed[[3, 17, 20], [25, 8, 21]] = holed[[25, 8, 21], [3, 17, 20]] = np.nan
     nets["matrix-nan"] = Net(nets["matrix"].points, 0.1, MatrixMetric(holed))
     for kind, net in nets.items():
-        codes = np.concatenate([b.codes.ravel() for b in net._pair_codes()])
+        codes = code_matrix(net)
         assert codes.min() == 0
         assert (codes.max() == 255) == (kind == "matrix-nan"), kind
         for dim in (1, 2):
@@ -1294,7 +1349,7 @@ def test_comb_member_measure_evaluates_few_pairs(monkeypatch):
     monkeypatch.setattr(metric, "_undecided_pairs", counting)
     seen = _count_skips(monkeypatch)
     got = metric._measured_bounds(ext.domain, ext.values[None])
-    assert seen[0] == 631167
+    assert seen[0] == 2080 * 256        # 64 tiles of 16 points: 2,080 units
     assert seen[1] <= 0.3 * seen[0]
     # the pair screen leaves exact distances to few of the visited pairs
     assert evaluated[0] <= 0.03 * seen[0]
@@ -1460,9 +1515,11 @@ def test_pair_screen_decides_sums_of_squares_ulps_from_the_limit(
     maps = rng.random((n_maps, len(diffs), 1)) * diffs[None]
     maps[carrier, np.arange(len(diffs))] = diffs
     values = np.concatenate([np.zeros((n_maps, 1, dim)), maps], axis=1)
-    # one run of the tile rule: row 0 against every other point
-    run = (np.array([0]), slice(1, len(diffs) + 1), codes[None], lim, square)
-    monkeypatch.setattr(metric, "_unit_runs", lambda *args: iter([run]))
+    # one batch of one unit: row 0 against every other point
+    batch = (np.zeros((1, 1), dtype=int), np.arange(1, len(diffs) + 1)[None],
+             codes[None, None], lim, square)
+    monkeypatch.setattr(metric, "_surviving_units",
+                        lambda *args: iter([batch]))
     per_map = metric._euclidean(values[:, :1], values[:, 1:])
     got = np.ones(len(diffs), dtype=bool)         # settled by the screen
     yielded = []
@@ -1471,7 +1528,8 @@ def test_pair_screen_decides_sums_of_squares_ulps_from_the_limit(
         assert dv.tobytes() == per_map[:, j - 1].tobytes()
         got[j - 1] = False
         yielded.extend(j.tolist())
-    # a pair is yielded once, in run order, exactly when it is not settled
+    # a pair is yielded once, in (i, j) order, exactly when it is not
+    # settled
     assert yielded == sorted(set(yielded))
     with np.errstate(over="ignore"):
         if dim == 1:
@@ -1494,30 +1552,22 @@ def test_pair_screen_decides_sums_of_squares_ulps_from_the_limit(
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
                             "ignore:overflow:RuntimeWarning")
 def test_seeds_of_every_block_come_first_on_a_stored_table(monkeypatch, rng):
-    # seeding first reorders the runs, and every table stays the same
+    # seeding first reorders the batches, and every table stays the same;
+    # a seed batch holds one pair of each unit of a chunk, as 1 x 1 units
     from extenlab import metric
-    monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * 900)   # many blocks
-    seeds = []
-    seed_runs = metric._seed_runs
-
-    def tagging(block, limit):
-        for run in seed_runs(block, limit):
-            seeds.append(run)
-            yield run
-
-    monkeypatch.setattr(metric, "_seed_runs", tagging)
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * 5)   # many chunks
     n = 90
     for table_bytes, stored in ((metric._TABLE_BYTES, True), (0, False)):
         monkeypatch.setattr(metric, "_TABLE_BYTES", table_bytes)
         for kind, net in _random_nets(rng, n).items():
             values = rng.random((n, 2))
-            seeds.clear()
-            runs = list(metric._unit_runs(net, values[None],
-                                          lambda: np.zeros(256), seed=True))
-            kinds = [any(r is s for s in seeds) for r in runs]
-            first_unit = kinds.index(False)
-            assert all(kinds[:first_unit]), kind
-            assert (True not in kinds[first_unit:]) is stored, kind
+            batches = list(metric._surviving_units(
+                net, values[None], lambda: np.zeros(256), seed=True))
+            seeds = [codes.shape[1:] == (1, 1) for _, _, codes, *_ in batches]
+            # 21 units of 16 x 16 pairs, stored in 5 chunks of at most 5;
+            # past the cap a chunk is one unit, and every unit survives
+            assert seeds == ([True] * 5 + [False] * 21 if stored
+                             else [True, False] * 21), kind
             for name, v in _screen_value_sets(rng, net, 2).items():
                 _assert_bounds_equal(net, [v], 24)
                 _assert_bounds_equal(net, [v, values, v[::-1]], 24)

@@ -418,6 +418,13 @@ def test_urysohn_requires_z_inside_v():
         xl.urysohn(iv, [0, 5], [0, 1, 2])
 
 
+def test_urysohn_refuses_an_empty_z():
+    iv = xl.make_space("interval", 2.0 ** -3)
+    for z in ([], np.array([], dtype=int)):
+        with pytest.raises(InvalidArgument, match="nonempty Z"):
+            xl.urysohn(iv, z, [0, 1])
+
+
 # ---------------------------------------------------------------------------
 # pairs
 
